@@ -13,8 +13,8 @@ valued u + v*sqrt(D), so equality and ordering never depend on floats.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +43,6 @@ class Word:
         return {name: self.letters.count(ch)
                 for name, ch in zip(self.alphabet, self.chars)}
 
-    def tokens(self) -> list[str]:
-        names = dict(zip(self.chars, self.alphabet))
-        return [names[ch] for ch in self.letters]
-
 
 @dataclass(frozen=True)
 class SubstitutionRule1D:
@@ -72,24 +68,48 @@ class SubstitutionRule1D:
         return [[self.images[cj].count(ci) for cj in self.chars]
                 for ci in self.chars]
 
-    def image_lengths(self) -> dict[str, int]:
-        return {c: len(self.images[c]) for c in self.chars}
 
-
-def _predict_length(rule: SubstitutionRule1D, seed: str, n: int) -> int:
+def _predict_lengths(rule: SubstitutionRule1D, seed: str):
+    """Lengths of sigma^0(seed), sigma^1(seed), ... (endless, exact)."""
     counts = {c: seed.count(c) for c in rule.chars}
-    for _ in range(n):
+    while True:
+        yield sum(counts.values())
         nxt = {c: 0 for c in rule.chars}
         for c, k in counts.items():
             for ch in rule.images[c]:
                 nxt[ch] += k
         counts = nxt
-    return sum(counts.values())
+
+
+def _predict_length(rule: SubstitutionRule1D, seed: str, n: int) -> int:
+    return next(itertools.islice(_predict_lengths(rule, seed), n, None))
+
+
+def _cap_error(rule: SubstitutionRule1D, n: int, length: int,
+               cap: int) -> ResourceError:
+    return ResourceError(
+        f"{rule.name}: sigma^{n} would have {length} letters, cap is {cap}")
+
+
+def check_letter_cap(rule: SubstitutionRule1D, seed: str, n_max: int,
+                     cap: int = DEFAULT_LETTER_CAP) -> None:
+    """Raise up front the ResourceError that iterating ``seed`` n = 1, 2,
+    ..., n_max times in turn would hit first."""
+    lengths = itertools.islice(_predict_lengths(rule, seed), 1, n_max + 1)
+    for n, length in enumerate(lengths, start=1):
+        if length > cap:
+            raise _cap_error(rule, n, length, cap)
 
 
 def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
             cap: int = DEFAULT_LETTER_CAP) -> Word:
-    """n-fold substitution of ``seed``; refuses to materialize past ``cap``."""
+    """n-fold substitution of ``seed``; refuses to materialize past ``cap``.
+
+    sigma^n(seed) is sigma^(n-h)(seed) with each letter c replaced by its
+    block sigma^h(c), h = n // 2: the blocks are built level by level by
+    joining the previous level's blocks, so only the final join touches
+    every letter.
+    """
     letters = seed.letters if isinstance(seed, Word) else seed
     if n < 0:
         raise ArgumentError(f"iteration count must be non-negative, got {n}")
@@ -98,11 +118,17 @@ def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
         raise ArgumentError(f"letters {bad} are not in the {rule.name} alphabet")
     final_len = _predict_length(rule, letters, n)
     if final_len > cap:
-        raise ResourceError(
-            f"{rule.name}: sigma^{n} would have {final_len} letters, cap is {cap}")
+        raise _cap_error(rule, n, final_len, cap)
+    half = n // 2
     table = {ord(c): img for c, img in rule.images.items()}
-    for _ in range(n):
+    for _ in range(n - half):
         letters = letters.translate(table)
+    if half:
+        blocks = {c: c for c in rule.chars}
+        for _ in range(half):
+            blocks = {c: "".join([blocks[d] for d in img])
+                      for c, img in rule.images.items()}
+        letters = "".join([blocks[c] for c in letters])
     return rule.word(letters)
 
 
@@ -214,108 +240,148 @@ def f_of_n(n: int) -> int:
     return 2 * first_l - pc.counts("H", n)["L"]
 
 
-_FORBIDDEN = re.compile(r"LL|hH|[Hh]{7}")
+_H_TO_UPPER = bytes.maketrans(b"h", b"H")
 
 
 def forbidden_subwords_check(word: Word | str) -> bool:
-    """True iff the word avoids LL, H-H+ adjacency, and 7 consecutive H's."""
+    """True iff the word avoids LL, H-H+ adjacency, and 7 consecutive H's.
+
+    Searched as bytes: UTF-8 encodes every non-ASCII character with bytes
+    >= 0x80, so the ASCII patterns match exactly where they match the str.
+    """
     letters = word.letters if isinstance(word, Word) else word
-    return _FORBIDDEN.search(letters) is None
+    raw = letters.encode("utf-8", "surrogatepass")
+    if b"LL" in raw or b"hH" in raw:
+        return False
+    return b"HHHHHHH" not in raw.translate(_H_TO_UPPER)
 
 
 # -- exact quadratic-integer layout -------------------------------------------
 
 
 def _sign_quad(A: np.ndarray, B: np.ndarray, D: int) -> np.ndarray:
-    """Vectorized sign of A + B*sqrt(D) for integer arrays (exact)."""
+    """Vectorized sign of A + B*sqrt(D) for integer arrays (exact).
+
+    x -> x*|x| is increasing, so sign(A + B sqrt D) = sign(A|A| + D B|B|);
+    int64 holds that sum exactly while |A| < 2**31 and D B**2 < 2**62.
+    """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    quad = A * A - D * B * B  # sign(A) * sign(A + B sqrt D) factor trick below
-    out = np.zeros(A.shape, dtype=np.int64)
-    same = (A >= 0) & (B >= 0)
-    out[same & ((A > 0) | (B > 0))] = 1
-    flip = (A <= 0) & (B <= 0)
-    out[flip & ((A < 0) | (B < 0))] = -1
-    mixed = ~(same | flip)
-    # A, B of opposite signs: |A| vs |B| sqrt(D) decides, i.e. sign of quad
-    out[mixed] = np.where(np.sign(quad[mixed]) == 0, 0,
-                          np.where((quad[mixed] > 0), np.sign(A[mixed]),
-                                   np.sign(B[mixed])))
-    return out
+    if A.size:
+        a = max(-int(A.min()), int(A.max()))
+        b = max(-int(B.min()), int(B.max()))
+        if a >= 2 ** 31 or D * b * b >= 2 ** 62:
+            raise InternalError(
+                f"sign of A + B*sqrt({D}) with |A| <= {a}, |B| <= {b} "
+                "overflows int64")
+    q = np.abs(A)
+    q *= A
+    r = np.abs(B)
+    r *= B
+    r *= D
+    q += r
+    return np.sign(q, out=q)
 
 
 def _expand_segments(letters: str, seg_du: dict[str, list[int]],
                      seg_dv: dict[str, list[int]]):
-    """Per-segment integer increments for a word, C-speed via repeat."""
+    """Per-segment integer increments for a word, via 256-entry tables.
+
+    All current systems give every segment of a letter the same
+    increments, so a letter maps to one increment repeated per segment;
+    when every letter is a single segment nothing is repeated.
+    """
     arr = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
-    chars = sorted(seg_du)
-    reps = np.zeros(arr.shape, dtype=np.int64)
-    for c in chars:
-        reps[arr == ord(c)] = len(seg_du[c])
-    # np.repeat of per-letter increment lists: build per-letter first element
-    # arrays then interleave.  All current systems have <= 2 segments per
-    # letter with equal increments, which keeps this simple.
-    for c in chars:
+    lut_u = np.zeros(256, dtype=np.int8)
+    lut_v = np.zeros(256, dtype=np.int8)
+    reps = np.zeros(256, dtype=np.int64)
+    for c in seg_du:
         vals_u, vals_v = seg_du[c], seg_dv[c]
         if any(x != vals_u[0] for x in vals_u) or any(x != vals_v[0] for x in vals_v):
             raise InternalError("unequal per-letter segment increments")
-    du_letter = np.zeros(arr.shape, dtype=np.int64)
-    dv_letter = np.zeros(arr.shape, dtype=np.int64)
-    for c in chars:
-        m = arr == ord(c)
-        du_letter[m] = seg_du[c][0]
-        dv_letter[m] = seg_dv[c][0]
-    du = np.repeat(du_letter, reps)
-    dv = np.repeat(dv_letter, reps)
-    seg_letter = np.repeat(arr, reps)
-    return du, dv, seg_letter
+        lut_u[ord(c)], lut_v[ord(c)], reps[ord(c)] = vals_u[0], vals_v[0], len(vals_u)
+    du, dv = lut_u[arr], lut_v[arr]
+    if all(len(vals) == 1 for vals in seg_du.values()):
+        return du, dv, arr
+    per_letter = reps[arr]
+    return (np.repeat(du, per_letter), np.repeat(dv, per_letter),
+            np.repeat(arr, per_letter))
 
 
 def _vertex_coords(du: np.ndarray, dv: np.ndarray):
-    u = np.concatenate([[0], np.cumsum(du)])
-    v = np.concatenate([[0], np.cumsum(dv)])
+    """Vertex coordinates 0, du[0], du[0] + du[1], ... (and the same for v).
+
+    |u| and |v| stay within max step * segments; under the default letter
+    cap that is at most 4 * 2 * 10**8 < 2**31 (til12: steps up to 4, two
+    segments per L), so int32 holds them.  Callers widen to int64 before
+    combining coordinates.
+    """
+    reach = len(du) * max(int(np.abs(du).max(initial=0)),
+                          int(np.abs(dv).max(initial=0)))
+    if reach >= 2 ** 31:
+        raise ResourceError(
+            f"a layout of {len(du)} segments may overflow int32 coordinates")
+    u = np.zeros(len(du) + 1, dtype=np.int32)
+    v = np.zeros(len(dv) + 1, dtype=np.int32)
+    np.cumsum(du, dtype=np.int32, out=u[1:])
+    np.cumsum(dv, dtype=np.int32, out=v[1:])
     return u, v
 
 
-def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int) -> dict[int, float]:
+def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
+                     chunk: int = 1 << 20) -> dict[int, float]:
     """Distinct nearest-vertex offsets between a word and its mirror.
 
     ``u, v`` are the strictly increasing side-1 vertex coordinates.  The
     mirrored side has vertices at total - x; each is matched to its
     nearest side-1 vertex.  Distinct offsets are keyed by the exact
     leg-count difference dv (which pins the offset bijectively); values
-    are representative lengths.
+    are representative lengths, in order of first appearance.  Mirrored
+    vertices are matched ``chunk`` at a time, so only the coordinates and
+    their float values are held whole.
     """
     root = math.sqrt(D)
     U, V = int(u[-1]), int(v[-1])
-    fx = u.astype(np.float64) + v.astype(np.float64) * root
-    s2u = U - u[::-1]
-    s2v = V - v[::-1]
-    s2f = fx[-1] - fx[::-1]
-    idx = np.searchsorted(fx, s2f)
-    idx = np.clip(idx, 1, len(fx) - 1)
-    left = s2f - fx[idx - 1]
-    right = fx[idx] - s2f
-    take_right = right < left
-    choice = np.where(take_right, idx, idx - 1)
-    # near-ties decided exactly: 2*x vs (prev + next) in Z[sqrt(D)]
-    close = np.abs(right - left) < 1e-6
-    if close.any():
-        ca = np.nonzero(close)[0]
-        A = (2 * s2u[ca] - u[idx[ca] - 1] - u[idx[ca]])
-        B = (2 * s2v[ca] - v[idx[ca] - 1] - v[idx[ca]])
-        s = _sign_quad(A, B, D)  # >0: x is past the midpoint, next is nearer
-        choice[ca] = np.where(s > 0, idx[ca], idx[ca] - 1)
-    du = s2u - u[choice]
-    dv = s2v - v[choice]
-    # unsigned offset: flip pairs whose value is negative
-    neg = _sign_quad(du, dv, D) < 0
-    du[neg] *= -1
-    dv[neg] *= -1
+    last = len(u) - 1
+    fx = v.astype(np.float64)
+    fx *= root
+    fx += u
     out: dict[int, float] = {}
-    for key, a in zip(dv.tolist(), du.tolist()):
-        if key not in out:
-            out[key] = a + key * root
+    for hi in range(last + 1, 0, -chunk):
+        # mirrored vertices i = last + 1 - hi, ...: total - vertex (last - i)
+        part = slice(max(hi - chunk, 0), hi)
+        mu, mv = u[part][::-1], v[part][::-1]
+        s2f = fx[-1] - fx[part][::-1]
+        idx = np.searchsorted(fx, s2f)
+        np.clip(idx, 1, last, out=idx)
+        left = s2f - fx[idx - 1]
+        right = fx[idx] - s2f
+        choice = idx - (right >= left)
+        # near-ties decided exactly: 2*x vs (prev + next) in Z[sqrt(D)]
+        close = np.flatnonzero(np.abs(right - left) < 1e-6)
+        if close.size:
+            nxt = idx[close]
+            A = 2 * (U - mu[close].astype(np.int64)) - u[nxt - 1] - u[nxt]
+            B = 2 * (V - mv[close].astype(np.int64)) - v[nxt - 1] - v[nxt]
+            s = _sign_quad(A, B, D)  # >0: x is past the midpoint, next is nearer
+            choice[close] = np.where(s > 0, nxt, nxt - 1)
+        du = np.subtract(U, mu, dtype=np.int64)
+        du -= u[choice]
+        dv = np.subtract(V, mv, dtype=np.int64)
+        dv -= v[choice]
+        # unsigned offset: flip pairs whose value is negative
+        neg = _sign_quad(du, dv, D) < 0
+        np.negative(du, out=du, where=neg)
+        np.negative(dv, out=dv, where=neg)
+        # the keys span a small range; sorting the narrowest dtype is fastest
+        narrow = np.promote_types(np.min_scalar_type(int(dv.min())),
+                                  np.min_scalar_type(int(dv.max())))
+        keys, first = np.unique(dv.astype(narrow), return_index=True)
+        order = np.argsort(first)
+        keys, first = keys[order], first[order]
+        vals = du[first].astype(np.float64) + keys.astype(np.float64) * root
+        for key, val in zip(keys.tolist(), vals.tolist()):
+            out.setdefault(key, val)
     return out
 
 
@@ -352,8 +418,10 @@ def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
     U, V = int(u[-1]), int(v[-1])
     is_leg = seg_letter == ord("L")
     # legs fully in [0, Q]: end <= Q, i.e. sign(2*end - total) <= 0
-    end_u, end_v = u[1:][is_leg], v[1:][is_leg]
-    start_u, start_v = u[:-1][is_leg], v[:-1][is_leg]
+    end_u = u[1:][is_leg].astype(np.int64)
+    end_v = v[1:][is_leg].astype(np.int64)
+    start_u = u[:-1][is_leg].astype(np.int64)
+    start_v = v[:-1][is_leg].astype(np.int64)
     side1 = int((_sign_quad(2 * end_u - U, 2 * end_v - V, 17) <= 0).sum())
     side2 = int((_sign_quad(2 * start_u - U, 2 * start_v - V, 17) >= 0).sum())
     offsets = _nearest_offsets(u, v, 17)
@@ -471,15 +539,12 @@ def _til2_layout(n: int, cap: int):
     return u, v, seg_letter
 
 
-def til2_slippage_bound(n: int, sample_points: int | None = None,
-                        cap: int = DEFAULT_LETTER_CAP) -> int:
+def til2_slippage_bound(n: int, cap: int = DEFAULT_LETTER_CAP) -> int:
     """Max |f_n(E)| over all vertices E: the short-leg surplus between the
     two sides of the fault line up to E.
 
     The function only steps at short-leg endpoints, so the exact running
-    extremum over merged step events covers every vertex.  The
-    ``sample_points`` parameter thins the event list for quick looks;
-    exact runs leave it None.
+    extremum over merged step events covers every vertex.
     """
     if n == 0:
         return 0
@@ -488,25 +553,22 @@ def til2_slippage_bound(n: int, sample_points: int | None = None,
     is_s = seg_letter == ord("S")
     # +1 when a side-1 short leg completes (its end value), -1 when a
     # mirrored short leg completes (total - its start value)
-    plus_u, plus_v = u[1:][is_s], v[1:][is_s]
-    minus_u, minus_v = U - u[:-1][is_s], V - v[:-1][is_s]
-    ev_u = np.concatenate([plus_u, minus_u])
-    ev_v = np.concatenate([plus_v, minus_v])
-    ev_d = np.concatenate([np.ones(len(plus_u), dtype=np.int64),
-                           -np.ones(len(minus_u), dtype=np.int64)])
-    if sample_points is not None and len(ev_u) > sample_points:
-        stride = len(ev_u) // sample_points
-        ev_u, ev_v, ev_d = ev_u[::stride], ev_v[::stride], ev_d[::stride]
+    ev_u = np.concatenate([u[1:][is_s], U - u[:-1][is_s].astype(np.int64)])
+    ev_v = np.concatenate([v[1:][is_s], V - v[:-1][is_s].astype(np.int64)])
+    n_plus = len(ev_u) // 2
+    del u, v, seg_letter, is_s
+    key = ev_v.astype(np.float64)
+    key *= SQRT5
+    key += ev_u
+    order = np.argsort(key, kind="stable")
+    del key
     # merge exactly equal event positions (equal (u, v) pairs)
-    K = 1 << 28
-    keys = ev_u * K + ev_v  # v >= 0 and bounded well below 2^28
-    order = np.argsort(ev_u.astype(np.float64) + ev_v.astype(np.float64) * SQRT5,
-                       kind="stable")
-    keys_sorted = keys[order]
-    deltas = ev_d[order]
-    boundaries = np.nonzero(np.diff(keys_sorted))[0]
-    group_ends = np.concatenate([boundaries, [len(keys_sorted) - 1]])
-    running = np.cumsum(deltas)[group_ends]
+    ev_u, ev_v = ev_u[order], ev_v[order]
+    change = np.diff(ev_u) != 0
+    change |= np.diff(ev_v) != 0
+    del ev_u, ev_v
+    group_ends = np.append(np.flatnonzero(change), len(order) - 1)
+    running = np.cumsum(np.where(order < n_plus, 1, -1))[group_ends]
     return int(np.abs(running).max(initial=0))
 
 

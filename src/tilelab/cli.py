@@ -141,13 +141,18 @@ def _boundary_rows_til13(n_max: int):
         yield f"{n},{fl},{len(offs)}"
 
 
+_BOUNDARY_SYSTEMS = {
+    "til12": (boundary.sigma_til12, _boundary_rows_til12),
+    "til2": (boundary.til2_rule, _boundary_rows_til2),
+    "til13": (boundary.til13_rule, _boundary_rows_til13),
+}
+
+
 def _cmd_boundary(args) -> int:
-    rows = {
-        "til12": _boundary_rows_til12,
-        "til2": _boundary_rows_til2,
-        "til13": _boundary_rows_til13,
-    }[args.system](args.n)
-    _emit_text("\n".join(rows) + "\n", args.out)
+    rule, rows = _BOUNDARY_SYSTEMS[args.system]
+    # every row n lays out sigma^n(H): refuse before row 1, not at row n
+    boundary.check_letter_cap(rule(), "H", args.n)
+    _emit_text("\n".join(rows(args.n)) + "\n", args.out)
     return 0
 
 

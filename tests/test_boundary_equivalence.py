@@ -1,0 +1,186 @@
+"""The vectorized boundary engine against the straightforward versions it
+replaced, which are kept here as references."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tilelab import boundary
+from tilelab.boundary import (_T2_SEG_DU, _T2_SEG_DV, _T12_SEG_DU, _T12_SEG_DV,
+                              _expand_segments, _nearest_offsets, _sign_quad,
+                              _vertex_coords, forbidden_subwords_check, iterate,
+                              sigma0_til12, sigma_til12, til2_rule, til13_rule)
+from tilelab.errors import InternalError, ResourceError
+
+RULES = [sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()]
+
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_iterate(rule, letters, n):
+    table = {ord(c): img for c, img in rule.images.items()}
+    for _ in range(n):
+        letters = letters.translate(table)
+    return letters
+
+
+_FORBIDDEN = re.compile(r"LL|hH|[Hh]{7}")
+
+
+def ref_forbidden(letters):
+    return _FORBIDDEN.search(letters) is None
+
+
+def ref_sign(a, b, d):
+    """Sign of a + b*sqrt(d) in Python integers (d not a square)."""
+    if a >= 0 and b >= 0:
+        return int(a > 0 or b > 0)
+    if a <= 0 and b <= 0:
+        return -int(a < 0 or b < 0)
+    # opposite signs: |a| against |b| sqrt(d) decides
+    return (1 if a > 0 else -1) * (1 if a * a > d * b * b else -1)
+
+
+def ref_nearest_offsets(u, v, D):
+    """Offsets with a per-pair Python dedupe loop and int64 coordinates."""
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    root = math.sqrt(D)
+    U, V = int(u[-1]), int(v[-1])
+    fx = u.astype(np.float64) + v.astype(np.float64) * root
+    s2u = U - u[::-1]
+    s2v = V - v[::-1]
+    s2f = fx[-1] - fx[::-1]
+    idx = np.clip(np.searchsorted(fx, s2f), 1, len(fx) - 1)
+    left = s2f - fx[idx - 1]
+    right = fx[idx] - s2f
+    choice = np.where(right < left, idx, idx - 1)
+    for i in np.nonzero(np.abs(right - left) < 1e-6)[0].tolist():
+        a = 2 * int(s2u[i]) - int(u[idx[i] - 1]) - int(u[idx[i]])
+        b = 2 * int(s2v[i]) - int(v[idx[i] - 1]) - int(v[idx[i]])
+        choice[i] = idx[i] if ref_sign(a, b, D) > 0 else idx[i] - 1
+    du = s2u - u[choice]
+    dv = s2v - v[choice]
+    out = {}
+    for a, key in zip(du.tolist(), dv.tolist()):
+        if ref_sign(a, key, D) < 0:
+            a, key = -a, -key
+        if key not in out:
+            out[key] = a + key * root
+    return out
+
+
+def ref_til2_slippage_bound(n):
+    """Running short-leg surplus merged over equal (u, v) in Python."""
+    letters = ref_iterate(til2_rule(), "H", n)
+    x = [(0, 0)]
+    for ch in letters:
+        du, dv = (1, 0) if ch == "H" else (-2, 1)
+        x.append((x[-1][0] + du, x[-1][1] + dv))
+    U, V = x[-1]
+    events = {}
+    for i, ch in enumerate(letters):
+        if ch == "S":
+            events[x[i + 1]] = events.get(x[i + 1], 0) + 1
+            end = (U - x[i][0], V - x[i][1])
+            events[end] = events.get(end, 0) - 1
+    running, best = 0, 0
+    for key in sorted(events, key=lambda p: p[0] + p[1] * math.sqrt(5)):
+        running += events[key]
+        best = max(best, abs(running))
+    return best
+
+
+# -- equivalence --------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RULES), st.data(), st.integers(0, 10))
+def test_iterate_matches_per_step_translate(rule, data, n):
+    seed = data.draw(st.text(alphabet=rule.chars, max_size=4))
+    word = iterate(rule, seed, n)
+    assert word.letters == ref_iterate(rule, seed, n)
+    assert (word.alphabet, word.chars) == (rule.alphabet, rule.chars)
+
+
+_PIECES = st.sampled_from(["H", "h", "L", "x", "é", "HHH", "hhh"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_PIECES, max_size=30).map("".join))
+@example("HhHhHhH")
+@example("éHHHHHHé")
+@example("hhhhhhh")
+@example("HHHHHH")
+@example("xLLx")
+def test_forbidden_check_matches_the_regex(letters):
+    assert forbidden_subwords_check(letters) == ref_forbidden(letters)
+
+
+def test_forbidden_check_on_words():
+    for n in range(1, 15):
+        word = iterate(sigma_til12(), "H", n)
+        assert forbidden_subwords_check(word) == ref_forbidden(word.letters)
+
+
+_A = st.one_of(st.just(0), st.integers(-(2 ** 31) + 1, 2 ** 31 - 1),
+               st.integers(-50, 50))
+_B = st.one_of(st.just(0), st.integers(-5 * 10 ** 8, 5 * 10 ** 8),
+               st.integers(-50, 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_A, _B), min_size=1, max_size=40),
+       st.sampled_from([5, 17]))
+def test_sign_quad_is_exact(pairs, D):
+    A = np.array([a for a, _ in pairs], dtype=np.int64)
+    B = np.array([b for _, b in pairs], dtype=np.int64)
+    assert _sign_quad(A, B, D).tolist() == [ref_sign(a, b, D) for a, b in pairs]
+
+
+def test_sign_quad_refuses_past_its_headroom():
+    with pytest.raises(InternalError):
+        _sign_quad(np.array([2 ** 31]), np.array([0]), 5)
+    with pytest.raises(InternalError):
+        _sign_quad(np.array([0]), np.array([2 ** 30]), 17)
+
+
+def _layout(rule, n, seg_du, seg_dv):
+    du, dv, _ = _expand_segments(iterate(rule, "H", n).letters, seg_du, seg_dv)
+    return _vertex_coords(du, dv)
+
+
+@pytest.mark.parametrize("rule, seg_du, seg_dv, D, n_max", [
+    (sigma_til12(), _T12_SEG_DU, _T12_SEG_DV, 17, 10),
+    (til2_rule(), _T2_SEG_DU, _T2_SEG_DV, 5, 8),
+])
+def test_nearest_offsets_match_the_python_loop(rule, seg_du, seg_dv, D, n_max):
+    for n in range(1, n_max + 1):
+        u, v = _layout(rule, n, seg_du, seg_dv)
+        assert u.dtype == np.int32 and v.dtype == np.int32
+        want = list(ref_nearest_offsets(u, v, D).items())
+        for chunk in (1 << 20, 997, 61):   # one chunk or many
+            assert list(_nearest_offsets(u, v, D, chunk).items()) == want
+
+
+def test_vertex_coords_are_running_sums():
+    du = np.array([4, -1, -1, 4], dtype=np.int8)
+    dv = np.array([0, 1, 1, 0], dtype=np.int8)
+    u, v = _vertex_coords(du, dv)
+    assert u.tolist() == [0, 4, 3, 2, 6]
+    assert v.tolist() == [0, 0, 1, 2, 2]
+
+
+def test_vertex_coords_refuse_past_int32_headroom():
+    steps = np.full(2 ** 31 // 127 + 1, 127, dtype=np.int8)
+    with pytest.raises(ResourceError):
+        _vertex_coords(steps, np.zeros_like(steps))
+
+
+def test_til2_slippage_bound_matches_python_merge():
+    for n in range(1, 8):
+        assert boundary.til2_slippage_bound(n) == ref_til2_slippage_bound(n)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from tilelab import boundary
 from tilelab.cli import main
 
 
@@ -105,6 +106,17 @@ def test_boundary_til2_csv(capsys):
     assert lines[0] == "n,max_abs_f,offsets"
     for row in lines[1:]:
         assert int(row.split(",")[1]) <= 4
+
+
+def test_boundary_refuses_past_the_letter_cap_up_front(capsys, monkeypatch):
+    def row(n):
+        raise AssertionError(f"row {n} computed before the cap check")
+
+    monkeypatch.setattr(boundary, "til2_slippage_bound", row)
+    rc, out, err = _run(capsys, ["boundary", "--system", "til2", "--n", "30"])
+    assert rc == 3
+    assert out == ""
+    assert "til2: sigma^13 would have" in err
 
 
 def test_stats_pipeline(tmp_path, capsys):
