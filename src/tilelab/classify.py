@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import ArgumentError
 from .geometry import TWO_PI, TriangleShape, wrap_angle
 from .substitution import Tiling, _min_key_pairs
@@ -151,14 +153,10 @@ def verify_orientation_count(t: Tiling, tol: float = ANGLE_TOL) -> int:
     """
     total = 0
     for hand in (1, -1):
-        phis = sorted({t_.placement.phi for t_ in t.tiles
-                       if t_.placement.handedness == hand})
-        if not phis:
+        phis = np.unique(t.phi[t.handedness == hand])
+        if not len(phis):
             continue
-        clusters = 1
-        for prev, cur in zip(phis, phis[1:]):
-            if cur - prev > tol:
-                clusters += 1
+        clusters = 1 + int((np.diff(phis) > tol).sum())
         if clusters > 1 and (phis[0] + TWO_PI) - phis[-1] <= tol:
             clusters -= 1  # first and last meet across the 0/2pi seam
         total += clusters

@@ -21,33 +21,39 @@ from .errors import (ArgumentError, DomainError, GeometryError,
                      NumericError, ResourceError, TilelabError)
 from .geometry import TriangleShape, shape_from_pq, shape_from_theta
 from .spectral import eigen, irrational_spectrum
-from .substitution import (DEFAULT_TILE_CAP, build_Tn, tiling_from_json,
-                           tiling_to_json)
+from .substitution import (DEFAULT_TILE_CAP, build_Tn, round12,
+                           tiling_from_json, tiling_json_chunks)
 
 ENV_MAX_TILES = "TILELAB_MAX_TILES"
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
 def _emit_json(data, out_path: str | None) -> None:
-    text = json.dumps(_round12(data), sort_keys=True, indent=1) + "\n"
-    _emit_text(text, out_path)
+    _emit_text(json.dumps(round12(data), sort_keys=True, indent=1) + "\n",
+               out_path)
 
 
 def _emit_text(text: str, out_path: str | None) -> None:
+    _emit_chunks([text], out_path)
+
+
+def _emit_chunks(chunks, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _read_tiling(path: str):
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:      # missing, a directory, unreadable
+        raise ArgumentError(str(exc)) from None
+    except ValueError as exc:   # not JSON, or not text
+        raise ArgumentError(f"{path}: not a tiling JSON file ({exc})") from None
+    return tiling_from_json(data)
 
 
 def _shape_from_args(args) -> TriangleShape:
@@ -63,12 +69,15 @@ def _shape_from_args(args) -> TriangleShape:
 
 def _tile_cap(args) -> int:
     env = os.environ.get(ENV_MAX_TILES)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ArgumentError(f"{ENV_MAX_TILES} must be an integer, got {env!r}")
-    return DEFAULT_TILE_CAP
+    if env is None:
+        return DEFAULT_TILE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ArgumentError(f"{ENV_MAX_TILES} must be a positive integer, got {env!r}")
+    return cap
 
 
 def _add_shape_args(sub, required: bool = True) -> None:
@@ -81,7 +90,7 @@ def _add_shape_args(sub, required: bool = True) -> None:
 def _cmd_generate(args) -> int:
     shape = _shape_from_args(args)
     tiling = build_Tn(shape, args.n, cap=_tile_cap(args))
-    _emit_json(tiling_to_json(tiling), args.out)
+    _emit_chunks(tiling_json_chunks(tiling), args.out)
     return 0
 
 
@@ -157,8 +166,7 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    with open(args.infile) as fh:
-        tiling = tiling_from_json(json.load(fh))
+    tiling = _read_tiling(args.infile)
     shape = tiling.shape
     hist = stats.size_histogram(tiling, args.weighting)
     if shape.rationality is not None:
@@ -181,7 +189,7 @@ def _cmd_stats(args) -> int:
         _emit_text(comp.to_csv(), args.out)
         return 0
     summary = {"size": comp.to_json(), "generation": tiling.generation,
-               "tiles": len(tiling.tiles)}
+               "tiles": len(tiling)}
     ori = stats.orientation_histogram(tiling)
     summary["orientation"] = {"bins": ori.bins,
                               "max_deviation": ori.max_deviation()}
@@ -190,8 +198,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    with open(args.infile) as fh:
-        tiling = tiling_from_json(json.load(fh))
+    tiling = _read_tiling(args.infile)
     svg = render.render_svg(tiling, color=args.color, faults=args.faults)
     _emit_text(svg, args.out)
     return 0
@@ -202,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tilelab",
         description="generalized pinwheel substitution tilings: generation, "
                     "classification, spectra, fault-line analysis, rendering")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (reserved; current pipelines are "
-                             "single-process deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="build T_n and write tiling JSON")
@@ -256,9 +260,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.threads is not None and args.threads < 1:
-        sys.stderr.write("error: --threads must be at least 1\n")
-        return 2
     try:
         return args.func(args)
     except ResourceError as exc:

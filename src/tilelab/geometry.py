@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
+import numpy as np
 
 from .errors import ArgumentError, DomainError, GeometryError, NumericError
 
@@ -48,6 +49,37 @@ def wrap_angle(phi: float) -> float:
     if phi >= TWO_PI:  # fmod rounding can land exactly on 2*pi
         phi -= TWO_PI
     return phi
+
+
+def wrap_angles(phi: np.ndarray) -> np.ndarray:
+    """:func:`wrap_angle` of every entry, with the same float results."""
+    phi = np.fmod(phi, TWO_PI)
+    phi = np.where(phi < 0.0, phi + TWO_PI, phi)
+    return np.where(phi >= TWO_PI, phi - TWO_PI, phi)
+
+
+def cos_sin(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``math.cos`` and ``math.sin`` of every entry, evaluated once per
+    distinct value.  numpy's vectorized cos/sin are not guaranteed to
+    round like the C library's, and the per-tile placements were defined
+    by the latter."""
+    bits, inverse = np.unique(np.ascontiguousarray(phi, dtype=np.float64)
+                              .view(np.int64), return_inverse=True)
+    values = bits.view(np.float64).tolist()
+    cos = np.array([math.cos(v) for v in values], dtype=np.float64)
+    sin = np.array([math.sin(v) for v in values], dtype=np.float64)
+    return cos[inverse], sin[inverse]
+
+
+def apply_columns(point: tuple[float, float], handedness: np.ndarray,
+                  cos_phi: np.ndarray, sin_phi: np.ndarray, scale: np.ndarray,
+                  tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Similarity.apply` of one point under one similarity per row,
+    in the same IEEE operation order (so with the same float results)."""
+    x, y = point
+    y = np.where(handedness < 0, -y, y)
+    return (tx + scale * (x * cos_phi - y * sin_phi),
+            ty + scale * (x * sin_phi + y * cos_phi))
 
 
 @lru_cache(maxsize=64)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ArgumentError
-from .geometry import vertices
+from .geometry import cos_sin
 from .substitution import Tiling
 
 CANVAS = 1000.0
@@ -31,15 +33,15 @@ def _fmt(x: float) -> str:
     return "0" if s == "-0" else s
 
 
-def _fill(tile, rank_of, mode: str) -> str:
+def _fills(t: Tiling, mode: str) -> list[str]:
+    """The fill of every tile: its size-class color or its heading hue."""
     if mode == "size":
-        rank = rank_of[tile.placement.size_exp]
-        return PALETTE[(rank - 1) % len(PALETTE)]
+        return [PALETTE[k] for k in ((t.size_ranks() - 1) % len(PALETTE)).tolist()]
     if mode == "phi":
-        hue = tile.placement.phi / (2.0 * math.pi) * 360.0
+        hues = (t.phi / (2.0 * math.pi) * 360.0 + 0.0).tolist()
         # mirrored tiles at lower saturation so both circles stay visible
-        sat = 70 if tile.placement.handedness > 0 else 40
-        return f"hsl({_fmt(hue)},{sat}%,55%)"
+        sats = np.where(t.handedness > 0, 70, 40).tolist()
+        return [f"hsl({hue:.9g},{sat}%,55%)" for hue, sat in zip(hues, sats)]
     raise ArgumentError(f"unknown color mode {mode!r}")
 
 
@@ -53,33 +55,6 @@ class _Run:
     parent_count: int
 
 
-def _tile_edges(t: Tiling):
-    """(p, q, tile) for the three sides of every tile."""
-    out = []
-    for tile in t.tiles:
-        sa, ra, ov, _ = vertices(tile)
-        out.append((sa, ra, tile))
-        out.append((ra, ov, tile))
-        out.append((ov, sa, tile))
-    return out
-
-
-def _cluster(values, tol: float):
-    """Group sorted (value, payload) items, splitting at gaps > tol."""
-    groups = []
-    cur = []
-    prev = None
-    for val, payload in values:
-        if prev is not None and val - prev > tol:
-            groups.append(cur)
-            cur = []
-        cur.append((val, payload))
-        prev = val
-    if cur:
-        groups.append(cur)
-    return groups
-
-
 def fault_runs(t: Tiling) -> list[_Run]:
     """Maximal straight lines made of >= 2 distinct collinear edges from
     non-sibling tiles.
@@ -90,62 +65,69 @@ def fault_runs(t: Tiling) -> list[_Run]:
     different parents.  Shared edges between two cousins collapse to one
     distinct segment and drop out; fault lines survive.
     """
-    if not t.tiles:
+    if not len(t):
         return []
-    scale = t.shape.c * max(t.shape.scale(i, j) for i, j in
-                            {tile.placement.size_exp for tile in t.tiles})
-    tol = 1e-7 * scale
-    lines: dict = {}
-    entries = []
-    for p, q, tile in _tile_edges(t):
-        dx, dy = q[0] - p[0], q[1] - p[1]
-        ang = math.atan2(dy, dx) % math.pi
-        if ang > math.pi - 1e-12:
-            ang = 0.0
-        ux, uy = math.cos(ang), math.sin(ang)
-        off = p[0] * (-uy) + p[1] * ux  # signed distance of the line
-        entries.append((ang, off, p, q, (ux, uy), tile))
-    entries.sort(key=lambda e: (e[0], e[1]))
+    pairs, _, _ = t.exponent_pairs()
+    tol = 1e-7 * (t.shape.c * max(t.shape.scale(i, j) for i, j in pairs))
+    # the three sides of every tile, tile by tile: (sa, ra), (ra, ov), (ov, sa)
+    sa, ra, ov = t.vertex_columns()
+    px = np.column_stack((sa[0], ra[0], ov[0])).ravel()
+    py = np.column_stack((sa[1], ra[1], ov[1])).ravel()
+    qx = np.column_stack((ra[0], ov[0], sa[0])).ravel()
+    qy = np.column_stack((ra[1], ov[1], sa[1])).ravel()
+    parent = np.repeat(t.parent, 3)
+    # math.atan2, not np.arctan2: the two differ in the last bit on some hosts
+    ang = np.array([math.atan2(dy, dx) % math.pi for dy, dx in
+                    zip((qy - py).tolist(), (qx - px).tolist())], dtype=np.float64)
+    ang[ang > math.pi - 1e-12] = 0.0
+    ux, uy = cos_sin(ang)
+    off = px * (-uy) + py * ux   # signed distance of the line
+    # sort by (direction, offset) and split directions at gaps > 1e-9;
+    # re-sort each direction by offset alone, stably, and split lines at
+    # offset gaps > tol
+    order = np.lexsort((off, ang))
+    direction = np.concatenate(([0], np.cumsum(np.diff(ang[order]) > 1e-9)))
+    regroup = np.lexsort((off[order], direction))
+    order, direction = order[regroup], direction[regroup]
+    line = np.concatenate(([0], np.cumsum((np.diff(direction) != 0)
+                                          | (np.diff(off[order]) > tol))))
+    # each line is described by the direction and offset of its first edge
+    ref = order[np.flatnonzero(np.diff(line, prepend=-1))]
+    line_ux, line_uy, line_off = ux[ref].tolist(), uy[ref].tolist(), off[ref].tolist()
+    # each edge as an interval along its own direction, sorted along the line
+    t0 = px * ux + py * uy
+    t1 = qx * ux + qy * uy
+    lo = np.where(t0 > t1, t1, t0)
+    hi = np.where(t0 > t1, t0, t1)
+    along = np.lexsort((hi[order], lo[order], line))
+    order, line = order[along], line[along]
+
     runs: list[_Run] = []
-    for ang_group in _cluster([(e[0], e) for e in entries], 1e-9):
-        offs = sorted(((e[1], e) for _, e in ang_group), key=lambda x: x[0])
-        for line_group in _cluster(offs, tol):
-            segs = []
-            for _, (ang, off, p, q, (ux, uy), tile) in line_group:
-                t0 = p[0] * ux + p[1] * uy
-                t1 = q[0] * ux + q[1] * uy
-                if t0 > t1:
-                    t0, t1 = t1, t0
-                segs.append((t0, t1, tile))
-            segs.sort(key=lambda s: (s[0], s[1]))
-            # merge touching segments into maximal stretches
-            cur = None
-            bucket: list = []
-            merged = []
-            for t0, t1, tile in segs:
-                if cur is None or t0 > cur[1] + tol:
-                    if cur is not None:
-                        merged.append((cur, bucket))
-                    cur = [t0, t1]
-                    bucket = [(t0, t1, tile)]
-                else:
-                    cur[1] = max(cur[1], t1)
-                    bucket.append((t0, t1, tile))
-            if cur is not None:
-                merged.append((cur, bucket))
-            ux_uy = line_group[0][1][4]
-            off = line_group[0][1][1]
-            nx, ny = -ux_uy[1], ux_uy[0]
-            for (lo, hi), bucket in merged:
-                distinct = {(round(t0 / tol), round(t1 / tol))
-                            for t0, t1, _ in bucket}
-                parents = {tile.parent for _, _, tile in bucket}
-                if len(distinct) >= 2 and len(parents) >= 2:
-                    start = (nx * off + ux_uy[0] * lo, ny * off + ux_uy[1] * lo)
-                    end = (nx * off + ux_uy[0] * hi, ny * off + ux_uy[1] * hi)
-                    runs.append(_Run(start=start, end=end,
-                                     edge_count=len(distinct),
-                                     parent_count=len(parents)))
+
+    def close(k, start, end, distinct, parents):
+        if len(distinct) >= 2 and len(parents) >= 2:
+            u, v, d = line_ux[k], line_uy[k], line_off[k]
+            runs.append(_Run(start=(-v * d + u * start, u * d + v * start),
+                             end=(-v * d + u * end, u * d + v * end),
+                             edge_count=len(distinct),
+                             parent_count=len(parents)))
+
+    # merge touching intervals of a line into maximal stretches
+    cur = -1
+    for k, a, b, par in zip(line.tolist(), lo[order].tolist(),
+                            hi[order].tolist(), parent[order].tolist()):
+        if k != cur or a > top + tol:
+            if cur >= 0:
+                close(cur, bottom, top, distinct, parents)
+            cur, bottom, top = k, a, b
+            distinct = {(round(a / tol), round(b / tol))}
+            parents = {par}
+        else:
+            if b > top:
+                top = b
+            distinct.add((round(a / tol), round(b / tol)))
+            parents.add(par)
+    close(cur, bottom, top, distinct, parents)
     return runs
 
 
@@ -154,15 +136,15 @@ def render_svg(t: Tiling, color: str = "size", faults: bool = False) -> str:
     if color not in ("size", "phi"):
         raise ArgumentError(f"unknown color mode {color!r}")
     parts = []
-    if not t.tiles:
+    if not len(t):
         parts.append('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                      f'width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}"/>')
         return "\n".join(parts) + "\n"
-    pts = [pt for tile in t.tiles for pt in vertices(tile)[:3]]
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    corners = t.vertex_columns()
+    x0 = min(float(x.min()) for x, _ in corners)
+    x1 = max(float(x.max()) for x, _ in corners)
+    y0 = min(float(y.min()) for _, y in corners)
+    y1 = max(float(y.max()) for _, y in corners)
     span = max(x1 - x0, y1 - y0) or 1.0
     s = (CANVAS - 2 * MARGIN) / span
     tx = MARGIN - x0 * s
@@ -177,11 +159,12 @@ def render_svg(t: Tiling, color: str = "size", faults: bool = False) -> str:
                  f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">')
     parts.append(f'<g transform="translate({_fmt(tx)},{_fmt(ty)}) '
                  f'scale({_fmt(s)},{_fmt(-s)})">')
-    for tile in t.tiles:
-        sa, ra, ov, _ = vertices(tile)
-        path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (sa, ra, ov))
-        parts.append(f'<polygon points="{path}" fill="{_fill(tile, rank_of, color)}" '
-                     f'stroke="#222222" stroke-width="{_fmt(stroke)}"/>')
+    # "+ 0.0" turns -0.0 into 0.0, as _fmt prints it
+    coords = [(v + 0.0).tolist() for corner in corners for v in corner]
+    tail = f'" stroke="#222222" stroke-width="{_fmt(stroke)}"/>'
+    parts.extend(f'<polygon points="{ax:.9g},{ay:.9g} {bx:.9g},{by:.9g} '
+                 f'{cx:.9g},{cy:.9g}" fill="{fill}{tail}'
+                 for ax, ay, bx, by, cx, cy, fill in zip(*coords, _fills(t, color)))
     if faults:
         parts.append('<g stroke="#d62728" fill="none" '
                      f'stroke-width="{_fmt(3.0 * stroke)}">')

@@ -92,10 +92,10 @@ def _normalize(values: np.ndarray) -> np.ndarray:
     return values / total
 
 
-def _phi_bin(phi: float, bins: int) -> int:
+def _phi_bin(phi: np.ndarray, bins: int) -> np.ndarray:
     # headings like pi/2 sit exactly on bin edges; the nudge makes the
     # geometric and census paths agree there despite float noise
-    return int((phi / (2.0 * math.pi) + 1e-9) * bins) % bins
+    return ((phi / (2.0 * math.pi) + 1e-9) * bins).astype(np.int64) % bins
 
 
 def _rank_by_key(shape: TriangleShape, pairs) -> dict:
@@ -144,11 +144,8 @@ def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
 def size_histogram(t: Tiling, weighting: str = "count",
                    bins: int = DEFAULT_SIZE_BINS) -> Histogram:
     """Empirical size distribution of a built tiling."""
-    counts: dict = {}
-    for tile in t.tiles:
-        e = tile.placement.size_exp
-        counts[e] = counts.get(e, 0) + 1
-    return _size_histogram_from_counts(t.shape, counts, weighting, bins)
+    return _size_histogram_from_counts(t.shape, t.exponent_counts(),
+                                       weighting, bins)
 
 
 def census_size_histogram(shape: TriangleShape, n: int,
@@ -176,16 +173,18 @@ def matrix_power_counts(shape: TriangleShape, n: int) -> tuple[int, ...]:
 def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
                           ) -> OrientationHistogram:
     """Heading distribution of a built tiling, split by size and hand."""
-    rank_of = t.class_rank()
-    total = len(t.tiles)
+    rank = t.size_ranks()
+    total = len(t)
+    # cells in order of first appearance: pooled() sums them in that order
+    _, first, cell = np.unique(2 * rank + (t.handedness > 0), return_index=True,
+                               return_inverse=True)
+    raw = np.bincount(cell * bins + _phi_bin(t.phi, bins),
+                      minlength=len(first) * bins).reshape(len(first), bins)
     cells: dict = {}
-    raw: dict = {}
-    for tile in t.tiles:
-        key = (rank_of[tile.placement.size_exp], tile.placement.handedness)
-        b = _phi_bin(tile.placement.phi, bins)
-        raw.setdefault(key, np.zeros(bins))[b] += 1
     phi_bins = {}
-    for key, arr in raw.items():
+    for k in np.argsort(first).tolist():
+        key = (int(rank[first[k]]), int(t.handedness[first[k]]))
+        arr = raw[k].astype(np.float64)
         cells[key] = float(arr.sum()) / total
         phi_bins[key] = tuple(_normalize(arr).tolist())
     return OrientationHistogram(bins=bins, cells=cells, phi_bins=phi_bins)
@@ -203,7 +202,7 @@ def census_orientation_histogram(shape: TriangleShape, n: int,
     raw: dict = {}
     for (i, j, sign, key), cnt in census.counts.items():
         cell = (ranks[(i, j)], sign)
-        b = _phi_bin(census.angle(key), bins)
+        b = int(_phi_bin(np.float64(census.angle(key)), bins))
         raw.setdefault(cell, np.zeros(bins))[b] += cnt
     cells = {}
     phi_bins = {}

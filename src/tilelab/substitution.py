@@ -6,12 +6,20 @@ size parameter and leaves everything else alone.  An exact integer census
 of exponent classes evolves alongside (or instead of) the geometric
 tilings; the two agree tile-for-tile and the census scales to millions of
 tiles at negligible cost.
+
+A :class:`Tiling` keeps its tiles as numpy columns, one row per tile, and
+deflation, serialization and the statistics work on whole columns.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 
 from .errors import ArgumentError, DomainError, InternalError, ResourceError
 from .geometry import (
@@ -19,76 +27,126 @@ from .geometry import (
     Similarity,
     Tile,
     TriangleShape,
+    apply_columns,
     compose,
+    cos_sin,
     shape_from_theta,
     tile_area,
     vertices,
     wrap_angle,
+    wrap_angles,
 )
-from fractions import Fraction
 
 DEFAULT_TILE_CAP = 10_000_000
 
 TILING_FORMAT = "tilelab-tiling/1"
+
+# Tiles per piece of tiling JSON text: writers hold one piece at a time.
+JSON_CHUNK_TILES = 1 << 14
 
 # Distinct size keys closer than this are treated as a bookkeeping bug:
 # on the lattice of any desk-scale shape genuinely different (i, j)
 # classes are separated by far more.
 NEAR_TIE = 1e-9
 
+# The columns of a Tiling: handedness (+1/-1), heading, small-angle
+# vertex, exponent pair, tile id and parent id (-1 for the root).
+COLUMNS = (("handedness", np.int8), ("phi", np.float64), ("ox", np.float64),
+           ("oy", np.float64), ("i", np.int32), ("j", np.int32),
+           ("ids", np.int64), ("parent", np.int64))
+
+
+def _make_tile(shape, hand, phi, ox, oy, i, j, tile_id, parent) -> Tile:
+    return Tile(shape=shape, placement=Placement(hand, phi, (ox, oy), (i, j)),
+                id=tile_id, parent=None if parent < 0 else parent)
+
 
 def subdivide(tile: Tile, first_id: int | None = None) -> list[Tile]:
     """The five daughters of ``tile``, ids assigned consecutively."""
-    shape = tile.shape
     if first_id is None:
         first_id = tile.id + 1
-    parent_sim = tile.similarity()
-    hand = tile.placement.handedness
-    i, j = tile.placement.size_exp
-    out = []
-    for offset, frame in enumerate(shape.daughter_frames()):
-        child_phi = wrap_angle(tile.placement.phi + hand * frame.phi(shape.theta))
-        placement = Placement(
-            handedness=hand * frame.handedness,
-            phi=child_phi,
-            origin=parent_sim.apply(frame.origin),
-            size_exp=(i + frame.exp_delta[0], j + frame.exp_delta[1]),
-        )
-        out.append(Tile(shape=shape, placement=placement,
-                        id=first_id + offset, parent=tile.id))
-    return out
+    kids = _daughters(Tiling(tile.shape, [tile], 0), np.array([0]), first_id)
+    return list(Tiling.from_columns(tile.shape, 0, kids).tiles)
 
 
 class Tiling:
-    """An ordered collection of tiles covering one root triangle."""
+    """An ordered collection of tiles covering one root triangle.
 
-    def __init__(self, shape: TriangleShape, tiles: list[Tile], generation: int,
-                 parent_links: dict[int, int] | None = None, next_id: int | None = None):
+    The tiles are stored as read-only numpy columns named in
+    :data:`COLUMNS`, one row per tile: ``handedness`` (int8), ``phi``,
+    ``ox``, ``oy`` (float64), ``i``, ``j`` (int32), ``ids`` and
+    ``parent`` (int64, -1 for the root).  :attr:`tiles` is a sequence
+    view that builds :class:`Tile` objects on demand.
+    """
+
+    def __init__(self, shape: TriangleShape, tiles, generation: int):
+        rows = [(t.placement.handedness, t.placement.phi, *t.placement.origin,
+                 *t.placement.size_exp, t.id, -1 if t.parent is None else t.parent)
+                for t in tiles]
+        values = list(zip(*rows)) if rows else [()] * len(COLUMNS)
+        self._init(shape, generation,
+                   {name: v for (name, _), v in zip(COLUMNS, values)})
+
+    @classmethod
+    def from_columns(cls, shape: TriangleShape, generation: int,
+                     columns: dict) -> "Tiling":
+        tiling = cls.__new__(cls)
+        tiling._init(shape, generation, columns)
+        return tiling
+
+    def _init(self, shape, generation, columns) -> None:
         self.shape = shape
-        self.tiles = tiles
         self.generation = generation
-        self.parent_links = parent_links if parent_links is not None else {}
-        self._next_id = next_id if next_id is not None else (
-            1 + max((t.id for t in tiles), default=-1))
+        for name, dtype in COLUMNS:
+            col = np.asarray(columns[name], dtype=dtype)
+            col.flags.writeable = False
+            setattr(self, name, col)
+        self._pairs = None
 
     def __len__(self) -> int:
-        return len(self.tiles)
+        return len(self.ids)
+
+    @property
+    def tiles(self) -> "_TileView":
+        return _TileView(self)
+
+    @property
+    def parent_links(self) -> dict[int, int]:
+        """Tile id -> parent id, for every tile that has a parent."""
+        has = self.parent >= 0
+        return dict(zip(self.ids[has].tolist(), self.parent[has].tolist()))
+
+    def rows(self):
+        """The tiles as tuples of Python values in :data:`COLUMNS` order."""
+        return zip(*(getattr(self, name).tolist() for name, _ in COLUMNS))
 
     # -- size classes -----------------------------------------------------
 
+    def exponent_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray, list[int]]:
+        """The distinct exponent pairs in order of first appearance, each
+        tile's index into that list, and the tile count of each pair."""
+        if self._pairs is None:
+            code = self.i.astype(np.int64) * (1 << 32) + self.j
+            _, first, inverse, counts = np.unique(
+                code, return_index=True, return_inverse=True, return_counts=True)
+            order = np.argsort(first)
+            remap = np.empty_like(order)
+            remap[order] = np.arange(len(order))
+            pairs = list(zip(self.i[first[order]].tolist(),
+                             self.j[first[order]].tolist()))
+            self._pairs = (pairs, remap[inverse], counts[order].tolist())
+        return self._pairs
+
     def size_keys(self) -> list:
         """Distinct size keys present, sorted big-tile-first."""
-        seen = {}
-        for t in self.tiles:
-            i, j = t.placement.size_exp
-            seen.setdefault((i, j), 0)
-        keys = sorted({self.shape.size_key(i, j) for (i, j) in seen})
+        pairs, _, _ = self.exponent_pairs()
+        keys = sorted({self.shape.size_key(i, j) for (i, j) in pairs})
         _assert_separated(keys)
         return keys
 
     def class_rank(self) -> dict[tuple[int, int], int]:
         """Map exponent pair -> 1-based size class (1 = largest present)."""
-        pairs = {t.placement.size_exp for t in self.tiles}
+        pairs, _, _ = self.exponent_pairs()
         keyed = sorted((self.shape.size_key(i, j), (i, j)) for (i, j) in pairs)
         ranks: dict[tuple[int, int], int] = {}
         rank = 0
@@ -100,12 +158,32 @@ class Tiling:
             ranks[pair] = rank
         return ranks
 
+    def size_ranks(self) -> np.ndarray:
+        """The size class of every tile (1 = largest present)."""
+        pairs, index, _ = self.exponent_pairs()
+        rank_of = self.class_rank()
+        return np.array([rank_of[p] for p in pairs], dtype=np.int64)[index]
+
     def exponent_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for t in self.tiles:
-            pair = t.placement.size_exp
-            counts[pair] = counts.get(pair, 0) + 1
-        return counts
+        """Tiles per exponent pair, in order of first appearance."""
+        pairs, _, counts = self.exponent_pairs()
+        return dict(zip(pairs, counts))
+
+    def scales(self) -> np.ndarray:
+        """The linear scale of every tile relative to the root."""
+        pairs, index, _ = self.exponent_pairs()
+        return np.array([self.shape.scale(i, j) for i, j in pairs],
+                        dtype=np.float64)[index]
+
+    def vertex_columns(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(x, y) columns of the small-angle, right-angle and remaining
+        vertex of every tile: the floats :func:`vertices` gives."""
+        cos_phi, sin_phi = cos_sin(self.phi)
+        scale = self.scales()
+        b, a = self.shape.b, self.shape.a
+        return tuple(apply_columns(pt, self.handedness, cos_phi, sin_phi, scale,
+                                   self.ox, self.oy)
+                     for pt in ((0.0, 0.0), (b, 0.0), (b, a)))
 
     # -- integrity checks (used by tests, not on every build) -------------
 
@@ -123,6 +201,33 @@ class Tiling:
                 raise InternalError("size spread exceeds the similarity window")
         if samples_per_tile:
             _check_disjoint(self, samples_per_tile)
+
+
+class _TileView(Sequence):
+    """Read-only sequence of :class:`Tile` objects over a tiling's columns."""
+
+    def __init__(self, tiling: Tiling):
+        self._tiling = tiling
+
+    def __len__(self) -> int:
+        return len(self._tiling)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("tile index out of range")
+        t = self._tiling
+        return _make_tile(t.shape, *(getattr(t, name)[index].item()
+                                     for name, _ in COLUMNS))
+
+    def __iter__(self):
+        shape = self._tiling.shape
+        for row in self._tiling.rows():
+            yield _make_tile(shape, *row)
 
 
 def _assert_separated(sorted_keys) -> None:
@@ -183,38 +288,68 @@ def _min_key_pairs(shape: TriangleShape, pairs) -> set[tuple[int, int]]:
     return {pair for key, pair in keyed if key == min_key}
 
 
+def _daughters(tiling: Tiling, rows: np.ndarray, first_id: int) -> dict:
+    """Columns of the daughters of the tiles at ``rows``: five rows per
+    parent, in parent order, each parent's five in the order of
+    ``shape.daughter_frames()``, with ids counting up from ``first_id``."""
+    shape = tiling.shape
+    hand = tiling.handedness[rows]
+    phi = tiling.phi[rows]
+    ox, oy = tiling.ox[rows], tiling.oy[rows]
+    i, j = tiling.i[rows], tiling.j[rows]
+    scale = tiling.scales()[rows]
+    cos_phi, sin_phi = cos_sin(phi)
+    frames = shape.daughter_frames()
+    kids = {name: np.empty((len(rows), len(frames)), dtype=dtype)
+            for name, dtype in COLUMNS}
+    first = first_id + len(frames) * np.arange(len(rows), dtype=np.int64)
+    for slot, frame in enumerate(frames):
+        x, y = apply_columns(frame.origin, hand, cos_phi, sin_phi, scale, ox, oy)
+        kids["handedness"][:, slot] = hand * frame.handedness
+        kids["phi"][:, slot] = wrap_angles(phi + hand * frame.phi(shape.theta))
+        kids["ox"][:, slot] = x
+        kids["oy"][:, slot] = y
+        kids["i"][:, slot] = i + frame.exp_delta[0]
+        kids["j"][:, slot] = j + frame.exp_delta[1]
+        kids["ids"][:, slot] = first + slot
+        kids["parent"][:, slot] = tiling.ids[rows]
+    return {name: col.ravel() for name, col in kids.items()}
+
+
 def deflate(tiling: Tiling, cap: int | None = None) -> Tiling:
-    """Subdivide every largest tile; all other tiles pass through."""
+    """Subdivide every largest tile; all other tiles pass through.
+
+    Each subdivided tile is replaced in place by its five daughters, whose
+    ids continue from the largest id present."""
     if cap is None:
         cap = DEFAULT_TILE_CAP
-    pairs = {t.placement.size_exp for t in tiling.tiles}
+    pairs, index, _ = tiling.exponent_pairs()
     winners = _min_key_pairs(tiling.shape, pairs)
-    n_min = sum(1 for t in tiling.tiles if t.placement.size_exp in winners)
-    predicted = len(tiling.tiles) + 4 * n_min
+    split = np.array([p in winners for p in pairs], dtype=bool)[index]
+    rows = np.flatnonzero(split)
+    predicted = len(tiling) + 4 * len(rows)
     if predicted > cap:
         raise ResourceError(
             f"deflation would produce {predicted} tiles, cap is {cap}")
-    new_tiles: list[Tile] = []
-    links = dict(tiling.parent_links)
-    next_id = tiling._next_id
-    for t in tiling.tiles:
-        if t.placement.size_exp in winners:
-            kids = subdivide(t, first_id=next_id)
-            next_id += 5
-            for k in kids:
-                links[k.id] = t.id
-            new_tiles.extend(kids)
-        else:
-            new_tiles.append(t)
-    return Tiling(tiling.shape, new_tiles, tiling.generation + 1,
-                  parent_links=links, next_id=next_id)
+    width = np.where(split, 5, 1)
+    start = np.cumsum(width) - width
+    keep = np.flatnonzero(~split)
+    kids = _daughters(tiling, rows, int(tiling.ids.max()) + 1)
+    kid_at = (start[rows][:, None] + np.arange(5)).ravel()
+    out = {}
+    for name, dtype in COLUMNS:
+        col = np.empty(predicted, dtype=dtype)
+        col[start[keep]] = getattr(tiling, name)[keep]
+        col[kid_at] = kids[name]
+        out[name] = col
+    return Tiling.from_columns(tiling.shape, tiling.generation + 1, out)
 
 
 def root_tiling(shape: TriangleShape) -> Tiling:
     root = Tile(shape=shape,
                 placement=Placement(1, 0.0, (0.0, 0.0), (0, 0)),
                 id=0, parent=None)
-    return Tiling(shape, [root], 0, parent_links={}, next_id=1)
+    return Tiling(shape, [root], 0)
 
 
 def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
@@ -447,20 +582,33 @@ def grow_supertile(shape: TriangleShape, choices: list[tuple[int, int]],
     return chain
 
 
+
+
 # -- serialization ------------------------------------------------------------
+
+
+def round12(obj):
+    """``obj`` with every float rounded to 12 significant digits."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12(v) for v in obj]
+    return obj
 
 
 def tiling_to_json(tiling: Tiling) -> dict:
     tiles = []
-    for t in tiling.tiles:
+    for hand, phi, ox, oy, i, j, tile_id, parent in tiling.rows():
         tiles.append({
-            "id": t.id,
-            "parent": t.parent,
-            "handedness": t.placement.handedness,
-            "phi": t.placement.phi,
-            "origin": [t.placement.origin[0], t.placement.origin[1]],
-            "i": t.placement.size_exp[0],
-            "j": t.placement.size_exp[1],
+            "id": tile_id,
+            "parent": None if parent < 0 else parent,
+            "handedness": hand,
+            "phi": phi,
+            "origin": [ox, oy],
+            "i": i,
+            "j": j,
         })
     return {
         "format": TILING_FORMAT,
@@ -470,26 +618,142 @@ def tiling_to_json(tiling: Tiling) -> dict:
     }
 
 
-def tiling_from_json(data: dict) -> Tiling:
-    if data.get("format") != TILING_FORMAT:
-        raise ArgumentError(f"unsupported tiling format: {data.get('format')!r}")
-    sh = data["shape"]
+# One tile of ``json.dumps(..., sort_keys=True, indent=1)`` output.
+_TILE_TEXT = ('  {{\n   "handedness": {},\n   "i": {},\n   "id": {},\n   "j": {},\n'
+              '   "origin": [\n    {},\n    {}\n   ],\n   "parent": {},\n'
+              '   "phi": {}\n  }}')
+
+
+def _json12(col: np.ndarray) -> list[str]:
+    """JSON text of each float of ``col`` rounded by :func:`round12`."""
+    text: dict[float, str] = {}
+    out = []
+    for v in col.tolist():
+        s = text.get(v)
+        if s is None or v == 0.0:   # 0.0 and -0.0 share a dict key
+            s = text[v] = repr(float(f"{v:.12g}"))
+        out.append(s)
+    return out
+
+
+def tiling_json_chunks(tiling: Tiling, chunk: int = JSON_CHUNK_TILES):
+    """Yield the text of ``json.dumps(round12(tiling_to_json(tiling)),
+    sort_keys=True, indent=1) + "\\n"`` in pieces of at most ``chunk``
+    tiles, without building the per-tile dicts."""
+    header = {"format": TILING_FORMAT, "shape": tiling.shape.to_json(),
+              "generation": tiling.generation}
+    if not len(tiling):
+        yield json.dumps(round12({**header, "tiles": []}),
+                         sort_keys=True, indent=1) + "\n"
+        return
+    # "tiles" sorts last: open its list where the header object closes
+    yield json.dumps(round12(header), sort_keys=True, indent=1)[:-2] + \
+        ',\n "tiles": [\n'
+    for lo in range(0, len(tiling), chunk):
+        part = slice(lo, lo + chunk)
+        parents = tiling.parent[part].tolist()
+        text = ",\n".join(
+            _TILE_TEXT.format(*row) for row in zip(
+                tiling.handedness[part].tolist(), tiling.i[part].tolist(),
+                tiling.ids[part].tolist(), tiling.j[part].tolist(),
+                _json12(tiling.ox[part]), _json12(tiling.oy[part]),
+                ["null" if p < 0 else p for p in parents],
+                _json12(tiling.phi[part])))
+        yield text if lo == 0 else ",\n" + text
+    yield "\n ]\n}\n"
+
+
+_TILE_KEYS = ("handedness", "i", "id", "j", "origin", "parent", "phi")
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _shape_from_json(sh) -> TriangleShape:
+    if not isinstance(sh, dict) or not (_is_number(sh.get("theta"))
+                                        and _is_number(sh.get("c"))):
+        raise ArgumentError("tiling shape must be an object with numeric "
+                            "theta and c")
     rationality = None
-    if sh.get("rationality"):
-        rationality = Fraction(sh["rationality"]["p"], sh["rationality"]["q"])
-    shape = shape_from_theta(sh["theta"], sh["c"], rationality=rationality)
-    tiles = []
-    links = {}
-    for row in data["tiles"]:
-        placement = Placement(
-            handedness=int(row["handedness"]),
-            phi=float(row["phi"]),
-            origin=(float(row["origin"][0]), float(row["origin"][1])),
-            size_exp=(int(row["i"]), int(row["j"])),
-        )
-        tiles.append(Tile(shape=shape, placement=placement,
-                          id=int(row["id"]),
-                          parent=None if row["parent"] is None else int(row["parent"])))
-        if row["parent"] is not None:
-            links[int(row["id"])] = int(row["parent"])
-    return Tiling(shape, tiles, int(data["generation"]), parent_links=links)
+    rat = sh.get("rationality")
+    if rat:
+        p, q = (rat.get("p"), rat.get("q")) if isinstance(rat, dict) else (None, None)
+        if not all(type(v) is int and v > 0 for v in (p, q)):
+            raise ArgumentError("tiling shape rationality must hold positive "
+                                "integers p and q")
+        rationality = Fraction(p, q)
+    return shape_from_theta(sh["theta"], sh["c"], rationality=rationality)
+
+
+def _int_column(values: list, key: str, dtype, low: int = 0,
+                high: int | None = None) -> np.ndarray:
+    if high is None:
+        high = np.iinfo(dtype).max
+    col = None
+    if set(map(type, values)) == {int}:     # no floats, bools or None
+        try:
+            col = np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    if col is None or col.min() < low or col.max() > high:
+        raise ArgumentError(f"tile {key!r} values must be integers in "
+                            f"[{low}, {high}]")
+    return col.astype(dtype)
+
+
+def _float_column(values: list, key: str, shape: tuple) -> np.ndarray:
+    try:
+        col = np.array(values)
+    except ValueError:      # ragged nested lists
+        col = None
+    if col is None or col.shape != shape or col.dtype.kind not in "if" \
+            or not np.isfinite(col).all():
+        raise ArgumentError(f"tile {key!r} values must be finite numbers, "
+                            f"{'x, y pairs' if len(shape) > 1 else 'one each'}")
+    return col.astype(np.float64)
+
+
+def tiling_from_json(data: dict) -> Tiling:
+    """The tiling of a parsed ``tilelab-tiling/1`` document.
+
+    Malformed input (wrong format, missing keys, non-integer exponents or
+    ids, handedness other than +-1, non-finite floats, no tiles) raises
+    :class:`ArgumentError`."""
+    fmt = data.get("format") if isinstance(data, dict) else None
+    if fmt != TILING_FORMAT:
+        raise ArgumentError(f"unsupported tiling format: {fmt!r}")
+    missing = [k for k in ("shape", "generation", "tiles") if k not in data]
+    if missing:
+        raise ArgumentError(f"tiling JSON lacks {', '.join(missing)}")
+    shape = _shape_from_json(data["shape"])
+    generation = data["generation"]
+    if type(generation) is not int or generation < 0:
+        raise ArgumentError("tiling generation must be a non-negative integer")
+    rows = data["tiles"]
+    if not isinstance(rows, list) or not rows:
+        raise ArgumentError("tiling JSON 'tiles' must be a non-empty list")
+    try:
+        values = {key: [row[key] for row in rows] for key in _TILE_KEYS}
+    except (KeyError, TypeError):
+        raise ArgumentError("every tile must be an object with the keys "
+                            + ", ".join(_TILE_KEYS)) from None
+    hand = _int_column(values["handedness"], "handedness", np.int8, -1, 1)
+    if not hand.all():
+        raise ArgumentError("tile 'handedness' values must be 1 or -1")
+    roots = np.array([p is None for p in values["parent"]])
+    parent = _int_column([0 if p is None else p for p in values["parent"]],
+                         "parent", np.int64)
+    parent[roots] = -1
+    origin = _float_column(values["origin"], "origin", (len(rows), 2))
+    return Tiling.from_columns(shape, generation, {
+        "handedness": hand,
+        "phi": _float_column(values["phi"], "phi", (len(rows),)),
+        "ox": origin[:, 0],
+        "oy": origin[:, 1],
+        "i": _int_column(values["i"], "i", np.int32),
+        "j": _int_column(values["j"], "j", np.int32),
+        "ids": _int_column(values["id"], "id", np.int64),
+        "parent": parent,
+    })

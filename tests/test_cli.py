@@ -165,15 +165,72 @@ def test_usage_errors_exit_2(capsys):
     assert main(["generate", "--pq", "1/2"]) == 2          # missing --n
     assert main(["generate", "--pq", "x/y", "--n", "1"]) == 2
     assert main(["generate", "--pq", "1/2", "--theta", "1.0", "--n", "1"]) == 2
-    assert main(["--threads", "0", "classify", "--pq", "1/2"]) == 2
     assert main(["stats", "--in", "/nonexistent.json"]) == 2
     capsys.readouterr()
+    # --threads did nothing and was removed: it is an unknown option now
+    assert main(["classify", "--pq", "1/2", "--threads", "1"]) == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_resource_cap_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TILELAB_MAX_TILES", "10")
     assert main(["generate", "--pq", "1/1", "--n", "5"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", ["0", "-5", "ten"])
+def test_tile_cap_must_be_a_positive_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("TILELAB_MAX_TILES", value)
+    rc, out, err = _run(capsys, ["generate", "--pq", "1/1", "--n", "1"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: TILELAB_MAX_TILES must be a positive integer")
+
+
+def _broken_tiling(tmp_path, edit):
+    """A valid T_1 tiling file, passed through ``edit`` (text -> text)."""
+    good = tmp_path / "good.json"
+    assert main(["generate", "--pq", "1/2", "--n", "1", "--out", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(edit(good.read_text()))
+    return str(bad)
+
+
+def _drop_key(key):
+    def edit(text):
+        data = json.loads(text)
+        del data[key]
+        return json.dumps(data)
+    return edit
+
+
+def _set_tiles(tiles):
+    def edit(text):
+        data = json.loads(text)
+        data["tiles"] = tiles
+        return json.dumps(data)
+    return edit
+
+
+@pytest.mark.parametrize("command", ["stats", "render"])
+def test_tiling_input_that_is_a_directory_exits_2(tmp_path, capsys, command):
+    rc, out, err = _run(capsys, [command, "--in", str(tmp_path)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["stats", "render"])
+@pytest.mark.parametrize("edit", [
+    _drop_key("shape"),
+    lambda text: text[: len(text) // 2],       # cut short: not JSON
+    _set_tiles([]),
+], ids=["missing-shape", "not-json", "empty-tiles"])
+def test_malformed_tiling_json_exits_2(tmp_path, capsys, command, edit):
+    path = _broken_tiling(tmp_path, edit)
+    capsys.readouterr()
+    rc, out, err = _run(capsys, [command, "--in", path])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_help_exits_0(capsys):

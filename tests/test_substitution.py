@@ -3,7 +3,7 @@ import math
 import pytest
 
 from tilelab.errors import ArgumentError, ResourceError
-from tilelab.geometry import tile_area, vertices
+from tilelab.geometry import shape_from_pq, tile_area, vertices
 from tilelab.substitution import (build_Tn, census_counts, census_steps,
                                   deflate, grow_supertile, root_tiling,
                                   subdivide, tiling_from_json, tiling_to_json,
@@ -101,6 +101,45 @@ def test_json_round_trip(til12):
         assert copy.placement.handedness == orig.placement.handedness
         for pv, qv in zip(vertices(orig), vertices(copy)):
             assert qv == pytest.approx(pv, abs=1e-12)
+
+
+def _tiling_doc(edit):
+    data = tiling_to_json(build_Tn(shape_from_pq(1, 2), 2))
+    edit(data)
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(format="tilelab-tiling/0"),
+    lambda d: d.pop("shape"),
+    lambda d: d.pop("generation"),
+    lambda d: d.pop("tiles"),
+    lambda d: d.update(tiles=[]),
+    lambda d: d.update(generation=1.5),
+    lambda d: d["shape"].update(theta="1"),
+    lambda d: d["shape"].update(rationality={"p": 1}),
+    lambda d: d["tiles"][3].pop("phi"),
+    lambda d: d["tiles"].append(7),
+    lambda d: d["tiles"][3].update(i=1.0),
+    lambda d: d["tiles"][3].update(j=-1),
+    lambda d: d["tiles"][3].update(id="4"),
+    lambda d: d["tiles"][3].update(parent=-1),
+    lambda d: d["tiles"][3].update(handedness=0),
+    lambda d: d["tiles"][3].update(handedness=True),
+    lambda d: d["tiles"][3].update(phi=float("nan")),
+    lambda d: d["tiles"][3].update(origin=[0.5, float("inf")]),
+    lambda d: d["tiles"][3].update(origin=[0.5]),
+    lambda d: d["tiles"][3].update(origin=None),
+])
+def test_tiling_from_json_rejects_malformed_input(edit):
+    with pytest.raises(ArgumentError):
+        tiling_from_json(_tiling_doc(edit))
+
+
+def test_tiling_from_json_rejects_non_objects():
+    for data in ([], None, "tilelab-tiling/1"):
+        with pytest.raises(ArgumentError):
+            tiling_from_json(data)
 
 
 def test_trace_edge_covers_the_hypotenuse(til12):

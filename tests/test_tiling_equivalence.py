@@ -1,0 +1,305 @@
+"""The column tiling core against the per-tile versions it replaced,
+which are kept here as references."""
+
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tilelab.classify import verify_orientation_count
+from tilelab.geometry import (Placement, Tile, shape_from_pq, shape_from_theta,
+                              vertices, wrap_angle)
+from tilelab.render import _Run, fault_runs
+from tilelab.stats import (_size_histogram_from_counts, _normalize,
+                           orientation_histogram, size_histogram)
+from tilelab.substitution import (JSON_CHUNK_TILES, _min_key_pairs, build_Tn,
+                                  Tiling, census_steps, round12, subdivide,
+                                  tiling_from_json, tiling_json_chunks,
+                                  tiling_to_json)
+
+MAX_TILES = 1500
+COPRIME = [(p, q) for p in range(1, 7) for q in range(1, 7) if math.gcd(p, q) == 1]
+
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_subdivide(tile, first_id):
+    shape = tile.shape
+    parent_sim = tile.similarity()
+    hand = tile.placement.handedness
+    i, j = tile.placement.size_exp
+    out = []
+    for offset, frame in enumerate(shape.daughter_frames()):
+        placement = Placement(
+            handedness=hand * frame.handedness,
+            phi=wrap_angle(tile.placement.phi + hand * frame.phi(shape.theta)),
+            origin=parent_sim.apply(frame.origin),
+            size_exp=(i + frame.exp_delta[0], j + frame.exp_delta[1]),
+        )
+        out.append(Tile(shape=shape, placement=placement,
+                        id=first_id + offset, parent=tile.id))
+    return out
+
+
+def ref_build(shape, n):
+    """T_n as a list of Tile objects, deflated one subdivide call per tile."""
+    tiles = [Tile(shape, Placement(1, 0.0, (0.0, 0.0), (0, 0)), 0, None)]
+    next_id = 1
+    for _ in range(n):
+        winners = _min_key_pairs(shape, {t.placement.size_exp for t in tiles})
+        new = []
+        for t in tiles:
+            if t.placement.size_exp in winners:
+                new.extend(ref_subdivide(t, next_id))
+                next_id += 5
+            else:
+                new.append(t)
+        tiles = new
+    return tiles
+
+
+def ref_json_text(shape, generation, tiles):
+    data = {
+        "format": "tilelab-tiling/1",
+        "shape": shape.to_json(),
+        "generation": generation,
+        "tiles": [{"id": t.id, "parent": t.parent,
+                   "handedness": t.placement.handedness, "phi": t.placement.phi,
+                   "origin": [t.placement.origin[0], t.placement.origin[1]],
+                   "i": t.placement.size_exp[0], "j": t.placement.size_exp[1]}
+                  for t in tiles],
+    }
+    return json.dumps(round12(data), sort_keys=True, indent=1) + "\n"
+
+
+def _cluster(values, tol):
+    groups, cur, prev = [], [], None
+    for val, payload in values:
+        if prev is not None and val - prev > tol:
+            groups.append(cur)
+            cur = []
+        cur.append((val, payload))
+        prev = val
+    if cur:
+        groups.append(cur)
+    return groups
+
+
+def ref_fault_runs(shape, tiles):
+    """The per-edge Python grouping and merge of fault runs."""
+    if not tiles:
+        return []
+    scale = shape.c * max(shape.scale(i, j) for i, j in
+                          {t.placement.size_exp for t in tiles})
+    tol = 1e-7 * scale
+    entries = []
+    for tile in tiles:
+        sa, ra, ov, _ = vertices(tile)
+        for p, q in ((sa, ra), (ra, ov), (ov, sa)):
+            ang = math.atan2(q[1] - p[1], q[0] - p[0]) % math.pi
+            if ang > math.pi - 1e-12:
+                ang = 0.0
+            ux, uy = math.cos(ang), math.sin(ang)
+            off = p[0] * (-uy) + p[1] * ux
+            entries.append((ang, off, p, q, (ux, uy), tile))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    runs = []
+    for ang_group in _cluster([(e[0], e) for e in entries], 1e-9):
+        offs = sorted(((e[1], e) for _, e in ang_group), key=lambda x: x[0])
+        for line_group in _cluster(offs, tol):
+            segs = []
+            for _, (ang, off, p, q, (ux, uy), tile) in line_group:
+                t0 = p[0] * ux + p[1] * uy
+                t1 = q[0] * ux + q[1] * uy
+                if t0 > t1:
+                    t0, t1 = t1, t0
+                segs.append((t0, t1, tile))
+            segs.sort(key=lambda s: (s[0], s[1]))
+            cur, bucket, merged = None, [], []
+            for t0, t1, tile in segs:
+                if cur is None or t0 > cur[1] + tol:
+                    if cur is not None:
+                        merged.append((cur, bucket))
+                    cur, bucket = [t0, t1], [(t0, t1, tile)]
+                else:
+                    cur[1] = max(cur[1], t1)
+                    bucket.append((t0, t1, tile))
+            if cur is not None:
+                merged.append((cur, bucket))
+            (ux, uy), off = line_group[0][1][4], line_group[0][1][1]
+            for (lo, hi), bucket in merged:
+                distinct = {(round(t0 / tol), round(t1 / tol)) for t0, t1, _ in bucket}
+                parents = {tile.parent for _, _, tile in bucket}
+                if len(distinct) >= 2 and len(parents) >= 2:
+                    runs.append(_Run(start=(-uy * off + ux * lo, ux * off + uy * lo),
+                                     end=(-uy * off + ux * hi, ux * off + uy * hi),
+                                     edge_count=len(distinct),
+                                     parent_count=len(parents)))
+    return runs
+
+
+def ref_size_counts(tiles):
+    counts = {}
+    for tile in tiles:
+        counts[tile.placement.size_exp] = counts.get(tile.placement.size_exp, 0) + 1
+    return counts
+
+
+def ref_size_histogram(shape, tiles, weighting):
+    return _size_histogram_from_counts(shape, ref_size_counts(tiles), weighting, 64)
+
+
+def ref_orientation_histogram(rank_of, tiles, bins=64):
+    cells, raw = {}, {}
+    for tile in tiles:
+        key = (rank_of[tile.placement.size_exp], tile.placement.handedness)
+        b = int((tile.placement.phi / (2.0 * math.pi) + 1e-9) * bins) % bins
+        raw.setdefault(key, np.zeros(bins))[b] += 1
+    phi_bins = {}
+    for key, arr in raw.items():
+        cells[key] = float(arr.sum()) / len(tiles)
+        phi_bins[key] = tuple(_normalize(arr).tolist())
+    return cells, phi_bins
+
+
+def ref_orientation_count(tiles, tol=1e-9):
+    total = 0
+    for hand in (1, -1):
+        phis = sorted({t.placement.phi for t in tiles if t.placement.handedness == hand})
+        if not phis:
+            continue
+        clusters = 1 + sum(1 for a, b in zip(phis, phis[1:]) if b - a > tol)
+        if clusters > 1 and (phis[0] + 2.0 * math.pi) - phis[-1] <= tol:
+            clusters -= 1
+        total += clusters
+    return total
+
+
+# -- helpers ------------------------------------------------------------------
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _row(tile):
+    p = tile.placement
+    return (p.handedness, _bits(p.phi), _bits(p.origin[0]), _bits(p.origin[1]),
+            p.size_exp, tile.id, tile.parent)
+
+
+def _capped_n(shape, n):
+    """The largest generation <= n whose tiling has at most MAX_TILES tiles."""
+    best = 0
+    for gen, counts, _ in census_steps(shape, n):
+        if sum(counts.values()) > MAX_TILES:
+            break
+        best = gen
+    return best
+
+
+_SHAPES = st.one_of(
+    st.sampled_from(COPRIME).map(lambda pq: shape_from_pq(*pq)),
+    st.integers(60, 120).map(lambda k: shape_from_theta(k / 100)),
+)
+_CASES = st.tuples(_SHAPES, st.integers(0, 40)).map(
+    lambda c: (c[0], _capped_n(*c)))
+
+
+# -- equivalence --------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(_CASES)
+@example((shape_from_pq(1, 2), 8))
+@example((shape_from_pq(1, 1), 3))
+@example((shape_from_theta(1.0), 30))
+def test_deflate_columns_match_the_subdivide_loop(case):
+    shape, n = case
+    tiling = build_Tn(shape, n)
+    want = ref_build(shape, n)
+    assert [_row(t) for t in tiling.tiles] == [_row(t) for t in want]
+    assert tiling.phi.dtype == np.float64 and tiling.i.dtype == np.int32
+    assert list(tiling.exponent_counts().items()) == \
+        list(ref_size_counts(want).items())
+
+
+@settings(max_examples=25, deadline=None)
+@given(_CASES, st.sampled_from([1, 7, JSON_CHUNK_TILES]))
+@example((shape_from_pq(1, 2), 8), JSON_CHUNK_TILES)
+def test_json_writer_matches_json_dumps(case, chunk):
+    shape, n = case
+    tiling = build_Tn(shape, n)
+    text = "".join(tiling_json_chunks(tiling, chunk))
+    assert text == ref_json_text(shape, n, ref_build(shape, n))
+    assert text == json.dumps(round12(tiling_to_json(tiling)), sort_keys=True,
+                              indent=1) + "\n"
+    back = tiling_from_json(json.loads(text))
+    rows = json.loads(text)["tiles"]
+    assert back.ids.tolist() == [r["id"] for r in rows]
+    assert back.parent.tolist() == [-1 if r["parent"] is None else r["parent"]
+                                    for r in rows]
+    assert back.phi.tolist() == [r["phi"] for r in rows]
+    assert back.ox.tolist() == [r["origin"][0] for r in rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_CASES)
+@example((shape_from_pq(1, 2), 8))
+@example((shape_from_theta(1.0), 30))
+def test_histograms_match_the_per_tile_loops(case):
+    shape, n = case
+    tiling = build_Tn(shape, n)
+    tiles = ref_build(shape, n)
+    for weighting in ("count", "area"):
+        assert size_histogram(tiling, weighting) == \
+            ref_size_histogram(shape, tiles, weighting)
+    ori = orientation_histogram(tiling)
+    cells, phi_bins = ref_orientation_histogram(tiling.class_rank(), tiles)
+    assert list(ori.cells.items()) == list(cells.items())
+    assert ori.phi_bins == phi_bins
+    assert verify_orientation_count(tiling) == ref_orientation_count(tiles)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_CASES)
+@example((shape_from_pq(1, 2), 8))
+@example((shape_from_theta(1.0), 30))
+def test_fault_runs_match_the_python_grouping(case):
+    shape, n = case
+    assert fault_runs(build_Tn(shape, n)) == ref_fault_runs(shape, ref_build(shape, n))
+
+
+def test_subdivide_matches_the_per_tile_rule():
+    shape = shape_from_pq(1, 2)
+    for tile in build_Tn(shape, 5).tiles:
+        assert [_row(t) for t in subdivide(tile, first_id=1000)] == \
+            [_row(t) for t in ref_subdivide(tile, 1000)]
+
+
+def test_tile_view_builds_tiles_on_demand():
+    tiling = build_Tn(shape_from_pq(1, 2), 2)
+    view = tiling.tiles
+    assert len(view) == len(tiling) == 9
+    assert view[-1] == view[8] == list(view)[8]
+    assert view[2:4] == list(view)[2:4]
+    with pytest.raises(IndexError):
+        view[9]
+    with pytest.raises(ValueError):
+        tiling.phi[0] = 1.0      # the columns are read-only
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), ()])
+def test_json_writer_keeps_signed_zeros(zeros):
+    shape = shape_from_pq(1, 2)
+    tiles = [Tile(shape, Placement(1, z, (z, -z), (0, k)), k, None if k == 0 else 0)
+             for k, z in enumerate(zeros)]
+    tiling = Tiling(shape, tiles, 0)
+    want = json.dumps(round12(tiling_to_json(tiling)), sort_keys=True,
+                      indent=1) + "\n"
+    assert "".join(tiling_json_chunks(tiling, 1)) == want
