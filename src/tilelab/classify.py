@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ArgumentError
 from .geometry import TWO_PI, TriangleShape, wrap_angle
-from .substitution import Tiling, _min_key_pairs
+from .substitution import Tiling, _SizeFrontier
 
 # The theta = pi/4 shape, the unique doubly-finite case.
 EXCEPTIONAL_PQ = Fraction(1, 3)
@@ -231,35 +231,25 @@ def orientation_census(shape: TriangleShape, n: int,
     # Increments compose with the reductions (l mod 4, m mod 4v), so the
     # canonical keys can be evolved directly.
     if theta_pi is None:
-        for _ in range(n):
-            pairs = {(i, j) for (i, j, _, _) in counts}
-            winners = _min_key_pairs(shape, pairs)
-            nxt: dict = {}
-            for (i, j, sign, key), cnt in counts.items():
-                if (i, j) not in winners:
-                    nxt[(i, j, sign, key)] = nxt.get((i, j, sign, key), 0) + cnt
-                    continue
-                k, l = key
-                for dsign, (dk, dl), (di, dj) in _DAUGHTER_DELTAS:
-                    nk = (i + di, j + dj, sign * dsign,
-                          (k + sign * dk, (l + sign * dl) % 4))
-                    nxt[nk] = nxt.get(nk, 0) + cnt
-            counts = nxt
+        def turn(key, sign, dk, dl):
+            k, l = key
+            return (k + sign * dk, (l + sign * dl) % 4)
     else:
         u, v = theta_pi.numerator, theta_pi.denominator
         mod = 4 * v
-        for _ in range(n):
-            pairs = {(i, j) for (i, j, _, _) in counts}
-            winners = _min_key_pairs(shape, pairs)
-            nxt = {}
-            for (i, j, sign, key), cnt in counts.items():
-                if (i, j) not in winners:
-                    nxt[(i, j, sign, key)] = nxt.get((i, j, sign, key), 0) + cnt
-                    continue
-                m = key[0]
-                for dsign, (dk, dl), (di, dj) in _DAUGHTER_DELTAS:
-                    dm = 2 * dk * u + dl * v
-                    nk = (i + di, j + dj, sign * dsign, ((m + sign * dm) % mod,))
-                    nxt[nk] = nxt.get(nk, 0) + cnt
-            counts = nxt
+
+        def turn(key, sign, dk, dl):
+            return ((key[0] + sign * (2 * dk * u + dl * v)) % mod,)
+    frontier = _SizeFrontier(shape)
+    for _ in range(n):
+        winners = set(frontier.next_winners())
+        nxt: dict = {}
+        for (i, j, sign, key), cnt in counts.items():
+            if (i, j) not in winners:
+                nxt[(i, j, sign, key)] = nxt.get((i, j, sign, key), 0) + cnt
+                continue
+            for dsign, (dk, dl), (di, dj) in _DAUGHTER_DELTAS:
+                nk = (i + di, j + dj, sign * dsign, turn(key, sign, dk, dl))
+                nxt[nk] = nxt.get(nk, 0) + cnt
+        counts = nxt
     return OrientationCensus(shape=shape, n=n, theta_pi=theta_pi, counts=counts)

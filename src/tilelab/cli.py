@@ -41,7 +41,11 @@ def _emit_chunks(chunks, out_path: str | None) -> None:
         for chunk in chunks:
             sys.stdout.write(chunk)
     else:
-        with open(out_path, "w") as fh:
+        try:
+            fh = open(out_path, "w")
+        except OSError as exc:      # a directory, unwritable, no such folder
+            raise ArgumentError(str(exc)) from None
+        with fh:
             fh.writelines(chunks)
 
 
@@ -268,7 +272,7 @@ def main(argv=None) -> int:
     except (NumericError, GeometryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
-    except (ArgumentError, DomainError, FileNotFoundError) as exc:
+    except (ArgumentError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except TilelabError as exc:

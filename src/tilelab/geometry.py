@@ -91,6 +91,13 @@ def _mp_alpha_beta(theta: float) -> tuple[mpmath.mpf, mpmath.mpf]:
     return alpha, beta
 
 
+@lru_cache(maxsize=1 << 14)
+def _mp_size_key(theta: float, i: int, j: int) -> mpmath.mpf:
+    alpha, beta = _mp_alpha_beta(theta)
+    with mpmath.workdps(MP_DPS):
+        return i * alpha + j * beta
+
+
 @dataclass(frozen=True)
 class DaughterFrame:
     """Pose of one daughter relative to an upright, unit-scale parent.
@@ -141,13 +148,12 @@ class TriangleShape:
         """Exactly comparable key ordering tiles by size (small key = big tile).
 
         Rational shapes compare on the integer lattice i*p + j*q; irrational
-        shapes fall back to extended-precision reals.
+        shapes fall back to extended-precision reals, each computed once
+        (a census asks for the same few hundred keys again and again).
         """
         if self.rationality is not None:
             return i * self.rationality.numerator + j * self.rationality.denominator
-        alpha, beta = _mp_alpha_beta(self.theta)
-        with mpmath.workdps(MP_DPS):
-            return i * alpha + j * beta
+        return _mp_size_key(self.theta, i, j)
 
     @property
     def lattice_unit(self) -> float:

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ArgumentError, DomainError, NumericError
 from .geometry import TriangleShape
@@ -311,13 +310,68 @@ def irrational_char(shape: TriangleShape, lam: complex) -> complex:
             - 4.0 * cmath.exp((mu - b) * lam))
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c``: the same steps in the
+    same IEEE operation order, so the same root to the bit as
+    ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol)``.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericError("Brent's method needs a sign change on the bracket")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = min(abs(spre), 3 * abs(sbis) - delta)
+            if 2 * abs(stry) < bound:
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise NumericError(f"Brent's method did not converge in {maxiter} steps")
+
+
 def irrational_bounds(shape: TriangleShape) -> dict:
     """Real spectral window: the eigenvalue 2 and the lower bound root.
 
     For alpha < beta the bound is the positive root of
     e^{beta*x} + e^{(beta-alpha)*x} - 4; otherwise the negative root of
     e^{alpha*x} + 4 e^{(alpha-beta)*x} - 1.  Both are strictly increasing,
-    so bisection brackets are certain.
+    so the brackets are certain.
     """
     a, b = shape.alpha, shape.beta
     if a < b:
@@ -333,7 +387,7 @@ def irrational_bounds(shape: TriangleShape) -> dict:
             lo *= 2.0
             if lo < -1e6:
                 raise NumericError("no bracket for the lower spectral bound")
-    root = float(brentq(aux, lo, hi, xtol=1e-13, rtol=1e-14))
+    root = _brentq(aux, lo, hi, xtol=1e-13, rtol=1e-14)
     if abs(aux(root)) > 1e-9:
         raise NumericError(f"lower-bound root residual {aux(root):.3e}")
     return {"upper": 2.0, "lower": root}

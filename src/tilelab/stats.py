@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -105,34 +106,56 @@ def _rank_by_key(shape: TriangleShape, pairs) -> dict:
     return {(i, j): key_rank[shape.size_key(i, j)] for i, j in pairs}
 
 
-def _relative_area(shape: TriangleShape, i: int, j: int) -> float:
-    return (shape.A ** i * shape.B ** j) ** 2
+# The most bits a total count may have before the weights are scaled down.
+# From about generation 750 of the 1/2 shape on, exact counts pass the
+# float range (2**1024) and squared tile areas fall below the normal one
+# (2**-1022); scaling from 2**1000 on leaves a margin for the spread of
+# areas between classes.
+WEIGHT_BITS = 1000
+
+
+def _weights(shape: TriangleShape, counts: dict, weighting: str) -> list[float]:
+    """The count or area weight of each class of ``counts``, in its order.
+
+    All weights share one scale factor 2**-(2*h), which is 1 while the
+    total count has at most WEIGHT_BITS bits; counts are divided by it
+    exactly (correctly rounded), and areas are taken as the square of the
+    linear scale times 2**h.  A power-of-two scale is exact in binary
+    floating point, so ratios of weights do not depend on it.
+    """
+    if weighting not in ("count", "area"):
+        raise ArgumentError(f"unknown weighting {weighting!r}")
+    h = max(sum(counts.values()).bit_length() - WEIGHT_BITS + 1, 0) // 2
+    unit = 1 << (2 * h)
+    out = []
+    for (i, j), cnt in counts.items():
+        w = cnt / unit
+        if weighting == "area":
+            w *= math.ldexp(shape.A ** i * shape.B ** j, h) ** 2
+        out.append(w)
+    return out
 
 
 def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
                                 weighting: str, bins: int) -> Histogram:
-    if weighting not in ("count", "area"):
-        raise ArgumentError(f"unknown weighting {weighting!r}")
+    weights = _weights(shape, counts, weighting)
     pairs = list(counts)
     if shape.rationality is not None:
         ranks = _rank_by_key(shape, pairs)
         m = max(ranks.values())
         masses = np.zeros(m)
-        for (i, j), cnt in counts.items():
-            w = cnt if weighting == "count" else cnt * _relative_area(shape, i, j)
-            masses[ranks[(i, j)] - 1] += w
+        for pair, w in zip(pairs, weights):
+            masses[ranks[pair] - 1] += w
         return Histogram(weighting=weighting,
                          labels=tuple(range(1, m + 1)),
                          masses=tuple(_normalize(masses).tolist()))
     # irrational: left-closed bins of width mu/bins over the size window
-    keys = {(i, j): float(shape.size_key(i, j)) for i, j in pairs}
-    lo = min(keys.values())
+    keys = [float(shape.size_key(i, j)) for i, j in pairs]
+    lo = min(keys)
     width = shape.mu / bins
     masses = np.zeros(bins)
-    for (i, j), cnt in counts.items():
-        s = keys[(i, j)] - lo
-        b = min(int(s / width), bins - 1)
-        w = cnt if weighting == "count" else cnt * _relative_area(shape, i, j)
+    for key, w in zip(keys, weights):
+        b = min(int((key - lo) / width), bins - 1)
         masses[b] += w
     edges = tuple((lo - lo) + width * k for k in range(bins + 1))
     return Histogram(weighting=weighting,
@@ -227,22 +250,29 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
     i, j = ij
     if i < 0 or j < 0:
         raise ArgumentError(f"exponents must be non-negative, got {ij}")
-    # compare in the key's own arithmetic: integers on the rational
-    # lattice, extended precision otherwise (boundary hits are exact
-    # lattice coincidences, snapped rather than left to rounding)
+    low, high, lower_window, mu, a_below_b = _oracle_window(shape)
+    s = shape.size_key(i, j) - t_cut
+    if s < low or s >= high:
+        raise DomainError(f"size offset {float(s)} outside the window [0, {float(mu)})")
+    if s < lower_window:
+        return math.comb(i + j, i) * 4 ** j
+    if a_below_b:
+        # upper window: the path must have arrived by a B step
+        return (math.comb(i + j - 1, i) * 4 ** j) if j >= 1 else 0
+    return (math.comb(i + j - 1, j) * 4 ** j) if i >= 1 else 0
+
+
+@lru_cache(maxsize=64)
+def _oracle_window(shape: TriangleShape) -> tuple:
+    """The offsets bounding the window and its lower part, mu, and
+    whether alpha < beta, in the size key's own arithmetic: integers on
+    the rational lattice, extended precision otherwise (boundary hits are
+    exact lattice coincidences, snapped rather than left to rounding)."""
     alpha = shape.size_key(1, 0)
     beta = shape.size_key(0, 1)
     mu = max(alpha, beta)
     eps = 0 if shape.rationality is not None else mpmath.mpf("1e-30")
-    s = shape.size_key(i, j) - t_cut
-    if s < -eps or s >= mu - eps:
-        raise DomainError(f"size offset {float(s)} outside the window [0, {float(mu)})")
-    if s < min(alpha, beta) - eps:
-        return math.comb(i + j, i) * 4 ** j
-    if alpha < beta:
-        # upper window: the path must have arrived by a B step
-        return (math.comb(i + j - 1, i) * 4 ** j) if j >= 1 else 0
-    return (math.comb(i + j - 1, j) * 4 ** j) if i >= 1 else 0
+    return -eps, mu - eps, min(alpha, beta) - eps, mu, alpha < beta
 
 
 def area_fraction_limit(shape: TriangleShape, interval) -> float:
@@ -279,18 +309,16 @@ def empirical_size_fraction(shape: TriangleShape, n: int, interval,
                             weighting: str = "area") -> float:
     """Weight fraction of T_n tiles whose size offset lies in the
     interval (census counts; offsets measured from the generation's cut)."""
-    if weighting not in ("count", "area"):
-        raise ArgumentError(f"unknown weighting {weighting!r}")
     s0, s1 = interval
     counts, _ = census_counts(shape, n)
-    keys = {ij: float(shape.size_key(*ij)) for ij in counts}
-    cut = min(keys.values())
+    weights = _weights(shape, counts, weighting)
+    keys = [float(shape.size_key(*ij)) for ij in counts]
+    cut = min(keys)
     total = 0.0
     inside = 0.0
-    for ij, cnt in counts.items():
-        w = cnt if weighting == "count" else cnt * _relative_area(shape, *ij)
+    for key, w in zip(keys, weights):
         total += w
-        if s0 <= keys[ij] - cut < s1:
+        if s0 <= key - cut < s1:
             inside += w
     return inside / total
 

@@ -13,6 +13,8 @@ deflation, serialization and the statistics work on whole columns.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -364,24 +366,64 @@ def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
 # -- exact exponent census ---------------------------------------------------
 
 
-def census_steps(shape: TriangleShape, n: int):
-    """Yield ``(generation, counts, min_pair)`` for generations 0..n.
+class _SizeFrontier:
+    """The live exponent classes of a census, sorted by size key.
 
-    ``counts`` maps exponent pairs to exact integer tile counts; it is the
-    whole-tiling bookkeeping of :func:`deflate` without any geometry.
-    ``min_pair`` is an exponent pair attaining the minimal size key (the
-    class about to subdivide), usable as the size cut of the generation.
+    Each class is keyed once, when it first appears, and placed by
+    bisection.  A deflation removes exactly the equal-key prefix, so it
+    never makes two classes adjacent that were not adjacent before: the
+    near-tie check needs only a new class's two neighbours, and integer
+    (rational) keys need none.
     """
+
+    def __init__(self, shape: TriangleShape):
+        self._shape = shape
+        self._exact = shape.rationality is not None
+        self._items: list = []
+        self._live: set[tuple[int, int]] = set()
+        self._winners: list[tuple[int, int]] = []
+        self._add((0, 0))
+
+    def _add(self, pair: tuple[int, int]) -> None:
+        item = (self._shape.size_key(*pair), pair)
+        at = bisect.bisect(self._items, item)
+        self._items.insert(at, item)
+        self._live.add(pair)
+        if not self._exact:
+            _assert_separated([key for key, _ in self._items[max(at - 1, 0):at + 2]])
+
+    def next_winners(self) -> list[tuple[int, int]]:
+        """The classes of minimal size key, sorted: the ones the next
+        deflation subdivides.  Call once per generation; each call first
+        retires the previous call's winners and adds the classes of their
+        daughters."""
+        if self._winners:
+            del self._items[:len(self._winners)]
+            self._live.difference_update(self._winners)
+            for i, j in self._winners:
+                for pair in ((i + 1, j), (i, j + 1)):
+                    if pair not in self._live:
+                        self._add(pair)
+        min_key = self._items[0][0]
+        self._winners = [pair for key, pair in
+                         itertools.takewhile(lambda kv: kv[0] == min_key, self._items)]
+        return self._winners
+
+
+def _census(shape: TriangleShape, n: int):
+    """:func:`census_steps` without the copies: each yielded dict is the
+    census's own (it is replaced, never changed, by the next generation)."""
     counts: dict[tuple[int, int], int] = {(0, 0): 1}
+    frontier = _SizeFrontier(shape)
     for gen in range(n + 1):
-        winners = _min_key_pairs(shape, counts.keys())
-        min_pair = min(winners)
-        yield gen, dict(counts), min_pair
+        winners = frontier.next_winners()
+        yield gen, counts, winners[0]
         if gen == n:
             break
+        split = set(winners)
         nxt: dict[tuple[int, int], int] = {}
         for (i, j), cnt in counts.items():
-            if (i, j) in winners:
+            if (i, j) in split:
                 nxt[(i + 1, j)] = nxt.get((i + 1, j), 0) + cnt
                 nxt[(i, j + 1)] = nxt.get((i, j + 1), 0) + 4 * cnt
             else:
@@ -389,9 +431,22 @@ def census_steps(shape: TriangleShape, n: int):
         counts = nxt
 
 
+def census_steps(shape: TriangleShape, n: int):
+    """Yield ``(generation, counts, min_pair)`` for generations 0..n.
+
+    ``counts`` maps exponent pairs to exact integer tile counts; it is the
+    whole-tiling bookkeeping of :func:`deflate` without any geometry.
+    ``min_pair`` is the least exponent pair attaining the minimal size key
+    (the class about to subdivide), usable as the size cut of the
+    generation.
+    """
+    for gen, counts, min_pair in _census(shape, n):
+        yield gen, dict(counts), min_pair
+
+
 def census_counts(shape: TriangleShape, n: int):
     """Exponent counts and size cut of ``T_n`` (exact integers)."""
-    for gen, counts, min_pair in census_steps(shape, n):
+    for gen, counts, min_pair in _census(shape, n):
         if gen == n:
             return counts, min_pair
     raise InternalError("census terminated early")

@@ -1,0 +1,272 @@
+"""The keyed-once census, the per-shape oracle window and the Brent port
+against the code they replaced, which is kept here as references."""
+
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import mpmath
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import tilelab
+from tilelab import substitution
+from tilelab.classify import _DAUGHTER_DELTAS, _canon_angle, orientation_census
+from tilelab.errors import DomainError, InternalError
+from tilelab.geometry import MP_DPS, _mp_alpha_beta, shape_from_pq, shape_from_theta
+from tilelab.spectral import _brentq, irrational_bounds
+from tilelab.stats import census_size_histogram, count_oracle
+from tilelab.substitution import census_counts, census_steps
+
+COPRIME = [(p, q) for p in range(1, 9) for q in range(1, 9) if math.gcd(p, q) == 1]
+
+pq_shapes = st.sampled_from(COPRIME).map(lambda pq: shape_from_pq(*pq))
+theta_shapes = st.floats(0.3, 1.4).map(shape_from_theta)
+shapes = st.one_of(pq_shapes, theta_shapes)
+
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_size_key(shape, i, j):
+    """The size key computed afresh on every call."""
+    if shape.rationality is not None:
+        return i * shape.rationality.numerator + j * shape.rationality.denominator
+    alpha, beta = _mp_alpha_beta(shape.theta)
+    with mpmath.workdps(MP_DPS):
+        return i * alpha + j * beta
+
+
+def ref_min_key_pairs(shape, pairs):
+    """Key every pair, sort, check every adjacent pair for a near tie."""
+    keyed = sorted(((ref_size_key(shape, i, j), (i, j)) for i, j in pairs),
+                   key=lambda kv: kv[0])
+    keys = [k for k, _ in keyed]
+    for prev, cur in zip(keys, keys[1:]):
+        if cur != prev and float(cur - prev) < substitution.NEAR_TIE:
+            raise InternalError("near tie")
+    return {pair for key, pair in keyed if key == keys[0]}
+
+
+def ref_census_steps(shape, n):
+    counts = {(0, 0): 1}
+    for gen in range(n + 1):
+        winners = ref_min_key_pairs(shape, counts.keys())
+        yield gen, dict(counts), min(winners)
+        if gen == n:
+            break
+        nxt = {}
+        for (i, j), cnt in counts.items():
+            if (i, j) in winners:
+                nxt[(i + 1, j)] = nxt.get((i + 1, j), 0) + cnt
+                nxt[(i, j + 1)] = nxt.get((i, j + 1), 0) + 4 * cnt
+            else:
+                nxt[(i, j)] = nxt.get((i, j), 0) + cnt
+        counts = nxt
+
+
+def ref_count_oracle(shape, t_cut, ij):
+    i, j = ij
+    alpha = ref_size_key(shape, 1, 0)
+    beta = ref_size_key(shape, 0, 1)
+    mu = max(alpha, beta)
+    eps = 0 if shape.rationality is not None else mpmath.mpf("1e-30")
+    s = ref_size_key(shape, i, j) - t_cut
+    if s < -eps or s >= mu - eps:
+        raise DomainError("outside the window")
+    if s < min(alpha, beta) - eps:
+        return math.comb(i + j, i) * 4 ** j
+    if alpha < beta:
+        return (math.comb(i + j - 1, i) * 4 ** j) if j >= 1 else 0
+    return (math.comb(i + j - 1, j) * 4 ** j) if i >= 1 else 0
+
+
+def ref_orientation_counts(shape, n, theta_pi):
+    counts = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}
+    for _ in range(n):
+        winners = ref_min_key_pairs(shape, {(i, j) for (i, j, _, _) in counts})
+        nxt = {}
+        for (i, j, sign, key), cnt in counts.items():
+            if (i, j) not in winners:
+                nxt[(i, j, sign, key)] = nxt.get((i, j, sign, key), 0) + cnt
+                continue
+            for dsign, (dk, dl), (di, dj) in _DAUGHTER_DELTAS:
+                if theta_pi is None:
+                    angle = (key[0] + sign * dk, (key[1] + sign * dl) % 4)
+                else:
+                    u, v = theta_pi.numerator, theta_pi.denominator
+                    angle = ((key[0] + sign * (2 * dk * u + dl * v)) % (4 * v),)
+                nk = (i + di, j + dj, sign * dsign, angle)
+                nxt[nk] = nxt.get(nk, 0) + cnt
+        counts = nxt
+    return counts
+
+
+def run_until_error(steps):
+    """The (generation, counts in order, min_pair) yields, and the type of
+    the exception that ended them (None if none did)."""
+    out = []
+    try:
+        for gen, counts, min_pair in steps:
+            out.append((gen, list(counts.items()), min_pair))
+    except InternalError as exc:
+        return out, type(exc)
+    return out, None
+
+
+# -- the census ---------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=shapes, n=st.integers(0, 200))
+@example(shape=shape_from_theta(1.0), n=200)
+@example(shape=shape_from_pq(1, 2), n=200)
+def test_census_steps_match_the_full_resort(shape, n):
+    assert run_until_error(census_steps(shape, n)) == \
+        run_until_error(ref_census_steps(shape, n))
+
+
+@settings(max_examples=10, deadline=None)
+@given(shape=shapes, n=st.integers(0, 120))
+def test_census_counts_is_the_last_step(shape, n):
+    counts, min_pair = census_counts(shape, n)
+    *_, (gen, ref_counts, ref_min) = ref_census_steps(shape, n)
+    assert list(counts.items()) == list(ref_counts.items()) and min_pair == ref_min
+
+
+@settings(max_examples=30, deadline=None)
+@given(theta=st.floats(0.3, 1.4), tie=st.sampled_from([0.01, 0.02, 0.05]))
+@example(theta=1.0, tie=0.02)
+@example(theta=1.4, tie=0.02)
+def test_near_tie_raises_at_the_same_generation(theta, tie):
+    # Rational keys are integers a distance >= 1 apart, so any tie
+    # threshold below 1 is never reached by them, in either version.
+    shape = shape_from_theta(theta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(substitution, "NEAR_TIE", tie)
+        got = run_until_error(census_steps(shape, 200))
+        assert got == run_until_error(ref_census_steps(shape, 200))
+    if (theta, tie) in ((1.0, 0.02), (1.4, 0.02)):
+        assert got[1] is InternalError
+
+
+def test_a_near_tie_also_stops_the_orientation_census(monkeypatch):
+    monkeypatch.setattr(substitution, "NEAR_TIE", 0.02)
+    shape = shape_from_theta(1.4)
+    with pytest.raises(InternalError):
+        ref_orientation_counts(shape, 5, None)
+    with pytest.raises(InternalError):
+        orientation_census(shape, 5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=shapes, n=st.integers(0, 40))
+def test_orientation_census_matches_the_reference(shape, n):
+    theta_pi = None
+    if shape.rationality == Fraction(1, 3) and n % 2:
+        theta_pi = Fraction(1, 4)     # the doubly finite shape, residue keys
+    got = orientation_census(shape, n, theta_pi).counts
+    assert list(got.items()) == list(ref_orientation_counts(shape, n, theta_pi).items())
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=shapes, i=st.integers(0, 300), j=st.integers(0, 300))
+def test_size_key_is_the_fresh_key(shape, i, j):
+    key = shape.size_key(i, j)
+    assert key == ref_size_key(shape, i, j)
+    assert shape.size_key(i, j) is key or shape.rationality is not None
+
+
+# -- the lattice-path oracle --------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=shapes, n=st.integers(0, 120))
+def test_count_oracle_matches_the_reference(shape, n):
+    for _, counts, min_pair in census_steps(shape, n):
+        cut = shape.size_key(*min_pair)
+        probes = list(counts) + [(i + 1, j) for i, j in counts] + \
+            [(i, j + 2) for i, j in counts] + [(max(i - 1, 0), j) for i, j in counts]
+        for ij in probes:
+            try:
+                want = ref_count_oracle(shape, cut, ij)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    count_oracle(shape, cut, ij)
+                continue
+            assert count_oracle(shape, cut, ij) == want
+        for ij, cnt in counts.items():
+            assert count_oracle(shape, cut, ij) == cnt
+
+
+# -- the size histogram past the float range ---------------------------------
+
+
+def test_size_histogram_past_the_float_range(til12):
+    # counts pass 2**1024 and squared areas 2**-1022 from about n = 740
+    counts, _ = census_counts(til12, 800)
+    assert sum(counts.values()).bit_length() > 1024
+    hist = census_size_histogram(til12, 800, "count")
+    per_rank = {}
+    for (i, j), cnt in counts.items():
+        rank = til12.size_key(i, j) - min(til12.size_key(*p) for p in counts) + 1
+        per_rank[rank] = per_rank.get(rank, 0) + cnt
+    total = sum(counts.values())
+    want = [Fraction(per_rank[r], total) for r in sorted(per_rank)]
+    assert [abs(m - float(w)) <= 1e-15 for m, w in zip(hist.masses, want)] == \
+        [True] * len(want)
+    area = census_size_histogram(til12, 800, "area")
+    assert all(math.isfinite(m) and m > 0.0 for m in area.masses)
+    assert abs(math.fsum(area.masses) - 1.0) <= 1e-12
+
+
+# -- Brent's method -----------------------------------------------------------
+
+
+def _bound_problem(shape):
+    a, b = shape.alpha, shape.beta
+    if a < b:
+        return (lambda x: math.exp(b * x) + math.exp((b - a) * x) - 4.0), 0.0, 2.0
+    f = lambda x: math.exp(a * x) + 4.0 * math.exp((a - b) * x) - 1.0   # noqa: E731
+    lo = -1.0
+    while f(lo) > 0.0:
+        lo *= 2.0
+    return f, lo, 0.0
+
+
+def test_brentq_port_is_scipys_to_the_bit():
+    from scipy.optimize import brentq
+
+    shapes = [shape_from_theta(0.005 + 0.005 * k) for k in range(313)]
+    # p = q = 1 has alpha = beta up to rounding: no lower bound root
+    shapes += [shape_from_pq(p, q) for p in range(1, 13) for q in range(1, 13)
+               if math.gcd(p, q) == 1 and p != q]
+    for shape in shapes:
+        f, lo, hi = _bound_problem(shape)
+        want = brentq(f, lo, hi, xtol=1e-13, rtol=1e-14)
+        assert _brentq(f, lo, hi, xtol=1e-13, rtol=1e-14) == want
+        assert irrational_bounds(shape)["lower"] == want
+
+
+def test_brentq_port_on_other_functions():
+    from scipy.optimize import brentq
+
+    for f, lo, hi in ((math.cos, 0.0, 3.0), (lambda x: x ** 3 - 2.0, 0.0, 5.0),
+                      (lambda x: math.atan(x - 0.3), -10.0, 10.0),
+                      (lambda x: x - 1.0, 1.0, 2.0)):
+        assert _brentq(f, lo, hi, 1e-13, 1e-14) == brentq(f, lo, hi, xtol=1e-13,
+                                                            rtol=1e-14)
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(tilelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, tilelab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -218,6 +218,15 @@ def test_tiling_input_that_is_a_directory_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["directory", "missing-folder"])
+def test_generate_out_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    out = tmp_path if target == "directory" else tmp_path / "no" / "t.json"
+    rc, stdout, err = _run(capsys, ["generate", "--pq", "1/1", "--n", "1",
+                                    "--out", str(out)])
+    assert rc == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["stats", "render"])
 @pytest.mark.parametrize("edit", [
     _drop_key("shape"),
