@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ArgumentError, InternalError, ResourceError
 from .geometry import TriangleShape, shape_from_pq
+from .spectral import count_vectors
 from .substitution import build_Tn, trace_edge
 
 DEFAULT_LETTER_CAP = 10 ** 8
@@ -69,20 +70,15 @@ class SubstitutionRule1D:
                 for ci in self.chars]
 
 
-def _predict_lengths(rule: SubstitutionRule1D, seed: str):
-    """Lengths of sigma^0(seed), sigma^1(seed), ... (endless, exact)."""
-    counts = {c: seed.count(c) for c in rule.chars}
-    while True:
-        yield sum(counts.values())
-        nxt = {c: 0 for c in rule.chars}
-        for c, k in counts.items():
-            for ch in rule.images[c]:
-                nxt[ch] += k
-        counts = nxt
+def _letter_counts(rule: SubstitutionRule1D, seed: str):
+    """Letter counts of sigma^0(seed), sigma^1(seed), ... in ``rule.chars``
+    order (endless, exact)."""
+    return count_vectors(rule.abelianization(),
+                         [seed.count(c) for c in rule.chars])
 
 
-def _predict_length(rule: SubstitutionRule1D, seed: str, n: int) -> int:
-    return next(itertools.islice(_predict_lengths(rule, seed), n, None))
+def _nth(walk, n: int):
+    return next(itertools.islice(walk, n, None))
 
 
 def _cap_error(rule: SubstitutionRule1D, n: int, length: int,
@@ -95,7 +91,7 @@ def check_letter_cap(rule: SubstitutionRule1D, seed: str, n_max: int,
                      cap: int = DEFAULT_LETTER_CAP) -> None:
     """Raise up front the ResourceError that iterating ``seed`` n = 1, 2,
     ..., n_max times in turn would hit first."""
-    lengths = itertools.islice(_predict_lengths(rule, seed), 1, n_max + 1)
+    lengths = map(sum, itertools.islice(_letter_counts(rule, seed), 1, n_max + 1))
     for n, length in enumerate(lengths, start=1):
         if length > cap:
             raise _cap_error(rule, n, length, cap)
@@ -116,7 +112,7 @@ def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
     bad = set(letters) - set(rule.chars)
     if bad:
         raise ArgumentError(f"letters {bad} are not in the {rule.name} alphabet")
-    final_len = _predict_length(rule, letters, n)
+    final_len = sum(_nth(_letter_counts(rule, letters), n))
     if final_len > cap:
         raise _cap_error(rule, n, final_len, cap)
     half = n // 2
@@ -176,20 +172,13 @@ class _PrefixCounter:
 
     def __init__(self, rule: SubstitutionRule1D):
         self.rule = rule
-        self._tables: list[dict[str, dict[str, int]]] = [
-            {c: {d: int(c == d) for d in rule.chars} for c in rule.chars}]
+        self._walks = {c: _letter_counts(rule, c) for c in rule.chars}
+        self._tables: list[dict[str, dict[str, int]]] = []
 
     def _level(self, k: int) -> dict[str, dict[str, int]]:
         while len(self._tables) <= k:
-            prev = self._tables[-1]
-            nxt = {}
-            for c in self.rule.chars:
-                acc = {d: 0 for d in self.rule.chars}
-                for ch in self.rule.images[c]:
-                    for d, cnt in prev[ch].items():
-                        acc[d] += cnt
-                nxt[c] = acc
-            self._tables.append(nxt)
+            self._tables.append({c: dict(zip(self.rule.chars, next(walk)))
+                                 for c, walk in self._walks.items()})
         return self._tables[k]
 
     def counts(self, letter: str, n: int) -> dict[str, int]:
@@ -497,13 +486,6 @@ def til2_rule() -> SubstitutionRule1D:
                                letter_of, (2, 4, 6))
 
 
-def _til2_counts(n: int) -> tuple[int, int]:
-    h, s = 1, 0
-    for _ in range(n):
-        h, s = 4 * h + s, h
-    return h, s
-
-
 def til2_identity_check(n: int) -> bool:
     """Exact eigen-identity for the letter counts of the n-th word.
 
@@ -512,7 +494,7 @@ def til2_identity_check(n: int) -> bool:
     """
     if n < 0 or n > 40:
         raise ArgumentError(f"n must lie in 0..40, got {n}")
-    h, s = _til2_counts(n)
+    h, s = _nth(_letter_counts(til2_rule(), "H"), n)
     # (2 - sqrt5)^{n+1} = A + B*sqrt5 exactly
     A, B = 1, 0
     for _ in range(n + 1):
@@ -607,14 +589,7 @@ def til13_fluctuation(n: int) -> int:
     if n < 0 or n > 40:
         raise ArgumentError(f"n must lie in 0..40, got {n}")
     rule = til13_rule()
-    counts = {c: 0 for c in rule.chars}
-    counts["H"] = 1
-    for _ in range(n):
-        nxt = {c: 0 for c in rule.chars}
-        for c, k in counts.items():
-            for ch in rule.images[c]:
-                nxt[ch] += k
-        counts = nxt
+    counts = dict(zip(rule.chars, _nth(_letter_counts(rule, "H"), n)))
     return counts["H"] - counts["L"]
 
 

@@ -165,17 +165,6 @@ def verify_orientation_count(t: Tiling, tol: float = ANGLE_TOL) -> int:
 
 # -- exact orientation census -------------------------------------------------
 
-# Relative pose of the five daughters: handedness factor, the heading
-# increment k*theta + l*(pi/2) as an integer pair, and the exponent step.
-_DAUGHTER_DELTAS = (
-    (-1, (1, 0), (0, 1)),
-    (-1, (1, 0), (0, 1)),
-    (+1, (1, 0), (0, 1)),
-    (+1, (1, 2), (0, 1)),
-    (-1, (1, 1), (1, 0)),
-)
-
-
 @dataclass
 class OrientationCensus:
     """Exact tile counts keyed by exponents and orientation.
@@ -198,13 +187,6 @@ class OrientationCensus:
             return wrap_angle(k * self.shape.theta + l * (math.pi / 2.0))
         v = self.theta_pi.denominator
         return wrap_angle(key[0] * math.pi / (2.0 * v))
-
-    def by_orientation(self) -> dict:
-        """Counts marginalized over size: (sign, angle_key) -> count."""
-        out: dict = {}
-        for (i, j, sign, key), cnt in self.counts.items():
-            out[(sign, key)] = out.get((sign, key), 0) + cnt
-        return out
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -240,6 +222,10 @@ def orientation_census(shape: TriangleShape, n: int,
 
         def turn(key, sign, dk, dl):
             return ((key[0] + sign * (2 * dk * u + dl * v)) % mod,)
+    # relative pose of each daughter: handedness factor, the heading
+    # increment k*theta + l*(pi/2) as an integer pair, and the exponent step
+    deltas = tuple((f.handedness, (f.k, f.l), f.exp_delta)
+                   for f in shape.daughter_frames())
     frontier = _SizeFrontier(shape)
     for _ in range(n):
         winners = set(frontier.next_winners())
@@ -248,7 +234,7 @@ def orientation_census(shape: TriangleShape, n: int,
             if (i, j) not in winners:
                 nxt[(i, j, sign, key)] = nxt.get((i, j, sign, key), 0) + cnt
                 continue
-            for dsign, (dk, dl), (di, dj) in _DAUGHTER_DELTAS:
+            for dsign, (dk, dl), (di, dj) in deltas:
                 nk = (i + di, j + dj, sign * dsign, turn(key, sign, dk, dl))
                 nxt[nk] = nxt.get(nk, 0) + cnt
         counts = nxt

@@ -171,24 +171,8 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_stats(args) -> int:
     tiling = _read_tiling(args.infile)
-    shape = tiling.shape
     hist = stats.size_histogram(tiling, args.weighting)
-    if shape.rationality is not None:
-        rep = eigen(shape)
-        full = rep.rho if args.weighting == "area" else rep.nu
-        analytic = tuple(full[k - 1] for k in hist.labels)
-        metric = "l1"
-    else:
-        width = shape.mu / len(hist.labels)
-        limit = (stats.area_fraction_limit if args.weighting == "area"
-                 else stats.count_fraction_limit)
-        analytic = tuple(limit(shape, (k * width, min((k + 1) * width, shape.mu)))
-                         for k in hist.labels)
-        metric = "cdf_sup"
-    comp = stats.ComparisonReport(
-        name="size", weighting=args.weighting, labels=hist.labels,
-        analytic=analytic, empirical=hist.masses,
-        tolerance=args.tolerance, metric=metric)
+    comp = stats.histogram_comparison(tiling.shape, hist, args.tolerance)
     if args.csv:
         _emit_text(comp.to_csv(), args.out)
         return 0

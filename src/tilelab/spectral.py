@@ -31,9 +31,9 @@ def _check_pq(p: int, q: int) -> None:
         raise ArgumentError(f"p, q must be coprime, got {p}, {q}")
 
 
-def heaviside(n: int) -> int:
-    """Closed-left step: 1 for n >= 0, else 0."""
-    return 1 if n >= 0 else 0
+def step(x: float) -> int:
+    """Closed-left unit step on the reals: 1 for x >= 0."""
+    return 1 if x >= 0.0 else 0
 
 
 def population_matrix(p: int, q: int) -> np.ndarray:
@@ -52,6 +52,20 @@ def population_matrix(p: int, q: int) -> np.ndarray:
     M[p - 1, 0] += 1
     M[q - 1, 0] += 4
     return M
+
+
+def count_vectors(M, v):
+    """Yield v, M v, M^2 v, ... as tuples of Python ints (exact at any power).
+
+    ``M`` is a square integer matrix (nested lists or an array) acting on
+    count vectors: a population matrix on tiles per size class, or a 1D
+    substitution's abelianization on letters per kind.
+    """
+    rows = [[(c, int(x)) for c, x in enumerate(row) if x] for row in M]
+    v = tuple([int(x) for x in v])
+    while True:
+        yield v
+        v = tuple([sum([x * v[c] for c, x in row]) for row in rows])
 
 
 def char_poly(p: int, q: int) -> list[int]:
@@ -129,10 +143,6 @@ class SpectralReport:
             "psi_leading": list(self.psi_leading),
         }
 
-    def distribution_rows(self) -> list[tuple[int, float, float]]:
-        """(k, nu_k, rho_k) rows for CSV export."""
-        return [(k + 1, self.nu[k], self.rho[k]) for k in range(len(self.nu))]
-
 
 def eigen(shape: TriangleShape) -> SpectralReport:
     """Full spectral data for a rational shape.
@@ -160,13 +170,13 @@ def eigen(shape: TriangleShape) -> SpectralReport:
     a2, b2, c2 = shape.a ** 2, shape.b ** 2, shape.c ** 2
     r2 = shape.r * shape.r
     nu = [(1.0 - r2) / (4.0 * c2)
-          * (a2 * heaviside(p - k) + b2 * heaviside(q - k)) * r2 ** (-k)
+          * (a2 * step(p - k) + b2 * step(q - k)) * r2 ** (-k)
           for k in range(1, m + 1)]
-    rho = [(a2 * heaviside(p - k) + b2 * heaviside(q - k)) / (p * a2 + q * b2)
+    rho = [(a2 * step(p - k) + b2 * step(q - k)) / (p * a2 + q * b2)
            for k in range(1, m + 1)]
     psi = [lam ** k
-           - lam ** (k - p) * heaviside(k - p - 1)
-           - 4.0 * lam ** (k - q) * heaviside(k - q - 1)
+           - lam ** (k - p) * step(k - p - 1)
+           - 4.0 * lam ** (k - q) * step(k - q - 1)
            for k in range(1, m + 1)]
     return SpectralReport(
         p=p, q=q,
@@ -371,7 +381,9 @@ def irrational_bounds(shape: TriangleShape) -> dict:
     For alpha < beta the bound is the positive root of
     e^{beta*x} + e^{(beta-alpha)*x} - 4; otherwise the negative root of
     e^{alpha*x} + 4 e^{(alpha-beta)*x} - 1.  Both are strictly increasing,
-    so the brackets are certain.
+    so the brackets are certain.  For alpha > beta the lower end doubles
+    from -1 until aux < 0, which it reaches by x = -ln 8/(alpha - beta):
+    there aux <= 1/8 + 1/2 - 1.  At alpha = beta aux > 3 has no root.
     """
     a, b = shape.alpha, shape.beta
     if a < b:
@@ -379,23 +391,19 @@ def irrational_bounds(shape: TriangleShape) -> dict:
             return math.exp(b * x) + math.exp((b - a) * x) - 4.0
         lo, hi = 0.0, 2.0
     else:
+        if a == b:
+            raise NumericError("no bracket for the lower spectral bound")
+
         def aux(x: float) -> float:
             return math.exp(a * x) + 4.0 * math.exp((a - b) * x) - 1.0
         hi = 0.0
         lo = -1.0
         while aux(lo) > 0.0:
             lo *= 2.0
-            if lo < -1e6:
-                raise NumericError("no bracket for the lower spectral bound")
     root = _brentq(aux, lo, hi, xtol=1e-13, rtol=1e-14)
     if abs(aux(root)) > 1e-9:
         raise NumericError(f"lower-bound root residual {aux(root):.3e}")
     return {"upper": 2.0, "lower": root}
-
-
-def step(x: float) -> int:
-    """Closed-left unit step on the reals: 1 for x >= 0."""
-    return 1 if x >= 0.0 else 0
 
 
 def eigenfunction(shape: TriangleShape, lam: complex, s: float) -> complex:

@@ -12,6 +12,7 @@ binomial lattice-path oracle for individual exponent classes.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +24,8 @@ import numpy as np
 from .classify import orientation_census
 from .errors import ArgumentError, DomainError
 from .geometry import TriangleShape
-from .spectral import eigen, population_matrix
-from .substitution import Tiling, census_counts
+from .spectral import count_vectors, eigen, population_matrix
+from .substitution import Tiling, census_counts, size_class_ranks
 
 DEFAULT_SIZE_BINS = 64
 DEFAULT_ORIENTATION_BINS = 64
@@ -99,13 +100,6 @@ def _phi_bin(phi: np.ndarray, bins: int) -> np.ndarray:
     return ((phi / (2.0 * math.pi) + 1e-9) * bins).astype(np.int64) % bins
 
 
-def _rank_by_key(shape: TriangleShape, pairs) -> dict:
-    """Exponent pair -> size rank, 1 = geometrically largest present."""
-    keys = sorted({shape.size_key(i, j) for i, j in pairs})
-    key_rank = {k: r + 1 for r, k in enumerate(keys)}
-    return {(i, j): key_rank[shape.size_key(i, j)] for i, j in pairs}
-
-
 # The most bits a total count may have before the weights are scaled down.
 # From about generation 750 of the 1/2 shape on, exact counts pass the
 # float range (2**1024) and squared tile areas fall below the normal one
@@ -141,7 +135,7 @@ def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
     weights = _weights(shape, counts, weighting)
     pairs = list(counts)
     if shape.rationality is not None:
-        ranks = _rank_by_key(shape, pairs)
+        ranks = size_class_ranks(shape, pairs)
         m = max(ranks.values())
         masses = np.zeros(m)
         for pair, w in zip(pairs, weights):
@@ -185,12 +179,8 @@ def matrix_power_counts(shape: TriangleShape, n: int) -> tuple[int, ...]:
     if shape.rationality is None:
         raise DomainError("population matrix needs a rational shape")
     z = shape.rationality
-    M = population_matrix(z.numerator, z.denominator).tolist()
-    m = len(M)
-    v = [1] + [0] * (m - 1)
-    for _ in range(n):
-        v = [sum(M[r][c] * v[c] for c in range(m)) for r in range(m)]
-    return tuple(v)
+    M = population_matrix(z.numerator, z.denominator)
+    return next(itertools.islice(count_vectors(M, [1] + [0] * (len(M) - 1)), n, None))
 
 
 def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
@@ -220,7 +210,7 @@ def census_orientation_histogram(shape: TriangleShape, n: int,
     """Heading distribution from the exact orientation census."""
     census = orientation_census(shape, n, theta_pi)
     pairs = {(i, j) for (i, j, _, _) in census.counts}
-    ranks = _rank_by_key(shape, pairs)
+    ranks = size_class_ranks(shape, pairs)
     total = census.total()
     raw: dict = {}
     for (i, j, sign, key), cnt in census.counts.items():
@@ -400,19 +390,28 @@ def size_comparison(shape: TriangleShape, n: int, weighting: str = "area",
                     bins: int = DEFAULT_SIZE_BINS) -> ComparisonReport:
     """Census distribution of T_n against the predicted limit."""
     hist = census_size_histogram(shape, n, weighting, bins)
+    return histogram_comparison(shape, hist, tolerance)
+
+
+def histogram_comparison(shape: TriangleShape, hist: Histogram,
+                         tolerance: float) -> ComparisonReport:
+    """A size histogram of ``shape`` against its predicted limit: the
+    eigenvector distribution per class rank (rational shapes, L1), or the
+    window density integrated over each bin (irrational shapes, CDF sup
+    norm)."""
     if shape.rationality is not None:
         report = eigen(shape)
-        full = report.rho if weighting == "area" else report.nu
+        full = report.rho if hist.weighting == "area" else report.nu
         # early generations may not exhibit every class yet
         analytic = tuple(full[k - 1] for k in hist.labels)
         metric = "l1"
     else:
-        width = shape.mu / bins
-        limit = area_fraction_limit if weighting == "area" else count_fraction_limit
+        width = shape.mu / len(hist.labels)
+        limit = area_fraction_limit if hist.weighting == "area" else count_fraction_limit
         analytic = tuple(limit(shape, (k * width, min((k + 1) * width, shape.mu)))
                          for k in hist.labels)
         metric = "cdf_sup"
-    return ComparisonReport(name="size", weighting=weighting,
+    return ComparisonReport(name="size", weighting=hist.weighting,
                             labels=hist.labels, analytic=analytic,
                             empirical=hist.masses, tolerance=tolerance,
                             metric=metric)

@@ -149,16 +149,7 @@ class Tiling:
     def class_rank(self) -> dict[tuple[int, int], int]:
         """Map exponent pair -> 1-based size class (1 = largest present)."""
         pairs, _, _ = self.exponent_pairs()
-        keyed = sorted((self.shape.size_key(i, j), (i, j)) for (i, j) in pairs)
-        ranks: dict[tuple[int, int], int] = {}
-        rank = 0
-        prev_key = None
-        for key, pair in keyed:
-            if prev_key is None or key != prev_key:
-                rank += 1
-                prev_key = key
-            ranks[pair] = rank
-        return ranks
+        return size_class_ranks(self.shape, pairs)
 
     def size_ranks(self) -> np.ndarray:
         """The size class of every tile (1 = largest present)."""
@@ -239,6 +230,13 @@ def _assert_separated(sorted_keys) -> None:
         if cur != prev and float(cur - prev) < NEAR_TIE:
             raise InternalError(
                 f"distinct exponent classes nearly tie in size: {prev} vs {cur}")
+
+
+def size_class_ranks(shape: TriangleShape, pairs) -> dict[tuple[int, int], int]:
+    """Exponent pair -> dense 1-based size rank (1 = largest present)."""
+    keys = sorted({shape.size_key(i, j) for i, j in pairs})
+    key_rank = {k: r + 1 for r, k in enumerate(keys)}
+    return {(i, j): key_rank[shape.size_key(i, j)] for i, j in pairs}
 
 
 def _check_disjoint(tiling: Tiling, samples: int) -> None:

@@ -10,6 +10,7 @@ from tilelab.boundary import (SubstitutionRule1D, Word, f_of_n,
                               til2_slippage_bound, til13_fluctuation,
                               til13_offsets, til13_rule, trace_letters)
 from tilelab.errors import ArgumentError, ResourceError
+from tilelab.spectral import count_vectors
 from tilelab.substitution import build_Tn, trace_edge
 
 F_FIRST_TEN = [1, -1, 1, -3, 3, -5, 9, -13, 21, -33]
@@ -22,17 +23,19 @@ def test_word_counts():
 
 
 def test_iterate_lengths_match_abelianization():
-    rule = sigma_til12()
-    counts = {ch: (1 if ch == "H" else 0) for ch in rule.chars}
-    ab = rule.abelianization()
-    for n in range(10):
-        w = iterate(rule, "H", n)
-        assert len(w) == sum(counts.values())
-        nxt = {ch: 0 for ch in rule.chars}
-        for k, ch in enumerate(rule.chars):
-            for r, dst in enumerate(rule.chars):
-                nxt[dst] += ab[r][k] * counts[ch]
-        counts = nxt
+    """The count-vector walk against letter counts of materialized words."""
+    for rule in (sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()):
+        walk = count_vectors(rule.abelianization(),
+                             [int(ch == "H") for ch in rule.chars])
+        for n, vec in zip(range(13), walk):
+            w = iterate(rule, "H", n)
+            counts = w.counts()
+            assert tuple(counts.values()) == vec, (rule.name, n)
+            assert len(w) == sum(vec)
+            if rule is til13_rule():
+                assert til13_fluctuation(n) == counts["H"] - counts["L"]
+            if rule is til2_rule():
+                assert til2_identity_check(n)
 
 
 def test_iterate_letter_cap():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import tilelab
 from tilelab import substitution
-from tilelab.classify import _DAUGHTER_DELTAS, _canon_angle, orientation_census
+from tilelab.classify import _canon_angle, orientation_census
 from tilelab.errors import DomainError, InternalError
 from tilelab.geometry import MP_DPS, _mp_alpha_beta, shape_from_pq, shape_from_theta
 from tilelab.spectral import _brentq, irrational_bounds
@@ -85,6 +85,17 @@ def ref_count_oracle(shape, t_cut, ij):
     return (math.comb(i + j - 1, j) * 4 ** j) if i >= 1 else 0
 
 
+# The five daughters' relative poses as a literal table: handedness
+# factor, heading increment (k, l) of k*theta + l*(pi/2), exponent step.
+REF_DAUGHTER_DELTAS = (
+    (-1, (1, 0), (0, 1)),
+    (-1, (1, 0), (0, 1)),
+    (+1, (1, 0), (0, 1)),
+    (+1, (1, 2), (0, 1)),
+    (-1, (1, 1), (1, 0)),
+)
+
+
 def ref_orientation_counts(shape, n, theta_pi):
     counts = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}
     for _ in range(n):
@@ -94,7 +105,7 @@ def ref_orientation_counts(shape, n, theta_pi):
             if (i, j) not in winners:
                 nxt[(i, j, sign, key)] = nxt.get((i, j, sign, key), 0) + cnt
                 continue
-            for dsign, (dk, dl), (di, dj) in _DAUGHTER_DELTAS:
+            for dsign, (dk, dl), (di, dj) in REF_DAUGHTER_DELTAS:
                 if theta_pi is None:
                     angle = (key[0] + sign * dk, (key[1] + sign * dl) % 4)
                 else:

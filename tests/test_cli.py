@@ -245,3 +245,15 @@ def test_malformed_tiling_json_exits_2(tmp_path, capsys, command, edit):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_spectral_lower_bound_far_below_zero(capsys):
+    # just below the alpha = beta angle the lower-bound root is near -6.2e7
+    rc, out, err = _run(capsys, ["spectral", "--theta", "0.4636476"])
+    assert rc == 0, err
+    assert json.loads(out)["lower_bound"] < -1e7
+    # at alpha = beta exactly the bound function has no root at all
+    rc, out, err = _run(capsys, ["spectral", "--theta", repr(math.atan(0.5))])
+    assert rc == 4
+    assert out == ""
+    assert err == "error: no bracket for the lower spectral bound\n"
