@@ -91,6 +91,8 @@ def check_letter_cap(rule: SubstitutionRule1D, seed: str, n_max: int,
                      cap: int = DEFAULT_LETTER_CAP) -> None:
     """Raise up front the ResourceError that iterating ``seed`` n = 1, 2,
     ..., n_max times in turn would hit first."""
+    if n_max < 0:
+        raise ArgumentError(f"iteration count must be non-negative, got {n_max}")
     lengths = map(sum, itertools.islice(_letter_counts(rule, seed), 1, n_max + 1))
     for n, length in enumerate(lengths, start=1):
         if length > cap:
@@ -612,3 +614,195 @@ def til13_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
     for d in np.unique(dist).tolist():
         out[int(d)] = float(d)
     return out
+
+
+# -- balanced pairs: the fault line for every n --------------------------------
+
+# Exact letter geometry per system: segment increments (u, v) valued
+# u + v*sqrt(D), and D.  Til(1/3) lengths are integers; they sit in v with
+# D = 1 and u = 0, so that, as for irrational sqrt(D), a value has one
+# (u, v) and the v part of an offset is the offset itself.
+_T2_LENGTHS = (_T2_SEG_DU, _T2_SEG_DV, 5)
+_T12_LENGTHS = (_T12_SEG_DU, _T12_SEG_DV, 17)
+_T13_LENGTHS = ({c: [0] for c in _T13_LEN},
+                {c: [n] for c, n in _T13_LEN.items()}, 1)
+
+DEFAULT_PAIR_CAP = 10 ** 4
+
+
+@dataclass(frozen=True)
+class BalancedPair:
+    """Two equally long words, side 1 over the mirrored side, sharing no
+    letter boundary strictly inside.
+
+    ``image``: the indices of the pairs that (sigma(top), sigma~(bottom))
+    cuts into, in order.  ``surplus[c]``: the largest |#c completed on top
+    - #c completed on bottom| up to any point of the pair.  ``offsets``:
+    nearest-vertex offsets of the bottom vertices against the top ones,
+    keyed and valued as ``_nearest_offsets``, in order of first
+    appearance.
+    """
+
+    top: str
+    bottom: str
+    image: tuple[int, ...]
+    surplus: dict[str, int]
+    offsets: dict[int, float]
+
+
+def _vertices(word: str, lengths):
+    """Exact vertex positions (u, v) of a word from (0, 0), and the index
+    of the vertex at which each letter ends."""
+    seg_du, seg_dv, _ = lengths
+    pos, ends = [(0, 0)], []
+    u = v = 0
+    for c in word:
+        for a, b in zip(seg_du[c], seg_dv[c]):
+            u, v = u + a, v + b
+            pos.append((u, v))
+        ends.append(len(pos) - 1)
+    return pos, ends
+
+
+def _sign(a: int, b: int, D: int) -> int:
+    """Sign of a + b*sqrt(D) for Python ints, as ``_sign_quad``."""
+    q = a * abs(a) + D * b * abs(b)
+    return (q > 0) - (q < 0)
+
+
+def _cut(top: str, bottom: str, lengths) -> list[tuple[str, str]]:
+    """Cut a balanced pair at every letter boundary the two sides share.
+
+    Two positions are equal exactly when their (u, v) are (see the
+    lengths tables above)."""
+    tpos, tends = _vertices(top, lengths)
+    bpos, bends = _vertices(bottom, lengths)
+    if tpos[-1] != bpos[-1]:
+        raise ArgumentError(f"({top}, {bottom}) is not balanced: the lengths "
+                            "are not an eigenvector of the substitution")
+    common = {tpos[e] for e in tends} & {bpos[e] for e in bends}
+
+    def pieces(word, pos, ends):
+        out, start = [], 0
+        for i, e in enumerate(ends):
+            if pos[e] in common:
+                out.append(word[start:i + 1])
+                start = i + 1
+        return out
+
+    return list(zip(pieces(top, tpos, tends), pieces(bottom, bpos, bends)))
+
+
+def _surplus(top: str, bottom: str, lengths) -> dict[str, int]:
+    """Per letter c, the largest |#c ended on top - #c ended on bottom|
+    over the merged letter ends (equal ends taken together); the count
+    only steps at letter ends, so that covers every point of the pair."""
+    D = lengths[2]
+    tpos, tends = _vertices(top, lengths)
+    bpos, bends = _vertices(bottom, lengths)
+    running = dict.fromkeys(lengths[0], 0)
+    out = dict(running)
+    i = j = 0
+    while i < len(top) or j < len(bottom):
+        if i == len(top):
+            s = 1
+        elif j == len(bottom):
+            s = -1
+        else:
+            x, y = tpos[tends[i]], bpos[bends[j]]
+            s = _sign(x[0] - y[0], x[1] - y[1], D)
+        if s <= 0:
+            running[top[i]] += 1
+            i += 1
+        if s >= 0:
+            running[bottom[j]] -= 1
+            j += 1
+        for c, r in running.items():
+            out[c] = max(out[c], abs(r))
+    return out
+
+
+def _pair_offsets(top: str, bottom: str, lengths) -> dict[int, float]:
+    """Offsets of each bottom vertex to its nearest top vertex, with the
+    rule of ``_nearest_offsets`` decided exactly: the neighbours are the
+    first top vertex at or past it (as np.searchsorted, kept in 1..last)
+    and the one before, and a midpoint goes to the earlier one."""
+    D = lengths[2]
+    tops, _ = _vertices(top, lengths)
+    bots, _ = _vertices(bottom, lengths)
+    last = len(tops) - 1
+    out: dict[int, float] = {}
+    k = 1
+    for xu, xv in bots:
+        while k < last and _sign(xu - tops[k][0], xv - tops[k][1], D) > 0:
+            k += 1
+        (pu, pv), (nu, nv) = tops[k - 1], tops[k]
+        near_u, near_v = ((nu, nv) if _sign(2 * xu - pu - nu, 2 * xv - pv - nv, D) > 0
+                          else (pu, pv))
+        du, dv = xu - near_u, xv - near_v
+        if _sign(du, dv, D) < 0:
+            du, dv = -du, -dv
+        out.setdefault(dv, float(du) + float(dv) * math.sqrt(D))
+    return out
+
+
+def balanced_pairs(rule: SubstitutionRule1D, lengths,
+                   cap: int = DEFAULT_PAIR_CAP) -> tuple[BalancedPair, ...] | None:
+    """Close the irreducible balanced pairs of the fault line of sigma^n(H).
+
+    The mirrored side of sigma^n(H) is its reverse, sigma~^n(H), where
+    sigma~ reverses every image.  Starting from (H, H), each pair is
+    mapped by (sigma, sigma~) and cut at every shared letter boundary
+    (lengths are compared exactly); a cut persists under the map, because
+    both sides of a balanced pair scale by the same factor.  Repeat until
+    no new pair appears.  The cut of level n is then the level-n pairs of
+    ``pair_levels``, so anything local to the pairs (surplus, offsets)
+    holds for every n.  ``lengths`` is (seg_du, seg_dv, D) as in the
+    layouts above.  Returns None once the pairs found hold more than
+    ``cap`` letters: til12 never closes.
+    """
+    tilde = {c: img[::-1] for c, img in rule.images.items()}
+    found = [("H", "H")]
+    index = {found[0]: 0}
+    images = []
+    letters = 2
+    for top, bottom in found:       # grows while it is walked
+        image = []
+        for piece in _cut("".join([rule.images[c] for c in top]),
+                          "".join([tilde[c] for c in bottom]), lengths):
+            if piece not in index:
+                letters += len(piece[0]) + len(piece[1])
+                if letters > cap:
+                    return None
+                index[piece] = len(found)
+                found.append(piece)
+            image.append(index[piece])
+        images.append(tuple(image))
+    return tuple(BalancedPair(top, bottom, image,
+                              _surplus(top, bottom, lengths),
+                              _pair_offsets(top, bottom, lengths))
+                 for (top, bottom), image in zip(found, images))
+
+
+def pair_levels(pairs: tuple[BalancedPair, ...]):
+    """The pairs that occur in the cut of level n = 0, 1, 2, ... (endless)."""
+    matrix = [[p.image.count(i) for p in pairs] for i in range(len(pairs))]
+    for counts in count_vectors(matrix, [1] + [0] * (len(pairs) - 1)):
+        yield tuple(p for p, k in zip(pairs, counts) if k)
+
+
+def _closed(rule: SubstitutionRule1D, lengths) -> tuple[BalancedPair, ...]:
+    pairs = balanced_pairs(rule, lengths)
+    if pairs is None:
+        raise InternalError(f"{rule.name}: balanced pairs did not close")
+    return pairs
+
+
+@functools.cache
+def til2_pairs() -> tuple[BalancedPair, ...]:
+    return _closed(til2_rule(), _T2_LENGTHS)
+
+
+@functools.cache
+def til13_pairs() -> tuple[BalancedPair, ...]:
+    return _closed(til13_rule(), _T13_LENGTHS)

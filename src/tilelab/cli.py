@@ -139,18 +139,25 @@ def _boundary_rows_til12(n_max: int):
 
 
 def _boundary_rows_til2(n_max: int):
+    # Rows come from the closed balanced-pair set.  1 and sqrt5 - 2 are
+    # independent over Q, so a cut has equal short-leg counts on both
+    # sides, f is 0 there, and max |f| is the largest surplus of a pair.
     yield "n,max_abs_f,offsets"
-    for n in range(1, n_max + 1):
-        bound = boundary.til2_slippage_bound(n)
-        offs = boundary.til2_offsets(n)
+    levels = boundary.pair_levels(boundary.til2_pairs())
+    next(levels)    # n = 0
+    for n, present in zip(range(1, n_max + 1), levels):
+        bound = max(p.surplus["S"] for p in present)
+        offs = set().union(*(p.offsets for p in present))
         yield f"{n},{bound},{len(offs)}"
 
 
 def _boundary_rows_til13(n_max: int):
     yield "n,fluctuation,offsets"
-    for n in range(1, n_max + 1):
+    levels = boundary.pair_levels(boundary.til13_pairs())
+    next(levels)    # n = 0
+    for n, present in zip(range(1, n_max + 1), levels):
         fl = boundary.til13_fluctuation(n)
-        offs = boundary.til13_offsets(n)
+        offs = set().union(*(p.offsets for p in present))
         yield f"{n},{fl},{len(offs)}"
 
 
@@ -163,7 +170,8 @@ _BOUNDARY_SYSTEMS = {
 
 def _cmd_boundary(args) -> int:
     rule, rows = _BOUNDARY_SYSTEMS[args.system]
-    # every row n lays out sigma^n(H): refuse before row 1, not at row n
+    # the letter cap is the contract for every system, whether or not its
+    # rows lay out sigma^n(H): refuse before row 1, not at row n
     boundary.check_letter_cap(rule(), "H", args.n)
     _emit_text("\n".join(rows(args.n)) + "\n", args.out)
     return 0

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from tilelab.boundary import (SubstitutionRule1D, Word, f_of_n,
-                              forbidden_subwords_check, iterate,
+from tilelab.boundary import (_T2_LENGTHS, _T12_LENGTHS, SubstitutionRule1D,
+                              Word, _cut, balanced_pairs, f_of_n,
+                              forbidden_subwords_check, iterate, pair_levels,
                               sigma0_til12, sigma_til12, slippage_til12,
-                              til2_identity_check, til2_offsets, til2_rule,
-                              til2_slippage_bound, til13_fluctuation,
-                              til13_offsets, til13_rule, trace_letters)
+                              til2_identity_check, til2_offsets, til2_pairs,
+                              til2_rule, til2_slippage_bound, til13_fluctuation,
+                              til13_offsets, til13_pairs, til13_rule,
+                              trace_letters)
 from tilelab.errors import ArgumentError, ResourceError
 from tilelab.spectral import count_vectors
 from tilelab.substitution import build_Tn, trace_edge
@@ -205,3 +207,72 @@ def test_til13_letters_equidistribute():
     total = len(word)
     for letter in "HLh":
         assert counts[letter] / total == pytest.approx(1.0 / 3.0, abs=0.01)
+
+
+# -- balanced-pair certificates ----------------------------------------------
+
+
+def _level_pairs(pairs, n):
+    """The pair sequence that cuts level n, by expanding the images."""
+    seq = [0]
+    for _ in range(n):
+        seq = [j for i in seq for j in pairs[i].image]
+    return [pairs[i] for i in seq]
+
+
+def test_til2_pairs_close_at_three():
+    pairs = til2_pairs()
+    assert [(p.top, p.bottom) for p in pairs] == [
+        ("H", "H"), ("HHHHS", "SHHHH"), ("HHHS", "SHHH")]
+    assert max(p.surplus["S"] for p in pairs) == 1
+
+
+def test_til13_pairs_close_at_seven():
+    pairs = til13_pairs()
+    assert len(pairs) == 7
+    assert set().union(*(p.offsets.values() for p in pairs)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("rule,pairs,n_max", [
+    (til2_rule, til2_pairs, 9), (til13_rule, til13_pairs, 14)])
+def test_pairs_cut_the_materialized_fault_line(rule, pairs, n_max):
+    """Level n's pairs, laid end to end, are sigma^n(H) over its mirror."""
+    for n in range(n_max + 1):
+        word = iterate(rule(), "H", n).letters
+        level = _level_pairs(pairs(), n)
+        assert "".join(p.top for p in level) == word
+        assert "".join(p.bottom for p in level) == word[::-1]
+
+
+def test_til2_pair_levels_match_the_materialized_rows():
+    levels = pair_levels(til2_pairs())
+    for n, present in zip(range(13), levels):
+        assert max(p.surplus["S"] for p in present) == til2_slippage_bound(n)
+        offsets = {k: v for p in present for k, v in p.offsets.items()}
+        assert offsets == til2_offsets(n)
+
+
+def test_til13_pair_levels_match_the_materialized_rows():
+    levels = pair_levels(til13_pairs())
+    for n, present in zip(range(19), levels):
+        offsets = {k: v for p in present for k, v in p.offsets.items()}
+        assert offsets == til13_offsets(n)
+
+
+def test_til12_pairs_do_not_close():
+    assert balanced_pairs(sigma_til12(), _T12_LENGTHS, cap=3000) is None
+
+
+def test_balanced_pair_cut_is_exact_past_float_precision():
+    # 2**53 + 1 rounds to 2**53 in floats, so the float prefix sums of ABB
+    # and BBA end apart; exactly they end together
+    lengths = ({"A": [2 ** 53], "B": [1]}, {"A": [0], "B": [0]}, 2)
+    assert _cut("ABB", "BBA", lengths) == [("ABB", "BBA")]
+    assert _cut("ABBA", "BBAA", lengths) == [("ABB", "BBA"), ("A", "A")]
+    assert _cut("AB", "AB", lengths) == [("A", "A"), ("B", "B")]
+
+
+def test_balanced_pairs_need_eigen_lengths():
+    lengths = ({"H": [1], "S": [1]}, {"H": [0], "S": [0]}, 5)
+    with pytest.raises(ArgumentError):
+        balanced_pairs(til2_rule(), lengths)

@@ -109,14 +109,31 @@ def test_boundary_til2_csv(capsys):
 
 
 def test_boundary_refuses_past_the_letter_cap_up_front(capsys, monkeypatch):
-    def row(n):
-        raise AssertionError(f"row {n} computed before the cap check")
+    def row(*args):
+        raise AssertionError("a row was computed before the cap check")
 
     monkeypatch.setattr(boundary, "til2_slippage_bound", row)
+    monkeypatch.setattr(boundary, "balanced_pairs", row)
+    monkeypatch.setattr(boundary, "pair_levels", row)
     rc, out, err = _run(capsys, ["boundary", "--system", "til2", "--n", "30"])
     assert rc == 3
     assert out == ""
     assert "til2: sigma^13 would have" in err
+
+
+@pytest.mark.parametrize("n", ["-1", "-5"])
+def test_boundary_negative_n_exits_2(capsys, n):
+    rc, out, err = _run(capsys, ["boundary", "--system", "til12", "--n", n])
+    assert rc == 2 and out == ""
+    assert err == f"error: iteration count must be non-negative, got {n}\n"
+
+
+def test_boundary_n_zero_prints_the_header(capsys):
+    for system, header in (("til12", "n,f,g_at_Q,offsets"),
+                           ("til2", "n,max_abs_f,offsets"),
+                           ("til13", "n,fluctuation,offsets")):
+        rc, out, _ = _run(capsys, ["boundary", "--system", system, "--n", "0"])
+        assert rc == 0 and out == header + "\n"
 
 
 def test_stats_pipeline(tmp_path, capsys):

@@ -1,8 +1,10 @@
-"""Byte identity of the tiling CLI outputs.
+"""Byte identity of the tiling and boundary CLI outputs.
 
-The digests were recorded from the per-tile implementation before the
-tiling core moved to numpy columns; any change to the bytes of
-``generate``, ``stats`` or ``render`` shows up here.
+The tiling digests were recorded from the per-tile implementation before
+the tiling core moved to numpy columns; any change to the bytes of
+``generate``, ``stats`` or ``render`` shows up here.  The boundary CSVs
+were recorded from the materialized-word implementation, before the
+til2 and til13 rows came from balanced-pair certificates.
 """
 
 import hashlib
@@ -65,3 +67,46 @@ def test_derived_bytes(generated, tmp_path, name, command):
     sub, *flags = command.split()
     assert main([sub, "--in", str(generated[name]), *flags, "--out", str(out)]) == 0
     assert _digest(out) == DERIVED[(name, command)]
+
+
+BOUNDARY_TIL2_11 = """n,max_abs_f,offsets
+""" + "".join(f"{n},1,2\n" for n in range(1, 12))
+
+BOUNDARY_TIL13_18 = """n,fluctuation,offsets
+1,-1,2
+2,-1,2
+3,3,2
+4,-1,2
+5,-5,2
+6,7,2
+7,3,2
+8,-17,2
+9,11,2
+10,23,2
+11,-45,2
+12,-1,2
+13,91,2
+14,-89,2
+15,-93,2
+16,271,2
+17,-85,2
+18,-457,2
+"""
+
+BOUNDARY_TIL12_12_SHA256 = \
+    "27528dc1c237e99311df4da301a878ff63cd4b3a16c71627bfe180d4f7e23c8e"
+
+
+@pytest.mark.parametrize("system,n,expected", [
+    ("til2", 11, BOUNDARY_TIL2_11),
+    ("til13", 18, BOUNDARY_TIL13_18),
+], ids=["til2", "til13"])
+def test_boundary_csv(capsys, system, n, expected):
+    assert main(["boundary", "--system", system, "--n", str(n)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_boundary_til12_bytes(capsys):
+    assert main(["boundary", "--system", "til12", "--n", "12"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == BOUNDARY_TIL12_12_SHA256
