@@ -619,15 +619,16 @@ def til13_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
 # -- balanced pairs: the fault line for every n --------------------------------
 
 # Exact letter geometry per system: segment increments (u, v) valued
-# u + v*sqrt(D), and D.  Til(1/3) lengths are integers; they sit in v with
-# D = 1 and u = 0, so that, as for irrational sqrt(D), a value has one
-# (u, v) and the v part of an offset is the offset itself.
-_T2_LENGTHS = (_T2_SEG_DU, _T2_SEG_DV, 5)
-_T12_LENGTHS = (_T12_SEG_DU, _T12_SEG_DV, 17)
+# u + v*sqrt(D), D, and the leg letter whose surplus a pair records.
+# Til(1/3) lengths are integers; they sit in v with D = 1 and u = 0, so
+# that, as for irrational sqrt(D), a value has one (u, v) and the v part
+# of an offset is the offset itself.
+_T2_LENGTHS = (_T2_SEG_DU, _T2_SEG_DV, 5, "S")
+_T12_LENGTHS = (_T12_SEG_DU, _T12_SEG_DV, 17, "L")
 _T13_LENGTHS = ({c: [0] for c in _T13_LEN},
-                {c: [n] for c, n in _T13_LEN.items()}, 1)
+                {c: [n] for c, n in _T13_LEN.items()}, 1, "L")
 
-DEFAULT_PAIR_CAP = 10 ** 4
+PAIR_LETTER_CAP = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -636,8 +637,9 @@ class BalancedPair:
     letter boundary strictly inside.
 
     ``image``: the indices of the pairs that (sigma(top), sigma~(bottom))
-    cuts into, in order.  ``surplus[c]``: the largest |#c completed on top
-    - #c completed on bottom| up to any point of the pair.  ``offsets``:
+    cuts into, in order.  ``surplus``: the largest |#leg completed on top
+    - #leg completed on bottom| up to any point of the pair, for the leg
+    letter of the lengths (til2's short leg S).  ``offsets``:
     nearest-vertex offsets of the bottom vertices against the top ones,
     keyed and valued as ``_nearest_offsets``, in order of first
     appearance.
@@ -646,14 +648,14 @@ class BalancedPair:
     top: str
     bottom: str
     image: tuple[int, ...]
-    surplus: dict[str, int]
+    surplus: int
     offsets: dict[int, float]
 
 
 def _vertices(word: str, lengths):
     """Exact vertex positions (u, v) of a word from (0, 0), and the index
     of the vertex at which each letter ends."""
-    seg_du, seg_dv, _ = lengths
+    seg_du, seg_dv = lengths[:2]
     pos, ends = [(0, 0)], []
     u = v = 0
     for c in word:
@@ -693,15 +695,14 @@ def _cut(top: str, bottom: str, lengths) -> list[tuple[str, str]]:
     return list(zip(pieces(top, tpos, tends), pieces(bottom, bpos, bends)))
 
 
-def _surplus(top: str, bottom: str, lengths) -> dict[str, int]:
-    """Per letter c, the largest |#c ended on top - #c ended on bottom|
-    over the merged letter ends (equal ends taken together); the count
-    only steps at letter ends, so that covers every point of the pair."""
-    D = lengths[2]
+def _surplus(top: str, bottom: str, lengths) -> int:
+    """The largest |#leg ended on top - #leg ended on bottom| over the
+    merged letter ends (equal ends taken together); the count only steps
+    at letter ends, so that covers every point of the pair."""
+    _, _, D, leg = lengths
     tpos, tends = _vertices(top, lengths)
     bpos, bends = _vertices(bottom, lengths)
-    running = dict.fromkeys(lengths[0], 0)
-    out = dict(running)
+    running = out = 0
     i = j = 0
     while i < len(top) or j < len(bottom):
         if i == len(top):
@@ -712,13 +713,12 @@ def _surplus(top: str, bottom: str, lengths) -> dict[str, int]:
             x, y = tpos[tends[i]], bpos[bends[j]]
             s = _sign(x[0] - y[0], x[1] - y[1], D)
         if s <= 0:
-            running[top[i]] += 1
+            running += top[i] == leg
             i += 1
         if s >= 0:
-            running[bottom[j]] -= 1
+            running -= bottom[j] == leg
             j += 1
-        for c, r in running.items():
-            out[c] = max(out[c], abs(r))
+        out = max(out, abs(running))
     return out
 
 
@@ -746,8 +746,8 @@ def _pair_offsets(top: str, bottom: str, lengths) -> dict[int, float]:
     return out
 
 
-def balanced_pairs(rule: SubstitutionRule1D, lengths,
-                   cap: int = DEFAULT_PAIR_CAP) -> tuple[BalancedPair, ...] | None:
+def balanced_pairs(rule: SubstitutionRule1D,
+                   lengths) -> tuple[BalancedPair, ...] | None:
     """Close the irreducible balanced pairs of the fault line of sigma^n(H).
 
     The mirrored side of sigma^n(H) is its reverse, sigma~^n(H), where
@@ -757,9 +757,9 @@ def balanced_pairs(rule: SubstitutionRule1D, lengths,
     both sides of a balanced pair scale by the same factor.  Repeat until
     no new pair appears.  The cut of level n is then the level-n pairs of
     ``pair_levels``, so anything local to the pairs (surplus, offsets)
-    holds for every n.  ``lengths`` is (seg_du, seg_dv, D) as in the
-    layouts above.  Returns None once the pairs found hold more than
-    ``cap`` letters: til12 never closes.
+    holds for every n.  ``lengths`` is (seg_du, seg_dv, D, leg) as in
+    the layouts above.  Returns None once the pairs found hold more than
+    PAIR_LETTER_CAP letters: til12 never closes.
     """
     tilde = {c: img[::-1] for c, img in rule.images.items()}
     found = [("H", "H")]
@@ -772,7 +772,7 @@ def balanced_pairs(rule: SubstitutionRule1D, lengths,
                           "".join([tilde[c] for c in bottom]), lengths):
             if piece not in index:
                 letters += len(piece[0]) + len(piece[1])
-                if letters > cap:
+                if letters > PAIR_LETTER_CAP:
                     return None
                 index[piece] = len(found)
                 found.append(piece)

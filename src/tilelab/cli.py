@@ -146,7 +146,7 @@ def _boundary_rows_til2(n_max: int):
     levels = boundary.pair_levels(boundary.til2_pairs())
     next(levels)    # n = 0
     for n, present in zip(range(1, n_max + 1), levels):
-        bound = max(p.surplus["S"] for p in present)
+        bound = max(p.surplus for p in present)
         offs = set().union(*(p.offsets for p in present))
         yield f"{n},{bound},{len(offs)}"
 

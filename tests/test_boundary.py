@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tilelab.boundary import (_T2_LENGTHS, _T12_LENGTHS, SubstitutionRule1D,
-                              Word, _cut, balanced_pairs, f_of_n,
+                              Word, _cut, _surplus, balanced_pairs, f_of_n,
                               forbidden_subwords_check, iterate, pair_levels,
                               sigma0_til12, sigma_til12, slippage_til12,
                               til2_identity_check, til2_offsets, til2_pairs,
@@ -224,7 +224,14 @@ def test_til2_pairs_close_at_three():
     pairs = til2_pairs()
     assert [(p.top, p.bottom) for p in pairs] == [
         ("H", "H"), ("HHHHS", "SHHHH"), ("HHHS", "SHHH")]
-    assert max(p.surplus["S"] for p in pairs) == 1
+    assert max(p.surplus for p in pairs) == 1
+
+
+def test_pair_surplus_counts_the_leg_letter():
+    # S ends at sqrt5 - 2 and H at 1, so both bottom S legs end before the
+    # first top H; the H surplus is only 1
+    assert _surplus("HHSS", "SSHH", _T2_LENGTHS) == 2
+    assert _surplus("HHSS", "SSHH", _T2_LENGTHS[:3] + ("H",)) == 1
 
 
 def test_til13_pairs_close_at_seven():
@@ -247,7 +254,7 @@ def test_pairs_cut_the_materialized_fault_line(rule, pairs, n_max):
 def test_til2_pair_levels_match_the_materialized_rows():
     levels = pair_levels(til2_pairs())
     for n, present in zip(range(13), levels):
-        assert max(p.surplus["S"] for p in present) == til2_slippage_bound(n)
+        assert max(p.surplus for p in present) == til2_slippage_bound(n)
         offsets = {k: v for p in present for k, v in p.offsets.items()}
         assert offsets == til2_offsets(n)
 
@@ -260,19 +267,19 @@ def test_til13_pair_levels_match_the_materialized_rows():
 
 
 def test_til12_pairs_do_not_close():
-    assert balanced_pairs(sigma_til12(), _T12_LENGTHS, cap=3000) is None
+    assert balanced_pairs(sigma_til12(), _T12_LENGTHS) is None
 
 
 def test_balanced_pair_cut_is_exact_past_float_precision():
     # 2**53 + 1 rounds to 2**53 in floats, so the float prefix sums of ABB
     # and BBA end apart; exactly they end together
-    lengths = ({"A": [2 ** 53], "B": [1]}, {"A": [0], "B": [0]}, 2)
+    lengths = ({"A": [2 ** 53], "B": [1]}, {"A": [0], "B": [0]}, 2, "B")
     assert _cut("ABB", "BBA", lengths) == [("ABB", "BBA")]
     assert _cut("ABBA", "BBAA", lengths) == [("ABB", "BBA"), ("A", "A")]
     assert _cut("AB", "AB", lengths) == [("A", "A"), ("B", "B")]
 
 
 def test_balanced_pairs_need_eigen_lengths():
-    lengths = ({"H": [1], "S": [1]}, {"H": [0], "S": [0]}, 5)
+    lengths = ({"H": [1], "S": [1]}, {"H": [0], "S": [0]}, 5, "S")
     with pytest.raises(ArgumentError):
         balanced_pairs(til2_rule(), lengths)
