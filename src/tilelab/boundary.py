@@ -12,6 +12,7 @@ valued u + v*sqrt(D), so equality and ordering never depend on floats.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, InternalError, ResourceError
-from .geometry import TriangleShape, shape_from_pq
+from .geometry import TriangleShape
 from .spectral import count_vectors
 from .substitution import build_Tn, trace_edge
 
@@ -274,6 +275,12 @@ def _sign_quad(A: np.ndarray, B: np.ndarray, D: int) -> np.ndarray:
     return np.sign(q, out=q)
 
 
+def _sign(a: int, b: int, D: int) -> int:
+    """Sign of a + b*sqrt(D) for Python ints, as ``_sign_quad``."""
+    q = a * abs(a) + D * b * abs(b)
+    return (q > 0) - (q < 0)
+
+
 def _expand_segments(letters: str, seg_du: dict[str, list[int]],
                      seg_dv: dict[str, list[int]]):
     """Per-segment integer increments for a word, via 256-entry tables.
@@ -323,13 +330,23 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
                      chunk: int = 1 << 20) -> dict[int, float]:
     """Distinct nearest-vertex offsets between a word and its mirror.
 
-    ``u, v`` are the strictly increasing side-1 vertex coordinates.  The
-    mirrored side has vertices at total - x; each is matched to its
-    nearest side-1 vertex.  Distinct offsets are keyed by the exact
-    leg-count difference dv (which pins the offset bijectively); values
-    are representative lengths, in order of first appearance.  Mirrored
-    vertices are matched ``chunk`` at a time, so only the coordinates and
-    their float values are held whole.
+    ``u, v`` are the side-1 vertex coordinates from (0, 0), strictly
+    increasing in value.  The mirrored side has vertices at total - x;
+    each is matched to its nearest side-1 vertex.  Distinct offsets are
+    keyed by the exact leg-count difference dv (which pins the offset
+    bijectively); values are representative lengths, in order of first
+    appearance.  Mirrored vertices are matched ``chunk`` at a time, so
+    only the coordinates and their float values are held whole.
+
+    Floats decide which neighbour is nearer and the sign of each offset,
+    except within ``margin`` of zero, where the exact sign in Z[sqrt(D)]
+    decides.  Each float position is within E = 2**-52 (max|v| sqrt(D) +
+    total) of the exact one (one rounding each for sqrt(D), the product
+    and the sum; every position lies in [0, total]).  A midpoint test
+    adds up four positions and four more roundings of at most E/2 each,
+    so 16 E covers it; an offset adds up fewer.  The two neighbours come
+    from a float search, which is right while vertex gaps exceed the
+    margin.
     """
     root = math.sqrt(D)
     U, V = int(u[-1]), int(v[-1])
@@ -337,6 +354,8 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
     fx = v.astype(np.float64)
     fx *= root
     fx += u
+    vmax = max(-int(v.min()), int(v.max()))
+    margin = 16 * 2.0 ** -52 * (vmax * root + float(fx[-1]))
     out: dict[int, float] = {}
     for hi in range(last + 1, 0, -chunk):
         # mirrored vertices i = last + 1 - hi, ...: total - vertex (last - i)
@@ -349,7 +368,7 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
         right = fx[idx] - s2f
         choice = idx - (right >= left)
         # near-ties decided exactly: 2*x vs (prev + next) in Z[sqrt(D)]
-        close = np.flatnonzero(np.abs(right - left) < 1e-6)
+        close = np.flatnonzero(np.abs(right - left) < margin)
         if close.size:
             nxt = idx[close]
             A = 2 * (U - mu[close].astype(np.int64)) - u[nxt - 1] - u[nxt]
@@ -360,14 +379,32 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
         du -= u[choice]
         dv = np.subtract(V, mv, dtype=np.int64)
         dv -= v[choice]
-        # unsigned offset: flip pairs whose value is negative
-        neg = _sign_quad(du, dv, D) < 0
+        # unsigned offset: flip pairs whose value is negative, by the float
+        # offset x - nearest except near zero.  With dv = 0 the offset is
+        # the integer du, whose float sign is right while the margin is
+        # below 1 (so at any int32 coordinates), or 0: no flip.
+        offset = np.negative(right, out=left, where=choice == idx)
+        neg = offset < 0
+        near_zero = np.abs(offset, out=offset) < margin
+        near_zero &= dv != 0
+        unsure = np.flatnonzero(near_zero)
+        if unsure.size:
+            neg[unsure] = _sign_quad(du[unsure], dv[unsure], D) < 0
         np.negative(du, out=du, where=neg)
         np.negative(dv, out=dv, where=neg)
-        # the keys span a small range; sorting the narrowest dtype is fastest
-        narrow = np.promote_types(np.min_scalar_type(int(dv.min())),
-                                  np.min_scalar_type(int(dv.max())))
-        keys, first = np.unique(dv.astype(narrow), return_index=True)
+        kmin, kmax = int(dv.min()), int(dv.max())
+        if kmax - kmin < len(dv):
+            # the til2 and til12 keys span far fewer values than a chunk
+            # (4,403 at til12 n = 18): first occurrences in one pass over
+            # a dense table, no sort
+            dv -= kmin
+            first = np.full(kmax - kmin + 1, len(dv))
+            np.minimum.at(first, dv, np.arange(len(dv)))
+            keys = np.flatnonzero(first < len(dv))
+            first = first[keys]
+            keys += kmin
+        else:   # keys far apart (a few vertices at large coordinates)
+            keys, first = np.unique(dv, return_index=True)
         order = np.argsort(first)
         keys, first = keys[order], first[order]
         vals = du[first].astype(np.float64) + keys.astype(np.float64) * root
@@ -405,16 +442,24 @@ def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
     """
     w = iterate(sigma_til12(), "H", n, cap=cap)
     du, dv, seg_letter = _expand_segments(w.letters, _T12_SEG_DU, _T12_SEG_DV)
+    del w
     u, v = _vertex_coords(du, dv)
+    del du, dv
+    # segment i runs from vertex i to i + 1, and vertices strictly increase:
+    # the legs fully in [0, Q] end at or before the last vertex with
+    # 2x <= total, the mirrored side's start at or after the first with
+    # 2x >= total
     U, V = int(u[-1]), int(v[-1])
-    is_leg = seg_letter == ord("L")
-    # legs fully in [0, Q]: end <= Q, i.e. sign(2*end - total) <= 0
-    end_u = u[1:][is_leg].astype(np.int64)
-    end_v = v[1:][is_leg].astype(np.int64)
-    start_u = u[:-1][is_leg].astype(np.int64)
-    start_v = v[:-1][is_leg].astype(np.int64)
-    side1 = int((_sign_quad(2 * end_u - U, 2 * end_v - V, 17) <= 0).sum())
-    side2 = int((_sign_quad(2 * start_u - U, 2 * start_v - V, 17) >= 0).sum())
+
+    def past_q(i: int) -> int:
+        return _sign(2 * int(u[i]) - U, 2 * int(v[i]) - V, 17)
+
+    vertices = range(len(u))
+    up_to_q = bisect.bisect_right(vertices, 0, key=past_q)
+    from_q = bisect.bisect_left(vertices, 0, key=past_q)
+    side1 = int(np.count_nonzero(seg_letter[:up_to_q - 1] == ord("L")))
+    side2 = int(np.count_nonzero(seg_letter[from_q:] == ord("L")))
+    del seg_letter
     offsets = _nearest_offsets(u, v, 17)
     keys = tuple(sorted(offsets))
     return SlippageProfile(
@@ -473,19 +518,22 @@ def _rule_from_geometry(shape: TriangleShape, name: str, alphabet, chars: str,
                               images=images)
 
 
+def _til2_letter(seg) -> str:
+    """Letter of a traced edge segment of the p/q = 2/1 shape."""
+    if seg.size_class != 1:
+        raise InternalError("a small tile touches the til2 fault line")
+    return "H" if seg.kind == "H" else "S"
+
+
 @functools.cache
 def til2_rule() -> SubstitutionRule1D:
-    """Hypotenuse/short-leg system of the a < b/2 exceptional shape,
-    with word order read off the subdivided triangle."""
-    shape = shape_from_pq(2, 1)
+    """Hypotenuse/short-leg system of the a < b/2 exceptional shape.
 
-    def letter_of(seg):
-        if seg.size_class != 1:
-            raise InternalError("a small tile touches the til2 fault line")
-        return "H" if seg.kind == "H" else "S"
-
-    return _rule_from_geometry(shape, "til2", ("H", "S"), "HS",
-                               letter_of, (2, 4, 6))
+    The images are what ``_rule_from_geometry`` reads off the subdivided
+    p/q = 2/1 triangle with ``_til2_letter`` (the tests derive them again).
+    """
+    return SubstitutionRule1D(name="til2", alphabet=("H", "S"), chars="HS",
+                              images={"H": "HHHHS", "S": "H"})
 
 
 def til2_identity_check(n: int) -> bool:
@@ -566,24 +614,28 @@ def til2_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
 # -- Til(1/3): dyadic fault line ----------------------------------------------
 
 
+def _til13_letter(seg) -> str:
+    """Letter of a traced edge segment of the p/q = 1/3 shape."""
+    if seg.kind == "H" and seg.size_class == 1:
+        return "H"
+    if seg.kind == "L" and seg.size_class == 2:
+        return "L"
+    if seg.kind == "H" and seg.size_class == 3:
+        return "h"
+    raise InternalError(
+        f"unexpected fault-line segment {seg.kind}/{seg.size_class}")
+
+
 @functools.cache
 def til13_rule() -> SubstitutionRule1D:
-    """Three-letter system of the theta = pi/4 shape (H, medium L, small h),
-    word order read off the subdivided triangle."""
-    shape = shape_from_pq(1, 3)
+    """Three-letter system of the theta = pi/4 shape (H, medium L, small h).
 
-    def letter_of(seg):
-        if seg.kind == "H" and seg.size_class == 1:
-            return "H"
-        if seg.kind == "L" and seg.size_class == 2:
-            return "L"
-        if seg.kind == "H" and seg.size_class == 3:
-            return "h"
-        raise InternalError(
-            f"unexpected fault-line segment {seg.kind}/{seg.size_class}")
-
-    return _rule_from_geometry(shape, "til13", ("H", "L", "h"), "HLh",
-                               letter_of, (2, 4, 6))
+    The images are what ``_rule_from_geometry`` reads off the subdivided
+    p/q = 1/3 triangle with ``_til13_letter`` (the tests derive them again).
+    """
+    return SubstitutionRule1D(name="til13", alphabet=("H", "L", "h"),
+                              chars="HLh",
+                              images={"H": "LLH", "L": "hh", "h": "H"})
 
 
 def til13_fluctuation(n: int) -> int:
@@ -664,12 +716,6 @@ def _vertices(word: str, lengths):
             pos.append((u, v))
         ends.append(len(pos) - 1)
     return pos, ends
-
-
-def _sign(a: int, b: int, D: int) -> int:
-    """Sign of a + b*sqrt(D) for Python ints, as ``_sign_quad``."""
-    q = a * abs(a) + D * b * abs(b)
-    return (q > 0) - (q < 0)
 
 
 def _cut(top: str, bottom: str, lengths) -> list[tuple[str, str]]:

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from tilelab.boundary import (_T2_LENGTHS, _T12_LENGTHS, SubstitutionRule1D,
-                              Word, _cut, _surplus, balanced_pairs, f_of_n,
-                              forbidden_subwords_check, iterate, pair_levels,
+                              Word, _cut, _rule_from_geometry, _surplus,
+                              _til2_letter, _til13_letter, balanced_pairs,
+                              f_of_n, forbidden_subwords_check, iterate,
+                              pair_levels,
                               sigma0_til12, sigma_til12, slippage_til12,
                               til2_identity_check, til2_offsets, til2_pairs,
                               til2_rule, til2_slippage_bound, til13_fluctuation,
                               til13_offsets, til13_pairs, til13_rule,
                               trace_letters)
 from tilelab.errors import ArgumentError, ResourceError
+from tilelab.geometry import shape_from_pq
 from tilelab.spectral import count_vectors
 from tilelab.substitution import build_Tn, trace_edge
 
@@ -125,8 +128,10 @@ def test_til12_slippage_lower_bound(til12):
 
 
 def test_til2_rule_comes_out_of_the_geometry():
-    rule = til2_rule()
+    rule = _rule_from_geometry(shape_from_pq(2, 1), "til2", ("H", "S"), "HS",
+                               _til2_letter, (2, 4, 6))
     assert rule.images == {"H": "HHHHS", "S": "H"}
+    assert rule == til2_rule()
     eigs = sorted(np.linalg.eigvals(np.array(rule.abelianization(),
                                              dtype=float)).real)
     s5 = math.sqrt(5.0)
@@ -154,8 +159,10 @@ def test_til2_offsets_stabilize():
 
 
 def test_til13_rule_comes_out_of_the_geometry():
-    rule = til13_rule()
+    rule = _rule_from_geometry(shape_from_pq(1, 3), "til13", ("H", "L", "h"),
+                               "HLh", _til13_letter, (2, 4, 6))
     assert rule.images == {"H": "LLH", "L": "hh", "h": "H"}
+    assert rule == til13_rule()
     eigs = np.linalg.eigvals(np.array(rule.abelianization(), dtype=float))
     moduli = sorted(abs(z) for z in eigs)
     assert moduli[2] == pytest.approx(2.0, abs=1e-9)

@@ -13,7 +13,8 @@ from tilelab import boundary
 from tilelab.boundary import (_T2_SEG_DU, _T2_SEG_DV, _T12_SEG_DU, _T12_SEG_DV,
                               _expand_segments, _nearest_offsets, _sign_quad,
                               _vertex_coords, forbidden_subwords_check, iterate,
-                              sigma0_til12, sigma_til12, til2_rule, til13_rule)
+                              sigma0_til12, sigma_til12, slippage_til12,
+                              til2_rule, til13_rule)
 from tilelab.errors import InternalError, ResourceError
 
 RULES = [sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()]
@@ -72,6 +73,44 @@ def ref_nearest_offsets(u, v, D):
         if key not in out:
             out[key] = a + key * root
     return out
+
+
+def exact_nearest_offsets(u, v, D):
+    """Offsets with every comparison made by ``ref_sign``: the neighbours
+    are the first vertex at or past x (kept in 1..last) and the one before,
+    and a midpoint goes to the earlier one."""
+    pts = list(zip(u.tolist(), v.tolist()))
+    U, V = pts[-1]
+    last = len(pts) - 1
+    out = {}
+    for xu, xv in reversed(pts):
+        yu, yv = U - xu, V - xv
+        k = 1
+        while k < last and ref_sign(yu - pts[k][0], yv - pts[k][1], D) > 0:
+            k += 1
+        (pu, pv), (nu, nv) = pts[k - 1], pts[k]
+        if ref_sign(2 * yu - pu - nu, 2 * yv - pv - nv, D) > 0:
+            pu, pv = nu, nv
+        a, key = yu - pu, yv - pv
+        if ref_sign(a, key, D) < 0:
+            a, key = -a, -key
+        out.setdefault(key, a + key * math.sqrt(D))
+    return out
+
+
+def ref_g_at_Q(n):
+    """Complete legs left of the midpoint on each side, leg by leg."""
+    pos, legs = [(0, 0)], []
+    for ch in ref_iterate(sigma_til12(), "H", n):
+        for du, dv in zip(_T12_SEG_DU[ch], _T12_SEG_DV[ch]):
+            start = pos[-1]
+            pos.append((start[0] + du, start[1] + dv))
+            if ch == "L":
+                legs.append((start, pos[-1]))
+    U, V = pos[-1]
+    side1 = sum(ref_sign(2 * eu - U, 2 * ev - V, 17) <= 0 for _, (eu, ev) in legs)
+    side2 = sum(ref_sign(2 * su - U, 2 * sv - V, 17) >= 0 for (su, sv), _ in legs)
+    return side1 - side2
 
 
 def ref_til2_slippage_bound(n):
@@ -165,6 +204,50 @@ def test_nearest_offsets_match_the_python_loop(rule, seg_du, seg_dv, D, n_max):
         want = list(ref_nearest_offsets(u, v, D).items())
         for chunk in (1 << 20, 997, 61):   # one chunk or many
             assert list(_nearest_offsets(u, v, D, chunk).items()) == want
+
+
+def pell_power(k):
+    """(33 - 8 sqrt17)^k = A + B sqrt17.  33 + 8 sqrt17 is a unit of
+    Z[sqrt17] (33^2 - 17 * 8^2 = 1), so its conjugate, about 0.015, has
+    small powers far below float resolution at their own coordinates."""
+    A, B = 1, 0
+    for _ in range(k):
+        A, B = 33 * A - 17 * 8 * B, 33 * B - 8 * A
+    return A, B
+
+
+_A5, _B5 = pell_power(5)   # 625447713 - 151693352 sqrt17, about 8e-10
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_offset_sign_near_zero_is_exact(sign):
+    # vertices 0, a = 1, total = 2 +- eps: the mirror of a lands eps from
+    # a, and the unsigned offset eps has the key B5 either way; floats at
+    # these coordinates cannot tell eps from -eps
+    assert ref_sign(_A5, _B5, 17) > 0 and abs(_A5 + _B5 * math.sqrt(17)) < 1e-6
+    u = np.array([0, 1, 2 + sign * _A5], dtype=np.int32)
+    v = np.array([0, 0, sign * _B5], dtype=np.int32)
+    got = list(_nearest_offsets(u, v, 17).items())
+    assert got == list(exact_nearest_offsets(u, v, 17).items())
+    assert [key for key, _ in got] == [0, _B5]
+
+
+def test_near_tie_at_int32_reach_is_exact():
+    # vertices 0, p, n, total with the mirror of p eps/2 past the
+    # midpoint of p and n: n is nearer.  Coordinates near 2**31 put the
+    # float error of that comparison above 1e-6, so a fixed margin of
+    # 1e-6 picks p here; the margin must grow with the coordinates.
+    pu, pv, ku, kv = 761779327, 188420619, 756, 118
+    u = np.array([0, pu, pu + ku - _A5, 2 * pu + ku // 2], dtype=np.int32)
+    v = np.array([0, pv, pv + kv - _B5, 2 * pv + kv // 2], dtype=np.int32)
+    want = list(exact_nearest_offsets(u, v, 17).items())
+    assert [key for key, _ in want] == [0, kv // 2 - _B5]
+    assert list(_nearest_offsets(u, v, 17).items()) == want
+
+
+def test_g_at_q_matches_the_leg_by_leg_count():
+    for n in range(1, 11):
+        assert slippage_til12(n).g_at_Q == ref_g_at_Q(n), n
 
 
 def test_vertex_coords_are_running_sums():
