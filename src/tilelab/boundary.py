@@ -362,7 +362,10 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
         part = slice(max(hi - chunk, 0), hi)
         mu, mv = u[part][::-1], v[part][::-1]
         s2f = fx[-1] - fx[part][::-1]
-        idx = np.searchsorted(fx, s2f)
+        # s2f is sorted: search only the stretch of fx between its ends
+        lo, top = np.searchsorted(fx, s2f[[0, -1]])
+        idx = np.searchsorted(fx[lo:top], s2f)
+        idx += lo
         np.clip(idx, 1, last, out=idx)
         left = s2f - fx[idx - 1]
         right = fx[idx] - s2f

@@ -37,7 +37,12 @@ def _emit_text(text: str, out_path: str | None) -> None:
 
 
 def _emit_chunks(chunks, out_path: str | None) -> None:
+    # the first chunk comes before any output: a writer that fails before
+    # it leaves no partial text and no file behind
+    chunks = iter(chunks)
+    first = next(chunks, "")
     if out_path is None:
+        sys.stdout.write(first)
         for chunk in chunks:
             sys.stdout.write(chunk)
     else:
@@ -46,6 +51,7 @@ def _emit_chunks(chunks, out_path: str | None) -> None:
         except OSError as exc:      # a directory, unwritable, no such folder
             raise ArgumentError(str(exc)) from None
         with fh:
+            fh.write(first)
             fh.writelines(chunks)
 
 
@@ -195,8 +201,8 @@ def _cmd_stats(args) -> int:
 
 def _cmd_render(args) -> int:
     tiling = _read_tiling(args.infile)
-    svg = render.render_svg(tiling, color=args.color, faults=args.faults)
-    _emit_text(svg, args.out)
+    _emit_chunks(render.svg_chunks(tiling, color=args.color, faults=args.faults),
+                 args.out)
     return 0
 
 

@@ -25,11 +25,11 @@ reference ray before rotating.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .errors import ArgumentError, DomainError, GeometryError, NumericError
@@ -84,6 +84,8 @@ def apply_columns(point: tuple[float, float], handedness: np.ndarray,
 
 @lru_cache(maxsize=64)
 def _mp_alpha_beta(theta: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    import mpmath   # only irrational shapes need it: keep it off the import path
+
     with mpmath.workdps(MP_DPS):
         t = mpmath.mpf(theta)
         alpha = -mpmath.log(mpmath.sin(t))
@@ -93,6 +95,8 @@ def _mp_alpha_beta(theta: float) -> tuple[mpmath.mpf, mpmath.mpf]:
 
 @lru_cache(maxsize=1 << 14)
 def _mp_size_key(theta: float, i: int, j: int) -> mpmath.mpf:
+    import mpmath
+
     alpha, beta = _mp_alpha_beta(theta)
     with mpmath.workdps(MP_DPS):
         return i * alpha + j * beta
@@ -229,6 +233,10 @@ def shape_from_theta(theta: float, c: float = 1.0,
         raise DomainError(f"theta must lie strictly inside (0, pi/2), got {theta}")
     if c <= 0.0:
         raise DomainError(f"hypotenuse must be positive, got {c}")
+    # areas and the statistics square c: keep c*c a finite normal float
+    if not (math.isfinite(c * c) and c * c >= sys.float_info.min):
+        raise DomainError(f"hypotenuse {c} is out of range: c*c must be a "
+                          "finite normal float")
     big_a = math.sin(theta)
     big_b = math.cos(theta) / 2.0
     alpha = -math.log(big_a)

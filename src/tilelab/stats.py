@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import mpmath
 import numpy as np
 
 from .classify import orientation_census
@@ -261,7 +260,12 @@ def _oracle_window(shape: TriangleShape) -> tuple:
     alpha = shape.size_key(1, 0)
     beta = shape.size_key(0, 1)
     mu = max(alpha, beta)
-    eps = 0 if shape.rationality is not None else mpmath.mpf("1e-30")
+    if shape.rationality is not None:
+        eps = 0
+    else:
+        import mpmath   # irrational keys are mpmath reals already
+
+        eps = mpmath.mpf("1e-30")
     return -eps, mu - eps, min(alpha, beta) - eps, mu, alpha < beta
 
 
@@ -402,6 +406,9 @@ def histogram_comparison(shape: TriangleShape, hist: Histogram,
     if shape.rationality is not None:
         report = eigen(shape)
         full = report.rho if hist.weighting == "area" else report.nu
+        if max(hist.labels, default=0) > len(full):
+            raise ArgumentError(f"{max(hist.labels)} size classes present, but "
+                                f"this shape has at most {len(full)}")
         # early generations may not exhibit every class yet
         analytic = tuple(full[k - 1] for k in hist.labels)
         metric = "l1"

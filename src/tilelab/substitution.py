@@ -671,22 +671,31 @@ def tiling_to_json(tiling: Tiling) -> dict:
     }
 
 
+def float_texts(values: np.ndarray, fmt) -> np.ndarray:
+    """``fmt(v)`` of every float of ``values``, as an object array of the
+    same shape, calling ``fmt`` once per distinct bit pattern (so 0.0 and
+    -0.0 stay apart, as JSON prints them)."""
+    flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse.ravel()].reshape(np.shape(values))
+
+
+def fill_rows(row: str, sep: str, cells: np.ndarray) -> str:
+    """``sep.join(row % tuple(r) for r in cells)``, with one ``%`` over the
+    whole table."""
+    return sep.join([row] * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def _text12(v: float) -> str:
+    """JSON text of ``round12(v)``."""
+    return repr(float(f"{v:.12g}"))
+
+
 # One tile of ``json.dumps(..., sort_keys=True, indent=1)`` output.
-_TILE_TEXT = ('  {{\n   "handedness": {},\n   "i": {},\n   "id": {},\n   "j": {},\n'
-              '   "origin": [\n    {},\n    {}\n   ],\n   "parent": {},\n'
-              '   "phi": {}\n  }}')
-
-
-def _json12(col: np.ndarray) -> list[str]:
-    """JSON text of each float of ``col`` rounded by :func:`round12`."""
-    text: dict[float, str] = {}
-    out = []
-    for v in col.tolist():
-        s = text.get(v)
-        if s is None or v == 0.0:   # 0.0 and -0.0 share a dict key
-            s = text[v] = repr(float(f"{v:.12g}"))
-        out.append(s)
-    return out
+_TILE_TEXT = ('  {\n   "handedness": %s,\n   "i": %s,\n   "id": %s,\n   "j": %s,\n'
+              '   "origin": [\n    %s,\n    %s\n   ],\n   "parent": %s,\n'
+              '   "phi": %s\n  }')
 
 
 def tiling_json_chunks(tiling: Tiling, chunk: int = JSON_CHUNK_TILES):
@@ -704,14 +713,14 @@ def tiling_json_chunks(tiling: Tiling, chunk: int = JSON_CHUNK_TILES):
         ',\n "tiles": [\n'
     for lo in range(0, len(tiling), chunk):
         part = slice(lo, lo + chunk)
-        parents = tiling.parent[part].tolist()
-        text = ",\n".join(
-            _TILE_TEXT.format(*row) for row in zip(
-                tiling.handedness[part].tolist(), tiling.i[part].tolist(),
-                tiling.ids[part].tolist(), tiling.j[part].tolist(),
-                _json12(tiling.ox[part]), _json12(tiling.oy[part]),
-                ["null" if p < 0 else p for p in parents],
-                _json12(tiling.phi[part])))
+        cells = np.empty((len(tiling.ids[part]), 8), dtype=object)
+        cells[:, :4] = np.column_stack((tiling.handedness[part], tiling.i[part],
+                                        tiling.ids[part], tiling.j[part]))
+        cells[:, [4, 5, 7]] = float_texts(np.column_stack(
+            (tiling.ox[part], tiling.oy[part], tiling.phi[part])), _text12)
+        cells[:, 6] = tiling.parent[part]
+        cells[tiling.parent[part] < 0, 6] = "null"
+        text = fill_rows(_TILE_TEXT, ",\n", cells)
         yield text if lo == 0 else ",\n" + text
     yield "\n ]\n}\n"
 

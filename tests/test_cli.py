@@ -1,10 +1,21 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilelab import boundary
 from tilelab.cli import main
+from tilelab.geometry import shape_from_pq
+from tilelab.substitution import build_Tn, tiling_json_chunks
 
 
 def _run(capsys, argv):
@@ -274,3 +285,111 @@ def test_spectral_lower_bound_far_below_zero(capsys):
     assert rc == 4
     assert out == ""
     assert err == "error: no bracket for the lower spectral bound\n"
+
+
+def _tiling_file(tmp_path, edit) -> str:
+    """A valid T_3 tiling file with ``edit(data)`` applied to its JSON."""
+    good = tmp_path / "good.json"
+    assert main(["generate", "--pq", "1/2", "--n", "3", "--out", str(good)]) == 0
+    data = json.loads(good.read_text())
+    edit(data)
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(data))
+    return str(bad)
+
+
+@pytest.mark.parametrize("c", [1e200, 1.4e154, 1e-154, 1e-300])
+@pytest.mark.parametrize("command", ["stats", "render --faults"])
+def test_hypotenuse_out_of_range_exits_2(tmp_path, capsys, command, c):
+    path = _tiling_file(tmp_path, lambda data: data["shape"].update(c=c))
+    capsys.readouterr()
+    rc, out, err = _run(capsys, [*command.split(), "--in", path])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: hypotenuse") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c", [1.3e154, 1.5e-154])
+def test_hypotenuse_near_the_range_ends_works(tmp_path, capsys, c):
+    path = _tiling_file(tmp_path, lambda data: data["shape"].update(c=c))
+    for command in (["stats"], ["stats", "--csv"], ["render", "--faults"]):
+        assert main([*command, "--in", path]) == 0
+    capsys.readouterr()
+
+
+def _far_tile(data):
+    data["tiles"][3]["origin"] = [1e308, 1e308]
+
+
+def _far_apart(data):
+    data["tiles"][3]["origin"] = [1e308, 1e308]
+    data["tiles"][4]["origin"] = [-1e308, -1e308]
+
+
+@pytest.mark.parametrize("edit,flags", [
+    (_far_tile, ["--faults"]),
+    (_far_apart, ["--faults"]),
+    (_far_apart, []),
+], ids=["far-tile-faults", "far-apart-faults", "far-apart"])
+def test_render_of_vertices_out_of_range_exits_2(tmp_path, capsys, edit, flags):
+    path = _tiling_file(tmp_path, edit)
+    capsys.readouterr()
+    svg = tmp_path / "out.svg"
+    rc, out, err = _run(capsys, ["render", "--in", path, *flags, "--out", str(svg)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not svg.exists()     # refused before the output was opened
+
+
+def test_rational_commands_never_load_mpmath(tmp_path):
+    out = tmp_path / "t.json"
+    code = ("import sys; from tilelab.cli import main; "
+            f"assert main(['generate', '--pq', '1/2', '--n', '3', '--out', {str(out)!r}]) == 0; "
+            f"assert main(['stats', '--in', {str(out)!r}, '--out', {str(out) + '.txt'!r}]) == 0; "
+            f"assert main(['render', '--in', {str(out)!r}, '--faults', '--out', {str(out) + '.svg'!r}]) == 0; "
+            "sys.exit('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_SMALL = json.loads("".join(tiling_json_chunks(build_Tn(shape_from_pq(1, 2), 3))))
+_SMALL["tiles"] = _SMALL["tiles"][:6]     # the root, T_1 and a T_2 tile
+_DELETE = object()
+_VALUES = st.one_of(
+    st.just(_DELETE), st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(), st.text(max_size=3),
+    st.lists(st.one_of(st.floats(), st.integers(-2 ** 40, 2 ** 40)), max_size=3),
+    st.dictionaries(st.sampled_from(["p", "q", "x"]), st.integers(-3, 3), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_paths(_SMALL), key=repr)), _VALUES)
+@example(("shape", "c"), 1e200)
+@example(("tiles", 3, "origin", 0), 1e308)
+@example(("tiles", 3, "j"), 0)      # more size classes than the shape holds
+def test_one_changed_tiling_field_never_raises(path, value):
+    data = copy.deepcopy(_SMALL)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "t.json")
+        with open(src, "w") as fh:
+            json.dump(data, fh)
+        for command in (["stats"], ["render", "--faults"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main([*command, "--in", src])
+            assert rc in (0, 2, 3, 4), (command, path, value)

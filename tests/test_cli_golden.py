@@ -31,6 +31,10 @@ DERIVED = {
         "c2797da236cef671ae33e4542de17ea8fc970ad81da8e6be20e0cc60650e2b47",
     ("pq12", "render --color phi"):
         "99b45930a3e3abf07f118e1045a059e4afe057830984c953e7a42e2ac7a27f21",
+    ("pq11", "render --faults"):
+        "bab94a59cdb4c597a21e3b2655ef42f88aa7990099cb37f4b1f9ad4b342ae853",
+    ("pq11", "render --color phi"):
+        "7456cfadb772bf8f317233e7827b2f155f58ebcd5108fe40540814c8ba254a7d",
     ("th1", "stats"):
         "a5898026284770936277f37f8850819842695a168eefd23563339afa7c02532e",
     ("th1", "stats --csv --weighting count"):
