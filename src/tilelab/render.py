@@ -4,7 +4,9 @@ Output is plain SVG 1.1 text: one polygon per tile inside a single
 group whose transform maps world coordinates to the canvas (y flipped),
 so parsing the polygons back recovers the geometric vertices.  All
 floats are printed with 9 significant digits and iteration orders are
-fixed, making identical inputs render byte-identically.
+fixed, making identical inputs render byte-identically.  The text comes
+in pieces of a fixed number of polygons (:func:`svg_chunks`), so a
+writer never holds the whole document.
 """
 
 from __future__ import annotations

@@ -287,21 +287,18 @@ def test_spectral_lower_bound_far_below_zero(capsys):
     assert err == "error: no bracket for the lower spectral bound\n"
 
 
-def _tiling_file(tmp_path, edit) -> str:
-    """A valid T_3 tiling file with ``edit(data)`` applied to its JSON."""
-    good = tmp_path / "good.json"
-    assert main(["generate", "--pq", "1/2", "--n", "3", "--out", str(good)]) == 0
-    data = json.loads(good.read_text())
-    edit(data)
-    bad = tmp_path / "edited.json"
-    bad.write_text(json.dumps(data))
-    return str(bad)
+def _change(change):
+    def edit(text):
+        data = json.loads(text)
+        change(data)
+        return json.dumps(data)
+    return edit
 
 
 @pytest.mark.parametrize("c", [1e200, 1.4e154, 1e-154, 1e-300])
 @pytest.mark.parametrize("command", ["stats", "render --faults"])
 def test_hypotenuse_out_of_range_exits_2(tmp_path, capsys, command, c):
-    path = _tiling_file(tmp_path, lambda data: data["shape"].update(c=c))
+    path = _broken_tiling(tmp_path, _change(lambda data: data["shape"].update(c=c)))
     capsys.readouterr()
     rc, out, err = _run(capsys, [*command.split(), "--in", path])
     assert rc == 2 and out == ""
@@ -310,7 +307,7 @@ def test_hypotenuse_out_of_range_exits_2(tmp_path, capsys, command, c):
 
 @pytest.mark.parametrize("c", [1.3e154, 1.5e-154])
 def test_hypotenuse_near_the_range_ends_works(tmp_path, capsys, c):
-    path = _tiling_file(tmp_path, lambda data: data["shape"].update(c=c))
+    path = _broken_tiling(tmp_path, _change(lambda data: data["shape"].update(c=c)))
     for command in (["stats"], ["stats", "--csv"], ["render", "--faults"]):
         assert main([*command, "--in", path]) == 0
     capsys.readouterr()
@@ -331,7 +328,7 @@ def _far_apart(data):
     (_far_apart, []),
 ], ids=["far-tile-faults", "far-apart-faults", "far-apart"])
 def test_render_of_vertices_out_of_range_exits_2(tmp_path, capsys, edit, flags):
-    path = _tiling_file(tmp_path, edit)
+    path = _broken_tiling(tmp_path, _change(edit))
     capsys.readouterr()
     svg = tmp_path / "out.svg"
     rc, out, err = _run(capsys, ["render", "--in", path, *flags, "--out", str(svg)])
@@ -361,7 +358,7 @@ def _paths(node, prefix=()):
 
 
 _SMALL = json.loads("".join(tiling_json_chunks(build_Tn(shape_from_pq(1, 2), 3))))
-_SMALL["tiles"] = _SMALL["tiles"][:6]     # the root, T_1 and a T_2 tile
+_SMALL["tiles"] = _SMALL["tiles"][:6]     # two parents, two size classes
 _DELETE = object()
 _VALUES = st.one_of(
     st.just(_DELETE), st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
