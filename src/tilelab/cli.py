@@ -67,7 +67,7 @@ def _read_tiling(path: str):
 
 
 def _shape_from_args(args) -> TriangleShape:
-    if getattr(args, "pq", None):
+    if args.pq is not None:     # "" too: a malformed P/Q, not a missing one
         try:
             p_str, q_str = args.pq.split("/")
             p, q = int(p_str), int(q_str)
@@ -113,7 +113,7 @@ def _cmd_classify(args) -> int:
         try:
             u, v = args.theta_pi.split("/")
             frac = Fraction(int(u), int(v))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ArgumentError("--theta-pi wants U/V or 'irrational', "
                                 f"got {args.theta_pi!r}") from exc
         # the declaration must actually describe this shape

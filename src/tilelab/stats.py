@@ -4,7 +4,8 @@ limit distributions.
 Empirical data comes from three interchangeable sources: built tilings
 (geometry), the exact exponent census (integer bookkeeping, reaches far
 larger generations), and population-matrix powers (per-class counts
-only).  Predictions come from the eigenvector distributions (rational
+only; the census size histograms of rational shapes use them).
+Predictions come from the eigenvector distributions (rational
 shapes), the closed-form window densities (irrational shapes), and the
 binomial lattice-path oracle for individual exponent classes.
 """
@@ -167,19 +168,54 @@ def size_histogram(t: Tiling, weighting: str = "count",
 def census_size_histogram(shape: TriangleShape, n: int,
                           weighting: str = "count",
                           bins: int = DEFAULT_SIZE_BINS) -> Histogram:
-    """Same distribution from the exact census; no tiles are built."""
-    counts, _ = census_counts(shape, n)
-    return _size_histogram_from_counts(shape, counts, weighting, bins)
+    """Same distribution from exact counts; no tiles are built.
+
+    Rational shapes read the per-rank counts of :func:`matrix_power_counts`:
+    O(n*m) integer work for m = max(p, q) classes, where the pair census
+    grows O(n**2) pairs.  Each count mass is ``count / total`` rounded
+    once, and an area mass is that times ``r**(2*d)`` for a class d
+    lattice steps below the cut, normalised; so masses may differ in the
+    last bit from those the pair census (or :func:`size_histogram` of the
+    built T_n) gives.  Irrational shapes bin the exact exponent census.
+    """
+    if shape.rationality is None:
+        counts, _ = census_counts(shape, n)
+        return _size_histogram_from_counts(shape, counts, weighting, bins)
+    if weighting not in ("count", "area"):
+        raise ArgumentError(f"unknown weighting {weighting!r}")
+    ranked = matrix_power_counts(shape, n)
+    total = sum(ranked)
+    # int / int is correctly rounded, however far the counts pass 2**1024
+    present = [(d, cnt / total) for d, cnt in enumerate(ranked) if cnt]
+    masses = [mass for _, mass in present]
+    if weighting == "area":
+        masses = _normalize(np.array([mass * shape.r ** (2 * d)
+                                      for d, mass in present])).tolist()
+    return Histogram(weighting=weighting,
+                     labels=tuple(range(1, len(present) + 1)),
+                     masses=tuple(masses))
 
 
 def matrix_power_counts(shape: TriangleShape, n: int) -> tuple[int, ...]:
-    """Per-size-rank tile counts of T_n from the population matrix (exact
-    integers at any n)."""
+    """Tile counts of T_n per lattice step below its size cut, from the
+    population matrix (exact integers at any n).
+
+    Entry d counts the tiles whose size key is d steps of the rational
+    lattice past the cut, so entry 0 holds the largest tiles.  A
+    generation is one step of the walk ``count_vectors`` plus every
+    following step whose first entry is 0: an empty largest class only
+    promotes the others, and the census cut skips those keys, since no
+    exponent pair reaches them.  The nonzero entries, in order, are the
+    census classes by dense size rank.
+    """
     if shape.rationality is None:
         raise DomainError("population matrix needs a rational shape")
+    if n < 0:
+        raise ArgumentError(f"generation must be non-negative, got {n}")
     z = shape.rationality
     M = population_matrix(z.numerator, z.denominator)
-    return next(itertools.islice(count_vectors(M, [1] + [0] * (len(M) - 1)), n, None))
+    walk = (v for v in count_vectors(M, [1] + [0] * (len(M) - 1)) if v[0])
+    return next(itertools.islice(walk, n, None))
 
 
 def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
@@ -392,7 +428,8 @@ class ComparisonReport:
 def size_comparison(shape: TriangleShape, n: int, weighting: str = "area",
                     tolerance: float = 0.02,
                     bins: int = DEFAULT_SIZE_BINS) -> ComparisonReport:
-    """Census distribution of T_n against the predicted limit."""
+    """Census distribution of T_n against the predicted limit (see
+    :func:`census_size_histogram`: O(n*m) for rational shapes)."""
     hist = census_size_histogram(shape, n, weighting, bins)
     return histogram_comparison(shape, hist, tolerance)
 

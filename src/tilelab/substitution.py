@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ArgumentError, DomainError, InternalError, ResourceError
 from .geometry import (
+    TWO_PI,
     Placement,
     Similarity,
     Tile,
@@ -50,6 +51,10 @@ JSON_CHUNK_TILES = 1 << 14
 # on the lattice of any desk-scale shape genuinely different (i, j)
 # classes are separated by far more.
 NEAR_TIE = 1e-9
+
+# The largest heading a tiling JSON file may hold: 12-digit text rounds
+# headings just below 2pi up to this, which is above 2pi.
+PHI_MAX = float(f"{TWO_PI:.12g}")
 
 # The columns of a Tiling: handedness (+1/-1), heading, small-angle
 # vertex, exponent pair, tile id and parent id (-1 for the root).
@@ -781,8 +786,8 @@ def tiling_from_json(data: dict) -> Tiling:
     """The tiling of a parsed ``tilelab-tiling/1`` document.
 
     Malformed input (wrong format, missing keys, non-integer exponents or
-    ids, handedness other than +-1, non-finite floats, no tiles) raises
-    :class:`ArgumentError`."""
+    ids, handedness other than +-1, non-finite floats, headings outside
+    [0, PHI_MAX], no tiles) raises :class:`ArgumentError`."""
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != TILING_FORMAT:
         raise ArgumentError(f"unsupported tiling format: {fmt!r}")
@@ -809,9 +814,12 @@ def tiling_from_json(data: dict) -> Tiling:
                          "parent", np.int64)
     parent[roots] = -1
     origin = _float_column(values["origin"], "origin", (len(rows), 2))
+    phi = _float_column(values["phi"], "phi", (len(rows),))
+    if not ((phi >= 0.0) & (phi <= PHI_MAX)).all():
+        raise ArgumentError(f"tile 'phi' values must be headings in [0, {PHI_MAX}]")
     return Tiling.from_columns(shape, generation, {
         "handedness": hand,
-        "phi": _float_column(values["phi"], "phi", (len(rows),)),
+        "phi": phi,
         "ox": origin[:, 0],
         "oy": origin[:, 1],
         "i": _int_column(values["i"], "i", np.int32),

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from tilelab import boundary
 from tilelab.cli import main
 from tilelab.geometry import shape_from_pq
-from tilelab.substitution import build_Tn, tiling_json_chunks
+from tilelab.substitution import Tiling, build_Tn, tiling_json_chunks
 
 
 def _run(capsys, argv):
@@ -313,6 +313,43 @@ def test_hypotenuse_near_the_range_ends_works(tmp_path, capsys, c):
     capsys.readouterr()
 
 
+def _set_phi(phi):
+    return _change(lambda data: data["tiles"][3].update(phi=phi))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("phi", [9.06e17, 1e300, -1.0, 6.2831853072])
+@pytest.mark.parametrize("command", ["stats", "render --color phi"])
+def test_heading_out_of_range_exits_2(tmp_path, capsys, command, phi):
+    path = _broken_tiling(tmp_path, _set_phi(phi))
+    capsys.readouterr()
+    rc, out, err = _run(capsys, [*command.split(), "--in", path])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: tile 'phi'") and err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_headings_the_writer_emits_keep_their_bins(tmp_path, capsys):
+    # 12 digits write the heading just below 2pi as 6.28318530718, above 2pi
+    t = build_Tn(shape_from_pq(1, 2), 1)
+    cols = {name: getattr(t, name).copy() for name in
+            ("handedness", "phi", "ox", "oy", "i", "j", "ids", "parent")}
+    cols["phi"][3] = math.nextafter(2.0 * math.pi, 0.0)
+    text = "".join(tiling_json_chunks(Tiling.from_columns(t.shape, 1, cols)))
+    assert '"phi": 6.28318530718\n' in text
+    path = tmp_path / "top.json"
+    path.write_text(text)
+    rc, top, err = _run(capsys, ["stats", "--in", str(path)])
+    assert rc == 0 and err == ""
+    # it shares bin 0 with the headings 0.0 and -0.0
+    for phi in (0.0, -0.0):
+        rc, out, err = _run(capsys, ["stats", "--in",
+                                     _broken_tiling(tmp_path, _set_phi(phi))])
+        assert rc == 0 and out == top
+    rc, svg, err = _run(capsys, ["render", "--color", "phi", "--in", str(path)])
+    assert rc == 0 and err == "" and "hsl(360," in svg
+
+
 def _far_tile(data):
     data["tiles"][3]["origin"] = [1e308, 1e308]
 
@@ -372,6 +409,8 @@ _VALUES = st.one_of(
 @example(("shape", "c"), 1e200)
 @example(("tiles", 3, "origin", 0), 1e308)
 @example(("tiles", 3, "j"), 0)      # more size classes than the shape holds
+@example(("tiles", 3, "phi"), 9.06e17)      # a heading past the int64 bins
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_changed_tiling_field_never_raises(path, value):
     data = copy.deepcopy(_SMALL)
     node = data
@@ -390,3 +429,75 @@ def test_one_changed_tiling_field_never_raises(path, value):
                     contextlib.redirect_stderr(io.StringIO()):
                 rc = main([*command, "--in", src])
             assert rc in (0, 2, 3, 4), (command, path, value)
+
+
+# -- argv fuzzing ---------------------------------------------------------------
+
+def _opt(flag, values):
+    return st.tuples(st.just(flag), values)
+
+
+_TEXT = st.text(max_size=4)
+_N = st.one_of(st.integers(-3, 10).map(str), _TEXT)
+_FLOAT = st.one_of(st.floats().map(repr), _TEXT)
+_OUT = _opt("--out", st.sampled_from(["{tmp}/out", "{tmp}", "{tmp}/no/out"]))
+_IN = _opt("--in", st.sampled_from(["{tmp}/t.json", "{tmp}/bad.json",
+                                    "{tmp}/missing.json", "{tmp}"]))
+_SHAPE = st.one_of(
+    _opt("--pq", st.one_of(st.builds("{}/{}".format, st.integers(-2, 70),
+                                     st.integers(-2, 70)), _TEXT)),
+    _opt("--theta", _FLOAT))
+_OPTIONS = {
+    "generate": [_SHAPE, _opt("--n", _N), _OUT],
+    "classify": [_SHAPE, _opt("--theta-pi", st.one_of(
+        st.sampled_from(["1/4", "1/6", "0/1", "1/0", "irrational"]), _TEXT)), _OUT],
+    "spectral": [_SHAPE, _OUT],
+    "boundary": [_opt("--system", st.sampled_from(["til12", "til2", "til13", "x"])),
+                 _opt("--n", _N), _OUT],
+    "stats": [_IN, _opt("--weighting", st.sampled_from(["count", "area", "x"])),
+              _opt("--tolerance", _FLOAT), st.just(("--csv",)), _OUT],
+    "render": [_IN, _opt("--color", st.sampled_from(["size", "phi", "x"])),
+               st.just(("--faults",)), _OUT],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    for option in _OPTIONS[command]:
+        if draw(st.integers(0, 4)):      # mostly present, sometimes left out
+            argv += draw(option)
+    if draw(st.integers(0, 9)) == 0:     # now and then a stray token
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TEXT))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "t.json").write_text(json.dumps(_SMALL))
+    (tmp / "bad.json").write_text("{")
+    return str(tmp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv(), cap=st.sampled_from(["1", "700", "5000", "0", "-4", "x", ""]))
+@example(argv=["generate", "--pq", "1/1", "--n", "10"], cap="5000")
+@example(argv=["spectral", "--pq", ""], cap="1")        # was read as no --pq
+@example(argv=["classify", "--pq", "1/1", "--theta-pi", "1/0"], cap="1")
+def test_any_argv_exits_with_a_documented_code(fuzz_dir, argv, cap):
+    argv = [arg.replace("{tmp}", fuzz_dir) for arg in argv]
+    old = os.environ.get("TILELAB_MAX_TILES")
+    os.environ["TILELAB_MAX_TILES"] = cap     # keeps every build small
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = main(argv)
+    finally:
+        if old is None:
+            del os.environ["TILELAB_MAX_TILES"]
+        else:
+            os.environ["TILELAB_MAX_TILES"] = old
+    assert rc in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -4,16 +4,17 @@ import math
 import pytest
 
 from tilelab.errors import ArgumentError, DomainError
-from tilelab.geometry import shape_from_theta
+from tilelab.geometry import shape_from_pq, shape_from_theta
 from tilelab.spectral import eigen
-from tilelab.stats import (ComparisonReport, area_fraction_limit,
+from tilelab.stats import (ComparisonReport, _size_histogram_from_counts,
+                           area_fraction_limit,
                            census_orientation_histogram,
                            census_size_histogram, count_fraction_limit,
                            count_oracle, empirical_size_fraction,
                            equidistribution_frequency, matrix_power_counts,
                            orientation_comparison, orientation_histogram,
                            size_comparison, size_histogram)
-from tilelab.substitution import build_Tn, census_steps
+from tilelab.substitution import build_Tn, census_counts, census_steps
 
 
 def test_count_oracle_matches_enumeration_small(til12, til2, pinwheel):
@@ -64,6 +65,55 @@ def test_matrix_power_counts_match_census(til12, til2):
             total = sum(ranked)
             for k, mass in zip(hist.labels, hist.masses):
                 assert mass == pytest.approx(ranked[k - 1] / total, rel=1e-12)
+
+
+COPRIME_12 = [(p, q) for p in range(1, 13) for q in range(1, 13)
+              if math.gcd(p, q) == 1]
+
+
+def _census_by_rank(shape, counts, min_pair):
+    """Pair census counts summed per lattice step below the cut."""
+    cut = shape.size_key(*min_pair)
+    per_step = {}
+    for (i, j), cnt in counts.items():
+        d = shape.size_key(i, j) - cut
+        per_step[d] = per_step.get(d, 0) + cnt
+    return [per_step[d] for d in sorted(per_step)]
+
+
+@pytest.mark.parametrize("p,q", COPRIME_12)
+def test_matrix_power_counts_equal_the_pair_census(p, q):
+    shape = shape_from_pq(p, q)
+    for gen, counts, min_pair in census_steps(shape, 40):
+        ranked = matrix_power_counts(shape, gen)
+        assert len(ranked) == max(p, q)
+        assert ranked[0] > 0
+        assert [c for c in ranked if c] == _census_by_rank(shape, counts, min_pair)
+
+
+def test_matrix_power_counts_equal_the_pair_census_far_out(til12):
+    counts, min_pair = census_counts(til12, 800)
+    assert list(matrix_power_counts(til12, 800)) == \
+        _census_by_rank(til12, counts, min_pair)
+
+
+def test_matrix_power_counts_rejects_bad_input(irr1, til12):
+    with pytest.raises(DomainError):
+        matrix_power_counts(irr1, 3)
+    with pytest.raises(ArgumentError):
+        matrix_power_counts(til12, -1)
+
+
+@pytest.mark.parametrize("p,q", COPRIME_12)
+def test_census_histogram_equals_the_pair_census_histogram(p, q):
+    shape = shape_from_pq(p, q)
+    for n in (*range(0, 41, 4), 120):
+        counts, _ = census_counts(shape, n)
+        for weighting, tol in (("count", 1e-15), ("area", 1e-12)):
+            got = census_size_histogram(shape, n, weighting)
+            want = _size_histogram_from_counts(shape, counts, weighting, 64)
+            assert got.labels == want.labels
+            assert max(abs(a - b) for a, b in zip(got.masses, want.masses)) <= tol
 
 
 def test_size_comparison_converges_to_rho(til12):
