@@ -27,8 +27,6 @@ from .substitution import build_Tn, trace_edge
 
 DEFAULT_LETTER_CAP = 10 ** 8
 
-SQRT5 = math.sqrt(5.0)
-
 
 @dataclass(frozen=True)
 class Word:
@@ -69,6 +67,22 @@ class SubstitutionRule1D:
         """Column j counts the letters in the image of alphabet[j]."""
         return [[self.images[cj].count(ci) for cj in self.chars]
                 for ci in self.chars]
+
+
+@dataclass(frozen=True)
+class FaultLine:
+    """A fault-line system: the 1D rule of its edge word and the exact
+    letter lengths that lay the word out.
+
+    ``segments`` maps each letter char to (du, dv, count): the letter
+    covers ``count`` segments, each of length du + dv*sqrt(D).  ``leg`` is
+    the letter whose surplus a balanced pair records.
+    """
+
+    rule: SubstitutionRule1D
+    segments: dict[str, tuple[int, int, int]]
+    D: int
+    leg: str
 
 
 def _letter_counts(rule: SubstitutionRule1D, seed: str):
@@ -223,7 +237,7 @@ def f_of_n(n: int) -> int:
         raise ArgumentError(f"n must be at least 1, got {n}")
     global _f_counter
     if _f_counter is None:
-        _f_counter = _PrefixCounter(sigma_til12())
+        _f_counter = _PrefixCounter(TIL12.rule)
     pc = _f_counter
     total_len = pc.length("H", n)
     if total_len % 2:
@@ -281,25 +295,20 @@ def _sign(a: int, b: int, D: int) -> int:
     return (q > 0) - (q < 0)
 
 
-def _expand_segments(letters: str, seg_du: dict[str, list[int]],
-                     seg_dv: dict[str, list[int]]):
-    """Per-segment integer increments for a word, via 256-entry tables.
-
-    All current systems give every segment of a letter the same
-    increments, so a letter maps to one increment repeated per segment;
-    when every letter is a single segment nothing is repeated.
+def _expand_segments(letters: str, segments: dict[str, tuple[int, int, int]]):
+    """Per-segment integer increments for a word, and the letter of each
+    segment, via 256-entry tables: a letter maps to its increment
+    repeated per segment; when every letter is a single segment nothing
+    is repeated.
     """
     arr = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
     lut_u = np.zeros(256, dtype=np.int8)
     lut_v = np.zeros(256, dtype=np.int8)
     reps = np.zeros(256, dtype=np.int64)
-    for c in seg_du:
-        vals_u, vals_v = seg_du[c], seg_dv[c]
-        if any(x != vals_u[0] for x in vals_u) or any(x != vals_v[0] for x in vals_v):
-            raise InternalError("unequal per-letter segment increments")
-        lut_u[ord(c)], lut_v[ord(c)], reps[ord(c)] = vals_u[0], vals_v[0], len(vals_u)
+    for c, (du, dv, count) in segments.items():
+        lut_u[ord(c)], lut_v[ord(c)], reps[ord(c)] = du, dv, count
     du, dv = lut_u[arr], lut_v[arr]
-    if all(len(vals) == 1 for vals in seg_du.values()):
+    if all(count == 1 for _, _, count in segments.values()):
         return du, dv, arr
     per_letter = reps[arr]
     return (np.repeat(du, per_letter), np.repeat(dv, per_letter),
@@ -324,6 +333,17 @@ def _vertex_coords(du: np.ndarray, dv: np.ndarray):
     np.cumsum(du, dtype=np.int32, out=u[1:])
     np.cumsum(dv, dtype=np.int32, out=v[1:])
     return u, v
+
+
+def _layout(line: FaultLine, n: int, cap: int):
+    """Vertex coordinates (u, v) of sigma^n(H) laid out from (0, 0), and
+    the letter of each segment.  The word is freed before the running
+    sums, so it is never held beside the coordinates."""
+    w = iterate(line.rule, "H", n, cap=cap)
+    du, dv, seg_letter = _expand_segments(w.letters, line.segments)
+    del w
+    u, v = _vertex_coords(du, dv)
+    return u, v, seg_letter
 
 
 def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
@@ -428,11 +448,10 @@ class SlippageProfile:
     offset_keys: tuple[int, ...]  # exact identities behind the lengths
 
 
-# Segment increments, in units where the abutting tiles have c = 4 and
-# b = sqrt(17) - 1: an H covers one hypotenuse, an L covers two legs with
-# a vertex in between.
-_T12_SEG_DU = {"H": [4], "h": [4], "L": [-1, -1]}
-_T12_SEG_DV = {"H": [0], "h": [0], "L": [1, 1]}
+# Units where the abutting tiles have c = 4 and b = sqrt(17) - 1: an H
+# covers one hypotenuse, an L covers two legs with a vertex in between.
+TIL12 = FaultLine(sigma_til12(), {"H": (4, 0, 1), "h": (4, 0, 1),
+                                  "L": (-1, 1, 2)}, 17, "L")
 
 
 def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
@@ -443,11 +462,7 @@ def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
     offsets are the distinct nearest-vertex contact lengths; c = 4 wide
     windows never recur, so the dv key already is the mod-c reduction.
     """
-    w = iterate(sigma_til12(), "H", n, cap=cap)
-    du, dv, seg_letter = _expand_segments(w.letters, _T12_SEG_DU, _T12_SEG_DV)
-    del w
-    u, v = _vertex_coords(du, dv)
-    del du, dv
+    u, v, seg_letter = _layout(TIL12, n, cap)
     # segment i runs from vertex i to i + 1, and vertices strictly increase:
     # the legs fully in [0, Q] end at or before the last vertex with
     # 2x <= total, the mirrored side's start at or after the first with
@@ -455,15 +470,15 @@ def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
     U, V = int(u[-1]), int(v[-1])
 
     def past_q(i: int) -> int:
-        return _sign(2 * int(u[i]) - U, 2 * int(v[i]) - V, 17)
+        return _sign(2 * int(u[i]) - U, 2 * int(v[i]) - V, TIL12.D)
 
     vertices = range(len(u))
     up_to_q = bisect.bisect_right(vertices, 0, key=past_q)
     from_q = bisect.bisect_left(vertices, 0, key=past_q)
-    side1 = int(np.count_nonzero(seg_letter[:up_to_q - 1] == ord("L")))
-    side2 = int(np.count_nonzero(seg_letter[from_q:] == ord("L")))
+    side1 = int(np.count_nonzero(seg_letter[:up_to_q - 1] == ord(TIL12.leg)))
+    side2 = int(np.count_nonzero(seg_letter[from_q:] == ord(TIL12.leg)))
     del seg_letter
-    offsets = _nearest_offsets(u, v, 17)
+    offsets = _nearest_offsets(u, v, TIL12.D)
     keys = tuple(sorted(offsets))
     return SlippageProfile(
         n=n,
@@ -563,15 +578,7 @@ def til2_identity_check(n: int) -> bool:
 
 
 # Til(2) units: c = 1, short leg sqrt5 - 2.
-_T2_SEG_DU = {"H": [1], "S": [-2]}
-_T2_SEG_DV = {"H": [0], "S": [1]}
-
-
-def _til2_layout(n: int, cap: int):
-    w = iterate(til2_rule(), "H", n, cap=cap)
-    du, dv, seg_letter = _expand_segments(w.letters, _T2_SEG_DU, _T2_SEG_DV)
-    u, v = _vertex_coords(du, dv)
-    return u, v, seg_letter
+TIL2 = FaultLine(til2_rule(), {"H": (1, 0, 1), "S": (-2, 1, 1)}, 5, "S")
 
 
 def til2_slippage_bound(n: int, cap: int = DEFAULT_LETTER_CAP) -> int:
@@ -583,9 +590,9 @@ def til2_slippage_bound(n: int, cap: int = DEFAULT_LETTER_CAP) -> int:
     """
     if n == 0:
         return 0
-    u, v, seg_letter = _til2_layout(n, cap)
+    u, v, seg_letter = _layout(TIL2, n, cap)
     U, V = int(u[-1]), int(v[-1])
-    is_s = seg_letter == ord("S")
+    is_s = seg_letter == ord(TIL2.leg)
     # +1 when a side-1 short leg completes (its end value), -1 when a
     # mirrored short leg completes (total - its start value)
     ev_u = np.concatenate([u[1:][is_s], U - u[:-1][is_s].astype(np.int64)])
@@ -593,7 +600,7 @@ def til2_slippage_bound(n: int, cap: int = DEFAULT_LETTER_CAP) -> int:
     n_plus = len(ev_u) // 2
     del u, v, seg_letter, is_s
     key = ev_v.astype(np.float64)
-    key *= SQRT5
+    key *= math.sqrt(TIL2.D)
     key += ev_u
     order = np.argsort(key, kind="stable")
     del key
@@ -610,8 +617,8 @@ def til2_slippage_bound(n: int, cap: int = DEFAULT_LETTER_CAP) -> int:
 def til2_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
     """Distinct nearest-vertex contact lengths across the fault line,
     keyed by the exact short-leg-count difference."""
-    u, v, _ = _til2_layout(n, cap)
-    return _nearest_offsets(u, v, 5)
+    u, v, _ = _layout(TIL2, n, cap)
+    return _nearest_offsets(u, v, TIL2.D)
 
 
 # -- Til(1/3): dyadic fault line ----------------------------------------------
@@ -650,38 +657,22 @@ def til13_fluctuation(n: int) -> int:
     return counts["H"] - counts["L"]
 
 
-# Til(1/3) units: |h| = |L| = 1, |H| = 2, everything integer.
-_T13_LEN = {"H": 2, "L": 1, "h": 1}
+# Til(1/3) units: |h| = |L| = 1, |H| = 2, everything integer.  The
+# lengths sit in v with D = 1 and u = 0, so that, as for irrational
+# sqrt(D), a value has one (u, v) and the v part of an offset is the
+# offset itself.
+TIL13 = FaultLine(til13_rule(), {"H": (0, 2, 1), "L": (0, 1, 1), "h": (0, 1, 1)},
+                  1, "L")
 
 
 def til13_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
-    """Nearest-vertex offsets in h-units; the fault line is integer-rigid,
-    so the only possible values are 0 and 1."""
-    w = iterate(til13_rule(), "H", n, cap=cap)
-    arr = np.frombuffer(w.letters.encode("ascii"), dtype=np.uint8)
-    steps = np.where(arr == ord("H"), 2, 1).astype(np.int64)
-    x = np.concatenate([[0], np.cumsum(steps)])
-    total = int(x[-1])
-    mirror = total - x[::-1]
-    idx = np.clip(np.searchsorted(x, mirror), 1, len(x) - 1)
-    dist = np.minimum(mirror - x[idx - 1], x[idx] - mirror)
-    out: dict[int, float] = {}
-    for d in np.unique(dist).tolist():
-        out[int(d)] = float(d)
-    return out
+    """Nearest-vertex offsets in h-units, keyed by themselves; the fault
+    line is integer-rigid, so the only possible values are 0 and 1."""
+    u, v, _ = _layout(TIL13, n, cap)
+    return _nearest_offsets(u, v, TIL13.D)
 
 
 # -- balanced pairs: the fault line for every n --------------------------------
-
-# Exact letter geometry per system: segment increments (u, v) valued
-# u + v*sqrt(D), D, and the leg letter whose surplus a pair records.
-# Til(1/3) lengths are integers; they sit in v with D = 1 and u = 0, so
-# that, as for irrational sqrt(D), a value has one (u, v) and the v part
-# of an offset is the offset itself.
-_T2_LENGTHS = (_T2_SEG_DU, _T2_SEG_DV, 5, "S")
-_T12_LENGTHS = (_T12_SEG_DU, _T12_SEG_DV, 17, "L")
-_T13_LENGTHS = ({c: [0] for c in _T13_LEN},
-                {c: [n] for c, n in _T13_LEN.items()}, 1, "L")
 
 PAIR_LETTER_CAP = 10 ** 4
 
@@ -694,7 +685,7 @@ class BalancedPair:
     ``image``: the indices of the pairs that (sigma(top), sigma~(bottom))
     cuts into, in order.  ``surplus``: the largest |#leg completed on top
     - #leg completed on bottom| up to any point of the pair, for the leg
-    letter of the lengths (til2's short leg S).  ``offsets``:
+    letter of the fault line (til2's short leg S).  ``offsets``:
     nearest-vertex offsets of the bottom vertices against the top ones,
     keyed and valued as ``_nearest_offsets``, in order of first
     appearance.
@@ -707,27 +698,27 @@ class BalancedPair:
     offsets: dict[int, float]
 
 
-def _vertices(word: str, lengths):
+def _vertices(word: str, line: FaultLine):
     """Exact vertex positions (u, v) of a word from (0, 0), and the index
     of the vertex at which each letter ends."""
-    seg_du, seg_dv = lengths[:2]
     pos, ends = [(0, 0)], []
     u = v = 0
     for c in word:
-        for a, b in zip(seg_du[c], seg_dv[c]):
-            u, v = u + a, v + b
+        du, dv, count = line.segments[c]
+        for _ in range(count):
+            u, v = u + du, v + dv
             pos.append((u, v))
         ends.append(len(pos) - 1)
     return pos, ends
 
 
-def _cut(top: str, bottom: str, lengths) -> list[tuple[str, str]]:
+def _cut(top: str, bottom: str, line: FaultLine) -> list[tuple[str, str]]:
     """Cut a balanced pair at every letter boundary the two sides share.
 
     Two positions are equal exactly when their (u, v) are (see the
-    lengths tables above)."""
-    tpos, tends = _vertices(top, lengths)
-    bpos, bends = _vertices(bottom, lengths)
+    fault-line records above)."""
+    tpos, tends = _vertices(top, line)
+    bpos, bends = _vertices(bottom, line)
     if tpos[-1] != bpos[-1]:
         raise ArgumentError(f"({top}, {bottom}) is not balanced: the lengths "
                             "are not an eigenvector of the substitution")
@@ -744,13 +735,12 @@ def _cut(top: str, bottom: str, lengths) -> list[tuple[str, str]]:
     return list(zip(pieces(top, tpos, tends), pieces(bottom, bpos, bends)))
 
 
-def _surplus(top: str, bottom: str, lengths) -> int:
+def _surplus(top: str, bottom: str, line: FaultLine) -> int:
     """The largest |#leg ended on top - #leg ended on bottom| over the
     merged letter ends (equal ends taken together); the count only steps
     at letter ends, so that covers every point of the pair."""
-    _, _, D, leg = lengths
-    tpos, tends = _vertices(top, lengths)
-    bpos, bends = _vertices(bottom, lengths)
+    tpos, tends = _vertices(top, line)
+    bpos, bends = _vertices(bottom, line)
     running = out = 0
     i = j = 0
     while i < len(top) or j < len(bottom):
@@ -760,25 +750,25 @@ def _surplus(top: str, bottom: str, lengths) -> int:
             s = -1
         else:
             x, y = tpos[tends[i]], bpos[bends[j]]
-            s = _sign(x[0] - y[0], x[1] - y[1], D)
+            s = _sign(x[0] - y[0], x[1] - y[1], line.D)
         if s <= 0:
-            running += top[i] == leg
+            running += top[i] == line.leg
             i += 1
         if s >= 0:
-            running -= bottom[j] == leg
+            running -= bottom[j] == line.leg
             j += 1
         out = max(out, abs(running))
     return out
 
 
-def _pair_offsets(top: str, bottom: str, lengths) -> dict[int, float]:
+def _pair_offsets(top: str, bottom: str, line: FaultLine) -> dict[int, float]:
     """Offsets of each bottom vertex to its nearest top vertex, with the
     rule of ``_nearest_offsets`` decided exactly: the neighbours are the
     first top vertex at or past it (as np.searchsorted, kept in 1..last)
     and the one before, and a midpoint goes to the earlier one."""
-    D = lengths[2]
-    tops, _ = _vertices(top, lengths)
-    bots, _ = _vertices(bottom, lengths)
+    D = line.D
+    tops, _ = _vertices(top, line)
+    bots, _ = _vertices(bottom, line)
     last = len(tops) - 1
     out: dict[int, float] = {}
     k = 1
@@ -795,8 +785,7 @@ def _pair_offsets(top: str, bottom: str, lengths) -> dict[int, float]:
     return out
 
 
-def balanced_pairs(rule: SubstitutionRule1D,
-                   lengths) -> tuple[BalancedPair, ...] | None:
+def balanced_pairs(line: FaultLine) -> tuple[BalancedPair, ...] | None:
     """Close the irreducible balanced pairs of the fault line of sigma^n(H).
 
     The mirrored side of sigma^n(H) is its reverse, sigma~^n(H), where
@@ -806,10 +795,10 @@ def balanced_pairs(rule: SubstitutionRule1D,
     both sides of a balanced pair scale by the same factor.  Repeat until
     no new pair appears.  The cut of level n is then the level-n pairs of
     ``pair_levels``, so anything local to the pairs (surplus, offsets)
-    holds for every n.  ``lengths`` is (seg_du, seg_dv, D, leg) as in
-    the layouts above.  Returns None once the pairs found hold more than
+    holds for every n.  Returns None once the pairs found hold more than
     PAIR_LETTER_CAP letters: til12 never closes.
     """
+    rule = line.rule
     tilde = {c: img[::-1] for c, img in rule.images.items()}
     found = [("H", "H")]
     index = {found[0]: 0}
@@ -818,7 +807,7 @@ def balanced_pairs(rule: SubstitutionRule1D,
     for top, bottom in found:       # grows while it is walked
         image = []
         for piece in _cut("".join([rule.images[c] for c in top]),
-                          "".join([tilde[c] for c in bottom]), lengths):
+                          "".join([tilde[c] for c in bottom]), line):
             if piece not in index:
                 letters += len(piece[0]) + len(piece[1])
                 if letters > PAIR_LETTER_CAP:
@@ -828,8 +817,8 @@ def balanced_pairs(rule: SubstitutionRule1D,
             image.append(index[piece])
         images.append(tuple(image))
     return tuple(BalancedPair(top, bottom, image,
-                              _surplus(top, bottom, lengths),
-                              _pair_offsets(top, bottom, lengths))
+                              _surplus(top, bottom, line),
+                              _pair_offsets(top, bottom, line))
                  for (top, bottom), image in zip(found, images))
 
 
@@ -840,18 +829,18 @@ def pair_levels(pairs: tuple[BalancedPair, ...]):
         yield tuple(p for p, k in zip(pairs, counts) if k)
 
 
-def _closed(rule: SubstitutionRule1D, lengths) -> tuple[BalancedPair, ...]:
-    pairs = balanced_pairs(rule, lengths)
+def _closed(line: FaultLine) -> tuple[BalancedPair, ...]:
+    pairs = balanced_pairs(line)
     if pairs is None:
-        raise InternalError(f"{rule.name}: balanced pairs did not close")
+        raise InternalError(f"{line.rule.name}: balanced pairs did not close")
     return pairs
 
 
 @functools.cache
 def til2_pairs() -> tuple[BalancedPair, ...]:
-    return _closed(til2_rule(), _T2_LENGTHS)
+    return _closed(TIL2)
 
 
 @functools.cache
 def til13_pairs() -> tuple[BalancedPair, ...]:
-    return _closed(til13_rule(), _T13_LENGTHS)
+    return _closed(TIL13)

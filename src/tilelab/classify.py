@@ -226,7 +226,7 @@ def orientation_census(shape: TriangleShape, n: int,
     # increment k*theta + l*(pi/2) as an integer pair, and the exponent step
     deltas = tuple((f.handedness, (f.k, f.l), f.exp_delta)
                    for f in shape.daughter_frames())
-    frontier = _SizeFrontier(shape)
+    frontier = _SizeFrontier(shape, [(0, 0)])
     for _ in range(n):
         winners = set(frontier.next_winners())
         nxt: dict = {}

@@ -137,49 +137,39 @@ def _cmd_spectral(args) -> int:
     return 0
 
 
-def _boundary_rows_til12(n_max: int):
-    yield "n,f,g_at_Q,offsets"
-    for n in range(1, n_max + 1):
-        prof = boundary.slippage_til12(n)
-        yield f"{n},{prof.f},{prof.g_at_Q},{len(prof.distinct_offsets)}"
+_BOUNDARY_SYSTEMS = {"til12": boundary.TIL12, "til2": boundary.TIL2,
+                     "til13": boundary.TIL13}
 
 
-def _boundary_rows_til2(n_max: int):
-    # Rows come from the closed balanced-pair set.  1 and sqrt5 - 2 are
-    # independent over Q, so a cut has equal short-leg counts on both
-    # sides, f is 0 there, and max |f| is the largest surplus of a pair.
-    yield "n,max_abs_f,offsets"
-    levels = boundary.pair_levels(boundary.til2_pairs())
+def _boundary_rows(line: boundary.FaultLine, n_max: int):
+    if line is boundary.TIL12:
+        yield "n,f,g_at_Q,offsets"
+        for n in range(1, n_max + 1):
+            prof = boundary.slippage_til12(n)
+            yield f"{n},{prof.f},{prof.g_at_Q},{len(prof.distinct_offsets)}"
+        return
+    # til2 and til13 rows come from the closed balanced-pair set.  For
+    # til2, 1 and sqrt5 - 2 are independent over Q, so a cut has equal
+    # short-leg counts on both sides, f is 0 there, and max |f| is the
+    # largest surplus of a pair.
+    til2 = line is boundary.TIL2
+    yield "n,max_abs_f,offsets" if til2 else "n,fluctuation,offsets"
+    levels = boundary.pair_levels(boundary.til2_pairs() if til2
+                                  else boundary.til13_pairs())
     next(levels)    # n = 0
     for n, present in zip(range(1, n_max + 1), levels):
-        bound = max(p.surplus for p in present)
+        value = (max(p.surplus for p in present) if til2
+                 else boundary.til13_fluctuation(n))
         offs = set().union(*(p.offsets for p in present))
-        yield f"{n},{bound},{len(offs)}"
-
-
-def _boundary_rows_til13(n_max: int):
-    yield "n,fluctuation,offsets"
-    levels = boundary.pair_levels(boundary.til13_pairs())
-    next(levels)    # n = 0
-    for n, present in zip(range(1, n_max + 1), levels):
-        fl = boundary.til13_fluctuation(n)
-        offs = set().union(*(p.offsets for p in present))
-        yield f"{n},{fl},{len(offs)}"
-
-
-_BOUNDARY_SYSTEMS = {
-    "til12": (boundary.sigma_til12, _boundary_rows_til12),
-    "til2": (boundary.til2_rule, _boundary_rows_til2),
-    "til13": (boundary.til13_rule, _boundary_rows_til13),
-}
+        yield f"{n},{value},{len(offs)}"
 
 
 def _cmd_boundary(args) -> int:
-    rule, rows = _BOUNDARY_SYSTEMS[args.system]
+    line = _BOUNDARY_SYSTEMS[args.system]
     # the letter cap is the contract for every system, whether or not its
     # rows lay out sigma^n(H): refuse before row 1, not at row n
-    boundary.check_letter_cap(rule(), "H", args.n)
-    _emit_text("\n".join(rows(args.n)) + "\n", args.out)
+    boundary.check_letter_cap(line.rule, "H", args.n)
+    _emit_text("\n".join(_boundary_rows(line, args.n)) + "\n", args.out)
     return 0
 
 
@@ -233,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_spectral)
 
     b = sub.add_parser("boundary", help="fault-line substitution profiles (CSV)")
-    b.add_argument("--system", required=True, choices=("til12", "til2", "til13"))
+    b.add_argument("--system", required=True, choices=tuple(_BOUNDARY_SYSTEMS))
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--out", default=None)
     b.set_defaults(func=_cmd_boundary)

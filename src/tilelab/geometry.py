@@ -266,7 +266,9 @@ def shape_from_pq(p: int, q: int, c: float = 1.0) -> TriangleShape:
     """Shape whose size-ratio exponent z = alpha/beta equals p/q exactly.
 
     Solved by bisection on theta: q*ln(sin t) - p*ln(cos(t)/2) is strictly
-    increasing on (0, pi/2) and changes sign, so the root is unique.
+    increasing on (0, pi/2) and changes sign, so the root is unique.  It
+    lies near 2**-(p/q) when p/q is large; a root below the smallest
+    normal float is refused.
     """
     if not (isinstance(p, int) and isinstance(q, int)):
         raise ArgumentError("p and q must be integers")
@@ -274,21 +276,31 @@ def shape_from_pq(p: int, q: int, c: float = 1.0) -> TriangleShape:
         raise ArgumentError(f"p and q must be positive, got ({p}, {q})")
     if math.gcd(p, q) != 1:
         raise ArgumentError(f"p/q must be in lowest terms, got ({p}, {q})")
+    try:    # g converts them
+        float(max(p, q))
+    except OverflowError:
+        raise DomainError("p and q must be within the float range") from None
 
     def g(t: float) -> float:
         return q * math.log(math.sin(t)) - p * math.log(math.cos(t) / 2.0)
 
     lo, hi = 1e-9, math.pi / 2.0 - 1e-9
-    if g(lo) >= 0.0 or g(hi) <= 0.0:
+    if g(lo) >= 0.0:
+        lo = sys.float_info.min
+        if g(lo) >= 0.0:
+            raise DomainError(f"p/q = {p}/{q} puts theta below the smallest "
+                              "normal float")
+    if g(hi) <= 0.0:
         raise NumericError(f"bisection bracket failed for p/q = {p}/{q}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    # until lo and hi are adjacent floats: mid then rounds to one of them
+    mid = 0.5 * (lo + hi)
+    while lo != mid != hi:
         if g(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    theta = 0.5 * (lo + hi)
-    return shape_from_theta(theta, c, rationality=Fraction(p, q))
+        mid = 0.5 * (lo + hi)
+    return shape_from_theta(mid, c, rationality=Fraction(p, q))
 
 
 @dataclass(frozen=True)

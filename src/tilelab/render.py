@@ -130,16 +130,22 @@ def fault_runs(t: Tiling) -> list[_Run]:
     order, direction = order[regroup], direction[regroup]
     line = np.concatenate(([0], np.cumsum((np.diff(direction) != 0)
                                           | (np.diff(off[order]) > tol))))
+    # every array here holds one value per edge and this function sets the
+    # peak memory of render --faults: each is dropped once no longer used
+    del ang, direction, regroup
     # each line is described by the direction and offset of its first edge
     ref = order[np.flatnonzero(np.diff(line, prepend=-1))]
     # each edge as an interval along its own direction, sorted along the line
     t0 = px * ux + py * uy
     t1 = qx * ux + qy * uy
+    del px, py, qx, qy
     lo = np.where(t0 > t1, t1, t0)
     hi = np.where(t0 > t1, t0, t1)
+    del t0, t1
     along = np.lexsort((hi[order], lo[order], line))
     order, line = order[along], line[along]
     lo, hi, parent = lo[order], hi[order], parent[order]
+    del order
     # distinct edges are told apart by (round(lo/tol), round(hi/tol));
     # np.rint rounds half to even as round does, "+ 0.0" folds -0.0 into 0
     lo_key = np.rint(lo / tol) + 0.0
@@ -155,6 +161,7 @@ def fault_runs(t: Tiling) -> list[_Run]:
     by_hi = np.argsort(hi, kind="stable")
     rank[by_hi] = np.arange(n)
     reach = hi[by_hi][np.maximum.accumulate(line * n + rank) - line * n]
+    del rank, by_hi
     starts = np.ones(n, dtype=bool)
     starts[1:] = (line[1:] != line[:-1]) | (lo[1:] > reach[:-1] + tol)
     first = np.flatnonzero(starts)

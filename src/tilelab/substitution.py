@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, InternalError, ResourceError
+from .errors import ArgumentError, InternalError, ResourceError
 from .geometry import (
     TWO_PI,
     Placement,
@@ -31,8 +31,8 @@ from .geometry import (
     Tile,
     TriangleShape,
     apply_columns,
-    compose,
     cos_sin,
+    shape_from_pq,
     shape_from_theta,
     tile_area,
     vertices,
@@ -245,8 +245,6 @@ def size_class_ranks(shape: TriangleShape, pairs) -> dict[tuple[int, int], int]:
 
 
 def _check_disjoint(tiling: Tiling, samples: int) -> None:
-    import numpy as np
-
     polys = []
     for t in tiling.tiles:
         s, c, o, _ = vertices(t)
@@ -270,8 +268,6 @@ def _check_disjoint(tiling: Tiling, samples: int) -> None:
 
 
 def _any_point_strictly_inside(points, triangles) -> bool:
-    import numpy as np
-
     p0 = triangles[:, 0][None, :, :]
     e1 = (triangles[:, 1] - triangles[:, 0])[None, :, :]
     e2 = (triangles[:, 2] - triangles[:, 0])[None, :, :]
@@ -282,15 +278,6 @@ def _any_point_strictly_inside(points, triangles) -> bool:
     eps = 1e-9
     inside = (u > eps) & (v > eps) & (u + v < 1.0 - eps)
     return bool(inside.any())
-
-
-def _min_key_pairs(shape: TriangleShape, pairs) -> set[tuple[int, int]]:
-    """Exponent pairs sharing the minimal size key among ``pairs``."""
-    keyed = [(shape.size_key(i, j), (i, j)) for (i, j) in pairs]
-    keyed.sort(key=lambda kv: kv[0])
-    _assert_separated([k for k, _ in keyed])
-    min_key = keyed[0][0]
-    return {pair for key, pair in keyed if key == min_key}
 
 
 def _daughters(tiling: Tiling, rows: np.ndarray, first_id: int) -> dict:
@@ -329,7 +316,7 @@ def deflate(tiling: Tiling, cap: int | None = None) -> Tiling:
     if cap is None:
         cap = DEFAULT_TILE_CAP
     pairs, index, _ = tiling.exponent_pairs()
-    winners = _min_key_pairs(tiling.shape, pairs)
+    winners = set(_SizeFrontier(tiling.shape, pairs).next_winners())
     split = np.array([p in winners for p in pairs], dtype=bool)[index]
     rows = np.flatnonzero(split)
     predicted = len(tiling) + 4 * len(rows)
@@ -370,22 +357,23 @@ def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
 
 
 class _SizeFrontier:
-    """The live exponent classes of a census, sorted by size key.
+    """The live exponent classes of a tiling or census, sorted by size key.
 
-    Each class is keyed once, when it first appears, and placed by
-    bisection.  A deflation removes exactly the equal-key prefix, so it
-    never makes two classes adjacent that were not adjacent before: the
-    near-tie check needs only a new class's two neighbours, and integer
-    (rational) keys need none.
+    Each class is keyed once, when it first appears; later ones are
+    placed by bisection.  A deflation removes exactly the equal-key
+    prefix, so it never makes two classes adjacent that were not adjacent
+    before: the near-tie check needs only a new class's two neighbours,
+    and integer (rational) keys need none.
     """
 
-    def __init__(self, shape: TriangleShape):
+    def __init__(self, shape: TriangleShape, pairs):
         self._shape = shape
         self._exact = shape.rationality is not None
-        self._items: list = []
-        self._live: set[tuple[int, int]] = set()
+        self._items = sorted((shape.size_key(*pair), pair) for pair in pairs)
+        self._live = set(pairs)
         self._winners: list[tuple[int, int]] = []
-        self._add((0, 0))
+        if not self._exact:
+            _assert_separated([key for key, _ in self._items])
 
     def _add(self, pair: tuple[int, int]) -> None:
         item = (self._shape.size_key(*pair), pair)
@@ -417,7 +405,7 @@ def _census(shape: TriangleShape, n: int):
     """:func:`census_steps` without the copies: each yielded dict is the
     census's own (it is replaced, never changed, by the next generation)."""
     counts: dict[tuple[int, int], int] = {(0, 0): 1}
-    frontier = _SizeFrontier(shape)
+    frontier = _SizeFrontier(shape, [(0, 0)])
     for gen in range(n + 1):
         winners = frontier.next_winners()
         yield gen, counts, winners[0]
@@ -482,8 +470,7 @@ def _root_edge(shape: TriangleShape, edge: str):
     return pts[edge]
 
 
-def trace_edge(tiling: Tiling, edge: str,
-               root_sim: Similarity | None = None) -> list[TraceSegment]:
+def trace_edge(tiling: Tiling, edge: str) -> list[TraceSegment]:
     """Tile edges lying along one edge of the root triangle, in order.
 
     The root edge is directed from its designated start vertex (small-angle
@@ -493,8 +480,6 @@ def trace_edge(tiling: Tiling, edge: str,
     """
     shape = tiling.shape
     p0, p1 = _root_edge(shape, edge)
-    if root_sim is not None:
-        p0, p1 = root_sim.apply(p0), root_sim.apply(p1)
     ex, ey = p1[0] - p0[0], p1[1] - p0[1]
     total = math.hypot(ex, ey)
     ux, uy = ex / total, ey / total
@@ -751,6 +736,12 @@ def _shape_from_json(sh) -> TriangleShape:
             raise ArgumentError("tiling shape rationality must hold positive "
                                 "integers p and q")
         rationality = Fraction(p, q)
+        # the tolerance of classify --theta-pi; 12-digit headers of valid
+        # files are far closer
+        want = shape_from_pq(rationality.numerator, rationality.denominator).theta
+        if abs(sh["theta"] - want) > 1e-9:
+            raise ArgumentError(f"tiling shape theta {sh['theta']!r} is not the "
+                                f"p/q = {p}/{q} angle {want!r}")
     return shape_from_theta(sh["theta"], sh["c"], rationality=rationality)
 
 

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from tilelab.boundary import (_T2_LENGTHS, _T12_LENGTHS, SubstitutionRule1D,
+from tilelab.boundary import (TIL2, TIL12, FaultLine, SubstitutionRule1D,
                               Word, _cut, _rule_from_geometry, _surplus,
                               _til2_letter, _til13_letter, balanced_pairs,
                               f_of_n, forbidden_subwords_check, iterate,
@@ -237,8 +238,8 @@ def test_til2_pairs_close_at_three():
 def test_pair_surplus_counts_the_leg_letter():
     # S ends at sqrt5 - 2 and H at 1, so both bottom S legs end before the
     # first top H; the H surplus is only 1
-    assert _surplus("HHSS", "SSHH", _T2_LENGTHS) == 2
-    assert _surplus("HHSS", "SSHH", _T2_LENGTHS[:3] + ("H",)) == 1
+    assert _surplus("HHSS", "SSHH", TIL2) == 2
+    assert _surplus("HHSS", "SSHH", dataclasses.replace(TIL2, leg="H")) == 1
 
 
 def test_til13_pairs_close_at_seven():
@@ -274,19 +275,21 @@ def test_til13_pair_levels_match_the_materialized_rows():
 
 
 def test_til12_pairs_do_not_close():
-    assert balanced_pairs(sigma_til12(), _T12_LENGTHS) is None
+    assert balanced_pairs(TIL12) is None
 
 
 def test_balanced_pair_cut_is_exact_past_float_precision():
     # 2**53 + 1 rounds to 2**53 in floats, so the float prefix sums of ABB
     # and BBA end apart; exactly they end together
-    lengths = ({"A": [2 ** 53], "B": [1]}, {"A": [0], "B": [0]}, 2, "B")
-    assert _cut("ABB", "BBA", lengths) == [("ABB", "BBA")]
-    assert _cut("ABBA", "BBAA", lengths) == [("ABB", "BBA"), ("A", "A")]
-    assert _cut("AB", "AB", lengths) == [("A", "A"), ("B", "B")]
+    rule = SubstitutionRule1D(name="ab", alphabet=("A", "B"), chars="AB",
+                              images={"A": "AB", "B": "A"})
+    line = FaultLine(rule, {"A": (2 ** 53, 0, 1), "B": (1, 0, 1)}, 2, "B")
+    assert _cut("ABB", "BBA", line) == [("ABB", "BBA")]
+    assert _cut("ABBA", "BBAA", line) == [("ABB", "BBA"), ("A", "A")]
+    assert _cut("AB", "AB", line) == [("A", "A"), ("B", "B")]
 
 
 def test_balanced_pairs_need_eigen_lengths():
-    lengths = ({"H": [1], "S": [1]}, {"H": [0], "S": [0]}, 5, "S")
+    line = dataclasses.replace(TIL2, segments={"H": (1, 0, 1), "S": (1, 0, 1)})
     with pytest.raises(ArgumentError):
-        balanced_pairs(til2_rule(), lengths)
+        balanced_pairs(line)

@@ -10,11 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilelab import boundary
-from tilelab.boundary import (_T2_SEG_DU, _T2_SEG_DV, _T12_SEG_DU, _T12_SEG_DV,
-                              _expand_segments, _nearest_offsets, _sign_quad,
-                              _vertex_coords, forbidden_subwords_check, iterate,
-                              sigma0_til12, sigma_til12, slippage_til12,
-                              til2_rule, til13_rule)
+from tilelab.boundary import (TIL2, TIL12, _layout, _nearest_offsets,
+                              _sign_quad, _vertex_coords,
+                              forbidden_subwords_check, iterate, sigma0_til12,
+                              sigma_til12, slippage_til12, til2_rule,
+                              til13_offsets, til13_rule)
 from tilelab.errors import InternalError, ResourceError
 
 RULES = [sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()]
@@ -102,7 +102,8 @@ def ref_g_at_Q(n):
     """Complete legs left of the midpoint on each side, leg by leg."""
     pos, legs = [(0, 0)], []
     for ch in ref_iterate(sigma_til12(), "H", n):
-        for du, dv in zip(_T12_SEG_DU[ch], _T12_SEG_DV[ch]):
+        du, dv, count = TIL12.segments[ch]
+        for _ in range(count):
             start = pos[-1]
             pos.append((start[0] + du, start[1] + dv))
             if ch == "L":
@@ -111,6 +112,18 @@ def ref_g_at_Q(n):
     side1 = sum(ref_sign(2 * eu - U, 2 * ev - V, 17) <= 0 for _, (eu, ev) in legs)
     side2 = sum(ref_sign(2 * su - U, 2 * sv - V, 17) >= 0 for (su, sv), _ in legs)
     return side1 - side2
+
+
+def ref_til13_offsets(n):
+    """Nearest-vertex distances on the integer til13 layout (|H| = 2,
+    |L| = |h| = 1), by searching the mirrored vertices among the others."""
+    letters = ref_iterate(til13_rule(), "H", n)
+    steps = [2 if ch == "H" else 1 for ch in letters]
+    x = np.concatenate([[0], np.cumsum(steps, dtype=np.int64)])
+    mirror = int(x[-1]) - x[::-1]
+    idx = np.clip(np.searchsorted(x, mirror), 1, len(x) - 1)
+    dist = np.minimum(mirror - x[idx - 1], x[idx] - mirror)
+    return {int(d): float(d) for d in np.unique(dist).tolist()}
 
 
 def ref_til2_slippage_bound(n):
@@ -188,22 +201,19 @@ def test_sign_quad_refuses_past_its_headroom():
         _sign_quad(np.array([0]), np.array([2 ** 30]), 17)
 
 
-def _layout(rule, n, seg_du, seg_dv):
-    du, dv, _ = _expand_segments(iterate(rule, "H", n).letters, seg_du, seg_dv)
-    return _vertex_coords(du, dv)
-
-
-@pytest.mark.parametrize("rule, seg_du, seg_dv, D, n_max", [
-    (sigma_til12(), _T12_SEG_DU, _T12_SEG_DV, 17, 10),
-    (til2_rule(), _T2_SEG_DU, _T2_SEG_DV, 5, 8),
-])
-def test_nearest_offsets_match_the_python_loop(rule, seg_du, seg_dv, D, n_max):
+@pytest.mark.parametrize("line, n_max", [(TIL12, 10), (TIL2, 8)], ids=["til12", "til2"])
+def test_nearest_offsets_match_the_python_loop(line, n_max):
     for n in range(1, n_max + 1):
-        u, v = _layout(rule, n, seg_du, seg_dv)
+        u, v, _ = _layout(line, n, boundary.DEFAULT_LETTER_CAP)
         assert u.dtype == np.int32 and v.dtype == np.int32
-        want = list(ref_nearest_offsets(u, v, D).items())
+        want = list(ref_nearest_offsets(u, v, line.D).items())
         for chunk in (1 << 20, 997, 61):   # one chunk or many
-            assert list(_nearest_offsets(u, v, D, chunk).items()) == want
+            assert list(_nearest_offsets(u, v, line.D, chunk).items()) == want
+
+
+def test_til13_offsets_match_the_integer_rule():
+    for n in range(19):
+        assert til13_offsets(n) == ref_til13_offsets(n), n
 
 
 def pell_power(k):

@@ -81,6 +81,17 @@ def test_classify_rational_theta_declaration(capsys):
     capsys.readouterr()
 
 
+def test_classify_far_pq_ratios(capsys):
+    # theta = 2**-30 lies below 1e-9; a root below the smallest normal
+    # float is a domain error
+    rc, out, _ = _run(capsys, ["classify", "--pq", "30/1"])
+    assert rc == 0 and json.loads(out)["size_count_predicted"] == 30
+    rc, out, err = _run(capsys, ["classify", "--pq", "1100/1"])
+    assert rc == 2 and out == "" and "smallest normal float" in err
+    rc, out, err = _run(capsys, ["classify", "--pq", f"3/{10 ** 400}"])
+    assert rc == 2 and out == "" and "float range" in err
+
+
 def test_spectral_til12(capsys):
     rc, out, _ = _run(capsys, ["spectral", "--pq", "1/2"])
     assert rc == 0
@@ -311,6 +322,20 @@ def test_hypotenuse_near_the_range_ends_works(tmp_path, capsys, c):
     for command in (["stats"], ["stats", "--csv"], ["render", "--faults"]):
         assert main([*command, "--in", path]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("change", [
+    lambda data: data["shape"].update(theta=1.0),
+    lambda data: data["shape"].update(rationality={"p": 2, "q": 1}),
+], ids=["theta", "rationality"])
+@pytest.mark.parametrize("command", ["stats", "render"])
+def test_theta_contradicting_rationality_exits_2(tmp_path, capsys, command, change):
+    path = _broken_tiling(tmp_path, _change(change))
+    capsys.readouterr()
+    out_path = tmp_path / "out"
+    rc, out, err = _run(capsys, [command, "--in", path, "--out", str(out_path)])
+    assert rc == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error: tiling shape theta") and err.count("\n") == 1
 
 
 def _set_phi(phi):

@@ -37,6 +37,38 @@ def test_shape_from_pq_rejects_bad_input():
         shape_from_pq(-1, 2)
 
 
+def ref_pq_theta(p, q):
+    """The fixed 200-step bisection from [1e-9, pi/2 - 1e-9]."""
+    def g(t):
+        return q * math.log(math.sin(t)) - p * math.log(math.cos(t) / 2.0)
+
+    lo, hi = 1e-9, math.pi / 2.0 - 1e-9
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_shape_from_pq_keeps_the_fixed_step_bisection():
+    for p in range(1, 30):
+        for q in range(1, 200):
+            if math.gcd(p, q) == 1:
+                assert shape_from_pq(p, q).theta == ref_pq_theta(p, q), (p, q)
+
+
+def test_shape_from_pq_reaches_tiny_angles():
+    # theta is about 2**-(p/q): below the old 1e-9 bracket from p/q = 30
+    for p in (30, 200, 1020):
+        s = shape_from_pq(p, 1)
+        assert 0.0 < s.theta < 1e-9
+        assert s.theta == pytest.approx(2.0 ** -p, rel=1e-9)
+    with pytest.raises(DomainError):
+        shape_from_pq(1100, 1)
+
+
 def test_shape_from_theta_domain():
     with pytest.raises(DomainError):
         shape_from_theta(0.0)

@@ -16,7 +16,9 @@ from tilelab.geometry import (Placement, Tile, shape_from_pq, shape_from_theta,
 from tilelab.render import _Run, fault_runs
 from tilelab.stats import (_size_histogram_from_counts, _normalize,
                            orientation_histogram, size_histogram)
-from tilelab.substitution import (JSON_CHUNK_TILES, _min_key_pairs, build_Tn,
+from tilelab import substitution
+from tilelab.errors import InternalError
+from tilelab.substitution import (JSON_CHUNK_TILES, build_Tn, deflate, root_tiling,
                                   Tiling, census_steps, round12, subdivide,
                                   tiling_from_json, tiling_json_chunks,
                                   tiling_to_json)
@@ -46,12 +48,24 @@ def ref_subdivide(tile, first_id):
     return out
 
 
+def ref_min_key_pairs(shape, pairs):
+    """Key every pair, sort, check every adjacent pair for a near tie, and
+    return the pairs of minimal key."""
+    keyed = sorted(((shape.size_key(i, j), (i, j)) for i, j in pairs),
+                   key=lambda kv: kv[0])
+    keys = [k for k, _ in keyed]
+    for prev, cur in zip(keys, keys[1:]):
+        if cur != prev and float(cur - prev) < substitution.NEAR_TIE:
+            raise InternalError("near tie")
+    return {pair for key, pair in keyed if key == keys[0]}
+
+
 def ref_build(shape, n):
     """T_n as a list of Tile objects, deflated one subdivide call per tile."""
     tiles = [Tile(shape, Placement(1, 0.0, (0.0, 0.0), (0, 0)), 0, None)]
     next_id = 1
     for _ in range(n):
-        winners = _min_key_pairs(shape, {t.placement.size_exp for t in tiles})
+        winners = ref_min_key_pairs(shape, {t.placement.size_exp for t in tiles})
         new = []
         for t in tiles:
             if t.placement.size_exp in winners:
@@ -227,6 +241,25 @@ def test_deflate_columns_match_the_subdivide_loop(case):
     assert tiling.phi.dtype == np.float64 and tiling.i.dtype == np.int32
     assert list(tiling.exponent_counts().items()) == \
         list(ref_size_counts(want).items())
+
+
+@pytest.mark.parametrize("theta, tie", [(1.4, 0.02), (1.0, 0.05), (1.2, 0.05)])
+def test_deflate_raises_a_near_tie_at_the_reference_generation(
+        theta, tie, monkeypatch):
+    # each tiling's exponent pairs hit the reference's near-tie check at
+    # generation 2, 22 and 24 respectively; deflate must refuse there
+    monkeypatch.setattr(substitution, "NEAR_TIE", tie)
+    tiling = root_tiling(shape_from_theta(theta))
+    for _ in range(40):
+        try:
+            ref_min_key_pairs(tiling.shape, tiling.exponent_pairs()[0])
+        except InternalError:
+            break
+        tiling = deflate(tiling)
+    else:
+        pytest.fail("the reference found no near tie")
+    with pytest.raises(InternalError, match="nearly tie"):
+        deflate(tiling)
 
 
 @settings(max_examples=25, deadline=None)
