@@ -297,22 +297,19 @@ def _sign(a: int, b: int, D: int) -> int:
 
 def _expand_segments(letters: str, segments: dict[str, tuple[int, int, int]]):
     """Per-segment integer increments for a word, and the letter of each
-    segment, via 256-entry tables: a letter maps to its increment
-    repeated per segment; when every letter is a single segment nothing
-    is repeated.
+    segment, via 256-entry tables: the letter codes are repeated once per
+    segment (not at all when every letter is a single segment), then
+    mapped to their increments.
     """
-    arr = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
+    seg_letter = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
     lut_u = np.zeros(256, dtype=np.int8)
     lut_v = np.zeros(256, dtype=np.int8)
-    reps = np.zeros(256, dtype=np.int64)
+    reps = np.zeros(256, dtype=np.intp)
     for c, (du, dv, count) in segments.items():
         lut_u[ord(c)], lut_v[ord(c)], reps[ord(c)] = du, dv, count
-    du, dv = lut_u[arr], lut_v[arr]
-    if all(count == 1 for _, _, count in segments.values()):
-        return du, dv, arr
-    per_letter = reps[arr]
-    return (np.repeat(du, per_letter), np.repeat(dv, per_letter),
-            np.repeat(arr, per_letter))
+    if any(count != 1 for _, _, count in segments.values()):
+        seg_letter = np.repeat(seg_letter, reps.take(seg_letter))
+    return lut_u.take(seg_letter), lut_v.take(seg_letter), seg_letter
 
 
 def _vertex_coords(du: np.ndarray, dv: np.ndarray):
@@ -347,7 +344,7 @@ def _layout(line: FaultLine, n: int, cap: int):
 
 
 def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
-                     chunk: int = 1 << 20) -> dict[int, float]:
+                     chunk: int = 1 << 14) -> dict[int, float]:
     """Distinct nearest-vertex offsets between a word and its mirror.
 
     ``u, v`` are the side-1 vertex coordinates from (0, 0), strictly
@@ -356,7 +353,10 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
     keyed by the exact leg-count difference dv (which pins the offset
     bijectively); values are representative lengths, in order of first
     appearance.  Mirrored vertices are matched ``chunk`` at a time, so
-    only the coordinates and their float values are held whole.
+    only the coordinates and their float values are held whole, and the
+    per-chunk temporaries stay in cache.  Per vertex only the chosen
+    neighbour, the sign and the key are computed; the u part and the
+    value only at each key's first occurrence.
 
     Floats decide which neighbour is nearer and the sign of each offset,
     except within ``margin`` of zero, where the exact sign in Z[sqrt(D)]
@@ -398,22 +398,21 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
             B = 2 * (V - mv[close].astype(np.int64)) - v[nxt - 1] - v[nxt]
             s = _sign_quad(A, B, D)  # >0: x is past the midpoint, next is nearer
             choice[close] = np.where(s > 0, nxt, nxt - 1)
-        du = np.subtract(U, mu, dtype=np.int64)
-        du -= u[choice]
         dv = np.subtract(V, mv, dtype=np.int64)
-        dv -= v[choice]
+        dv -= v.take(choice)
         # unsigned offset: flip pairs whose value is negative, by the float
-        # offset x - nearest except near zero.  With dv = 0 the offset is
-        # the integer du, whose float sign is right while the margin is
-        # below 1 (so at any int32 coordinates), or 0: no flip.
-        offset = np.negative(right, out=left, where=choice == idx)
+        # offset x - nearest (left or -right, bit for bit) except near
+        # zero.  With dv = 0 the offset is the integer du, whose float sign
+        # is right while the margin is below 1 (so at any int32
+        # coordinates), or 0: no flip.
+        offset = s2f - fx.take(choice)
         neg = offset < 0
         near_zero = np.abs(offset, out=offset) < margin
         near_zero &= dv != 0
         unsure = np.flatnonzero(near_zero)
         if unsure.size:
-            neg[unsure] = _sign_quad(du[unsure], dv[unsure], D) < 0
-        np.negative(du, out=du, where=neg)
+            du = U - mu[unsure].astype(np.int64) - u[choice[unsure]]
+            neg[unsure] = _sign_quad(du, dv[unsure], D) < 0
         np.negative(dv, out=dv, where=neg)
         kmin, kmax = int(dv.min()), int(dv.max())
         if kmax - kmin < len(dv):
@@ -430,7 +429,9 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
             keys, first = np.unique(dv, return_index=True)
         order = np.argsort(first)
         keys, first = keys[order], first[order]
-        vals = du[first].astype(np.float64) + keys.astype(np.float64) * root
+        du = U - mu[first].astype(np.int64) - u[choice[first]]
+        np.negative(du, out=du, where=neg[first])
+        vals = du.astype(np.float64) + keys.astype(np.float64) * root
         for key, val in zip(keys.tolist(), vals.tolist()):
             out.setdefault(key, val)
     return out

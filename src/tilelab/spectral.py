@@ -147,8 +147,14 @@ class SpectralReport:
 def eigen(shape: TriangleShape) -> SpectralReport:
     """Full spectral data for a rational shape.
 
-    The leading eigenvalue is checked against r^{-2}; disagreement beyond
-    1e-9 relative is a numeric failure, not a soft warning.
+    The population matrix has cycles of the coprime lengths p and q, so it
+    is primitive: its leading eigenvalue is the unique positive real root
+    (Perron-Frobenius), which for q = 2 ties in float modulus with a root
+    near its negative.  That root is checked against r^{-2};
+    disagreement beyond 1e-9 relative is a numeric failure, not a soft
+    warning.  By Rouche's theorem exactly q roots lie outside the unit
+    circle (on |lambda| = 1 the constant 4 outweighs the other two terms),
+    and the float count is checked against that.
     """
     if shape.rationality is None:
         raise DomainError("spectral report requires a rational shape")
@@ -161,12 +167,18 @@ def eigen(shape: TriangleShape) -> SpectralReport:
     roots = _polished_roots(coeffs)
     if len(roots) != m:
         raise NumericError(f"expected {m} distinct roots, found {len(roots)}")
-    leading = max(roots, key=lambda z: abs(z))
-    r2inv = 1.0 / (shape.r * shape.r)
-    if abs(leading.imag) > DEDUPE_TOL or abs(leading.real - r2inv) > LEADING_REL_TOL * r2inv:
+    positive = [z.real for z in roots if abs(z.imag) <= DEDUPE_TOL and z.real > 0]
+    if len(positive) != 1:
         raise NumericError(
-            f"leading root {leading} does not match r^-2 = {r2inv}")
-    lam = leading.real
+            f"expected one positive real root, found {len(positive)}")
+    lam = positive[0]
+    r2inv = 1.0 / (shape.r * shape.r)
+    if abs(lam - r2inv) > LEADING_REL_TOL * r2inv:
+        raise NumericError(f"leading root {lam} does not match r^-2 = {r2inv}")
+    outside = sum(1 for z in roots if abs(z) > 1.0)
+    if outside != q:
+        raise NumericError(
+            f"{outside} roots outside the unit circle, Rouche's theorem gives {q}")
     a2, b2, c2 = shape.a ** 2, shape.b ** 2, shape.c ** 2
     r2 = shape.r * shape.r
     nu = [(1.0 - r2) / (4.0 * c2)
@@ -183,7 +195,7 @@ def eigen(shape: TriangleShape) -> SpectralReport:
         char_poly=tuple(coeffs),
         eigenvalues=tuple(roots),
         leading=lam,
-        count_outside_unit=sum(1 for z in roots if abs(z) > 1.0),
+        count_outside_unit=outside,
         nu=tuple(nu),
         rho=tuple(rho),
         psi_leading=tuple(psi),

@@ -1,8 +1,10 @@
 """The vectorized boundary engine against the straightforward versions it
 replaced, which are kept here as references."""
 
+import inspect
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from tilelab.boundary import (TIL2, TIL12, _layout, _nearest_offsets,
 from tilelab.errors import InternalError, ResourceError
 
 RULES = [sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()]
+DEFAULT_CHUNK = inspect.signature(_nearest_offsets).parameters["chunk"].default
 
 
 # -- references ---------------------------------------------------------------
@@ -207,8 +210,24 @@ def test_nearest_offsets_match_the_python_loop(line, n_max):
         u, v, _ = _layout(line, n, boundary.DEFAULT_LETTER_CAP)
         assert u.dtype == np.int32 and v.dtype == np.int32
         want = list(ref_nearest_offsets(u, v, line.D).items())
-        for chunk in (1 << 20, 997, 61):   # one chunk or many
+        for chunk in (DEFAULT_CHUNK, 1 << 20, 997, 61):   # one chunk or many
             assert list(_nearest_offsets(u, v, line.D, chunk).items()) == want
+
+
+def test_nearest_offsets_stream_their_chunks():
+    # til12 n = 14 lays out 579,289 vertices.  Beyond their float positions
+    # the kernel holds a fixed number of chunk-sized arrays, however long
+    # the layout, and on this one that is well below the positions' size.
+    u, v, _ = _layout(TIL12, 14, boundary.DEFAULT_LETTER_CAP)
+    fx_bytes = 8 * len(u)
+    tracemalloc.start()
+    try:
+        _nearest_offsets(u, v, TIL12.D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - fx_bytes <= 16 * 8 * DEFAULT_CHUNK
+    assert peak - fx_bytes < fx_bytes // 2
 
 
 def test_til13_offsets_match_the_integer_rule():

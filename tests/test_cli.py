@@ -102,6 +102,14 @@ def test_spectral_til12(capsys):
     assert data["count_outside_unit"] == 2
 
 
+def test_spectral_tied_modulus(capsys):
+    # the roots near 2 and -2 tie in float modulus; the leading one is 2
+    rc, out, err = _run(capsys, ["spectral", "--pq", "53/2"])
+    assert rc == 0, err
+    data = json.loads(out)
+    assert data["leading"] == 2.0 and data["count_outside_unit"] == 2
+
+
 def test_spectral_irrational(capsys):
     rc, out, _ = _run(capsys, ["spectral", "--theta", "1.0"])
     assert rc == 0

@@ -5,7 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from tilelab.errors import ArgumentError, DomainError
+from tilelab import spectral
+from tilelab.errors import ArgumentError, DomainError, NumericError
 from tilelab.geometry import shape_from_pq, shape_from_theta
 from tilelab.spectral import (char_poly, descendant_limit, eigen,
                               eigenfunction, irrational_bounds,
@@ -61,6 +62,40 @@ def test_leading_eigenvalue_is_inverse_square_scale():
         shape = shape_from_pq(p, q)
         rep = eigen(shape)
         assert rep.leading == pytest.approx(shape.r ** -2, rel=1e-9)
+
+
+# q = 2 shapes whose root near -2 ties in float modulus with the leading 2
+_TIED = [(53, 2), (55, 2), (57, 2), (59, 2), (61, 2), (63, 2)]
+
+
+@pytest.mark.parametrize("p, q", _TIED)
+def test_leading_root_is_the_positive_one(p, q):
+    rep = eigen(shape_from_pq(p, q))
+    assert rep.leading == 2.0
+    assert any(abs(z + 2.0) < 1e-9 for z in rep.eigenvalues)
+
+
+def test_q_roots_lie_outside_the_unit_circle():
+    # Rouche: on |lambda| = 1 the constant term 4 dominates, so exactly q
+    # roots lie outside for every coprime p/q
+    rng = random.Random(11)
+    sample = _TIED + rng.sample(_coprime_pairs(64), 40)
+    for p, q in sample:
+        assert eigen(shape_from_pq(p, q)).count_outside_unit == q, (p, q)
+
+
+def test_root_count_against_rouche_is_checked(monkeypatch):
+    solve = spectral._polished_roots
+
+    def one_root_pulled_inside(coeffs):
+        roots = solve(coeffs)
+        i = next(i for i, z in enumerate(roots) if abs(z) > 1.0 and z.real < 0)
+        roots[i] /= 2 * abs(roots[i])
+        return roots
+
+    monkeypatch.setattr(spectral, "_polished_roots", one_root_pulled_inside)
+    with pytest.raises(NumericError, match="Rouche"):
+        eigen(shape_from_pq(1, 2))
 
 
 def test_frequency_vectors_are_distributions():
