@@ -84,6 +84,24 @@ class FaultLine:
     D: int
     leg: str
 
+    def __post_init__(self) -> None:
+        name = self.rule.name
+        if set(self.segments) != set(self.rule.chars):
+            raise ArgumentError(
+                f"{name}: segments must cover exactly {self.rule.chars!r}")
+        if self.leg not in self.rule.chars:
+            raise ArgumentError(f"{name}: leg {self.leg!r} is not a letter")
+        if not self.rule.chars.isascii():
+            raise ArgumentError(f"{name}: a layout takes one byte a letter, "
+                                f"but {self.rule.chars!r} is not ASCII")
+        for c, (du, dv, count) in self.segments.items():
+            if count < 1:
+                raise ArgumentError(f"{name}: letter {c!r} has {count} segments")
+            # vertices must strictly increase along the line
+            if _sign(du, dv, self.D) <= 0:
+                raise ArgumentError(f"{name}: the segment of {c!r}, "
+                                    f"{du} + {dv}*sqrt({self.D}), is not positive")
+
 
 def _letter_counts(rule: SubstitutionRule1D, seed: str):
     """Letter counts of sigma^0(seed), sigma^1(seed), ... in ``rule.chars``
@@ -252,14 +270,28 @@ _H_TO_UPPER = bytes.maketrans(b"h", b"H")
 def forbidden_subwords_check(word: Word | str) -> bool:
     """True iff the word avoids LL, H-H+ adjacency, and 7 consecutive H's.
 
-    Searched as bytes: UTF-8 encodes every non-ASCII character with bytes
-    >= 0x80, so the ASCII patterns match exactly where they match the str.
+    LL and hH are searched in the str itself; the 7-runs of {H, h} in
+    slices of it (see ``_avoids_forbidden``), so no copy of the whole word
+    is made.
     """
     letters = word.letters if isinstance(word, Word) else word
-    raw = letters.encode("utf-8", "surrogatepass")
-    if b"LL" in raw or b"hH" in raw:
+    return _avoids_forbidden(letters)
+
+
+def _avoids_forbidden(letters: str, size: int = 1 << 16) -> bool:
+    """``forbidden_subwords_check`` on a str, scanning the 7-runs in slices
+    of ``size`` letters that overlap by 6, so every 7 consecutive letters
+    lie in one slice.  Each slice is searched as bytes with h mapped to H:
+    UTF-8 encodes every non-ASCII character with bytes >= 0x80, so the
+    ASCII pattern matches exactly where it matches the str.
+    """
+    if "LL" in letters or "hH" in letters:
         return False
-    return b"HHHHHHH" not in raw.translate(_H_TO_UPPER)
+    for i in range(0, len(letters), size):
+        raw = letters[i:i + size + 6].encode("utf-8", "surrogatepass")
+        if b"HHHHHHH" in raw.translate(_H_TO_UPPER):
+            return False
+    return True
 
 
 # -- exact quadratic-integer layout -------------------------------------------
@@ -295,52 +327,54 @@ def _sign(a: int, b: int, D: int) -> int:
     return (q > 0) - (q < 0)
 
 
-def _expand_segments(letters: str, segments: dict[str, tuple[int, int, int]]):
-    """Per-segment integer increments for a word, and the letter of each
-    segment, via 256-entry tables: the letter codes are repeated once per
-    segment (not at all when every letter is a single segment), then
-    mapped to their increments.
-    """
-    seg_letter = np.frombuffer(letters.encode("ascii"), dtype=np.uint8)
-    lut_u = np.zeros(256, dtype=np.int8)
-    lut_v = np.zeros(256, dtype=np.int8)
-    reps = np.zeros(256, dtype=np.intp)
-    for c, (du, dv, count) in segments.items():
-        lut_u[ord(c)], lut_v[ord(c)], reps[ord(c)] = du, dv, count
-    if any(count != 1 for _, _, count in segments.values()):
-        seg_letter = np.repeat(seg_letter, reps.take(seg_letter))
-    return lut_u.take(seg_letter), lut_v.take(seg_letter), seg_letter
-
-
-def _vertex_coords(du: np.ndarray, dv: np.ndarray):
-    """Vertex coordinates 0, du[0], du[0] + du[1], ... (and the same for v).
+def _vertex_coords(codes: bytes, segments: dict[str, tuple[int, int, int]]):
+    """Vertex coordinates (u, v) from (0, 0) of a word of one segment per
+    byte of ``codes``: each byte is mapped to its int8 step by a 256-byte
+    table and written into the coordinates, whose running sum is then
+    taken in place.
 
     |u| and |v| stay within max step * segments; under the default letter
     cap that is at most 4 * 2 * 10**8 < 2**31 (til12: steps up to 4, two
     segments per L), so int32 holds them.  Callers widen to int64 before
     combining coordinates.
     """
-    reach = len(du) * max(int(np.abs(du).max(initial=0)),
-                          int(np.abs(dv).max(initial=0)))
-    if reach >= 2 ** 31:
+    luts = np.zeros((2, 256), dtype=np.int8)
+    step = 0
+    for c, (du, dv, _) in segments.items():
+        if not (-128 <= du <= 127 and -128 <= dv <= 127):
+            raise ArgumentError(
+                f"the step ({du}, {dv}) of {c!r} does not fit in int8")
+        luts[:, ord(c)] = du, dv
+        step = max(step, abs(du), abs(dv))
+    if len(codes) * step >= 2 ** 31:
         raise ResourceError(
-            f"a layout of {len(du)} segments may overflow int32 coordinates")
-    u = np.zeros(len(du) + 1, dtype=np.int32)
-    v = np.zeros(len(dv) + 1, dtype=np.int32)
-    np.cumsum(du, dtype=np.int32, out=u[1:])
-    np.cumsum(dv, dtype=np.int32, out=v[1:])
-    return u, v
+            f"a layout of {len(codes)} segments may overflow int32 coordinates")
+    coords = []
+    for lut in luts:
+        x = np.zeros(len(codes) + 1, dtype=np.int32)
+        x[1:] = np.frombuffer(codes.translate(lut.tobytes()), dtype=np.int8)
+        np.cumsum(x, out=x)
+        coords.append(x)
+    return tuple(coords)
 
 
 def _layout(line: FaultLine, n: int, cap: int):
     """Vertex coordinates (u, v) of sigma^n(H) laid out from (0, 0), and
-    the letter of each segment.  The word is freed before the running
-    sums, so it is never held beside the coordinates."""
-    w = iterate(line.rule, "H", n, cap=cap)
-    du, dv, seg_letter = _expand_segments(w.letters, line.segments)
-    del w
-    u, v = _vertex_coords(du, dv)
-    return u, v, seg_letter
+    the letter of each segment (a uint8 view of one byte per segment).
+
+    A letter of several segments is repeated in the word itself (til12:
+    L -> LL), which is then encoded once; the word is freed before the
+    coordinates are allocated.  At the peak the coordinates are held
+    beside the segment letters and one step array: 10 bytes a vertex.
+    """
+    letters = iterate(line.rule, "H", n, cap=cap).letters
+    for c, (_, _, count) in line.segments.items():
+        if count != 1:
+            letters = letters.replace(c, c * count)
+    codes = letters.encode("ascii")
+    del letters
+    u, v = _vertex_coords(codes, line.segments)
+    return u, v, np.frombuffer(codes, dtype=np.uint8)
 
 
 def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
@@ -352,11 +386,16 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
     each is matched to its nearest side-1 vertex.  Distinct offsets are
     keyed by the exact leg-count difference dv (which pins the offset
     bijectively); values are representative lengths, in order of first
-    appearance.  Mirrored vertices are matched ``chunk`` at a time, so
-    only the coordinates and their float values are held whole, and the
-    per-chunk temporaries stay in cache.  Per vertex only the chosen
-    neighbour, the sign and the key are computed; the u part and the
-    value only at each key's first occurrence.
+    appearance.  Mirrored vertices are matched ``chunk`` at a time, and
+    float positions are computed only for the chunk and for the stretch
+    of side-1 vertices it is searched in, so beyond the coordinates the
+    kernel holds a fixed number of chunk-sized arrays, which stay in
+    cache.  The stretch's ends are found by a scalar bisect whose key,
+    float(v[i]) * root + float(u[i]), rounds as the array expression
+    does, so every position is the same float bit for bit wherever it is
+    computed.  Per vertex only the chosen neighbour, the sign and the key
+    are computed; the u part and the value only at each key's first
+    occurrence.
 
     Floats decide which neighbour is nearer and the sign of each offset,
     except within ``margin`` of zero, where the exact sign in Z[sqrt(D)]
@@ -371,33 +410,49 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
     root = math.sqrt(D)
     U, V = int(u[-1]), int(v[-1])
     last = len(u) - 1
-    fx = v.astype(np.float64)
-    fx *= root
-    fx += u
+
+    def position(i: int) -> float:
+        return float(v[i]) * root + float(u[i])
+
+    def positions(part: slice) -> np.ndarray:
+        fx = v[part].astype(np.float64)
+        fx *= root
+        fx += u[part]
+        return fx
+
+    total = position(last)
+    vertices = range(last + 1)
     vmax = max(-int(v.min()), int(v.max()))
-    margin = 16 * 2.0 ** -52 * (vmax * root + float(fx[-1]))
+    margin = 16 * 2.0 ** -52 * (vmax * root + total)
     out: dict[int, float] = {}
     for hi in range(last + 1, 0, -chunk):
         # mirrored vertices i = last + 1 - hi, ...: total - vertex (last - i)
         part = slice(max(hi - chunk, 0), hi)
         mu, mv = u[part][::-1], v[part][::-1]
-        s2f = fx[-1] - fx[part][::-1]
-        # s2f is sorted: search only the stretch of fx between its ends
-        lo, top = np.searchsorted(fx, s2f[[0, -1]])
-        idx = np.searchsorted(fx[lo:top], s2f)
-        idx += lo
-        np.clip(idx, 1, last, out=idx)
+        s2f = np.subtract(total, positions(part)[::-1])
+        # s2f is sorted, so the first vertex at or past each value lies in
+        # lo..top, those of its ends; positions are needed only there and
+        # at the neighbours either side, kept in 1..last
+        lo, top = (bisect.bisect_left(vertices, x, key=position)
+                   for x in (s2f[0], s2f[-1]))
+        start = min(max(lo, 1), last) - 1
+        fx = positions(slice(start, min(max(top, 1), last) + 1))
+        idx = np.searchsorted(fx, s2f)
+        np.clip(idx, 1 - start, last - start, out=idx)
         left = s2f - fx[idx - 1]
         right = fx[idx] - s2f
         choice = idx - (right >= left)
         # near-ties decided exactly: 2*x vs (prev + next) in Z[sqrt(D)]
         close = np.flatnonzero(np.abs(right - left) < margin)
         if close.size:
-            nxt = idx[close]
+            nxt = idx[close] + start
             A = 2 * (U - mu[close].astype(np.int64)) - u[nxt - 1] - u[nxt]
             B = 2 * (V - mv[close].astype(np.int64)) - v[nxt - 1] - v[nxt]
             s = _sign_quad(A, B, D)  # >0: x is past the midpoint, next is nearer
-            choice[close] = np.where(s > 0, nxt, nxt - 1)
+            choice[close] = np.where(s > 0, nxt, nxt - 1) - start
+        offset = s2f - fx.take(choice)
+        del fx, idx, left, right
+        choice += start
         dv = np.subtract(V, mv, dtype=np.int64)
         dv -= v.take(choice)
         # unsigned offset: flip pairs whose value is negative, by the float
@@ -405,7 +460,6 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
         # zero.  With dv = 0 the offset is the integer du, whose float sign
         # is right while the margin is below 1 (so at any int32
         # coordinates), or 0: no flip.
-        offset = s2f - fx.take(choice)
         neg = offset < 0
         near_zero = np.abs(offset, out=offset) < margin
         near_zero &= dv != 0

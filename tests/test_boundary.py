@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from tilelab.boundary import (TIL2, TIL12, FaultLine, SubstitutionRule1D,
-                              Word, _cut, _rule_from_geometry, _surplus,
+from tilelab.boundary import (DEFAULT_LETTER_CAP, TIL2, TIL12, FaultLine,
+                              SubstitutionRule1D, Word, _cut, _layout,
+                              _rule_from_geometry, _surplus,
                               _til2_letter, _til13_letter, balanced_pairs,
                               f_of_n, forbidden_subwords_check, iterate,
                               pair_levels,
@@ -293,3 +294,30 @@ def test_balanced_pairs_need_eigen_lengths():
     line = dataclasses.replace(TIL2, segments={"H": (1, 0, 1), "S": (1, 0, 1)})
     with pytest.raises(ArgumentError):
         balanced_pairs(line)
+
+
+@pytest.mark.parametrize("segments, leg", [
+    ({"H": (4, 0, 1), "h": (4, 0, 1)}, "L"),
+    ({**TIL12.segments, "l": (-1, 1, 2)}, "L"),
+    ({**TIL12.segments, "L": (-1, 1, 0)}, "L"),
+    (TIL12.segments, "l"),
+    ({**TIL12.segments, "L": (-5, 1, 2)}, "L"),   # -5 + sqrt(17) < 0
+    ({**TIL12.segments, "h": (0, 0, 1)}, "L"),
+], ids=["letter-missing", "letter-extra", "no-segments", "leg-not-a-letter",
+        "negative-length", "zero-length"])
+def test_fault_line_refuses_tables_that_lay_out_wrong_words(segments, leg):
+    with pytest.raises(ArgumentError):
+        FaultLine(sigma_til12(), segments, 17, leg)
+
+
+def test_fault_line_refuses_non_ascii_letters():
+    rule = SubstitutionRule1D(name="he", alphabet=("H", "E"), chars="Hé",
+                              images={"H": "Hé", "é": "H"})
+    with pytest.raises(ArgumentError):
+        FaultLine(rule, {"H": (1, 0, 1), "é": (2, 0, 1)}, 2, "é")
+
+
+def test_layout_refuses_steps_outside_int8():
+    line = dataclasses.replace(TIL2, segments={"H": (128, 0, 1), "S": (-2, 1, 1)})
+    with pytest.raises(ArgumentError):
+        _layout(line, 3, DEFAULT_LETTER_CAP)

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilelab import boundary
-from tilelab.boundary import (TIL2, TIL12, _layout, _nearest_offsets,
-                              _sign_quad, _vertex_coords,
+from tilelab.boundary import (TIL2, TIL12, _avoids_forbidden, _layout,
+                              _nearest_offsets, _sign_quad, _vertex_coords,
                               forbidden_subwords_check, iterate, sigma0_til12,
                               sigma_til12, slippage_til12, til2_rule,
                               til13_offsets, til13_rule)
@@ -21,6 +21,8 @@ from tilelab.errors import InternalError, ResourceError
 
 RULES = [sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()]
 DEFAULT_CHUNK = inspect.signature(_nearest_offsets).parameters["chunk"].default
+DEFAULT_SLICE = inspect.signature(_avoids_forbidden).parameters["size"].default
+SLICES = (DEFAULT_SLICE, 1, 7, 61)   # one slice or many
 
 
 # -- references ---------------------------------------------------------------
@@ -162,7 +164,7 @@ def test_iterate_matches_per_step_translate(rule, data, n):
     assert (word.alphabet, word.chars) == (rule.alphabet, rule.chars)
 
 
-_PIECES = st.sampled_from(["H", "h", "L", "x", "é", "HHH", "hhh"])
+_PIECES = st.sampled_from(["H", "h", "L", "x", "é", "\ud800", "HHH", "hhh"])
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,14 +174,41 @@ _PIECES = st.sampled_from(["H", "h", "L", "x", "é", "HHH", "hhh"])
 @example("hhhhhhh")
 @example("HHHHHH")
 @example("xLLx")
+@example("x" * 5 + "HHHhhhh")        # a 7-run across the slice edge at 7
+@example("x" * 58 + "HHHhhhh")       # and across the one at 61
+@example("x" * 6 + "HHHHHHH")        # the last 7 letters of a 7-slice
+@example("x" * 60 + "hhhhhhh")       # and of a 61-slice
+@example("x" * 5 + "HHHhhh" + "x")   # six, across an edge
+@example("x" * 55 + "hhhhhh" + "L")  # six, ending at an edge
+@example("é" * 4 + "HHHHHHH")        # non-ASCII letters before the edge
+@example("\ud800HHH\udfffHHHH")      # a lone surrogate breaks the run
+@example("\udfff" * 5 + "hhhhhhh\ud800")
 def test_forbidden_check_matches_the_regex(letters):
-    assert forbidden_subwords_check(letters) == ref_forbidden(letters)
+    want = ref_forbidden(letters)
+    assert forbidden_subwords_check(letters) == want
+    for size in SLICES:
+        assert _avoids_forbidden(letters, size) == want, size
 
 
 def test_forbidden_check_on_words():
     for n in range(1, 15):
         word = iterate(sigma_til12(), "H", n)
-        assert forbidden_subwords_check(word) == ref_forbidden(word.letters)
+        want = ref_forbidden(word.letters)
+        assert forbidden_subwords_check(word) == want
+        for size in SLICES:
+            assert _avoids_forbidden(word.letters, size) == want, (n, size)
+
+
+def test_forbidden_check_scans_slices():
+    # the word has 2,968,198 letters; only slice-sized copies are made
+    word = iterate(sigma_til12(), "H", 16)
+    tracemalloc.start()
+    try:
+        forbidden_subwords_check(word)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (DEFAULT_SLICE + 6) + (1 << 12)
 
 
 _A = st.one_of(st.just(0), st.integers(-(2 ** 31) + 1, 2 ** 31 - 1),
@@ -215,19 +244,30 @@ def test_nearest_offsets_match_the_python_loop(line, n_max):
 
 
 def test_nearest_offsets_stream_their_chunks():
-    # til12 n = 14 lays out 579,289 vertices.  Beyond their float positions
-    # the kernel holds a fixed number of chunk-sized arrays, however long
-    # the layout, and on this one that is well below the positions' size.
+    # til12 n = 14 lays out 579,289 vertices.  Beyond the coordinates the
+    # kernel holds a fixed number of chunk-sized arrays, however long the
+    # layout: float positions only for one chunk and its searched stretch.
     u, v, _ = _layout(TIL12, 14, boundary.DEFAULT_LETTER_CAP)
-    fx_bytes = 8 * len(u)
     tracemalloc.start()
     try:
         _nearest_offsets(u, v, TIL12.D)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - fx_bytes <= 16 * 8 * DEFAULT_CHUNK
-    assert peak - fx_bytes < fx_bytes // 2
+    assert peak <= 16 * 8 * DEFAULT_CHUNK
+
+
+@pytest.mark.parametrize("line, n", [(TIL12, 14), (TIL2, 9)], ids=["til12", "til2"])
+def test_layout_holds_ten_bytes_a_vertex(line, n):
+    # at the peak: int32 u and v, one letter byte a segment and one int8
+    # step array; the word and the cast and index temporaries are gone
+    tracemalloc.start()
+    try:
+        u, _, _ = _layout(line, n, boundary.DEFAULT_LETTER_CAP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * len(u) + (1 << 16)
 
 
 def test_til13_offsets_match_the_integer_rule():
@@ -280,17 +320,16 @@ def test_g_at_q_matches_the_leg_by_leg_count():
 
 
 def test_vertex_coords_are_running_sums():
-    du = np.array([4, -1, -1, 4], dtype=np.int8)
-    dv = np.array([0, 1, 1, 0], dtype=np.int8)
-    u, v = _vertex_coords(du, dv)
+    u, v = _vertex_coords(b"HLLh", TIL12.segments)
+    assert u.dtype == np.int32 and v.dtype == np.int32
     assert u.tolist() == [0, 4, 3, 2, 6]
     assert v.tolist() == [0, 0, 1, 2, 2]
 
 
 def test_vertex_coords_refuse_past_int32_headroom():
-    steps = np.full(2 ** 31 // 127 + 1, 127, dtype=np.int8)
+    codes = b"A" * (2 ** 31 // 127 + 1)
     with pytest.raises(ResourceError):
-        _vertex_coords(steps, np.zeros_like(steps))
+        _vertex_coords(codes, {"A": (127, 0, 1)})
 
 
 def test_til2_slippage_bound_matches_python_merge():
