@@ -114,22 +114,29 @@ def _nth(walk, n: int):
     return next(itertools.islice(walk, n, None))
 
 
-def _cap_error(rule: SubstitutionRule1D, n: int, length: int,
-               cap: int) -> ResourceError:
-    return ResourceError(
-        f"{rule.name}: sigma^{n} would have {length} letters, cap is {cap}")
+def _refuse_past_cap(rule: SubstitutionRule1D, seed: str, n: int, cap: int,
+                     first: int) -> None:
+    """The refusals of iterating ``seed`` n times: ArgumentError for a
+    negative n or a seed letter outside the alphabet, then the
+    ResourceError of the first of sigma^first(seed), ..., sigma^n(seed)
+    that has more than ``cap`` letters."""
+    if n < 0:
+        raise ArgumentError(f"iteration count must be non-negative, got {n}")
+    bad = set(seed) - set(rule.chars)
+    if bad:
+        raise ArgumentError(f"letters {bad} are not in the {rule.name} alphabet")
+    lengths = map(sum, itertools.islice(_letter_counts(rule, seed), first, n + 1))
+    for k, length in enumerate(lengths, start=first):
+        if length > cap:
+            raise ResourceError(
+                f"{rule.name}: sigma^{k} would have {length} letters, cap is {cap}")
 
 
 def check_letter_cap(rule: SubstitutionRule1D, seed: str, n_max: int,
                      cap: int = DEFAULT_LETTER_CAP) -> None:
-    """Raise up front the ResourceError that iterating ``seed`` n = 1, 2,
-    ..., n_max times in turn would hit first."""
-    if n_max < 0:
-        raise ArgumentError(f"iteration count must be non-negative, got {n_max}")
-    lengths = map(sum, itertools.islice(_letter_counts(rule, seed), 1, n_max + 1))
-    for n, length in enumerate(lengths, start=1):
-        if length > cap:
-            raise _cap_error(rule, n, length, cap)
+    """Raise up front the error that iterating ``seed`` n = 1, 2, ...,
+    n_max times in turn would hit first."""
+    _refuse_past_cap(rule, seed, n_max, cap, first=1)
 
 
 def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
@@ -142,14 +149,7 @@ def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
     every letter.
     """
     letters = seed.letters if isinstance(seed, Word) else seed
-    if n < 0:
-        raise ArgumentError(f"iteration count must be non-negative, got {n}")
-    bad = set(letters) - set(rule.chars)
-    if bad:
-        raise ArgumentError(f"letters {bad} are not in the {rule.name} alphabet")
-    final_len = sum(_nth(_letter_counts(rule, letters), n))
-    if final_len > cap:
-        raise _cap_error(rule, n, final_len, cap)
+    _refuse_past_cap(rule, letters, n, cap, first=n)
     half = n // 2
     table = {ord(c): img for c, img in rule.images.items()}
     for _ in range(n - half):
@@ -640,40 +640,20 @@ def til2_slippage_bound(n: int, cap: int = DEFAULT_LETTER_CAP) -> int:
     """Max |f_n(E)| over all vertices E: the short-leg surplus between the
     two sides of the fault line up to E.
 
-    The function only steps at short-leg endpoints, so the exact running
-    extremum over merged step events covers every vertex.
+    Read off the level-n balanced pairs (``til2_pairs``), so no word is
+    built; ``cap`` refuses as ``iterate`` would.  1 and sqrt5 - 2 are
+    independent over Q, so where a cut ends both sides have the same
+    short-leg count and f is 0; in between, f is the running surplus of
+    one pair, and max |f| is the largest surplus of a level-n pair.
     """
-    if n == 0:
-        return 0
-    u, v, seg_letter = _layout(TIL2, n, cap)
-    U, V = int(u[-1]), int(v[-1])
-    is_s = seg_letter == ord(TIL2.leg)
-    # +1 when a side-1 short leg completes (its end value), -1 when a
-    # mirrored short leg completes (total - its start value)
-    ev_u = np.concatenate([u[1:][is_s], U - u[:-1][is_s].astype(np.int64)])
-    ev_v = np.concatenate([v[1:][is_s], V - v[:-1][is_s].astype(np.int64)])
-    n_plus = len(ev_u) // 2
-    del u, v, seg_letter, is_s
-    key = ev_v.astype(np.float64)
-    key *= math.sqrt(TIL2.D)
-    key += ev_u
-    order = np.argsort(key, kind="stable")
-    del key
-    # merge exactly equal event positions (equal (u, v) pairs)
-    ev_u, ev_v = ev_u[order], ev_v[order]
-    change = np.diff(ev_u) != 0
-    change |= np.diff(ev_v) != 0
-    del ev_u, ev_v
-    group_ends = np.append(np.flatnonzero(change), len(order) - 1)
-    running = np.cumsum(np.where(order < n_plus, 1, -1))[group_ends]
-    return int(np.abs(running).max(initial=0))
+    return max(p.surplus for p in _level(TIL2, til2_pairs(), n, cap))
 
 
 def til2_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
     """Distinct nearest-vertex contact lengths across the fault line,
-    keyed by the exact short-leg-count difference."""
-    u, v, _ = _layout(TIL2, n, cap)
-    return _nearest_offsets(u, v, TIL2.D)
+    keyed by the exact short-leg-count difference: the offsets of the
+    level-n balanced pairs, merged."""
+    return _level_offsets(TIL2, til2_pairs(), n, cap)
 
 
 # -- Til(1/3): dyadic fault line ----------------------------------------------
@@ -721,10 +701,10 @@ TIL13 = FaultLine(til13_rule(), {"H": (0, 2, 1), "L": (0, 1, 1), "h": (0, 1, 1)}
 
 
 def til13_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
-    """Nearest-vertex offsets in h-units, keyed by themselves; the fault
-    line is integer-rigid, so the only possible values are 0 and 1."""
-    u, v, _ = _layout(TIL13, n, cap)
-    return _nearest_offsets(u, v, TIL13.D)
+    """Nearest-vertex offsets in h-units, keyed by themselves, merged from
+    the level-n balanced pairs; the fault line is integer-rigid, so the
+    only possible values are 0 and 1."""
+    return _level_offsets(TIL13, til13_pairs(), n, cap)
 
 
 # -- balanced pairs: the fault line for every n --------------------------------
@@ -882,6 +862,19 @@ def pair_levels(pairs: tuple[BalancedPair, ...]):
     matrix = [[p.image.count(i) for p in pairs] for i in range(len(pairs))]
     for counts in count_vectors(matrix, [1] + [0] * (len(pairs) - 1)):
         yield tuple(p for p, k in zip(pairs, counts) if k)
+
+
+def _level(line: FaultLine, pairs: tuple[BalancedPair, ...], n: int,
+           cap: int) -> tuple[BalancedPair, ...]:
+    """The pairs of level n, after the refusals ``iterate`` would make
+    for sigma^n(H), whose letters the pairs hold between them."""
+    _refuse_past_cap(line.rule, "H", n, cap, first=n)
+    return _nth(pair_levels(pairs), n)
+
+
+def _level_offsets(line: FaultLine, pairs: tuple[BalancedPair, ...], n: int,
+                   cap: int) -> dict[int, float]:
+    return {k: v for p in _level(line, pairs, n, cap) for k, v in p.offsets.items()}
 
 
 def _closed(line: FaultLine) -> tuple[BalancedPair, ...]:

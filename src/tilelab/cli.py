@@ -148,26 +148,19 @@ def _boundary_rows(line: boundary.FaultLine, n_max: int):
             prof = boundary.slippage_til12(n)
             yield f"{n},{prof.f},{prof.g_at_Q},{len(prof.distinct_offsets)}"
         return
-    # til2 and til13 rows come from the closed balanced-pair set.  For
-    # til2, 1 and sqrt5 - 2 are independent over Q, so a cut has equal
-    # short-leg counts on both sides, f is 0 there, and max |f| is the
-    # largest surplus of a pair.
-    til2 = line is boundary.TIL2
-    yield "n,max_abs_f,offsets" if til2 else "n,fluctuation,offsets"
-    levels = boundary.pair_levels(boundary.til2_pairs() if til2
-                                  else boundary.til13_pairs())
-    next(levels)    # n = 0
-    for n, present in zip(range(1, n_max + 1), levels):
-        value = (max(p.surplus for p in present) if til2
-                 else boundary.til13_fluctuation(n))
-        offs = set().union(*(p.offsets for p in present))
-        yield f"{n},{value},{len(offs)}"
+    if line is boundary.TIL2:
+        yield "n,max_abs_f,offsets"
+        value, offsets = boundary.til2_slippage_bound, boundary.til2_offsets
+    else:
+        yield "n,fluctuation,offsets"
+        value, offsets = boundary.til13_fluctuation, boundary.til13_offsets
+    for n in range(1, n_max + 1):
+        yield f"{n},{value(n)},{len(offsets(n))}"
 
 
 def _cmd_boundary(args) -> int:
     line = _BOUNDARY_SYSTEMS[args.system]
-    # the letter cap is the contract for every system, whether or not its
-    # rows lay out sigma^n(H): refuse before row 1, not at row n
+    # refuse past the letter cap before row 1, not at row n
     boundary.check_letter_cap(line.rule, "H", args.n)
     _emit_text("\n".join(_boundary_rows(line, args.n)) + "\n", args.out)
     return 0

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from tilelab.boundary import (DEFAULT_LETTER_CAP, TIL2, TIL12, FaultLine,
+from tilelab import boundary
+from tilelab.boundary import (DEFAULT_LETTER_CAP, TIL2, TIL12, TIL13, FaultLine,
                               SubstitutionRule1D, Word, _cut, _layout,
-                              _rule_from_geometry, _surplus,
+                              _nearest_offsets, _rule_from_geometry, _surplus,
                               _til2_letter, _til13_letter, balanced_pairs,
-                              f_of_n, forbidden_subwords_check, iterate,
-                              pair_levels,
+                              check_letter_cap, f_of_n,
+                              forbidden_subwords_check, iterate, pair_levels,
                               sigma0_til12, sigma_til12, slippage_til12,
                               til2_identity_check, til2_offsets, til2_pairs,
                               til2_rule, til2_slippage_bound, til13_fluctuation,
@@ -48,6 +49,15 @@ def test_iterate_lengths_match_abelianization():
 def test_iterate_letter_cap():
     with pytest.raises(ResourceError):
         iterate(sigma_til12(), "H", 40, cap=10 ** 6)
+
+
+@pytest.mark.parametrize("seed, n", [("X", 5), ("HX", 0), ("H", -1)])
+def test_letter_cap_check_refuses_what_iterate_refuses(seed, n):
+    with pytest.raises(ArgumentError) as it:
+        iterate(til2_rule(), seed, n)
+    with pytest.raises(ArgumentError) as check:
+        check_letter_cap(til2_rule(), seed, n)
+    assert str(check.value) == str(it.value)
 
 
 def test_sigma0_golden_rule():
@@ -260,19 +270,60 @@ def test_pairs_cut_the_materialized_fault_line(rule, pairs, n_max):
         assert "".join(p.bottom for p in level) == word[::-1]
 
 
+def _laid_out_offsets(line, n):
+    u, v, _ = _layout(line, n, DEFAULT_LETTER_CAP)
+    return list(_nearest_offsets(u, v, line.D).items())
+
+
 def test_til2_pair_levels_match_the_materialized_rows():
+    # offsets here; the surplus against the Python merge over the laid-out
+    # word is test_til2_slippage_bound_matches_python_merge
     levels = pair_levels(til2_pairs())
     for n, present in zip(range(13), levels):
-        assert max(p.surplus for p in present) == til2_slippage_bound(n)
         offsets = {k: v for p in present for k, v in p.offsets.items()}
-        assert offsets == til2_offsets(n)
+        assert list(offsets.items()) == _laid_out_offsets(TIL2, n), n
 
 
 def test_til13_pair_levels_match_the_materialized_rows():
+    # the offset kernel with D = 1 and all-v lengths
     levels = pair_levels(til13_pairs())
     for n, present in zip(range(19), levels):
         offsets = {k: v for p in present for k, v in p.offsets.items()}
-        assert offsets == til13_offsets(n)
+        assert list(offsets.items()) == _laid_out_offsets(TIL13, n), n
+
+
+def test_til2_and_til13_answers_build_no_word(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("a fault-line word was built")
+
+    monkeypatch.setattr(boundary, "_layout", build)
+    monkeypatch.setattr(boundary, "iterate", build)
+    assert til2_slippage_bound(12) == 1
+    assert list(til2_offsets(12)) == [0, 1]
+    assert til13_offsets(18) == {0: 0.0, 1: 1.0}
+
+
+_NEGATIVE = "iteration count must be non-negative, got -1"
+_CAP = "letters, cap is 100000000"
+_REFUSALS = {   # n -> the error iterate raises for sigma^n(H)
+    "til2": {-1: (ArgumentError, _NEGATIVE),
+             13: (ResourceError, f"til2: sigma^13 would have 165580141 {_CAP}"),
+             30: (ResourceError,
+                  f"til2: sigma^30 would have 7540113804746346429 {_CAP}")},
+    "til13": {-1: (ArgumentError, _NEGATIVE),
+              26: (ResourceError, f"til13: sigma^26 would have 100659247 {_CAP}"),
+              30: (ResourceError, f"til13: sigma^30 would have 1610604095 {_CAP}")},
+}
+
+
+@pytest.mark.parametrize("fn, system", [
+    (til2_slippage_bound, "til2"), (til2_offsets, "til2"), (til13_offsets, "til13")],
+    ids=["til2_slippage_bound", "til2_offsets", "til13_offsets"])
+def test_til2_and_til13_answers_refuse_as_iterate(fn, system):
+    for n, (error, message) in _REFUSALS[system].items():
+        with pytest.raises(error) as exc:
+            fn(n)
+        assert type(exc.value) is error and str(exc.value) == message, n
 
 
 def test_til12_pairs_do_not_close():
