@@ -102,6 +102,12 @@ def _mp_size_key(theta: float, i: int, j: int) -> mpmath.mpf:
         return i * alpha + j * beta
 
 
+@lru_cache(maxsize=1 << 14)
+def _float_size_key(theta: float, i: int, j: int) -> float:
+    """The irrational size key rounded to a double."""
+    return float(_mp_size_key(theta, i, j))
+
+
 @dataclass(frozen=True)
 class DaughterFrame:
     """Pose of one daughter relative to an upright, unit-scale parent.

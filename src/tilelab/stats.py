@@ -17,13 +17,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .classify import orientation_census
 from .errors import ArgumentError, DomainError
-from .geometry import TriangleShape
+from .geometry import TriangleShape, _float_size_key
 from .spectral import count_vectors, eigen, population_matrix
 from .substitution import Tiling, census_counts, size_class_ranks
 
@@ -271,38 +270,102 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
     is before it.  In the lower part of the window both parent types
     qualify; in the upper part only the larger step does, which pins the
     path's final step.
+
+    On an irrational shape, with a cut that is an int, a float or an mpf,
+    doubles place s = key - t_cut first: s_f = float(key) - float(t_cut)
+    settles the part when it lies more than ``margin`` inside it, and
+    :func:`_exact_upper` decides otherwise, as it does every other call
+    (exact lattice coincidences, s = 0 at the cut's own class and s =
+    min(alpha, beta) one step past it, always land there).  The double of
+    an mpf or int is within 2**-52 of it relative (one rounding, in any of
+    mpmath's rounding modes), and so is the mpf difference at a working
+    precision of 53 bits or more; the double subtraction adds 2**-53.  So
+    s_f less the double of a bound is within 5 * 2**-53 * (|key| +
+    |t_cut| + mu) of s less the mpf bound, as the exact comparison sees
+    them.  Inside the window |key| <= |t_cut| + mu, so that is below
+    2**-49 * (|t_cut| + mu); the margin, 2**-47 * (|t_cut| + mu), is four
+    times that.
     """
     i, j = ij
     if i < 0 or j < 0:
         raise ArgumentError(f"exponents must be non-negative, got {ij}")
-    low, high, lower_window, mu, a_below_b = _oracle_window(shape)
-    s = shape.size_key(i, j) - t_cut
-    if s < low or s >= high:
-        raise DomainError(f"size offset {float(s)} outside the window [0, {float(mu)})")
-    if s < lower_window:
+    window = getattr(shape, "_oracle", None)
+    if window is None:      # built once per shape, kept on it
+        window = _OracleWindow(shape)
+        object.__setattr__(shape, "_oracle", window)
+    upper = None
+    if type(t_cut) in window.float_cuts and window.mpf.context.prec >= 53:
+        cut = window.cut    # read once: another thread may replace it
+        if cut[0] is not t_cut:
+            cut = window.cut = window.float_bounds(t_cut)
+        _, t_float, lower0, lower1, upper0, upper1 = cut
+        s = _float_size_key(shape.theta, i, j) - t_float
+        if lower0 < s < lower1:
+            upper = False
+        elif upper0 < s < upper1:
+            upper = True
+    if upper is None:
+        upper = _exact_upper(window, shape.size_key(i, j) - t_cut)
+    if not upper:
         return math.comb(i + j, i) * 4 ** j
-    if a_below_b:
+    if window.a_below_b:
         # upper window: the path must have arrived by a B step
         return (math.comb(i + j - 1, i) * 4 ** j) if j >= 1 else 0
     return (math.comb(i + j - 1, j) * 4 ** j) if i >= 1 else 0
 
 
-@lru_cache(maxsize=64)
-def _oracle_window(shape: TriangleShape) -> tuple:
+def _exact_upper(window: _OracleWindow, s) -> bool:
+    """Whether the size offset s lies in the upper part of the window,
+    compared in the size key's own arithmetic."""
+    if s < window.low or s >= window.high:
+        raise DomainError(f"size offset {float(s)} outside the window "
+                          f"[0, {float(window.mu)})")
+    return not s < window.lower
+
+
+class _OracleWindow:
     """The offsets bounding the window and its lower part, mu, and
     whether alpha < beta, in the size key's own arithmetic: integers on
     the rational lattice, extended precision otherwise (boundary hits are
-    exact lattice coincidences, snapped rather than left to rounding)."""
-    alpha = shape.size_key(1, 0)
-    beta = shape.size_key(0, 1)
-    mu = max(alpha, beta)
-    if shape.rationality is not None:
-        eps = 0
-    else:
-        import mpmath   # irrational keys are mpmath reals already
+    exact lattice coincidences, snapped rather than left to rounding).
 
-        eps = mpmath.mpf("1e-30")
-    return -eps, mu - eps, min(alpha, beta) - eps, mu, alpha < beta
+    Irrational shapes also keep the cut types :func:`count_oracle` may
+    read as doubles, and the double bounds of the last such cut.
+    """
+
+    __slots__ = ("low", "high", "lower", "mu", "a_below_b", "float_cuts",
+                 "mpf", "cut")
+
+    def __init__(self, shape: TriangleShape):
+        alpha = shape.size_key(1, 0)
+        beta = shape.size_key(0, 1)
+        self.mu = max(alpha, beta)
+        self.a_below_b = alpha < beta
+        self.float_cuts = ()
+        if shape.rationality is not None:
+            eps = 0
+        else:
+            import mpmath   # irrational keys are mpmath reals already
+
+            eps = mpmath.mpf("1e-30")
+            self.float_cuts = (int, float, mpmath.mpf)
+            self.mpf = mpmath.mpf
+            self.cut = (None,)
+        self.low = -eps
+        self.high = self.mu - eps
+        self.lower = min(alpha, beta) - eps
+
+    def float_bounds(self, t_cut) -> tuple:
+        """``t_cut``, its double, and the open intervals of s_f that lie
+        more than the margin inside the lower and the upper part."""
+        try:
+            tf = float(t_cut)
+        except OverflowError:
+            tf = math.nan   # no interval holds a nan: the exact path decides
+        margin = 2.0 ** -47 * (abs(tf) + float(self.mu))
+        low, lower, high = float(self.low), float(self.lower), float(self.high)
+        return (t_cut, tf, low + margin, lower - margin,
+                lower + margin, high - margin)
 
 
 def area_fraction_limit(shape: TriangleShape, interval) -> float:
@@ -384,6 +447,15 @@ class ComparisonReport:
     empirical: tuple[float, ...]
     tolerance: float
     metric: str = "l1"
+
+    def __post_init__(self) -> None:
+        try:
+            valid = math.isfinite(self.tolerance) and self.tolerance >= 0
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ArgumentError("tolerance must be a finite number >= 0, "
+                                f"got {self.tolerance!r}")
 
     @property
     def l1(self) -> float:

@@ -5,16 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tilelab
-from tilelab import substitution
+from tilelab import stats, substitution
 from tilelab.classify import _canon_angle, orientation_census
 from tilelab.errors import DomainError, InternalError
 from tilelab.geometry import MP_DPS, _mp_alpha_beta, shape_from_pq, shape_from_theta
@@ -195,6 +197,16 @@ def test_size_key_is_the_fresh_key(shape, i, j):
 # -- the lattice-path oracle --------------------------------------------------
 
 
+def assert_oracle_is_the_reference(shape, cut, ij):
+    try:
+        want = ref_count_oracle(shape, cut, ij)
+    except DomainError:
+        with pytest.raises(DomainError):
+            count_oracle(shape, cut, ij)
+        return
+    assert count_oracle(shape, cut, ij) == want, (shape.theta, cut, ij)
+
+
 @settings(max_examples=20, deadline=None)
 @given(shape=shapes, n=st.integers(0, 120))
 def test_count_oracle_matches_the_reference(shape, n):
@@ -203,15 +215,123 @@ def test_count_oracle_matches_the_reference(shape, n):
         probes = list(counts) + [(i + 1, j) for i, j in counts] + \
             [(i, j + 2) for i, j in counts] + [(max(i - 1, 0), j) for i, j in counts]
         for ij in probes:
-            try:
-                want = ref_count_oracle(shape, cut, ij)
-            except DomainError:
-                with pytest.raises(DomainError):
-                    count_oracle(shape, cut, ij)
-                continue
-            assert count_oracle(shape, cut, ij) == want
+            assert_oracle_is_the_reference(shape, cut, ij)
         for ij, cnt in counts.items():
             assert count_oracle(shape, cut, ij) == cnt
+
+
+@settings(max_examples=30, deadline=None)
+@given(shape=theta_shapes, i=st.integers(0, 400), j=st.integers(0, 400))
+@example(shape=shape_from_theta(1.0), i=0, j=0)
+@example(shape=shape_from_theta(1.0), i=387, j=211)
+def test_count_oracle_at_exact_lattice_coincidences(shape, i, j):
+    # s = 0 at the cut's own class; s = alpha and s = beta one step past
+    # it, which are min(alpha, beta) (the window's inner bound) and mu
+    # (just outside); cuts of every kind, on and off the lattice
+    key = shape.size_key(i, j)
+    cuts = [key, float(key), math.nextafter(float(key), math.inf),
+            math.nextafter(float(key), -math.inf), round(float(key)),
+            math.floor(float(key)), math.ceil(float(key))]
+    with mpmath.workdps(MP_DPS):
+        cuts += [key + mpmath.mpf(d) for d in
+                 ("1e-30", "-1e-30", "1e-25", "-1e-25", "1e-14", "-1e-14",
+                  "1e-9", "-1e-9")]
+    for cut in cuts:
+        for ij in [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1),
+                   (max(i - 1, 0), j), (i, max(j - 1, 0)), (i + 2, j)]:
+            assert_oracle_is_the_reference(shape, cut, ij)
+
+
+def test_count_oracle_for_cuts_of_every_type(irr1):
+    # s is 0.01 and alpha + 0.01, far inside each part, wherever doubles
+    # may be read at all
+    key = irr1.size_key(3, 2) - mpmath.mpf("0.01")
+    for cut in [key, float(key), 3, Fraction(float(key)), True, np.float64(key),
+                np.float32(key), str(float(key)), 2 ** 1100, -2 ** 1100,
+                math.nan, math.inf, -math.inf, mpmath.mpf("inf"),
+                mpmath.mpf("nan")]:
+        for ij in [(3, 2), (4, 2)]:
+            try:
+                want = ref_count_oracle(irr1, cut, ij)
+            except (DomainError, TypeError) as exc:
+                with pytest.raises(type(exc)):
+                    count_oracle(irr1, cut, ij)
+                continue
+            assert count_oracle(irr1, cut, ij) == want, cut
+
+
+def test_count_oracle_below_double_precision_is_the_mpf_comparison():
+    # at 20 bits the mpf offset alpha - 1e-9 rounds onto the bound alpha,
+    # where doubles would still tell them apart
+    shape = shape_from_theta(1.0)
+    key = shape.size_key(3, 2)
+    cuts = [key + mpmath.mpf(d) for d in ("1e-9", "-1e-9", "1e-12", "-1e-12")]
+    with mpmath.workprec(20):
+        for cut in cuts:
+            for ij in [(3, 2), (4, 2), (3, 3), (5, 2), (2, 2)]:
+                assert_oracle_is_the_reference(shape, cut, ij)
+
+
+def test_the_exact_fallback_runs_at_most_twice_a_generation(irr1, monkeypatch):
+    # only the cut's own class (s = 0) and the one a smaller step past it
+    # (s = min(alpha, beta)) lie within the margin of a bound
+    calls = []
+
+    def counting(window, s):
+        calls.append(s)
+        return exact_upper(window, s)
+
+    exact_upper = stats._exact_upper
+    monkeypatch.setattr(stats, "_exact_upper", counting)
+    oracle = gens = 0
+    for _, counts, min_pair in census_steps(irr1, 10 ** 6):
+        cut = irr1.size_key(*min_pair)
+        gens += 1
+        for ij, cnt in counts.items():
+            oracle += 1
+            assert count_oracle(irr1, cut, ij) == cnt
+        if sum(counts.values()) >= 10 ** 15:
+            break
+    assert oracle > 40000 and len(calls) <= 2 * gens < oracle // 20
+
+
+def test_threads_sharing_a_shape_get_their_own_cuts_answers():
+    # every thread switches the shape's remembered cut on every call
+    shape = shape_from_theta(0.9)
+    steps = [(shape.size_key(*min_pair), counts)
+             for _, counts, min_pair in census_steps(shape, 150)]
+    wrong = []
+
+    def sweep(order):
+        for cut, counts in steps[order::4]:
+            for ij, cnt in counts.items():
+                if count_oracle(shape, cut, ij) != cnt:
+                    wrong.append((cut, ij))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(k % 4,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
+
+
+def test_rational_shapes_never_reach_mpmath(monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)     # import raises
+    for p, q in [(1, 2), (2, 1), (1, 3), (1, 1), (5, 3)]:
+        shape = shape_from_pq(p, q)
+        for _, counts, min_pair in census_steps(shape, 60):
+            cut = shape.size_key(*min_pair)
+            for t_cut in (cut, float(cut), Fraction(cut)):
+                for ij, cnt in counts.items():
+                    assert count_oracle(shape, t_cut, ij) == cnt
+        with pytest.raises(DomainError):
+            count_oracle(shape, 0.5, (0, 0))
 
 
 # -- the size histogram past the float range ---------------------------------

@@ -181,6 +181,18 @@ def test_stats_pipeline(tmp_path, capsys):
     assert csv_out.startswith("bin,analytic,empirical,abs_error")
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flags", [(), ("--csv",)])
+def test_stats_tolerance_must_be_finite_and_non_negative(tmp_path, capsys,
+                                                         tolerance, flags):
+    path = _broken_tiling(tmp_path, lambda text: text)
+    capsys.readouterr()
+    rc, out, err = _run(capsys, ["stats", "--in", path, *flags,
+                                 "--tolerance", tolerance])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: tolerance") and err.count("\n") == 1
+
+
 def test_render_pipeline(tmp_path, capsys):
     src = tmp_path / "t4.json"
     dst = tmp_path / "t4.svg"

@@ -203,6 +203,19 @@ def test_comparison_report_serialization():
     json.dumps(data)  # must be serializable as-is
 
 
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1.0,
+                                       "0.1", None])
+def test_comparison_tolerance_must_be_finite_and_non_negative(til12, tolerance):
+    with pytest.raises(ArgumentError, match="tolerance"):
+        ComparisonReport(name="toy", weighting="area", labels=(1,),
+                         analytic=(1.0,), empirical=(1.0,), tolerance=tolerance)
+    with pytest.raises(ArgumentError, match="tolerance"):
+        size_comparison(til12, 3, tolerance=tolerance)
+    assert ComparisonReport(name="toy", weighting="area", labels=(1,),
+                            analytic=(1.0,), empirical=(1.0,),
+                            tolerance=0).passed is False
+
+
 def test_count_oracle_spot_values(til12):
     assert count_oracle(til12, 0, (0, 0)) == 1
     # T_1 cut sits at the B key; four half-rectangle daughters
