@@ -7,6 +7,12 @@ constructs those tilings, classifies when the set of tile sizes and
 orientations stays finite, computes exact and limiting population
 statistics, analyzes the one-dimensional substitution dynamics along
 fault lines, and renders the results as SVG.
+
+Importing the package loads every tilelab module (benchmark tracing
+finds them in ``sys.modules``) but neither numpy nor mpmath: each
+function that needs one imports it, so the exact integer commands
+(``classify``, ``spectral --theta``, ``boundary --system til2|til13``)
+never pay for the array library.
 """
 
 from .boundary import (SlippageProfile, SubstitutionRule1D, Word, f_of_n,

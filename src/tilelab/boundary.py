@@ -18,8 +18,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ArgumentError, InternalError, ResourceError
 from .geometry import TriangleShape
 from .spectral import count_vectors
@@ -114,29 +112,24 @@ def _nth(walk, n: int):
     return next(itertools.islice(walk, n, None))
 
 
-def _refuse_past_cap(rule: SubstitutionRule1D, seed: str, n: int, cap: int,
-                     first: int) -> None:
-    """The refusals of iterating ``seed`` n times: ArgumentError for a
-    negative n or a seed letter outside the alphabet, then the
-    ResourceError of the first of sigma^first(seed), ..., sigma^n(seed)
-    that has more than ``cap`` letters."""
+def check_letter_cap(rule: SubstitutionRule1D, seed: str, n: int,
+                     cap: int = DEFAULT_LETTER_CAP) -> None:
+    """Raise up front what iterating ``seed`` n times would hit first:
+    ArgumentError for a negative n or a seed letter outside the alphabet,
+    then the ResourceError of the first of sigma^0(seed), ...,
+    sigma^n(seed) that has more than ``cap`` letters.  The walk stops
+    there, so any n, however large, is refused after a few steps of a
+    growing rule."""
     if n < 0:
         raise ArgumentError(f"iteration count must be non-negative, got {n}")
     bad = set(seed) - set(rule.chars)
     if bad:
         raise ArgumentError(f"letters {bad} are not in the {rule.name} alphabet")
-    lengths = map(sum, itertools.islice(_letter_counts(rule, seed), first, n + 1))
-    for k, length in enumerate(lengths, start=first):
+    for k, counts in zip(range(n + 1), _letter_counts(rule, seed)):
+        length = sum(counts)
         if length > cap:
             raise ResourceError(
                 f"{rule.name}: sigma^{k} would have {length} letters, cap is {cap}")
-
-
-def check_letter_cap(rule: SubstitutionRule1D, seed: str, n_max: int,
-                     cap: int = DEFAULT_LETTER_CAP) -> None:
-    """Raise up front the error that iterating ``seed`` n = 1, 2, ...,
-    n_max times in turn would hit first."""
-    _refuse_past_cap(rule, seed, n_max, cap, first=1)
 
 
 def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
@@ -149,7 +142,7 @@ def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
     every letter.
     """
     letters = seed.letters if isinstance(seed, Word) else seed
-    _refuse_past_cap(rule, letters, n, cap, first=n)
+    check_letter_cap(rule, letters, n, cap)
     half = n // 2
     table = {ord(c): img for c, img in rule.images.items()}
     for _ in range(n - half):
@@ -303,6 +296,7 @@ def _sign_quad(A: np.ndarray, B: np.ndarray, D: int) -> np.ndarray:
     x -> x*|x| is increasing, so sign(A + B sqrt D) = sign(A|A| + D B|B|);
     int64 holds that sum exactly while |A| < 2**31 and D B**2 < 2**62.
     """
+    import numpy as np
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     if A.size:
@@ -338,6 +332,7 @@ def _vertex_coords(codes: bytes, segments: dict[str, tuple[int, int, int]]):
     segments per L), so int32 holds them.  Callers widen to int64 before
     combining coordinates.
     """
+    import numpy as np
     luts = np.zeros((2, 256), dtype=np.int8)
     step = 0
     for c, (du, dv, _) in segments.items():
@@ -367,6 +362,7 @@ def _layout(line: FaultLine, n: int, cap: int):
     coordinates are allocated.  At the peak the coordinates are held
     beside the segment letters and one step array: 10 bytes a vertex.
     """
+    import numpy as np
     letters = iterate(line.rule, "H", n, cap=cap).letters
     for c, (_, _, count) in line.segments.items():
         if count != 1:
@@ -407,6 +403,7 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
     from a float search, which is right while vertex gaps exceed the
     margin.
     """
+    import numpy as np
     root = math.sqrt(D)
     U, V = int(u[-1]), int(v[-1])
     last = len(u) - 1
@@ -517,6 +514,7 @@ def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
     offsets are the distinct nearest-vertex contact lengths; c = 4 wide
     windows never recur, so the dv key already is the mod-c reduction.
     """
+    import numpy as np
     u, v, seg_letter = _layout(TIL12, n, cap)
     # segment i runs from vertex i to i + 1, and vertices strictly increase:
     # the legs fully in [0, Q] end at or before the last vertex with
@@ -868,7 +866,7 @@ def _level(line: FaultLine, pairs: tuple[BalancedPair, ...], n: int,
            cap: int) -> tuple[BalancedPair, ...]:
     """The pairs of level n, after the refusals ``iterate`` would make
     for sigma^n(H), whose letters the pairs hold between them."""
-    _refuse_past_cap(line.rule, "H", n, cap, first=n)
+    check_letter_cap(line.rule, "H", n, cap)
     return _nth(pair_levels(pairs), n)
 
 

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ArgumentError
 from .geometry import TWO_PI, TriangleShape, wrap_angle
 from .substitution import Tiling, _SizeFrontier
@@ -151,6 +149,7 @@ def verify_orientation_count(t: Tiling, tol: float = ANGLE_TOL) -> int:
 
     Headings within ``tol`` of each other (on the circle) count once.
     """
+    import numpy as np
     total = 0
     for hand in (1, -1):
         phis = np.unique(t.phi[t.handedness == hand])

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import ArgumentError, DomainError, GeometryError, NumericError
 
 TWO_PI = 2.0 * math.pi
@@ -53,6 +51,7 @@ def wrap_angle(phi: float) -> float:
 
 def wrap_angles(phi: np.ndarray) -> np.ndarray:
     """:func:`wrap_angle` of every entry, with the same float results."""
+    import numpy as np
     phi = np.fmod(phi, TWO_PI)
     phi = np.where(phi < 0.0, phi + TWO_PI, phi)
     return np.where(phi >= TWO_PI, phi - TWO_PI, phi)
@@ -63,6 +62,7 @@ def cos_sin(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct value.  numpy's vectorized cos/sin are not guaranteed to
     round like the C library's, and the per-tile placements were defined
     by the latter."""
+    import numpy as np
     bits, inverse = np.unique(np.ascontiguousarray(phi, dtype=np.float64)
                               .view(np.int64), return_inverse=True)
     values = bits.view(np.float64).tolist()
@@ -76,6 +76,7 @@ def apply_columns(point: tuple[float, float], handedness: np.ndarray,
                   tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`Similarity.apply` of one point under one similarity per row,
     in the same IEEE operation order (so with the same float results)."""
+    import numpy as np
     x, y = point
     y = np.where(handedness < 0, -y, y)
     return (tx + scale * (x * cos_phi - y * sin_phi),

@@ -15,8 +15,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ArgumentError
 from .geometry import cos_sin
 from .substitution import JSON_CHUNK_TILES, Tiling, fill_rows, float_texts
@@ -61,6 +59,7 @@ class _Run:
 def _sorted_groups(*keys) -> tuple[np.ndarray, np.ndarray]:
     """The stable lexsort order of ``keys`` (last key primary) and a mask
     over that order marking where each run of equal key tuples begins."""
+    import numpy as np
     order = np.lexsort(keys)
     fresh = np.zeros(len(order), dtype=bool)
     fresh[:1] = True
@@ -74,6 +73,7 @@ def _line_angles(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """Direction mod pi of every edge, 0 just below pi.  Uses math.atan2,
     not np.arctan2 (the two differ in the last bit on some hosts), once
     per distinct (dy, dx) bit pattern."""
+    import numpy as np
     order, fresh = _sorted_groups(dx.view(np.int64), dy.view(np.int64))
     first = order[fresh]
     ang = np.array([math.atan2(y, x) % math.pi for y, x in
@@ -86,6 +86,7 @@ def _line_angles(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
 
 def _distinct_per_run(run: np.ndarray, runs: int, *keys) -> np.ndarray:
     """How many distinct tuples of ``keys`` each of the ``runs`` runs holds."""
+    import numpy as np
     order, fresh = _sorted_groups(*keys, run)
     return np.bincount(run[order][fresh], minlength=runs)
 
@@ -100,6 +101,7 @@ def fault_runs(t: Tiling) -> list[_Run]:
     different parents.  Shared edges between two cousins collapse to one
     distinct segment and drop out; fault lines survive.
     """
+    import numpy as np
     if not len(t):
         return []
     pairs, _, _ = t.exponent_pairs()
@@ -185,6 +187,7 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
     """Yield the SVG text of :func:`render_svg` in pieces of at most
     ``chunk`` polygons.  Everything that can fail runs before the first
     piece."""
+    import numpy as np
     if color not in ("size", "phi"):
         raise ArgumentError(f"unknown color mode {color!r}")
     if not len(t):

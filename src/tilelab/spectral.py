@@ -15,8 +15,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ArgumentError, DomainError, NumericError
 from .geometry import TriangleShape
 
@@ -44,6 +42,7 @@ def population_matrix(p: int, q: int) -> np.ndarray:
     class is promoted one rank, giving ones on the superdiagonal, a 1 at
     row p and a 4 at row q of the first column (summed if p = q = 1).
     """
+    import numpy as np
     _check_pq(p, q)
     m = max(p, q)
     M = np.zeros((m, m), dtype=np.int64)
@@ -101,6 +100,7 @@ def _poly_deriv(coeffs):
 
 
 def _polished_roots(coeffs) -> list[complex]:
+    import numpy as np
     roots = np.roots(np.asarray(coeffs, dtype=float))
     deriv = _poly_deriv(coeffs)
     out = []
@@ -233,6 +233,7 @@ def orientation_matrices(shape: TriangleShape, n: int) -> OrientationMatrix:
     by theta + pi/2), B2 the four half-rectangle daughters.  Columns are
     indexed by the parent's handedness (+ then -).
     """
+    import numpy as np
     if shape.rationality is None:
         raise DomainError("orientation matrices require a rational shape")
     th = shape.theta
@@ -292,6 +293,7 @@ def orientation_spectrum_check(shape: TriangleShape, n: int,
     strictly inside radius r^{-2}.  Every eigenvalue is also pushed back
     through the characteristic polynomial, normalized by its largest term.
     """
+    import numpy as np
     if n == 0:
         raise ArgumentError("mode 0 is the plain population problem")
     om = orientation_matrices(shape, n)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .classify import orientation_census
 from .errors import ArgumentError, DomainError
 from .geometry import TriangleShape, _float_size_key
@@ -66,6 +64,7 @@ class OrientationHistogram:
     phi_bins: dict[tuple[int, int], tuple[float, ...]]
 
     def pooled(self) -> tuple[float, ...]:
+        import numpy as np
         acc = np.zeros(self.bins)
         for cell, weight in self.cells.items():
             acc += weight * np.asarray(self.phi_bins[cell])
@@ -73,6 +72,7 @@ class OrientationHistogram:
 
     def max_deviation(self) -> float:
         """Largest pooled-bin departure from the uniform heading law."""
+        import numpy as np
         pooled = np.asarray(self.pooled())
         return float(np.abs(pooled - 1.0 / self.bins).max())
 
@@ -94,6 +94,7 @@ def _normalize(values: np.ndarray) -> np.ndarray:
 
 
 def _phi_bin(phi: np.ndarray, bins: int) -> np.ndarray:
+    import numpy as np
     # headings like pi/2 sit exactly on bin edges; the nudge makes the
     # geometric and census paths agree there despite float noise
     return ((phi / (2.0 * math.pi) + 1e-9) * bins).astype(np.int64) % bins
@@ -131,6 +132,7 @@ def _weights(shape: TriangleShape, counts: dict, weighting: str) -> list[float]:
 
 def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
                                 weighting: str, bins: int) -> Histogram:
+    import numpy as np
     weights = _weights(shape, counts, weighting)
     pairs = list(counts)
     if shape.rationality is not None:
@@ -177,6 +179,7 @@ def census_size_histogram(shape: TriangleShape, n: int,
     last bit from those the pair census (or :func:`size_histogram` of the
     built T_n) gives.  Irrational shapes bin the exact exponent census.
     """
+    import numpy as np
     if shape.rationality is None:
         counts, _ = census_counts(shape, n)
         return _size_histogram_from_counts(shape, counts, weighting, bins)
@@ -220,6 +223,7 @@ def matrix_power_counts(shape: TriangleShape, n: int) -> tuple[int, ...]:
 def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
                           ) -> OrientationHistogram:
     """Heading distribution of a built tiling, split by size and hand."""
+    import numpy as np
     rank = t.size_ranks()
     total = len(t)
     # cells in order of first appearance: pooled() sums them in that order
@@ -242,6 +246,7 @@ def census_orientation_histogram(shape: TriangleShape, n: int,
                                  theta_pi: Fraction | None = None
                                  ) -> OrientationHistogram:
     """Heading distribution from the exact orientation census."""
+    import numpy as np
     census = orientation_census(shape, n, theta_pi)
     pairs = {(i, j) for (i, j, _, _) in census.counts}
     ranks = size_class_ranks(shape, pairs)
@@ -419,6 +424,7 @@ def empirical_size_fraction(shape: TriangleShape, n: int, interval,
 def equidistribution_frequency(ratio: float, lo: float, hi: float,
                                n_samples: int = 10 ** 5) -> float:
     """Visit frequency of (k*ratio mod 1) in [lo, hi) for k = 1..N."""
+    import numpy as np
     if not (0.0 <= lo < hi <= 1.0):
         raise ArgumentError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
     k = np.arange(1, n_samples + 1, dtype=np.float64)
@@ -464,6 +470,7 @@ class ComparisonReport:
 
     @property
     def value(self) -> float:
+        import numpy as np
         if self.metric == "l1":
             return self.l1
         if self.metric == "cdf_sup":

@@ -21,8 +21,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ArgumentError, InternalError, ResourceError
 from .geometry import (
     TWO_PI,
@@ -57,10 +55,12 @@ NEAR_TIE = 1e-9
 PHI_MAX = float(f"{TWO_PI:.12g}")
 
 # The columns of a Tiling: handedness (+1/-1), heading, small-angle
-# vertex, exponent pair, tile id and parent id (-1 for the root).
-COLUMNS = (("handedness", np.int8), ("phi", np.float64), ("ox", np.float64),
-           ("oy", np.float64), ("i", np.int32), ("j", np.int32),
-           ("ids", np.int64), ("parent", np.int64))
+# vertex, exponent pair, tile id and parent id (-1 for the root).  The
+# dtypes are named, not numpy types: commands that build no array never
+# load numpy.
+COLUMNS = (("handedness", "int8"), ("phi", "float64"), ("ox", "float64"),
+           ("oy", "float64"), ("i", "int32"), ("j", "int32"),
+           ("ids", "int64"), ("parent", "int64"))
 
 
 def _make_tile(shape, hand, phi, ox, oy, i, j, tile_id, parent) -> Tile:
@@ -70,6 +70,7 @@ def _make_tile(shape, hand, phi, ox, oy, i, j, tile_id, parent) -> Tile:
 
 def subdivide(tile: Tile, first_id: int | None = None) -> list[Tile]:
     """The five daughters of ``tile``, ids assigned consecutively."""
+    import numpy as np
     if first_id is None:
         first_id = tile.id + 1
     kids = _daughters(Tiling(tile.shape, [tile], 0), np.array([0]), first_id)
@@ -102,6 +103,7 @@ class Tiling:
         return tiling
 
     def _init(self, shape, generation, columns) -> None:
+        import numpy as np
         self.shape = shape
         self.generation = generation
         for name, dtype in COLUMNS:
@@ -132,6 +134,7 @@ class Tiling:
     def exponent_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray, list[int]]:
         """The distinct exponent pairs in order of first appearance, each
         tile's index into that list, and the tile count of each pair."""
+        import numpy as np
         if self._pairs is None:
             code = self.i.astype(np.int64) * (1 << 32) + self.j
             _, first, inverse, counts = np.unique(
@@ -158,6 +161,7 @@ class Tiling:
 
     def size_ranks(self) -> np.ndarray:
         """The size class of every tile (1 = largest present)."""
+        import numpy as np
         pairs, index, _ = self.exponent_pairs()
         rank_of = self.class_rank()
         return np.array([rank_of[p] for p in pairs], dtype=np.int64)[index]
@@ -169,6 +173,7 @@ class Tiling:
 
     def scales(self) -> np.ndarray:
         """The linear scale of every tile relative to the root."""
+        import numpy as np
         pairs, index, _ = self.exponent_pairs()
         return np.array([self.shape.scale(i, j) for i, j in pairs],
                         dtype=np.float64)[index]
@@ -245,6 +250,7 @@ def size_class_ranks(shape: TriangleShape, pairs) -> dict[tuple[int, int], int]:
 
 
 def _check_disjoint(tiling: Tiling, samples: int) -> None:
+    import numpy as np
     polys = []
     for t in tiling.tiles:
         s, c, o, _ = vertices(t)
@@ -284,6 +290,7 @@ def _daughters(tiling: Tiling, rows: np.ndarray, first_id: int) -> dict:
     """Columns of the daughters of the tiles at ``rows``: five rows per
     parent, in parent order, each parent's five in the order of
     ``shape.daughter_frames()``, with ids counting up from ``first_id``."""
+    import numpy as np
     shape = tiling.shape
     hand = tiling.handedness[rows]
     phi = tiling.phi[rows]
@@ -313,6 +320,7 @@ def deflate(tiling: Tiling, cap: int | None = None) -> Tiling:
 
     Each subdivided tile is replaced in place by its five daughters, whose
     ids continue from the largest id present."""
+    import numpy as np
     if cap is None:
         cap = DEFAULT_TILE_CAP
     pairs, index, _ = tiling.exponent_pairs()
@@ -665,6 +673,7 @@ def float_texts(values: np.ndarray, fmt) -> np.ndarray:
     """``fmt(v)`` of every float of ``values``, as an object array of the
     same shape, calling ``fmt`` once per distinct bit pattern (so 0.0 and
     -0.0 stay apart, as JSON prints them)."""
+    import numpy as np
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
     texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
@@ -692,6 +701,7 @@ def tiling_json_chunks(tiling: Tiling, chunk: int = JSON_CHUNK_TILES):
     """Yield the text of ``json.dumps(round12(tiling_to_json(tiling)),
     sort_keys=True, indent=1) + "\\n"`` in pieces of at most ``chunk``
     tiles, without building the per-tile dicts."""
+    import numpy as np
     header = {"format": TILING_FORMAT, "shape": tiling.shape.to_json(),
               "generation": tiling.generation}
     if not len(tiling):
@@ -747,6 +757,7 @@ def _shape_from_json(sh) -> TriangleShape:
 
 def _int_column(values: list, key: str, dtype, low: int = 0,
                 high: int | None = None) -> np.ndarray:
+    import numpy as np
     if high is None:
         high = np.iinfo(dtype).max
     col = None
@@ -762,6 +773,7 @@ def _int_column(values: list, key: str, dtype, low: int = 0,
 
 
 def _float_column(values: list, key: str, shape: tuple) -> np.ndarray:
+    import numpy as np
     try:
         col = np.array(values)
     except ValueError:      # ragged nested lists
@@ -779,6 +791,7 @@ def tiling_from_json(data: dict) -> Tiling:
     Malformed input (wrong format, missing keys, non-integer exponents or
     ids, handedness other than +-1, non-finite floats, headings outside
     [0, PHI_MAX], no tiles) raises :class:`ArgumentError`."""
+    import numpy as np
     fmt = data.get("format") if isinstance(data, dict) else None
     if fmt != TILING_FORMAT:
         raise ArgumentError(f"unsupported tiling format: {fmt!r}")

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +60,16 @@ def test_letter_cap_check_refuses_what_iterate_refuses(seed, n):
     with pytest.raises(ArgumentError) as check:
         check_letter_cap(til2_rule(), seed, n)
     assert str(check.value) == str(it.value)
+
+
+@pytest.mark.parametrize("n", [13, 30, sys.maxsize, 2 ** 70])
+def test_any_n_past_the_letter_cap_is_refused(n):
+    # the refusal names the first sigma^k(H) past the cap, however large n is
+    message = re.escape("til2: sigma^13 would have 165580141 letters, cap is 100000000")
+    with pytest.raises(ResourceError, match=message):
+        iterate(til2_rule(), "H", n)
+    with pytest.raises(ResourceError, match=message):
+        check_letter_cap(til2_rule(), "H", n)
 
 
 def test_sigma0_golden_rule():
@@ -305,14 +317,13 @@ def test_til2_and_til13_answers_build_no_word(monkeypatch):
 
 _NEGATIVE = "iteration count must be non-negative, got -1"
 _CAP = "letters, cap is 100000000"
+_TIL2_CAP = (ResourceError, f"til2: sigma^13 would have 165580141 {_CAP}")
+_TIL13_CAP = (ResourceError, f"til13: sigma^26 would have 100659247 {_CAP}")
 _REFUSALS = {   # n -> the error iterate raises for sigma^n(H)
-    "til2": {-1: (ArgumentError, _NEGATIVE),
-             13: (ResourceError, f"til2: sigma^13 would have 165580141 {_CAP}"),
-             30: (ResourceError,
-                  f"til2: sigma^30 would have 7540113804746346429 {_CAP}")},
-    "til13": {-1: (ArgumentError, _NEGATIVE),
-              26: (ResourceError, f"til13: sigma^26 would have 100659247 {_CAP}"),
-              30: (ResourceError, f"til13: sigma^30 would have 1610604095 {_CAP}")},
+    "til2": {-1: (ArgumentError, _NEGATIVE), 13: _TIL2_CAP, 30: _TIL2_CAP,
+             sys.maxsize: _TIL2_CAP, 2 ** 70: _TIL2_CAP},
+    "til13": {-1: (ArgumentError, _NEGATIVE), 26: _TIL13_CAP, 30: _TIL13_CAP,
+              sys.maxsize: _TIL13_CAP, 2 ** 70: _TIL13_CAP},
 }
 
 

@@ -151,6 +151,17 @@ def test_boundary_refuses_past_the_letter_cap_up_front(capsys, monkeypatch):
     assert "til2: sigma^13 would have" in err
 
 
+@pytest.mark.parametrize("system, refusal", [
+    ("til2", "til2: sigma^13 would have 165580141 letters"),
+    ("til12", "til12: sigma^20 would have"),
+    ("til13", "til13: sigma^26 would have 100659247 letters")])
+@pytest.mark.parametrize("n", [str(sys.maxsize), str(2 ** 70)])
+def test_boundary_huge_n_exits_3(capsys, system, refusal, n):
+    rc, out, err = _run(capsys, ["boundary", "--system", system, "--n", n])
+    assert rc == 3 and out == ""
+    assert err.startswith(f"error: {refusal}")
+
+
 @pytest.mark.parametrize("n", ["-1", "-5"])
 def test_boundary_negative_n_exits_2(capsys, n):
     rc, out, err = _run(capsys, ["boundary", "--system", "til12", "--n", n])
@@ -430,6 +441,39 @@ def test_rational_commands_never_load_mpmath(tmp_path):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+_EXACT_COMMANDS = [
+    [],
+    ["boundary", "--system", "til2", "--n", "11"],
+    ["boundary", "--system", "til13", "--n", "18"],
+    ["spectral", "--theta", "1.0"],
+    ["classify", "--pq", "1/3", "--theta-pi", "1/4"],
+    ["classify", "--theta", "0.8", "--theta-pi", "irrational"],
+]
+
+
+@pytest.mark.parametrize("argv", _EXACT_COMMANDS, ids=lambda a: " ".join(a) or "import")
+def test_exact_commands_never_load_numpy(argv):
+    code = ("import sys; from tilelab.cli import main; argv = sys.argv[1:]; "
+            "assert not argv or main(argv) == 0; "
+            "sys.exit('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_import_loads_every_traced_layer():
+    layers = ("cli", "substitution", "stats", "spectral", "classify", "render",
+              "boundary")
+    code = ("import sys, tilelab.cli; "
+            f"missing = [m for m in {layers!r} if 'tilelab.' + m not in sys.modules]; "
+            "sys.exit(f'not imported: {missing}' if missing else 0)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def _paths(node, prefix=()):
     """Every key or index path into a parsed JSON document."""
     items = node.items() if isinstance(node, dict) else \
@@ -483,7 +527,8 @@ def _opt(flag, values):
 
 
 _TEXT = st.text(max_size=4)
-_N = st.one_of(st.integers(-3, 10).map(str), _TEXT)
+_N = st.one_of(st.integers(-3, 10).map(str), _TEXT,
+               st.integers(2 ** 62, 2 ** 70).map(str))
 _FLOAT = st.one_of(st.floats().map(repr), _TEXT)
 _OUT = _opt("--out", st.sampled_from(["{tmp}/out", "{tmp}", "{tmp}/no/out"]))
 _IN = _opt("--in", st.sampled_from(["{tmp}/t.json", "{tmp}/bad.json",
@@ -531,6 +576,9 @@ def fuzz_dir(tmp_path_factory):
 @example(argv=["generate", "--pq", "1/1", "--n", "10"], cap="5000")
 @example(argv=["spectral", "--pq", ""], cap="1")        # was read as no --pq
 @example(argv=["classify", "--pq", "1/1", "--theta-pi", "1/0"], cap="1")
+@example(argv=["boundary", "--system", "til2", "--n", "9223372036854775807"], cap="1")
+@example(argv=["boundary", "--system", "til12", "--n", "9223372036854775807"], cap="1")
+@example(argv=["boundary", "--system", "til13", "--n", "9223372036854775807"], cap="1")
 def test_any_argv_exits_with_a_documented_code(fuzz_dir, argv, cap):
     argv = [arg.replace("{tmp}", fuzz_dir) for arg in argv]
     old = os.environ.get("TILELAB_MAX_TILES")
