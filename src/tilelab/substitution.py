@@ -17,6 +17,7 @@ import bisect
 import itertools
 import json
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,9 +33,8 @@ from .geometry import (
     cos_sin,
     shape_from_pq,
     shape_from_theta,
-    tile_area,
-    vertices,
-    wrap_angle,
+    tile_area,  # re-exported for callers
+    vertices,  # re-exported for callers
     wrap_angles,
 )
 
@@ -74,7 +74,8 @@ def subdivide(tile: Tile, first_id: int | None = None) -> list[Tile]:
     if first_id is None:
         first_id = tile.id + 1
     kids = _daughters(Tiling(tile.shape, [tile], 0), np.array([0]), first_id)
-    return list(Tiling.from_columns(tile.shape, 0, kids).tiles)
+    return [_make_tile(tile.shape, *row)
+            for row in Tiling.from_columns(tile.shape, 0, kids).rows()]
 
 
 class Tiling:
@@ -83,8 +84,9 @@ class Tiling:
     The tiles are stored as read-only numpy columns named in
     :data:`COLUMNS`, one row per tile: ``handedness`` (int8), ``phi``,
     ``ox``, ``oy`` (float64), ``i``, ``j`` (int32), ``ids`` and
-    ``parent`` (int64, -1 for the root).  :attr:`tiles` is a sequence
-    view that builds :class:`Tile` objects on demand.
+    ``parent`` (int64, -1 for the root).  The library reads only these
+    columns; :attr:`tiles` is a sequence view for callers, which builds
+    a :class:`Tile` object for each tile it hands out.
     """
 
     def __init__(self, shape: TriangleShape, tiles, generation: int):
@@ -118,12 +120,6 @@ class Tiling:
     @property
     def tiles(self) -> "_TileView":
         return _TileView(self)
-
-    @property
-    def parent_links(self) -> dict[int, int]:
-        """Tile id -> parent id, for every tile that has a parent."""
-        has = self.parent >= 0
-        return dict(zip(self.ids[has].tolist(), self.parent[has].tolist()))
 
     def rows(self):
         """The tiles as tuples of Python values in :data:`COLUMNS` order."""
@@ -191,8 +187,17 @@ class Tiling:
     # -- integrity checks (used by tests, not on every build) -------------
 
     def validate_cover(self, samples_per_tile: int = 0) -> None:
+        """Check that the tile areas sum to the root's and that the sizes
+        present fit in one similarity window.  A positive
+        ``samples_per_tile`` also checks that a barycentric grid of about
+        that many points of each tile (at least its centroid) lies in no
+        other tile's interior."""
+        if samples_per_tile < 0:
+            raise ArgumentError(f"samples_per_tile must be non-negative, "
+                                f"got {samples_per_tile}")
         root_area = 0.5 * self.shape.a * self.shape.b
-        total = sum(tile_area(t) for t in self.tiles)
+        scale = self.scales()
+        total = root_area * math.fsum((scale * scale).tolist())
         if abs(total - root_area) > 1e-10 * root_area:
             raise InternalError(f"areas sum to {total}, root has {root_area}")
         keys = self.size_keys()
@@ -251,19 +256,16 @@ def size_class_ranks(shape: TriangleShape, pairs) -> dict[tuple[int, int], int]:
 
 def _check_disjoint(tiling: Tiling, samples: int) -> None:
     import numpy as np
-    polys = []
-    for t in tiling.tiles:
-        s, c, o, _ = vertices(t)
-        polys.append((s, c, o))
-    arr = np.asarray(polys)  # (n, 3, 2)
-    n = int(round((math.sqrt(8 * samples + 1) - 1) / 2))
+    arr = np.transpose(tiling.vertex_columns(), (2, 0, 1))  # (n, 3, 2)
+    # a grid of n + 1 points a side; n = 3 leaves only the centroid inside
+    n = max(3, int(round((math.sqrt(8 * samples + 1) - 1) / 2)))
     pts = []
     for ii in range(1, n):
         for jj in range(1, n - ii):
             kk = n - ii - jj
             pts.append((ii / n, jj / n, kk / n))
     bary = np.asarray(pts)
-    for idx in range(len(polys)):
+    for idx in range(len(arr)):
         tri = arr[idx]
         cloud = bary @ tri  # interior points of tile idx
         others = np.concatenate([arr[:idx], arr[idx + 1:]])
@@ -486,31 +488,30 @@ def trace_edge(tiling: Tiling, edge: str) -> list[TraceSegment]:
     leg); a segment's sign records whether the owning tile's own edge
     direction agrees with that.
     """
+    import numpy as np
     shape = tiling.shape
     p0, p1 = _root_edge(shape, edge)
     ex, ey = p1[0] - p0[0], p1[1] - p0[1]
     total = math.hypot(ex, ey)
     ux, uy = ex / total, ey / total
     tol = 1e-9 * shape.c
-    ranks = tiling.class_rank()
+    s, c, o = tiling.vertex_columns()
+    ranks = tiling.size_ranks()
 
     found = []
-    for t in tiling.tiles:
-        s, c, o, _ = vertices(t)
-        for kind, q0, q1 in (("H", s, o), ("L", s, c), ("S", c, o)):
-            d0 = (q0[0] - p0[0], q0[1] - p0[1])
-            d1 = (q1[0] - p0[0], q1[1] - p0[1])
-            if abs(d0[0] * uy - d0[1] * ux) > tol:
-                continue
-            if abs(d1[0] * uy - d1[1] * ux) > tol:
-                continue
-            t0 = d0[0] * ux + d0[1] * uy
-            t1 = d1[0] * ux + d1[1] * uy
-            if min(t0, t1) < -tol or max(t0, t1) > total + tol:
-                continue
-            sign = 1 if t1 > t0 else -1
-            found.append((min(t0, t1), abs(t1 - t0), t.id, kind, sign,
-                          ranks[t.placement.size_exp]))
+    for kind, q0, q1 in (("H", s, o), ("L", s, c), ("S", c, o)):
+        d0x, d0y = q0[0] - p0[0], q0[1] - p0[1]
+        d1x, d1y = q1[0] - p0[0], q1[1] - p0[1]
+        t0 = d0x * ux + d0y * uy
+        t1 = d1x * ux + d1y * uy
+        up = t1 > t0
+        lo = np.where(t1 < t0, t1, t0)      # Python's min(t0, t1)
+        rows = np.flatnonzero((np.abs(d0x * uy - d0y * ux) <= tol)
+                              & (np.abs(d1x * uy - d1y * ux) <= tol)
+                              & (lo >= -tol) & (np.where(up, t1, t0) <= total + tol))
+        found += zip(lo[rows].tolist(), np.abs(t1 - t0)[rows].tolist(),
+                     tiling.ids[rows].tolist(), itertools.repeat(kind),
+                     np.where(up, 1, -1)[rows].tolist(), ranks[rows].tolist())
     found.sort()
     # the segments must partition [0, total]
     cursor = 0.0
@@ -537,102 +538,61 @@ class SupertileChain:
     levels: list[tuple[Tiling, Similarity]]
 
 
-def _descendant_pattern(tiling: Tiling, ids: set[int], anchor: Tile):
-    """Relative (exponents, pose) multiset of ``ids`` seen from ``anchor``."""
-    inv = anchor.similarity().inverse()
-    ai, aj = anchor.placement.size_exp
-    hand = anchor.placement.handedness
-    rows = []
-    for t in tiling.tiles:
-        if t.id not in ids:
-            continue
-        i, j = t.placement.size_exp
-        rel_phi = wrap_angle(hand * (t.placement.phi - anchor.placement.phi))
-        ox, oy = inv.apply(t.placement.origin)
-        rows.append((i - ai, j - aj, t.placement.handedness * hand,
-                     rel_phi, ox, oy))
-    rows.sort()
-    return rows
-
-
-def _pattern_of(tiling: Tiling):
-    rows = []
-    for t in tiling.tiles:
-        i, j = t.placement.size_exp
-        rows.append((i, j, t.placement.handedness, t.placement.phi,
-                     t.placement.origin[0], t.placement.origin[1]))
-    rows.sort()
-    return rows
-
-
-def _patterns_match(rows_a, rows_b, tol: float) -> bool:
-    # Greedy matching with tolerance: row counts are small and sorting on
-    # noisy floats (or phi near the 0/2pi seam) would be order-unstable.
-    if len(rows_a) != len(rows_b):
-        return False
-    unused = list(rows_b)
-    for ra in rows_a:
-        for idx, rb in enumerate(unused):
-            if ra[:3] != rb[:3]:
-                continue
-            dphi = abs(ra[3] - rb[3])
-            if min(dphi, 2.0 * math.pi - dphi) > tol:
-                continue
-            if abs(ra[4] - rb[4]) > tol or abs(ra[5] - rb[5]) > tol:
-                continue
-            unused.pop(idx)
-            break
-        else:
-            return False
-    return True
-
-
 def grow_supertile(shape: TriangleShape, choices: list[tuple[int, int]],
                    cap: int | None = None) -> SupertileChain:
     """Nest supertiles along a list of ``(n_i, tile_index)`` choices.
 
     Level 1 is ``T_{n_1}`` with the first chosen tile marking where the
     initial triangle sits.  Each later level ``i`` deflates ``T_{n_i}``
-    until the chosen tile's descendants reproduce the previous level's
-    pattern; the recorded embedding is the chosen tile's similarity.
+    until the chosen tile's descendants form a copy of the previous
+    level's ``T_prev``; the recorded embedding is the chosen tile's
+    similarity.
+
+    The stop rule is exact: the descendants' tile counts per exponent
+    pair, taken relative to the chosen tile's pair, equal
+    ``census_counts(shape, prev)``.  Size keys add over exponent pairs
+    and deflation splits the largest tiles first, so the descendants pass
+    through copies of T_0, T_1, ... in order, each for one or more
+    deflations.  A copy of T_m with m < prev still holds the class that
+    T_m subdivides, which T_prev lacks, so the first match is the copy of
+    T_prev.  The search ends: each deflation strictly raises the least
+    size key present, keys below any bound are finitely many, and the
+    copy advances once that least key reaches its own.  A descendant
+    count above T_prev's tile count is therefore an internal error.
     """
+    import numpy as np
     chain = SupertileChain(shape, list(choices), [], [])
     if not choices:
         chain.orders.append(0)
         chain.levels.append((build_Tn(shape, 0), Similarity()))
         return chain
-    max_extra = 200
     prev_order = None
     for n_i, pos in choices:
-        base = build_Tn(shape, n_i, cap=cap)
-        if not (0 <= pos < len(base.tiles)):
+        current = build_Tn(shape, n_i, cap=cap)
+        if not (0 <= pos < len(current)):
             raise ArgumentError(f"tile index {pos} out of range for T_{n_i}")
-        anchor = base.tiles[pos]
-        if prev_order is None:
-            chain.orders.append(n_i)
-            chain.levels.append((base, anchor.similarity()))
-            prev_order = n_i
-            continue
-        target = _pattern_of(build_Tn(shape, prev_order))
-        current = base
-        ids = {anchor.id}
+        anchor = current.tiles[pos]
         order = n_i
-        for _ in range(max_extra):
-            rows = _descendant_pattern(current, ids, anchor)
-            if _patterns_match(rows, target, 1e-9 * shape.c):
-                break
-            current = deflate(current, cap=cap)
-            order += 1
-            ids = ids | {cid for cid, pid in current.parent_links.items()
-                         if pid in ids}
-        else:
-            raise InternalError("supertile search did not converge")
+        if prev_order is not None:
+            target = Counter(census_counts(shape, prev_order)[0])
+            ai, aj = anchor.placement.size_exp
+            leaves = current.ids == anchor.id
+            while True:
+                counts = Counter(zip((current.i[leaves] - ai).tolist(),
+                                     (current.j[leaves] - aj).tolist()))
+                if counts == target:
+                    break
+                if counts.total() > target.total():
+                    raise InternalError("supertile descendants passed T_"
+                                        f"{prev_order} without matching it")
+                ids = current.ids[leaves]
+                current = deflate(current, cap=cap)
+                order += 1
+                leaves = np.isin(current.ids, ids) | np.isin(current.parent, ids)
         chain.orders.append(order)
         chain.levels.append((current, anchor.similarity()))
         prev_order = order
     return chain
-
-
 
 
 # -- serialization ------------------------------------------------------------

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from tilelab.errors import ArgumentError, ResourceError
+from tilelab.errors import ArgumentError, InternalError, ResourceError
 from tilelab.geometry import shape_from_pq, tile_area, vertices
-from tilelab.substitution import (build_Tn, census_counts, census_steps,
-                                  deflate, grow_supertile, root_tiling,
-                                  subdivide, tiling_from_json, tiling_to_json,
-                                  trace_edge)
+from tilelab.substitution import (COLUMNS, Tiling, build_Tn, census_counts,
+                                  census_steps, deflate, grow_supertile,
+                                  root_tiling, subdivide, tiling_from_json,
+                                  tiling_to_json, trace_edge)
 
 
 def test_subdivision_preserves_area(five_shapes):
@@ -40,6 +40,27 @@ def test_subdivision_orientation_multiset(five_shapes):
 def test_daughters_cover_without_overlap(five_shapes):
     for shape in five_shapes.values():
         build_Tn(shape, 1).validate_cover(samples_per_tile=200)
+
+
+@pytest.mark.parametrize("samples", range(-1, 7))
+def test_validate_cover_samples_at_least_the_centroid(til12, samples):
+    t3 = build_Tn(til12, 3)
+    if samples < 0:
+        with pytest.raises(ArgumentError):
+            t3.validate_cover(samples_per_tile=samples)
+        return
+    t3.validate_cover(samples_per_tile=samples)
+    # a tile moved onto a congruent sibling keeps the area sum but overlaps
+    rows = list(t3.rows())
+    hit = next(k for k, r in enumerate(rows[1:], 1) if r[4:6] == rows[0][4:6])
+    rows[hit] = rows[0][:6] + rows[hit][6:]
+    columns = {name: col for (name, _), col in zip(COLUMNS, zip(*rows))}
+    overlapping = Tiling.from_columns(til12, 3, columns)
+    if samples:
+        with pytest.raises(InternalError, match="overlaps"):
+            overlapping.validate_cover(samples_per_tile=samples)
+    else:
+        overlapping.validate_cover()
 
 
 def test_census_til12(til12):
@@ -160,15 +181,16 @@ def test_trace_edge_rejects_unknown_edge(til12):
         trace_edge(build_Tn(til12, 2), "diagonal")
 
 
-def test_grow_supertile_chain(til12):
-    chain = grow_supertile(til12, [(2, 3), (2, 1)])
-    assert chain.orders == [2, 4]
-    assert len(chain.levels) == 2
-    # each level embeds the previous one: the recorded similarity maps the
-    # anchor copy of T_{n_i} onto the previous level's pattern
-    for (tiling, sim), order in zip(chain.levels, chain.orders):
-        assert tiling.generation == order
-        assert sim.scale > 0.0
+def test_grow_supertile_chain(supertile_orders):
+    for shape, choices, orders in supertile_orders:
+        chain = grow_supertile(shape, choices)
+        assert chain.orders == orders
+        assert len(chain.levels) == len(choices)
+        # each level holds T_order, and the anchor's similarity places the
+        # chosen tile of T_{n_i} in it
+        for (tiling, sim), order, (n_i, pos) in zip(chain.levels, orders, choices):
+            assert tiling.generation == order
+            assert sim == build_Tn(shape, n_i).tiles[pos].similarity()
 
 
 def test_grow_supertile_index_check(til12):

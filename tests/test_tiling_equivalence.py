@@ -13,15 +13,16 @@ from hypothesis import strategies as st
 from tilelab.classify import verify_orientation_count
 from tilelab.geometry import (Placement, Tile, shape_from_pq, shape_from_theta,
                               vertices, wrap_angle)
-from tilelab.render import _Run, fault_runs
+from tilelab.render import _Run, fault_runs, svg_chunks
 from tilelab.stats import (_size_histogram_from_counts, _normalize,
                            orientation_histogram, size_histogram)
 from tilelab import substitution
 from tilelab.errors import InternalError
 from tilelab.substitution import (JSON_CHUNK_TILES, build_Tn, deflate, root_tiling,
-                                  Tiling, census_steps, round12, subdivide,
+                                  Tiling, TraceSegment, census_steps,
+                                  grow_supertile, round12, subdivide,
                                   tiling_from_json, tiling_json_chunks,
-                                  tiling_to_json)
+                                  tiling_to_json, trace_edge)
 
 MAX_TILES = 1500
 COPRIME = [(p, q) for p in range(1, 7) for q in range(1, 7) if math.gcd(p, q) == 1]
@@ -194,6 +195,124 @@ def ref_orientation_count(tiles, tol=1e-9):
     return total
 
 
+def ref_trace_edge(tiling, edge):
+    """The per-tile edge trace: every side of every Tile tested in turn."""
+    shape = tiling.shape
+    p0, p1 = substitution._root_edge(shape, edge)
+    ex, ey = p1[0] - p0[0], p1[1] - p0[1]
+    total = math.hypot(ex, ey)
+    ux, uy = ex / total, ey / total
+    tol = 1e-9 * shape.c
+    ranks = tiling.class_rank()
+
+    found = []
+    for t in tiling.tiles:
+        s, c, o, _ = vertices(t)
+        for kind, q0, q1 in (("H", s, o), ("L", s, c), ("S", c, o)):
+            d0 = (q0[0] - p0[0], q0[1] - p0[1])
+            d1 = (q1[0] - p0[0], q1[1] - p0[1])
+            if abs(d0[0] * uy - d0[1] * ux) > tol:
+                continue
+            if abs(d1[0] * uy - d1[1] * ux) > tol:
+                continue
+            t0 = d0[0] * ux + d0[1] * uy
+            t1 = d1[0] * ux + d1[1] * uy
+            if min(t0, t1) < -tol or max(t0, t1) > total + tol:
+                continue
+            sign = 1 if t1 > t0 else -1
+            found.append((min(t0, t1), abs(t1 - t0), t.id, kind, sign,
+                          ranks[t.placement.size_exp]))
+    found.sort()
+    cursor = 0.0
+    out = []
+    for start, length, tile_id, kind, sign, rank in found:
+        if abs(start - cursor) > 1e-7 * shape.c:
+            raise InternalError(f"edge trace has a gap near offset {cursor}")
+        out.append(TraceSegment(tile_id=tile_id, kind=kind, sign=sign,
+                                length=length, size_class=rank, position=start))
+        cursor = start + length
+    if abs(cursor - total) > 1e-7 * shape.c:
+        raise InternalError("edge trace does not reach the far vertex")
+    return out
+
+
+def ref_descendant_pattern(tiles, ids, anchor):
+    """Relative (exponents, pose) rows of the tiles in ``ids`` seen from
+    ``anchor``."""
+    inv = anchor.similarity().inverse()
+    ai, aj = anchor.placement.size_exp
+    hand = anchor.placement.handedness
+    rows = []
+    for t in tiles:
+        if t.id not in ids:
+            continue
+        i, j = t.placement.size_exp
+        rel_phi = wrap_angle(hand * (t.placement.phi - anchor.placement.phi))
+        ox, oy = inv.apply(t.placement.origin)
+        rows.append((i - ai, j - aj, t.placement.handedness * hand,
+                     rel_phi, ox, oy))
+    rows.sort()
+    return rows
+
+
+def ref_pattern_of(tiles):
+    rows = []
+    for t in tiles:
+        i, j = t.placement.size_exp
+        rows.append((i, j, t.placement.handedness, t.placement.phi,
+                     t.placement.origin[0], t.placement.origin[1]))
+    rows.sort()
+    return rows
+
+
+def ref_patterns_match(rows_a, rows_b, tol):
+    """Greedy matching with a tolerance (sorting noisy floats, or headings
+    near the 0/2pi seam, would be order-unstable)."""
+    if len(rows_a) != len(rows_b):
+        return False
+    unused = list(rows_b)
+    for ra in rows_a:
+        for idx, rb in enumerate(unused):
+            if ra[:3] != rb[:3]:
+                continue
+            dphi = abs(ra[3] - rb[3])
+            if min(dphi, 2.0 * math.pi - dphi) > tol:
+                continue
+            if abs(ra[4] - rb[4]) > tol or abs(ra[5] - rb[5]) > tol:
+                continue
+            unused.pop(idx)
+            break
+        else:
+            return False
+    return True
+
+
+def ref_supertile_orders(shape, choices, max_extra=200):
+    """grow_supertile's orders by deflating each later level until the
+    anchor's descendants geometrically match the previous level's T_n."""
+    orders = []
+    for n_i, pos in choices:
+        current = build_Tn(shape, n_i)
+        if not orders:
+            orders.append(n_i)
+            continue
+        anchor = current.tiles[pos]
+        target = ref_pattern_of(build_Tn(shape, orders[-1]).tiles)
+        ids, order = {anchor.id}, n_i
+        for _ in range(max_extra):
+            rows = ref_descendant_pattern(current.tiles, ids, anchor)
+            if ref_patterns_match(rows, target, 1e-9 * shape.c):
+                break
+            current = deflate(current)
+            order += 1
+            ids |= {cid for cid, pid in zip(current.ids.tolist(),
+                                            current.parent.tolist()) if pid in ids}
+        else:
+            raise InternalError("supertile search did not converge")
+        orders.append(order)
+    return orders
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -336,3 +455,49 @@ def test_json_writer_keeps_signed_zeros(zeros):
     want = json.dumps(round12(tiling_to_json(tiling)), sort_keys=True,
                       indent=1) + "\n"
     assert "".join(tiling_json_chunks(tiling, 1)) == want
+
+
+def _segment_bits(segs):
+    return [(s.tile_id, s.kind, s.sign, s.length.hex(), s.size_class,
+             s.position.hex()) for s in segs]
+
+
+@pytest.mark.parametrize("tiling", [
+    lambda: build_Tn(shape_from_pq(1, 2), 8),
+    lambda: build_Tn(shape_from_pq(2, 1), 6),
+    lambda: build_Tn(shape_from_pq(1, 3), 6),
+    lambda: build_Tn(shape_from_theta(1.0), 30),
+    lambda: tiling_from_json(json.loads("".join(
+        tiling_json_chunks(build_Tn(shape_from_pq(1, 2), 6))))),
+], ids=["1/2 T_8", "2/1 T_6", "1/3 T_6", "theta 1.0 T_30", "1/2 T_6 json"])
+def test_trace_edge_columns_match_the_per_tile_loop(tiling):
+    tiling = tiling()
+    for edge in ("hypotenuse", "long", "short"):
+        segs = trace_edge(tiling, edge)
+        assert segs
+        assert _segment_bits(segs) == _segment_bits(ref_trace_edge(tiling, edge))
+
+
+def test_grow_supertile_stops_where_the_greedy_matcher_does(supertile_orders):
+    for shape, choices, orders in supertile_orders:
+        assert grow_supertile(shape, choices).orders == orders == \
+            ref_supertile_orders(shape, choices)
+
+
+def test_the_library_reads_tilings_only_as_columns(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a library function iterated Tiling.tiles")
+
+    monkeypatch.setattr(substitution._TileView, "__iter__", refuse)
+    shape = shape_from_pq(1, 2)
+    tiling = deflate(build_Tn(shape, 5))
+    for edge in ("hypotenuse", "long", "short"):
+        trace_edge(tiling, edge)
+    tiling.validate_cover(samples_per_tile=6)
+    grow_supertile(shape, [(2, 3), (2, 1)])
+    size_histogram(tiling)
+    orientation_histogram(tiling)
+    "".join(svg_chunks(tiling, faults=True))
+    "".join(tiling_json_chunks(tiling))
+    with pytest.raises(AssertionError, match="iterated"):
+        list(tiling.tiles)
