@@ -12,16 +12,19 @@ Importing the package loads every tilelab module (benchmark tracing
 finds them in ``sys.modules``) but neither numpy nor mpmath: each
 function that needs one imports it, so the exact integer commands
 (``classify``, ``spectral --theta``, ``boundary --system til2|til13``)
-never pay for the array library.
+never pay for the array library.  Each ``tilelab.<name>`` attribute is
+the submodule of that name (``from tilelab.classify import classify``
+for the function).  Fault-line words are plain ``str``s, one character
+a letter.
 """
 
-from .boundary import (SlippageProfile, SubstitutionRule1D, Word, f_of_n,
+from .boundary import (SlippageProfile, SubstitutionRule1D, f_of_n,
                        forbidden_subwords_check, iterate, sigma0_til12,
                        sigma_til12, slippage_til12, til2_identity_check,
                        til2_offsets, til2_rule, til2_slippage_bound,
                        til13_fluctuation, til13_offsets, til13_rule)
-from .classify import (ClassificationReport, OrientationCensus, classify,
-                       convergents, nearest_pi_fraction, orientation_census,
+from .classify import (ClassificationReport, OrientationCensus, convergents,
+                       nearest_pi_fraction, orientation_census,
                        verify_orientation_count, verify_size_count)
 from .errors import (ArgumentError, DomainError, GeometryError, InternalError,
                      NumericError, ResourceError, TilelabError)

@@ -27,27 +27,12 @@ DEFAULT_LETTER_CAP = 10 ** 8
 
 
 @dataclass(frozen=True)
-class Word:
-    """Letters over a tiny alphabet, stored one character per letter."""
-
-    letters: str
-    alphabet: tuple[str, ...]
-    chars: str  # chars[i] encodes alphabet[i]
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def counts(self) -> dict[str, int]:
-        return {name: self.letters.count(ch)
-                for name, ch in zip(self.alphabet, self.chars)}
-
-
-@dataclass(frozen=True)
 class SubstitutionRule1D:
+    """A letter substitution on words stored as str, one character a letter."""
+
     name: str
-    alphabet: tuple[str, ...]
-    chars: str
-    images: dict[str, str]  # char -> encoded image
+    chars: str              # the alphabet
+    images: dict[str, str]  # letter -> image
 
     def __post_init__(self) -> None:
         pool = set(self.chars)
@@ -58,11 +43,8 @@ class SubstitutionRule1D:
                 raise ArgumentError(
                     f"{self.name}: image of {ch!r} uses letters outside the alphabet")
 
-    def word(self, letters: str) -> Word:
-        return Word(letters=letters, alphabet=self.alphabet, chars=self.chars)
-
     def abelianization(self) -> list[list[int]]:
-        """Column j counts the letters in the image of alphabet[j]."""
+        """Column j counts the letters in the image of chars[j]."""
         return [[self.images[cj].count(ci) for cj in self.chars]
                 for ci in self.chars]
 
@@ -132,8 +114,8 @@ def check_letter_cap(rule: SubstitutionRule1D, seed: str, n: int,
                 f"{rule.name}: sigma^{k} would have {length} letters, cap is {cap}")
 
 
-def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
-            cap: int = DEFAULT_LETTER_CAP) -> Word:
+def iterate(rule: SubstitutionRule1D, seed: str, n: int,
+            cap: int = DEFAULT_LETTER_CAP) -> str:
     """n-fold substitution of ``seed``; refuses to materialize past ``cap``.
 
     sigma^n(seed) is sigma^(n-h)(seed) with each letter c replaced by its
@@ -141,8 +123,8 @@ def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
     joining the previous level's blocks, so only the final join touches
     every letter.
     """
-    letters = seed.letters if isinstance(seed, Word) else seed
-    check_letter_cap(rule, letters, n, cap)
+    check_letter_cap(rule, seed, n, cap)
+    letters = seed
     half = n // 2
     table = {ord(c): img for c, img in rule.images.items()}
     for _ in range(n - half):
@@ -153,39 +135,27 @@ def iterate(rule: SubstitutionRule1D, seed: str | Word, n: int,
             blocks = {c: "".join([blocks[d] for d in img])
                       for c, img in rule.images.items()}
         letters = "".join([blocks[c] for c in letters])
-    return rule.word(letters)
+    return letters
 
 
 # -- the Til(1/2) systems -----------------------------------------------------
 
 # Four-letter system: one application is two subdivisions of the shape,
 # acting on hypotenuse (H) and long-leg (L) edge letters signed by whether
-# the owning tile's edge direction follows the fault line.
-_T12_ALPHABET4 = ("H+", "H-", "L+", "L-")
-_T12_CHARS4 = "HhLl"
-
-# Three-letter contraction: adjacent L+L- pairs fuse into a single L
-# spanning two legs.
-_T12_ALPHABET3 = ("H+", "H-", "L")
-_T12_CHARS3 = "HhL"
-
-
+# the owning tile's edge direction follows the fault line: H is H+, h is
+# H-, L is L+ and l is L-.
 def sigma0_til12() -> SubstitutionRule1D:
     return SubstitutionRule1D(
-        name="til12-signed",
-        alphabet=_T12_ALPHABET4,
-        chars=_T12_CHARS4,
-        images={"H": "LlH", "h": "hLl", "L": "HH", "l": "hh"},
-    )
+        name="til12-signed", chars="HhLl",
+        images={"H": "LlH", "h": "hLl", "L": "HH", "l": "hh"})
 
 
+# Three-letter contraction: adjacent L+L- pairs fuse into a single L
+# spanning two legs; H is H+ and h is H-.
 def sigma_til12() -> SubstitutionRule1D:
     return SubstitutionRule1D(
-        name="til12",
-        alphabet=_T12_ALPHABET3,
-        chars=_T12_CHARS3,
-        images={"H": "LH", "h": "hL", "L": "HHhh"},
-    )
+        name="til12", chars="HhL",
+        images={"H": "LH", "h": "hL", "L": "HHhh"})
 
 
 # -- exact prefix counting ----------------------------------------------------
@@ -260,15 +230,14 @@ def f_of_n(n: int) -> int:
 _H_TO_UPPER = bytes.maketrans(b"h", b"H")
 
 
-def forbidden_subwords_check(word: Word | str) -> bool:
+def forbidden_subwords_check(word: str) -> bool:
     """True iff the word avoids LL, H-H+ adjacency, and 7 consecutive H's.
 
     LL and hH are searched in the str itself; the 7-runs of {H, h} in
     slices of it (see ``_avoids_forbidden``), so no copy of the whole word
     is made.
     """
-    letters = word.letters if isinstance(word, Word) else word
-    return _avoids_forbidden(letters)
+    return _avoids_forbidden(word)
 
 
 def _avoids_forbidden(letters: str, size: int = 1 << 16) -> bool:
@@ -353,24 +322,22 @@ def _vertex_coords(codes: bytes, segments: dict[str, tuple[int, int, int]]):
     return tuple(coords)
 
 
-def _layout(line: FaultLine, n: int, cap: int):
-    """Vertex coordinates (u, v) of sigma^n(H) laid out from (0, 0), and
-    the letter of each segment (a uint8 view of one byte per segment).
+def _layout(line: FaultLine, n: int):
+    """Vertex coordinates (u, v) of sigma^n(H) laid out from (0, 0).
 
     A letter of several segments is repeated in the word itself (til12:
-    L -> LL), which is then encoded once; the word is freed before the
-    coordinates are allocated.  At the peak the coordinates are held
-    beside the segment letters and one step array: 10 bytes a vertex.
+    L -> LL), which is then encoded once, one byte a segment; the word is
+    freed before the coordinates are allocated.  At the peak the
+    coordinates are held beside the segment bytes and one step array: 10
+    bytes a vertex.
     """
-    import numpy as np
-    letters = iterate(line.rule, "H", n, cap=cap).letters
+    letters = iterate(line.rule, "H", n)
     for c, (_, _, count) in line.segments.items():
         if count != 1:
             letters = letters.replace(c, c * count)
     codes = letters.encode("ascii")
     del letters
-    u, v = _vertex_coords(codes, line.segments)
-    return u, v, np.frombuffer(codes, dtype=np.uint8)
+    return _vertex_coords(codes, line.segments)
 
 
 def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
@@ -506,7 +473,7 @@ TIL12 = FaultLine(sigma_til12(), {"H": (4, 0, 1), "h": (4, 0, 1),
                                   "L": (-1, 1, 2)}, 17, "L")
 
 
-def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
+def slippage_til12(n: int) -> SlippageProfile:
     """Lay the n-th word against its mirror and measure the disagreement.
 
     ``g_at_Q``: complete legs left of the midpoint minus complete legs of
@@ -514,12 +481,12 @@ def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
     offsets are the distinct nearest-vertex contact lengths; c = 4 wide
     windows never recur, so the dv key already is the mod-c reduction.
     """
-    import numpy as np
-    u, v, seg_letter = _layout(TIL12, n, cap)
+    u, v = _layout(TIL12, n)
     # segment i runs from vertex i to i + 1, and vertices strictly increase:
     # the legs fully in [0, Q] end at or before the last vertex with
     # 2x <= total, the mirrored side's start at or after the first with
-    # 2x >= total
+    # 2x >= total.  A leg segment steps v by 1 and no other segment moves
+    # v, so v counts the legs up to each vertex.
     U, V = int(u[-1]), int(v[-1])
 
     def past_q(i: int) -> int:
@@ -528,9 +495,8 @@ def slippage_til12(n: int, cap: int = DEFAULT_LETTER_CAP) -> SlippageProfile:
     vertices = range(len(u))
     up_to_q = bisect.bisect_right(vertices, 0, key=past_q)
     from_q = bisect.bisect_left(vertices, 0, key=past_q)
-    side1 = int(np.count_nonzero(seg_letter[:up_to_q - 1] == ord(TIL12.leg)))
-    side2 = int(np.count_nonzero(seg_letter[from_q:] == ord(TIL12.leg)))
-    del seg_letter
+    side1 = int(v[up_to_q - 1])
+    side2 = V - int(v[from_q])
     offsets = _nearest_offsets(u, v, TIL12.D)
     keys = tuple(sorted(offsets))
     return SlippageProfile(
@@ -558,7 +524,7 @@ def trace_letters(segments) -> str:
     return "".join(out)
 
 
-def _rule_from_geometry(shape: TriangleShape, name: str, alphabet, chars: str,
+def _rule_from_geometry(shape: TriangleShape, name: str, chars: str,
                         letter_of, generations) -> SubstitutionRule1D:
     """Read one-dimensional images off the subdivided shape itself.
 
@@ -585,8 +551,7 @@ def _rule_from_geometry(shape: TriangleShape, name: str, alphabet, chars: str,
     if set(images) != set(chars):
         raise InternalError(f"{name}: derived images for {sorted(images)}, "
                             f"expected alphabet {sorted(chars)}")
-    return SubstitutionRule1D(name=name, alphabet=alphabet, chars=chars,
-                              images=images)
+    return SubstitutionRule1D(name=name, chars=chars, images=images)
 
 
 def _til2_letter(seg) -> str:
@@ -603,7 +568,7 @@ def til2_rule() -> SubstitutionRule1D:
     The images are what ``_rule_from_geometry`` reads off the subdivided
     p/q = 2/1 triangle with ``_til2_letter`` (the tests derive them again).
     """
-    return SubstitutionRule1D(name="til2", alphabet=("H", "S"), chars="HS",
+    return SubstitutionRule1D(name="til2", chars="HS",
                               images={"H": "HHHHS", "S": "H"})
 
 
@@ -611,7 +576,7 @@ def til2_identity_check(n: int) -> bool:
     """Exact eigen-identity for the letter counts of the n-th word.
 
     (sqrt5 - 2) H_n - S_n = -(2 - sqrt5)^{n+1}, checked by matching the
-    rational and sqrt5 parts as integers, then numerically at 50 digits.
+    rational and sqrt5 parts as integers.
     """
     if n < 0 or n > 40:
         raise ArgumentError(f"n must lie in 0..40, got {n}")
@@ -620,38 +585,32 @@ def til2_identity_check(n: int) -> bool:
     A, B = 1, 0
     for _ in range(n + 1):
         A, B = 2 * A - 5 * B, 2 * B - A
-    exact = (-2 * h - s == -A) and (h == -B)
-    import mpmath
-
-    with mpmath.workdps(50):
-        lhs = (mpmath.sqrt(5) - 2) * h - s
-        rhs = -((2 - mpmath.sqrt(5)) ** (n + 1))
-        numeric = abs(lhs - rhs) < mpmath.mpf("1e-9")
-    return exact and bool(numeric)
+    return -2 * h - s == -A and h == -B
 
 
 # Til(2) units: c = 1, short leg sqrt5 - 2.
 TIL2 = FaultLine(til2_rule(), {"H": (1, 0, 1), "S": (-2, 1, 1)}, 5, "S")
 
 
-def til2_slippage_bound(n: int, cap: int = DEFAULT_LETTER_CAP) -> int:
+def til2_slippage_bound(n: int) -> int:
     """Max |f_n(E)| over all vertices E: the short-leg surplus between the
     two sides of the fault line up to E.
 
     Read off the level-n balanced pairs (``til2_pairs``), so no word is
-    built; ``cap`` refuses as ``iterate`` would.  1 and sqrt5 - 2 are
-    independent over Q, so where a cut ends both sides have the same
-    short-leg count and f is 0; in between, f is the running surplus of
-    one pair, and max |f| is the largest surplus of a level-n pair.
+    built, but n is refused as ``iterate`` would refuse it.  1 and
+    sqrt5 - 2 are independent over Q, so where a cut ends both sides have
+    the same short-leg count and f is 0; in between, f is the running
+    surplus of one pair, and max |f| is the largest surplus of a level-n
+    pair.
     """
-    return max(p.surplus for p in _level(TIL2, til2_pairs(), n, cap))
+    return max(p.surplus for p in _level(TIL2, til2_pairs(), n))
 
 
-def til2_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
+def til2_offsets(n: int) -> dict[int, float]:
     """Distinct nearest-vertex contact lengths across the fault line,
     keyed by the exact short-leg-count difference: the offsets of the
     level-n balanced pairs, merged."""
-    return _level_offsets(TIL2, til2_pairs(), n, cap)
+    return _level_offsets(TIL2, til2_pairs(), n)
 
 
 # -- Til(1/3): dyadic fault line ----------------------------------------------
@@ -676,8 +635,7 @@ def til13_rule() -> SubstitutionRule1D:
     The images are what ``_rule_from_geometry`` reads off the subdivided
     p/q = 1/3 triangle with ``_til13_letter`` (the tests derive them again).
     """
-    return SubstitutionRule1D(name="til13", alphabet=("H", "L", "h"),
-                              chars="HLh",
+    return SubstitutionRule1D(name="til13", chars="HLh",
                               images={"H": "LLH", "L": "hh", "h": "H"})
 
 
@@ -698,11 +656,11 @@ TIL13 = FaultLine(til13_rule(), {"H": (0, 2, 1), "L": (0, 1, 1), "h": (0, 1, 1)}
                   1, "L")
 
 
-def til13_offsets(n: int, cap: int = DEFAULT_LETTER_CAP) -> dict[int, float]:
+def til13_offsets(n: int) -> dict[int, float]:
     """Nearest-vertex offsets in h-units, keyed by themselves, merged from
     the level-n balanced pairs; the fault line is integer-rigid, so the
     only possible values are 0 and 1."""
-    return _level_offsets(TIL13, til13_pairs(), n, cap)
+    return _level_offsets(TIL13, til13_pairs(), n)
 
 
 # -- balanced pairs: the fault line for every n --------------------------------
@@ -862,17 +820,17 @@ def pair_levels(pairs: tuple[BalancedPair, ...]):
         yield tuple(p for p, k in zip(pairs, counts) if k)
 
 
-def _level(line: FaultLine, pairs: tuple[BalancedPair, ...], n: int,
-           cap: int) -> tuple[BalancedPair, ...]:
+def _level(line: FaultLine, pairs: tuple[BalancedPair, ...],
+           n: int) -> tuple[BalancedPair, ...]:
     """The pairs of level n, after the refusals ``iterate`` would make
     for sigma^n(H), whose letters the pairs hold between them."""
-    check_letter_cap(line.rule, "H", n, cap)
+    check_letter_cap(line.rule, "H", n)
     return _nth(pair_levels(pairs), n)
 
 
-def _level_offsets(line: FaultLine, pairs: tuple[BalancedPair, ...], n: int,
-                   cap: int) -> dict[int, float]:
-    return {k: v for p in _level(line, pairs, n, cap) for k, v in p.offsets.items()}
+def _level_offsets(line: FaultLine, pairs: tuple[BalancedPair, ...],
+                   n: int) -> dict[int, float]:
+    return {k: v for p in _level(line, pairs, n) for k, v in p.offsets.items()}
 
 
 def _closed(line: FaultLine) -> tuple[BalancedPair, ...]:

@@ -60,6 +60,8 @@ def convergents(x: float, count: int = 3, max_den: int = 10 ** 6) -> list[tuple[
     with q below ``max_den`` (closest approximations first dropped)."""
     if count < 1:
         raise ArgumentError("count must be positive")
+    if not math.isfinite(x):
+        raise ArgumentError(f"x must be finite, got {x}")
     h_prev, h = 0, 1
     k_prev, k = 1, 0
     out = []

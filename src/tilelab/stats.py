@@ -93,6 +93,11 @@ def _normalize(values: np.ndarray) -> np.ndarray:
     return values / total
 
 
+def _check_bins(bins) -> None:
+    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
+        raise ArgumentError(f"bins must be an integer >= 1, got {bins!r}")
+
+
 def _phi_bin(phi: np.ndarray, bins: int) -> np.ndarray:
     import numpy as np
     # headings like pi/2 sit exactly on bin edges; the nudge makes the
@@ -162,6 +167,7 @@ def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
 def size_histogram(t: Tiling, weighting: str = "count",
                    bins: int = DEFAULT_SIZE_BINS) -> Histogram:
     """Empirical size distribution of a built tiling."""
+    _check_bins(bins)
     return _size_histogram_from_counts(t.shape, t.exponent_counts(),
                                        weighting, bins)
 
@@ -180,6 +186,7 @@ def census_size_histogram(shape: TriangleShape, n: int,
     built T_n) gives.  Irrational shapes bin the exact exponent census.
     """
     import numpy as np
+    _check_bins(bins)
     if shape.rationality is None:
         counts, _ = census_counts(shape, n)
         return _size_histogram_from_counts(shape, counts, weighting, bins)
@@ -224,6 +231,7 @@ def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
                           ) -> OrientationHistogram:
     """Heading distribution of a built tiling, split by size and hand."""
     import numpy as np
+    _check_bins(bins)
     rank = t.size_ranks()
     total = len(t)
     # cells in order of first appearance: pooled() sums them in that order
@@ -247,6 +255,7 @@ def census_orientation_histogram(shape: TriangleShape, n: int,
                                  ) -> OrientationHistogram:
     """Heading distribution from the exact orientation census."""
     import numpy as np
+    _check_bins(bins)
     census = orientation_census(shape, n, theta_pi)
     pairs = {(i, j) for (i, j, _, _) in census.counts}
     ranks = size_class_ranks(shape, pairs)
@@ -427,6 +436,8 @@ def equidistribution_frequency(ratio: float, lo: float, hi: float,
     import numpy as np
     if not (0.0 <= lo < hi <= 1.0):
         raise ArgumentError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
+    if n_samples < 1:
+        raise ArgumentError(f"n_samples must be at least 1, got {n_samples}")
     k = np.arange(1, n_samples + 1, dtype=np.float64)
     frac = np.mod(k * ratio, 1.0)
     return float(((frac >= lo) & (frac < hi)).mean())

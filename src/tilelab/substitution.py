@@ -414,6 +414,8 @@ class _SizeFrontier:
 def _census(shape: TriangleShape, n: int):
     """:func:`census_steps` without the copies: each yielded dict is the
     census's own (it is replaced, never changed, by the next generation)."""
+    if n < 0:
+        raise ArgumentError(f"generation must be non-negative, got {n}")
     counts: dict[tuple[int, int], int] = {(0, 0): 1}
     frontier = _SizeFrontier(shape, [(0, 0)])
     for gen in range(n + 1):

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from tilelab import boundary
-from tilelab.boundary import (DEFAULT_LETTER_CAP, TIL2, TIL12, TIL13, FaultLine,
-                              SubstitutionRule1D, Word, _cut, _layout,
+from tilelab.boundary import (TIL2, TIL12, TIL13, FaultLine,
+                              SubstitutionRule1D, _cut, _layout,
                               _nearest_offsets, _rule_from_geometry, _surplus,
                               _til2_letter, _til13_letter, balanced_pairs,
                               check_letter_cap, f_of_n,
@@ -26,12 +26,6 @@ from tilelab.substitution import build_Tn, trace_edge
 F_FIRST_TEN = [1, -1, 1, -3, 3, -5, 9, -13, 21, -33]
 
 
-def test_word_counts():
-    w = Word("HhLHH", ("H", "h", "L"), "HhL")
-    assert len(w) == 5
-    assert w.counts() == {"H": 3, "h": 1, "L": 1}
-
-
 def test_iterate_lengths_match_abelianization():
     """The count-vector walk against letter counts of materialized words."""
     for rule in (sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()):
@@ -39,11 +33,10 @@ def test_iterate_lengths_match_abelianization():
                              [int(ch == "H") for ch in rule.chars])
         for n, vec in zip(range(13), walk):
             w = iterate(rule, "H", n)
-            counts = w.counts()
-            assert tuple(counts.values()) == vec, (rule.name, n)
+            assert tuple(w.count(c) for c in rule.chars) == vec, (rule.name, n)
             assert len(w) == sum(vec)
             if rule is til13_rule():
-                assert til13_fluctuation(n) == counts["H"] - counts["L"]
+                assert til13_fluctuation(n) == w.count("H") - w.count("L")
             if rule is til2_rule():
                 assert til2_identity_check(n)
 
@@ -86,8 +79,7 @@ def test_sigma0_matches_the_traced_hypotenuse(til12):
     """One sigma0 step is two subdivision rounds of the edge."""
     for k in (1, 2, 3):
         segs = trace_edge(build_Tn(til12, 2 * k), "hypotenuse")
-        assert trace_letters(segs) == iterate(sigma0_til12(), "LlH",
-                                              k - 1).letters
+        assert trace_letters(segs) == iterate(sigma0_til12(), "LlH", k - 1)
 
 
 def test_f_ground_truth():
@@ -101,7 +93,7 @@ def test_f_ground_truth():
 def test_f_matches_materialized_words():
     rule = sigma_til12()
     for n in range(1, 15):
-        w = iterate(rule, "H", n).letters
+        w = iterate(rule, "H", n)
         half = len(w) // 2
         direct = 2 * w[:half].count("L") - w.count("L")
         assert f_of_n(n) == direct
@@ -151,8 +143,15 @@ def test_til12_slippage_lower_bound(til12):
         assert abs(prof.g_at_Q) >= bound - 1e-9
 
 
+def test_til12_v_counts_the_legs():
+    # slippage_til12 reads the leg counts of g_at_Q off v: every leg
+    # segment steps v by 1 and no other segment moves v
+    for c, (_, dv, _) in TIL12.segments.items():
+        assert dv == (1 if c == TIL12.leg else 0), c
+
+
 def test_til2_rule_comes_out_of_the_geometry():
-    rule = _rule_from_geometry(shape_from_pq(2, 1), "til2", ("H", "S"), "HS",
+    rule = _rule_from_geometry(shape_from_pq(2, 1), "til2", "HS",
                                _til2_letter, (2, 4, 6))
     assert rule.images == {"H": "HHHHS", "S": "H"}
     assert rule == til2_rule()
@@ -183,8 +182,8 @@ def test_til2_offsets_stabilize():
 
 
 def test_til13_rule_comes_out_of_the_geometry():
-    rule = _rule_from_geometry(shape_from_pq(1, 3), "til13", ("H", "L", "h"),
-                               "HLh", _til13_letter, (2, 4, 6))
+    rule = _rule_from_geometry(shape_from_pq(1, 3), "til13", "HLh",
+                               _til13_letter, (2, 4, 6))
     assert rule.images == {"H": "LLH", "L": "hh", "h": "H"}
     assert rule == til13_rule()
     eigs = np.linalg.eigvals(np.array(rule.abelianization(), dtype=float))
@@ -210,12 +209,11 @@ def test_til13_fluctuation_growth():
 
 def test_rule_validates_its_images():
     with pytest.raises(ArgumentError):
-        SubstitutionRule1D(name="bad", alphabet=("H",), chars="H",
-                           images={"H": "HX"})
+        SubstitutionRule1D(name="bad", chars="H", images={"H": "HX"})
 
 
 def test_sigma_second_iterate():
-    assert iterate(sigma_til12(), "H", 2).letters == "HHhhLH"
+    assert iterate(sigma_til12(), "H", 2) == "HHhhLH"
 
 
 def test_til12_offset_count_tracks_g():
@@ -234,10 +232,9 @@ def test_til13_letters_equidistribute():
     """H, L and h each approach frequency 1/3 (the subleading modulus
     sqrt(2) against leading 2 gives ~2^{-n/2} transients)."""
     word = iterate(til13_rule(), "H", 20)
-    counts = word.counts()
     total = len(word)
     for letter in "HLh":
-        assert counts[letter] / total == pytest.approx(1.0 / 3.0, abs=0.01)
+        assert word.count(letter) / total == pytest.approx(1.0 / 3.0, abs=0.01)
 
 
 # -- balanced-pair certificates ----------------------------------------------
@@ -276,14 +273,14 @@ def test_til13_pairs_close_at_seven():
 def test_pairs_cut_the_materialized_fault_line(rule, pairs, n_max):
     """Level n's pairs, laid end to end, are sigma^n(H) over its mirror."""
     for n in range(n_max + 1):
-        word = iterate(rule(), "H", n).letters
+        word = iterate(rule(), "H", n)
         level = _level_pairs(pairs(), n)
         assert "".join(p.top for p in level) == word
         assert "".join(p.bottom for p in level) == word[::-1]
 
 
 def _laid_out_offsets(line, n):
-    u, v, _ = _layout(line, n, DEFAULT_LETTER_CAP)
+    u, v = _layout(line, n)
     return list(_nearest_offsets(u, v, line.D).items())
 
 
@@ -344,7 +341,7 @@ def test_til12_pairs_do_not_close():
 def test_balanced_pair_cut_is_exact_past_float_precision():
     # 2**53 + 1 rounds to 2**53 in floats, so the float prefix sums of ABB
     # and BBA end apart; exactly they end together
-    rule = SubstitutionRule1D(name="ab", alphabet=("A", "B"), chars="AB",
+    rule = SubstitutionRule1D(name="ab", chars="AB",
                               images={"A": "AB", "B": "A"})
     line = FaultLine(rule, {"A": (2 ** 53, 0, 1), "B": (1, 0, 1)}, 2, "B")
     assert _cut("ABB", "BBA", line) == [("ABB", "BBA")]
@@ -373,7 +370,7 @@ def test_fault_line_refuses_tables_that_lay_out_wrong_words(segments, leg):
 
 
 def test_fault_line_refuses_non_ascii_letters():
-    rule = SubstitutionRule1D(name="he", alphabet=("H", "E"), chars="Hé",
+    rule = SubstitutionRule1D(name="he", chars="Hé",
                               images={"H": "Hé", "é": "H"})
     with pytest.raises(ArgumentError):
         FaultLine(rule, {"H": (1, 0, 1), "é": (2, 0, 1)}, 2, "é")
@@ -382,4 +379,4 @@ def test_fault_line_refuses_non_ascii_letters():
 def test_layout_refuses_steps_outside_int8():
     line = dataclasses.replace(TIL2, segments={"H": (128, 0, 1), "S": (-2, 1, 1)})
     with pytest.raises(ArgumentError):
-        _layout(line, 3, DEFAULT_LETTER_CAP)
+        _layout(line, 3)

@@ -159,9 +159,7 @@ def ref_til2_slippage_bound(n):
 @given(st.sampled_from(RULES), st.data(), st.integers(0, 10))
 def test_iterate_matches_per_step_translate(rule, data, n):
     seed = data.draw(st.text(alphabet=rule.chars, max_size=4))
-    word = iterate(rule, seed, n)
-    assert word.letters == ref_iterate(rule, seed, n)
-    assert (word.alphabet, word.chars) == (rule.alphabet, rule.chars)
+    assert iterate(rule, seed, n) == ref_iterate(rule, seed, n)
 
 
 _PIECES = st.sampled_from(["H", "h", "L", "x", "é", "\ud800", "HHH", "hhh"])
@@ -193,10 +191,10 @@ def test_forbidden_check_matches_the_regex(letters):
 def test_forbidden_check_on_words():
     for n in range(1, 15):
         word = iterate(sigma_til12(), "H", n)
-        want = ref_forbidden(word.letters)
+        want = ref_forbidden(word)
         assert forbidden_subwords_check(word) == want
         for size in SLICES:
-            assert _avoids_forbidden(word.letters, size) == want, (n, size)
+            assert _avoids_forbidden(word, size) == want, (n, size)
 
 
 def test_forbidden_check_scans_slices():
@@ -236,7 +234,7 @@ def test_sign_quad_refuses_past_its_headroom():
 @pytest.mark.parametrize("line, n_max", [(TIL12, 10), (TIL2, 8)], ids=["til12", "til2"])
 def test_nearest_offsets_match_the_python_loop(line, n_max):
     for n in range(1, n_max + 1):
-        u, v, _ = _layout(line, n, boundary.DEFAULT_LETTER_CAP)
+        u, v = _layout(line, n)
         assert u.dtype == np.int32 and v.dtype == np.int32
         want = list(ref_nearest_offsets(u, v, line.D).items())
         for chunk in (DEFAULT_CHUNK, 1 << 20, 997, 61):   # one chunk or many
@@ -247,7 +245,7 @@ def test_nearest_offsets_stream_their_chunks():
     # til12 n = 14 lays out 579,289 vertices.  Beyond the coordinates the
     # kernel holds a fixed number of chunk-sized arrays, however long the
     # layout: float positions only for one chunk and its searched stretch.
-    u, v, _ = _layout(TIL12, 14, boundary.DEFAULT_LETTER_CAP)
+    u, v = _layout(TIL12, 14)
     tracemalloc.start()
     try:
         _nearest_offsets(u, v, TIL12.D)
@@ -263,7 +261,7 @@ def test_layout_holds_ten_bytes_a_vertex(line, n):
     # step array; the word and the cast and index temporaries are gone
     tracemalloc.start()
     try:
-        u, _, _ = _layout(line, n, boundary.DEFAULT_LETTER_CAP)
+        u, _ = _layout(line, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

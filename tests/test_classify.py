@@ -4,6 +4,7 @@ import pytest
 
 from tilelab.classify import (classify, convergents, nearest_pi_fraction,
                               verify_orientation_count, verify_size_count)
+from tilelab.errors import ArgumentError
 from tilelab.substitution import build_Tn
 
 
@@ -69,6 +70,12 @@ def test_convergents_of_z(irr1):
         assert abs(irr1.z - num / den) < 1.0 / den
     dens = [d for _, d in conv]
     assert dens == sorted(dens)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_convergents_refuse_non_finite_input(x):
+    with pytest.raises(ArgumentError):
+        convergents(x)
 
 
 def test_nearest_pi_fraction():

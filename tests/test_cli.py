@@ -474,6 +474,45 @@ def test_import_loads_every_traced_layer():
     assert result.returncode == 0, result.stderr
 
 
+def test_each_package_attribute_named_after_a_module_is_that_module():
+    import importlib
+    from pathlib import Path
+
+    import tilelab
+    names = sorted(p.stem for p in Path(tilelab.__file__).parent.glob("*.py")
+                   if p.stem != "__init__")
+    for name in names:
+        importlib.import_module("tilelab." + name)
+    for name in names:
+        assert getattr(tilelab, name) is sys.modules["tilelab." + name], name
+
+
+def test_the_benchmark_tracer_wraps_the_library():
+    # bench/spans.py wraps functions by module attribute and binds
+    # iterate's arguments by name; a rename there surfaces here
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
+    code = "\n".join([
+        "import sys",
+        "import tilelab.cli",
+        "import spans",
+        "from tilelab import boundary, substitution",
+        "from tilelab.geometry import shape_from_pq",
+        "tracer = spans.Tracer()",
+        "tracer.install()",
+        "boundary.iterate(boundary.sigma_til12(), 'H', 4)",
+        "substitution.build_Tn(shape_from_pq(1, 2), 3)",
+        "boundary.slippage_til12(4)",
+        "counts = {k: tracer.counts[k] for k in ('boundary.iterate.letters',",
+        "          'substitution.tiles', 'boundary.offsets')}",
+        "bad = {k: v for k, v in counts.items() if not v > 0}",
+        "sys.exit(f'not counted: {bad}' if bad else 0)",
+    ])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([bench, *sys.path]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def _paths(node, prefix=()):
     """Every key or index path into a parsed JSON document."""
     items = node.items() if isinstance(node, dict) else \

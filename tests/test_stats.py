@@ -275,3 +275,47 @@ def test_til13_orientations_stay_concentrated(til13):
     pooled = h.pooled()
     assert sum(1 for x in pooled if x > 0) <= 16
     assert h.max_deviation() > 1.0 / 16.0 - 1.0 / h.bins
+
+
+@pytest.mark.parametrize("call", [
+    lambda: census_counts(shape_from_pq(1, 2), -1),
+    lambda: list(census_steps(shape_from_pq(1, 2), -1)),
+    lambda: census_size_histogram(shape_from_theta(1.0), -1),
+    lambda: empirical_size_fraction(shape_from_theta(1.0), -1, (0, 0.1)),
+], ids=["census_counts", "census_steps", "census_size_histogram",
+        "empirical_size_fraction"])
+def test_negative_census_generation_is_an_argument_error(call):
+    with pytest.raises(ArgumentError, match="generation must be non-negative, got -1"):
+        call()
+
+
+_BIN_CALLS = {
+    "size_histogram": lambda b: size_histogram(build_Tn(shape_from_theta(1.0), 12),
+                                               bins=b),
+    "size_histogram-rational": lambda b: size_histogram(
+        build_Tn(shape_from_pq(1, 2), 3), bins=b),
+    "orientation_histogram": lambda b: orientation_histogram(
+        build_Tn(shape_from_pq(1, 2), 3), bins=b),
+    "census_size_histogram": lambda b: census_size_histogram(
+        shape_from_theta(1.0), 12, bins=b),
+    "census_orientation_histogram": lambda b: census_orientation_histogram(
+        shape_from_pq(1, 2), 4, bins=b),
+    "size_comparison": lambda b: size_comparison(shape_from_theta(1.0), 12, bins=b),
+    "orientation_comparison": lambda b: orientation_comparison(
+        shape_from_pq(1, 2), 4, bins=b),
+}
+
+
+@pytest.mark.parametrize("name", list(_BIN_CALLS))
+def test_histograms_refuse_bins_below_one(name):
+    call = _BIN_CALLS[name]
+    for bad in (0, -3, 2.5, True, "8", None):
+        with pytest.raises(ArgumentError, match="bins must be an integer >= 1"):
+            call(bad)
+    call(1)   # the least valid value
+
+
+def test_equidistribution_needs_a_sample():
+    with pytest.raises(ArgumentError):
+        equidistribution_frequency(0.3, 0.1, 0.5, n_samples=0)
+    assert equidistribution_frequency(0.3, 0.1, 0.5, n_samples=1) == 1.0
