@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ArgumentError, InternalError, ResourceError
+from .errors import ArgumentError, InternalError, ResourceError, as_count
 from .geometry import TriangleShape
 from .spectral import count_vectors
 from .substitution import build_Tn, trace_edge
@@ -102,6 +102,7 @@ def check_letter_cap(rule: SubstitutionRule1D, seed: str, n: int,
     sigma^n(seed) that has more than ``cap`` letters.  The walk stops
     there, so any n, however large, is refused after a few steps of a
     growing rule."""
+    n = as_count(n)
     if n < 0:
         raise ArgumentError(f"iteration count must be non-negative, got {n}")
     bad = set(seed) - set(rule.chars)
@@ -214,6 +215,7 @@ def f_of_n(n: int) -> int:
     Halves are split by letter count (lengths are even for n >= 1); the
     value is exact for any n, large words are never materialized.
     """
+    n = as_count(n)
     if n < 1:
         raise ArgumentError(f"n must be at least 1, got {n}")
     global _f_counter
@@ -290,117 +292,159 @@ def _sign(a: int, b: int, D: int) -> int:
     return (q > 0) - (q < 0)
 
 
-def _vertex_coords(codes: bytes, segments: dict[str, tuple[int, int, int]]):
-    """Vertex coordinates (u, v) from (0, 0) of a word of one segment per
-    byte of ``codes``: each byte is mapped to its int8 step by a 256-byte
-    table and written into the coordinates, whose running sum is then
-    taken in place.
-
-    |u| and |v| stay within max step * segments; under the default letter
-    cap that is at most 4 * 2 * 10**8 < 2**31 (til12: steps up to 4, two
-    segments per L), so int32 holds them.  Callers widen to int64 before
-    combining coordinates.
-    """
+def _running_sums(codes: bytes, steps: dict[str, tuple[int, ...]]):
+    """Running sums from 0 of the steps of the letters ``codes`` spells,
+    one byte a letter: one int64 array per step component, each taken
+    through a 256-entry table and summed in place."""
     import numpy as np
-    luts = np.zeros((2, 256), dtype=np.int8)
-    step = 0
-    for c, (du, dv, _) in segments.items():
-        if not (-128 <= du <= 127 and -128 <= dv <= 127):
-            raise ArgumentError(
-                f"the step ({du}, {dv}) of {c!r} does not fit in int8")
-        luts[:, ord(c)] = du, dv
-        step = max(step, abs(du), abs(dv))
-    if len(codes) * step >= 2 ** 31:
-        raise ResourceError(
-            f"a layout of {len(codes)} segments may overflow int32 coordinates")
-    coords = []
-    for lut in luts:
-        x = np.zeros(len(codes) + 1, dtype=np.int32)
-        x[1:] = np.frombuffer(codes.translate(lut.tobytes()), dtype=np.int8)
+    table = np.zeros((len(next(iter(steps.values()))), 256), dtype=np.int64)
+    for c, step in steps.items():
+        table[:, ord(c)] = step
+    index = np.frombuffer(codes, dtype=np.uint8)
+    sums = []
+    for row in table:
+        x = np.zeros(len(codes) + 1, dtype=np.int64)
+        row.take(index, out=x[1:])
         np.cumsum(x, out=x)
-        coords.append(x)
-    return tuple(coords)
+        sums.append(x)
+    return tuple(sums)
 
 
-def _layout(line: FaultLine, n: int):
-    """Vertex coordinates (u, v) of sigma^n(H) laid out from (0, 0).
+class _Layout:
+    """Vertex coordinates (u, v) of a word read as a skeleton of blocks.
 
-    A letter of several segments is repeated in the word itself (til12:
-    L -> LL), which is then encoded once, one byte a segment; the word is
-    freed before the coordinates are allocated.  At the peak the
-    coordinates are held beside the segment bytes and one step array: 10
-    bytes a vertex.
+    Each skeleton letter stands for its block, the vertex coordinates of
+    the word it expands to from (0, 0); a block is held once however
+    often its letter occurs.  Per skeleton letter the layout keeps the
+    index and the coordinates of the vertex its block starts at (a
+    block's last vertex is the next one's first), as Python ints.  Slices
+    and single vertices are assembled on demand, so the word itself is
+    never laid out.  A raw (u, v) pair is the layout of skeleton "H" with
+    that one block.
     """
-    letters = iterate(line.rule, "H", n)
-    for c, (_, _, count) in line.segments.items():
-        if count != 1:
-            letters = letters.replace(c, c * count)
-    codes = letters.encode("ascii")
-    del letters
-    return _vertex_coords(codes, line.segments)
+
+    def __init__(self, skeleton: str, blocks: dict[str, tuple]):
+        self.blocks = [blocks[c] for c in skeleton]
+        ends = {c: (len(u) - 1, int(u[-1]), int(v[-1]))
+                for c, (u, v) in blocks.items()}
+        self.starts, self.su, self.sv = (
+            x.tolist() for x in _running_sums(skeleton.encode("ascii"), ends))
+        self.last = self.starts[-1]
+        span = {c: (int(v.min()), int(v.max())) for c, (_, v) in blocks.items()}
+        self.vmax = max(abs(s + x) for c, s in zip(skeleton, self.sv)
+                        for x in span[c])
+
+    def _block_of(self, i: int) -> int:
+        # the last block starting at or before vertex i
+        return min(bisect.bisect_right(self.starts, i), len(self.blocks)) - 1
+
+    def vertex(self, i: int) -> tuple[int, int]:
+        j = self._block_of(i)
+        bu, bv = self.blocks[j]
+        k = i - self.starts[j]
+        return self.su[j] + int(bu[k]), self.sv[j] + int(bv[k])
+
+    def coords(self, a: int, b: int):
+        """int64 u and v of the vertices a, ..., b - 1 (0 <= a < b <= last + 1)."""
+        import numpy as np
+        u = np.empty(b - a, dtype=np.int64)
+        v = np.empty(b - a, dtype=np.int64)
+        i, j = a, self._block_of(a)
+        while i < b:
+            start = self.starts[j]
+            bu, bv = self.blocks[j]
+            end = min(b, start + len(bu))
+            np.add(bu[i - start:end - start], self.su[j], out=u[i - a:end - a])
+            np.add(bv[i - start:end - start], self.sv[j], out=v[i - a:end - a])
+            i, j = end, j + 1
+        return u, v
 
 
-def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
+def _block_layout(line: FaultLine, n: int, k: int = 10) -> _Layout:
+    """sigma^n(H) as the skeleton sigma^(n-k)(H) of the blocks sigma^k(c),
+    after the refusals ``iterate`` would make for the whole word.  With
+    n <= k the skeleton is H and its one block is the whole word.  Blocks
+    are built once per fault line and kept on it; a letter of several
+    segments is repeated in the block's word (til12: L -> LL), one byte a
+    segment.  At k = 10 a til12 block has 13,447 to 21,036 segments,
+    about a chunk of ``_nearest_offsets``, so a chunk reads two or three
+    blocks."""
+    check_letter_cap(line.rule, "H", n)
+    depth = min(n, k)
+    skeleton = iterate(line.rule, "H", n - depth)
+    blocks = vars(line).setdefault("_blocks", {})
+    steps = {c: (du, dv) for c, (du, dv, _) in line.segments.items()}
+    for c in set(skeleton) - {c for c, d in blocks if d == depth}:
+        letters = iterate(line.rule, c, depth)
+        for d, (_, _, count) in line.segments.items():
+            if count != 1:
+                letters = letters.replace(d, d * count)
+        blocks[c, depth] = _running_sums(letters.encode("ascii"), steps)
+    return _Layout(skeleton, {c: blocks[c, depth] for c in set(skeleton)})
+
+
+def _nearest_offsets(layout: _Layout, D: int,
                      chunk: int = 1 << 14) -> dict[int, float]:
     """Distinct nearest-vertex offsets between a word and its mirror.
 
-    ``u, v`` are the side-1 vertex coordinates from (0, 0), strictly
-    increasing in value.  The mirrored side has vertices at total - x;
-    each is matched to its nearest side-1 vertex.  Distinct offsets are
-    keyed by the exact leg-count difference dv (which pins the offset
+    ``layout`` holds the side-1 vertices from (0, 0), strictly increasing
+    in value.  The mirrored side has vertices at total - x; each is
+    matched to its nearest side-1 vertex.  Distinct offsets are keyed by
+    the exact leg-count difference dv (which pins the offset
     bijectively); values are representative lengths, in order of first
-    appearance.  Mirrored vertices are matched ``chunk`` at a time, and
-    float positions are computed only for the chunk and for the stretch
-    of side-1 vertices it is searched in, so beyond the coordinates the
-    kernel holds a fixed number of chunk-sized arrays, which stay in
-    cache.  The stretch's ends are found by a scalar bisect whose key,
-    float(v[i]) * root + float(u[i]), rounds as the array expression
-    does, so every position is the same float bit for bit wherever it is
-    computed.  Per vertex only the chosen neighbour, the sign and the key
-    are computed; the u part and the value only at each key's first
-    occurrence.
+    appearance.  Mirrored vertices are matched ``chunk`` at a time: the
+    layout assembles the chunk's coordinates and those of the stretch of
+    side-1 vertices it is searched in, which are then indexed locally, so
+    beyond the layout's blocks the kernel holds a fixed number of
+    chunk-sized arrays, which stay in cache.  The stretch's ends are
+    found by a scalar bisect over single vertices whose key, float(v) *
+    root + float(u), rounds as the array expression does, so every
+    position is the same float bit for bit wherever it is computed.  Per
+    vertex only the chosen neighbour, the sign and the key are computed;
+    the u part and the value only at each key's first occurrence.
 
     Floats decide which neighbour is nearer and the sign of each offset,
     except within ``margin`` of zero, where the exact sign in Z[sqrt(D)]
     decides.  Each float position is within E = 2**-52 (max|v| sqrt(D) +
     total) of the exact one (one rounding each for sqrt(D), the product
-    and the sum; every position lies in [0, total]).  A midpoint test
-    adds up four positions and four more roundings of at most E/2 each,
-    so 16 E covers it; an offset adds up fewer.  The two neighbours come
-    from a float search, which is right while vertex gaps exceed the
-    margin.
+    and the sum; every position lies in [0, total]); the layout's max|v|
+    comes from its blocks' extremes.  A midpoint test adds up four
+    positions and four more roundings of at most E/2 each, so 16 E covers
+    it; an offset adds up fewer.  The two neighbours come from a float
+    search, which is right while vertex gaps exceed the margin.
     """
     import numpy as np
     root = math.sqrt(D)
-    U, V = int(u[-1]), int(v[-1])
-    last = len(u) - 1
+    last = layout.last
+    U, V = layout.vertex(last)
 
     def position(i: int) -> float:
-        return float(v[i]) * root + float(u[i])
+        x, y = layout.vertex(i)
+        return float(y) * root + float(x)
 
-    def positions(part: slice) -> np.ndarray:
-        fx = v[part].astype(np.float64)
+    def positions(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        fx = v.astype(np.float64)
         fx *= root
-        fx += u[part]
+        fx += u
         return fx
 
     total = position(last)
     vertices = range(last + 1)
-    vmax = max(-int(v.min()), int(v.max()))
-    margin = 16 * 2.0 ** -52 * (vmax * root + total)
+    margin = 16 * 2.0 ** -52 * (layout.vmax * root + total)
     out: dict[int, float] = {}
     for hi in range(last + 1, 0, -chunk):
         # mirrored vertices i = last + 1 - hi, ...: total - vertex (last - i)
-        part = slice(max(hi - chunk, 0), hi)
-        mu, mv = u[part][::-1], v[part][::-1]
-        s2f = np.subtract(total, positions(part)[::-1])
+        mu, mv = layout.coords(max(hi - chunk, 0), hi)
+        s2f = np.subtract(total, positions(mu, mv)[::-1])
+        mu, mv = mu[::-1], mv[::-1]
         # s2f is sorted, so the first vertex at or past each value lies in
-        # lo..top, those of its ends; positions are needed only there and
-        # at the neighbours either side, kept in 1..last
+        # lo..top, those of its ends; the stretch is those vertices and the
+        # neighbours either side, kept in 1..last, from vertex ``start``
         lo, top = (bisect.bisect_left(vertices, x, key=position)
                    for x in (s2f[0], s2f[-1]))
         start = min(max(lo, 1), last) - 1
-        fx = positions(slice(start, min(max(top, 1), last) + 1))
+        u, v = layout.coords(start, min(max(top, 1), last) + 1)
+        fx = positions(u, v)
         idx = np.searchsorted(fx, s2f)
         np.clip(idx, 1 - start, last - start, out=idx)
         left = s2f - fx[idx - 1]
@@ -409,15 +453,14 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
         # near-ties decided exactly: 2*x vs (prev + next) in Z[sqrt(D)]
         close = np.flatnonzero(np.abs(right - left) < margin)
         if close.size:
-            nxt = idx[close] + start
-            A = 2 * (U - mu[close].astype(np.int64)) - u[nxt - 1] - u[nxt]
-            B = 2 * (V - mv[close].astype(np.int64)) - v[nxt - 1] - v[nxt]
+            nxt = idx[close]
+            A = 2 * (U - mu[close]) - u[nxt - 1] - u[nxt]
+            B = 2 * (V - mv[close]) - v[nxt - 1] - v[nxt]
             s = _sign_quad(A, B, D)  # >0: x is past the midpoint, next is nearer
-            choice[close] = np.where(s > 0, nxt, nxt - 1) - start
+            choice[close] = np.where(s > 0, nxt, nxt - 1)
         offset = s2f - fx.take(choice)
         del fx, idx, left, right
-        choice += start
-        dv = np.subtract(V, mv, dtype=np.int64)
+        dv = np.subtract(V, mv)
         dv -= v.take(choice)
         # unsigned offset: flip pairs whose value is negative, by the float
         # offset x - nearest (left or -right, bit for bit) except near
@@ -429,7 +472,7 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
         near_zero &= dv != 0
         unsure = np.flatnonzero(near_zero)
         if unsure.size:
-            du = U - mu[unsure].astype(np.int64) - u[choice[unsure]]
+            du = U - mu[unsure] - u[choice[unsure]]
             neg[unsure] = _sign_quad(du, dv[unsure], D) < 0
         np.negative(dv, out=dv, where=neg)
         kmin, kmax = int(dv.min()), int(dv.max())
@@ -447,7 +490,7 @@ def _nearest_offsets(u: np.ndarray, v: np.ndarray, D: int,
             keys, first = np.unique(dv, return_index=True)
         order = np.argsort(first)
         keys, first = keys[order], first[order]
-        du = U - mu[first].astype(np.int64) - u[choice[first]]
+        du = U - mu[first] - u[choice[first]]
         np.negative(du, out=du, where=neg[first])
         vals = du.astype(np.float64) + keys.astype(np.float64) * root
         for key, val in zip(keys.tolist(), vals.tolist()):
@@ -480,24 +523,26 @@ def slippage_til12(n: int) -> SlippageProfile:
     the mirrored side left of the midpoint (computed exactly).  The
     offsets are the distinct nearest-vertex contact lengths; c = 4 wide
     windows never recur, so the dv key already is the mod-c reduction.
+    The word is read through ``_block_layout``, never laid out whole.
     """
-    u, v = _layout(TIL12, n)
+    layout = _block_layout(TIL12, n)
     # segment i runs from vertex i to i + 1, and vertices strictly increase:
     # the legs fully in [0, Q] end at or before the last vertex with
     # 2x <= total, the mirrored side's start at or after the first with
     # 2x >= total.  A leg segment steps v by 1 and no other segment moves
     # v, so v counts the legs up to each vertex.
-    U, V = int(u[-1]), int(v[-1])
+    U, V = layout.vertex(layout.last)
 
     def past_q(i: int) -> int:
-        return _sign(2 * int(u[i]) - U, 2 * int(v[i]) - V, TIL12.D)
+        x, y = layout.vertex(i)
+        return _sign(2 * x - U, 2 * y - V, TIL12.D)
 
-    vertices = range(len(u))
+    vertices = range(layout.last + 1)
     up_to_q = bisect.bisect_right(vertices, 0, key=past_q)
     from_q = bisect.bisect_left(vertices, 0, key=past_q)
-    side1 = int(v[up_to_q - 1])
-    side2 = V - int(v[from_q])
-    offsets = _nearest_offsets(u, v, TIL12.D)
+    side1 = layout.vertex(up_to_q - 1)[1]
+    side2 = V - layout.vertex(from_q)[1]
+    offsets = _nearest_offsets(layout, TIL12.D)
     keys = tuple(sorted(offsets))
     return SlippageProfile(
         n=n,
@@ -578,6 +623,7 @@ def til2_identity_check(n: int) -> bool:
     (sqrt5 - 2) H_n - S_n = -(2 - sqrt5)^{n+1}, checked by matching the
     rational and sqrt5 parts as integers.
     """
+    n = as_count(n)
     if n < 0 or n > 40:
         raise ArgumentError(f"n must lie in 0..40, got {n}")
     h, s = _nth(_letter_counts(til2_rule(), "H"), n)
@@ -641,6 +687,7 @@ def til13_rule() -> SubstitutionRule1D:
 
 def til13_fluctuation(n: int) -> int:
     """#H - #L in the n-th hypotenuse word (exact integers, any n <= 40)."""
+    n = as_count(n)
     if n < 0 or n > 40:
         raise ArgumentError(f"n must lie in 0..40, got {n}")
     rule = til13_rule()

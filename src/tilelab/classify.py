@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError
+from .errors import ArgumentError, as_count
 from .geometry import TWO_PI, TriangleShape, wrap_angle
 from .substitution import Tiling, _SizeFrontier
 
@@ -208,6 +208,7 @@ def orientation_census(shape: TriangleShape, n: int,
     where materializing tiles is.  Cross-checked against built tilings in
     the tests.
     """
+    n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
     counts: dict = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}

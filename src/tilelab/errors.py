@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by the whole package."""
+"""Exception hierarchy shared by the whole package, and the check that a
+count argument is an integer."""
+
+import operator
 
 
 class TilelabError(Exception):
@@ -27,3 +30,14 @@ class NumericError(TilelabError):
 
 class InternalError(TilelabError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def as_count(value, name: str = "n") -> int:
+    """``value`` as a Python int, or ArgumentError unless it is an integer:
+    anything ``operator.index`` takes (numpy ints too) except a bool."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{name} must be an integer, got {value!r}")

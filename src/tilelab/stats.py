@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .classify import orientation_census
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, as_count
 from .geometry import TriangleShape, _float_size_key
 from .spectral import count_vectors, eigen, population_matrix
 from .substitution import Tiling, census_counts, size_class_ranks
@@ -219,6 +219,7 @@ def matrix_power_counts(shape: TriangleShape, n: int) -> tuple[int, ...]:
     """
     if shape.rationality is None:
         raise DomainError("population matrix needs a rational shape")
+    n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
     z = shape.rationality
@@ -436,6 +437,7 @@ def equidistribution_frequency(ratio: float, lo: float, hi: float,
     import numpy as np
     if not (0.0 <= lo < hi <= 1.0):
         raise ArgumentError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
+    n_samples = as_count(n_samples, "n_samples")
     if n_samples < 1:
         raise ArgumentError(f"n_samples must be at least 1, got {n_samples}")
     k = np.arange(1, n_samples + 1, dtype=np.float64)

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, InternalError, ResourceError
+from .errors import ArgumentError, InternalError, ResourceError, as_count
 from .geometry import (
     TWO_PI,
     Placement,
@@ -355,6 +355,7 @@ def root_tiling(shape: TriangleShape) -> Tiling:
 
 
 def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
+    n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
     t = root_tiling(shape)
@@ -414,6 +415,7 @@ class _SizeFrontier:
 def _census(shape: TriangleShape, n: int):
     """:func:`census_steps` without the copies: each yielded dict is the
     census's own (it is replaced, never changed, by the next generation)."""
+    n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
     counts: dict[tuple[int, int], int] = {(0, 0): 1}

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import re
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from tilelab import boundary
 from tilelab.boundary import (TIL2, TIL12, TIL13, FaultLine,
-                              SubstitutionRule1D, _cut, _layout,
+                              SubstitutionRule1D, _block_layout, _cut,
                               _nearest_offsets, _rule_from_geometry, _surplus,
                               _til2_letter, _til13_letter, balanced_pairs,
                               check_letter_cap, f_of_n,
@@ -280,8 +281,7 @@ def test_pairs_cut_the_materialized_fault_line(rule, pairs, n_max):
 
 
 def _laid_out_offsets(line, n):
-    u, v = _layout(line, n)
-    return list(_nearest_offsets(u, v, line.D).items())
+    return list(_nearest_offsets(_block_layout(line, n), line.D).items())
 
 
 def test_til2_pair_levels_match_the_materialized_rows():
@@ -305,7 +305,7 @@ def test_til2_and_til13_answers_build_no_word(monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("a fault-line word was built")
 
-    monkeypatch.setattr(boundary, "_layout", build)
+    monkeypatch.setattr(boundary, "_block_layout", build)
     monkeypatch.setattr(boundary, "iterate", build)
     assert til2_slippage_bound(12) == 1
     assert list(til2_offsets(12)) == [0, 1]
@@ -376,7 +376,10 @@ def test_fault_line_refuses_non_ascii_letters():
         FaultLine(rule, {"H": (1, 0, 1), "é": (2, 0, 1)}, 2, "é")
 
 
-def test_layout_refuses_steps_outside_int8():
+def test_layout_takes_steps_outside_int8():
+    # blocks are summed in int64, so a step need not fit in a byte
     line = dataclasses.replace(TIL2, segments={"H": (128, 0, 1), "S": (-2, 1, 1)})
-    with pytest.raises(ArgumentError):
-        _layout(line, 3)
+    word = iterate(line.rule, "H", 3)
+    u, v = _block_layout(line, 3, k=2).coords(0, len(word) + 1)
+    assert u.tolist() == [0, *itertools.accumulate(128 if c == "H" else -2 for c in word)]
+    assert v.tolist() == [0, *itertools.accumulate(int(c == "S") for c in word)]

@@ -1,9 +1,14 @@
 """The vectorized boundary engine against the straightforward versions it
 replaced, which are kept here as references."""
 
+import functools
+import hashlib
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,15 +17,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilelab import boundary
-from tilelab.boundary import (TIL2, TIL12, _avoids_forbidden, _layout,
-                              _nearest_offsets, _sign_quad, _vertex_coords,
-                              forbidden_subwords_check, iterate, sigma0_til12,
-                              sigma_til12, slippage_til12, til2_rule,
-                              til13_offsets, til13_rule)
+from tilelab.boundary import (TIL2, TIL12, _avoids_forbidden,
+                              _block_layout, _Layout, _letter_counts,
+                              _nearest_offsets, _nth, _running_sums,
+                              _sign_quad, forbidden_subwords_check, iterate,
+                              sigma0_til12, sigma_til12, slippage_til12,
+                              til2_rule, til13_offsets, til13_rule)
 from tilelab.errors import InternalError, ResourceError
 
 RULES = [sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()]
 DEFAULT_CHUNK = inspect.signature(_nearest_offsets).parameters["chunk"].default
+DEFAULT_DEPTH = inspect.signature(_block_layout).parameters["k"].default
+DEPTHS = (1, 3, DEFAULT_DEPTH)   # many small blocks, or a few long ones
 DEFAULT_SLICE = inspect.signature(_avoids_forbidden).parameters["size"].default
 SLICES = (DEFAULT_SLICE, 1, 7, 61)   # one slice or many
 
@@ -101,6 +109,22 @@ def exact_nearest_offsets(u, v, D):
             a, key = -a, -key
         out.setdefault(key, a + key * math.sqrt(D))
     return out
+
+
+def ref_coords(line, n):
+    """Vertex coordinates of sigma^n(H), segment by segment."""
+    u, v = [0], [0]
+    for ch in ref_iterate(line.rule, "H", n):
+        du, dv, count = line.segments[ch]
+        for _ in range(count):
+            u.append(u[-1] + du)
+            v.append(v[-1] + dv)
+    return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+
+
+def one_block(u, v):
+    """A raw (u, v) pair as a layout."""
+    return _Layout("H", {"H": (u, v)})
 
 
 def ref_g_at_Q(n):
@@ -234,38 +258,90 @@ def test_sign_quad_refuses_past_its_headroom():
 @pytest.mark.parametrize("line, n_max", [(TIL12, 10), (TIL2, 8)], ids=["til12", "til2"])
 def test_nearest_offsets_match_the_python_loop(line, n_max):
     for n in range(1, n_max + 1):
-        u, v = _layout(line, n)
-        assert u.dtype == np.int32 and v.dtype == np.int32
+        u, v = ref_coords(line, n)
         want = list(ref_nearest_offsets(u, v, line.D).items())
-        for chunk in (DEFAULT_CHUNK, 1 << 20, 997, 61):   # one chunk or many
-            assert list(_nearest_offsets(u, v, line.D, chunk).items()) == want
+        for k in DEPTHS:
+            layout = _block_layout(line, n, k)
+            for chunk in (DEFAULT_CHUNK, 1 << 20, 997, 61):   # one chunk or many
+                got = list(_nearest_offsets(layout, line.D, chunk).items())
+                assert got == want, (n, k, chunk)
 
 
 def test_nearest_offsets_stream_their_chunks():
-    # til12 n = 14 lays out 579,289 vertices.  Beyond the coordinates the
+    # til12 n = 14 has 579,289 vertices.  Beyond the layout's blocks the
     # kernel holds a fixed number of chunk-sized arrays, however long the
-    # layout: float positions only for one chunk and its searched stretch.
-    u, v = _layout(TIL12, 14)
+    # word: coordinates and float positions only for one chunk and its
+    # searched stretch.
+    layout = _block_layout(TIL12, 14)
     tracemalloc.start()
     try:
-        _nearest_offsets(u, v, TIL12.D)
+        _nearest_offsets(layout, TIL12.D)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 8 * DEFAULT_CHUNK
 
 
-@pytest.mark.parametrize("line, n", [(TIL12, 14), (TIL2, 9)], ids=["til12", "til2"])
-def test_layout_holds_ten_bytes_a_vertex(line, n):
-    # at the peak: int32 u and v, one letter byte a segment and one int8
-    # step array; the word and the cast and index temporaries are gone
+@pytest.mark.parametrize("line, n_max", [(TIL12, 8), (TIL2, 5)], ids=["til12", "til2"])
+def test_layout_reads_the_word_at_any_depth(line, n_max):
+    for n in range(n_max + 1):
+        u, v = ref_coords(line, n)
+        last = len(u) - 1
+        for k in DEPTHS:
+            layout = _block_layout(line, n, k)
+            assert layout.last == last
+            assert layout.vmax == int(np.abs(v).max())
+            assert [layout.vertex(i) for i in range(last + 1)] == \
+                list(zip(u.tolist(), v.tolist()))
+            spans = [(0, last + 1)] + [(a, min(a + w, last + 1))
+                                       for a in range(0, last + 1, 7)
+                                       for w in (1, 5, 40)]
+            for a, b in spans:
+                got = layout.coords(a, b)
+                assert got[0].dtype == got[1].dtype == np.int64
+                assert got[0].tolist() == u[a:b].tolist(), (n, k, a, b)
+                assert got[1].tolist() == v[a:b].tolist(), (n, k, a, b)
+
+
+def _block_bound(depth, skeleton_depth):
+    """Letters of the longest til12 block sigma^depth(c), or of the
+    skeleton sigma^skeleton_depth(H) if that is longer."""
+    rule = TIL12.rule
+    blocks = [sum(_nth(_letter_counts(rule, c), depth)) for c in rule.chars]
+    return max(*blocks, sum(_nth(_letter_counts(rule, "H"), skeleton_depth)))
+
+
+def test_til12_builds_no_word_longer_than_a_block(monkeypatch):
+    # sigma^16(H) has 2,968,198 letters; the longest block sigma^10(L)
+    # and the skeleton sigma^6(H) have far fewer
+    asked = []
+
+    def recording(rule, seed, n, cap=boundary.DEFAULT_LETTER_CAP):
+        word = iterate(rule, seed, n, cap)
+        asked.append(len(word))
+        return word
+
+    monkeypatch.setattr(boundary, "iterate", recording)
+    monkeypatch.setitem(vars(TIL12), "_blocks", {})   # build them here
+    slippage_til12(16)
+    bound = _block_bound(DEFAULT_DEPTH, 16 - DEFAULT_DEPTH)
+    assert asked and max(asked) <= bound < 30_000
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_til12_traced_peak_does_not_grow_with_n(n, monkeypatch):
+    # the whole word would take at least 10 bytes a vertex: 1.5 MB at
+    # n = 12 and 15 MB at n = 15.  The blocks (about 0.75 MB at the default
+    # depth, built inside the trace) and the kernel's chunk-sized arrays
+    # hold the same bytes at every n.
+    monkeypatch.setitem(vars(TIL12), "_blocks", {})
     tracemalloc.start()
     try:
-        u, _ = _layout(line, n)
+        slippage_til12(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * len(u) + (1 << 16)
+    assert peak <= 4 << 20
 
 
 def test_til13_offsets_match_the_integer_rule():
@@ -294,7 +370,7 @@ def test_offset_sign_near_zero_is_exact(sign):
     assert ref_sign(_A5, _B5, 17) > 0 and abs(_A5 + _B5 * math.sqrt(17)) < 1e-6
     u = np.array([0, 1, 2 + sign * _A5], dtype=np.int32)
     v = np.array([0, 0, sign * _B5], dtype=np.int32)
-    got = list(_nearest_offsets(u, v, 17).items())
+    got = list(_nearest_offsets(one_block(u, v), 17).items())
     assert got == list(exact_nearest_offsets(u, v, 17).items())
     assert [key for key, _ in got] == [0, _B5]
 
@@ -309,25 +385,101 @@ def test_near_tie_at_int32_reach_is_exact():
     v = np.array([0, pv, pv + kv - _B5, 2 * pv + kv // 2], dtype=np.int32)
     want = list(exact_nearest_offsets(u, v, 17).items())
     assert [key for key, _ in want] == [0, kv // 2 - _B5]
-    assert list(_nearest_offsets(u, v, 17).items()) == want
+    assert list(_nearest_offsets(one_block(u, v), 17).items()) == want
 
 
-def test_g_at_q_matches_the_leg_by_leg_count():
-    for n in range(1, 11):
-        assert slippage_til12(n).g_at_Q == ref_g_at_Q(n), n
+# sha256 of (f, g_at_Q, keys, float.hex of the values) of slippage_til12(n),
+# recorded from the whole-word layout the blocks replaced
+WHOLE_WORD_DIGESTS = {
+    1: "968d8358badf1af6a264fea233bfc64ca0b1bd821759cfb5fb3ff63989c80aed",
+    2: "4e0773d2abd8c83498c5cf44a18d9ce8c187205531bf8d99d3db0925fb608686",
+    3: "c58a131bd073f9f43679ce8671b46fc1354bf5f56b8abae5dc9866b7ad929ee0",
+    4: "ca8a4a267c8e667139ef71d702694c1a819bfb5399f676ef59cdb3fa545d9901",
+    5: "905ad1fbe451f29f9ccd762dcbf25427d04b143e4f8cfdf23443b9ab172d9780",
+    6: "83646fb77982dbd96d91ef73d4c8ce2bef3505e9b765ed311e3c81f9505e354e",
+    7: "856b211c9834e5e048f6a7d43c93d123ecc0d65fe83c21280da3621858793375",
+    8: "e92ab05ddf7f48303634228e6d3a57b63c34e40ee45b35f7fd4c63a6a4adfa7b",
+    9: "649bab18be12ea5abf2138532b06d44f87c7265ce49946d86c8b1eec46b753be",
+    10: "9d5596982fdf08ec9edb5072c79d74fa6d5798b3d61d6a19f215cf8c5573cd1c",
+    11: "c5e9e2714d27d6314606d662e3a6d47cfe52814f0f4b5cd20f5b5f81ebfb6d9c",
+    12: "9965644afbddd062f14c77396b96d1d03ccd29f53a246b323d1327e12f780dd0",
+    13: "9155846d6e72aeb8baaee8496e5e897292a7993db91f72970128ef546cc4438b",
+    14: "a53ecbbdb0ddd1c17d1af76881fd79b4fd8a7d2e88fcc716a0609de728a5b593",
+    15: "457da15eb1003ac524d4fc7c6c511a71d0f98839eef51d46f33a637e00c10ce0",
+    16: "da14653b819fe046f70b3740e4437e72194b4394978e38e5ab4ce2dd83124130",
+    17: "e53b7a5d8c47214fd4f661474dcfa5b850b13f25782856aec05fe149d9a1580d",
+}
+
+
+def profile_digest(prof):
+    text = repr((prof.f, prof.g_at_Q, prof.offset_keys,
+                 [x.hex() for x in prof.distinct_offsets]))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_til12_profiles_match_the_whole_word_layout():
+    for n, want in WHOLE_WORD_DIGESTS.items():
+        assert profile_digest(slippage_til12(n)) == want, n
+
+
+@pytest.mark.parametrize("k", DEPTHS[:2])
+def test_til12_profiles_do_not_depend_on_the_block_depth(k, monkeypatch):
+    monkeypatch.setattr(boundary, "_block_layout",
+                        functools.partial(_block_layout, k=k))
+    for n in range(1, 14):
+        assert profile_digest(slippage_til12(n)) == WHOLE_WORD_DIGESTS[n], n
+
+
+def test_til12_peak_is_flat_at_n_18():
+    # the whole-word layout peaked at 268 MiB here; the blocks hold the
+    # same bytes at every n.  A bare interpreter starts the work and reads
+    # its peak: a child's ru_maxrss also counts the pages of the process
+    # it was forked from, which here would be pytest's.
+    work = "from tilelab.boundary import slippage_til12; slippage_til12(18)"
+    code = ("import os, subprocess, sys; "
+            f"child = subprocess.Popen([sys.executable, '-c', {work!r}]); "
+            "_, status, usage = os.wait4(child.pid, 0); "
+            "print(status, usage.ru_maxrss)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    status, peak = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True).stdout.split()
+    assert status == "0"
+    assert int(peak) < 80 * 1024      # KiB on Linux
+
+
+def test_g_at_q_matches_the_leg_by_leg_count(monkeypatch):
+    want = [ref_g_at_Q(n) for n in range(1, 11)]
+    for k in DEPTHS:
+        monkeypatch.setattr(boundary, "_block_layout",
+                            functools.partial(_block_layout, k=k))
+        assert [slippage_til12(n).g_at_Q for n in range(1, 11)] == want, k
 
 
 def test_vertex_coords_are_running_sums():
-    u, v = _vertex_coords(b"HLLh", TIL12.segments)
-    assert u.dtype == np.int32 and v.dtype == np.int32
+    steps = {c: (du, dv) for c, (du, dv, _) in TIL12.segments.items()}
+    u, v = _running_sums(b"HLLh", steps)
+    assert u.dtype == np.int64 and v.dtype == np.int64
     assert u.tolist() == [0, 4, 3, 2, 6]
     assert v.tolist() == [0, 0, 1, 2, 2]
+    # sigma^2(H) = HHhhLH, L two segments
+    u, v = _block_layout(TIL12, 2).coords(0, 8)
+    assert u.tolist() == [0, 4, 8, 12, 16, 15, 14, 18]
+    assert v.tolist() == [0, 0, 0, 0, 0, 1, 2, 2]
 
 
-def test_vertex_coords_refuse_past_int32_headroom():
-    codes = b"A" * (2 ** 31 // 127 + 1)
-    with pytest.raises(ResourceError):
-        _vertex_coords(codes, {"A": (127, 0, 1)})
+def test_layout_refuses_past_the_letter_cap_before_any_block(monkeypatch):
+    # the int64 blocks and Python-int skeleton offsets hold any word under
+    # the letter cap; past it the layout refuses as iterate would, having
+    # built nothing
+    def build(*args, **kwargs):
+        raise AssertionError("a fault-line word was built")
+
+    monkeypatch.setattr(boundary, "iterate", build)
+    message = "til12: sigma^20 would have 127786406 letters, cap is 100000000"
+    for fn in (functools.partial(_block_layout, TIL12), slippage_til12):
+        with pytest.raises(ResourceError) as exc:
+            fn(20)
+        assert str(exc.value) == message
 
 
 def test_til2_slippage_bound_matches_python_merge():
