@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ArgumentError, InternalError, ResourceError, as_count
-from .geometry import TriangleShape
 from .spectral import count_vectors
-from .substitution import build_Tn, trace_edge
 
 DEFAULT_LETTER_CAP = 10 ** 8
 
@@ -311,64 +309,46 @@ def _running_sums(codes: bytes, steps: dict[str, tuple[int, ...]]):
 
 
 class _Layout:
-    """Vertex coordinates (u, v) of a word read as a skeleton of blocks.
-
-    Each skeleton letter stands for its block, the vertex coordinates of
-    the word it expands to from (0, 0); a block is held once however
-    often its letter occurs.  Per skeleton letter the layout keeps the
-    index and the coordinates of the vertex its block starts at (a
-    block's last vertex is the next one's first), as Python ints.  Slices
-    and single vertices are assembled on demand, so the word itself is
-    never laid out.  A raw (u, v) pair is the layout of skeleton "H" with
-    that one block.
+    """Vertex coordinates (u, v) of a word read as a skeleton of blocks,
+    each the vertex coordinates of its letter's word from (0, 0), held
+    once.  Columns: ``codes``, per skeleton letter the number x of its
+    block, held in ``fu``, ``fv`` from ``at[x]`` to ``at[x + 1]``; and
+    ``starts``, ``su``, ``sv``, the index and coordinates of the vertex
+    each block starts at (a block's last vertex is the next one's
+    first), then of the word's last.  A raw (u, v) pair is the layout of
+    skeleton "H" with that one block.
     """
 
     def __init__(self, skeleton: str, blocks: dict[str, tuple]):
-        self.blocks = [blocks[c] for c in skeleton]
-        ends = {c: (len(u) - 1, int(u[-1]), int(v[-1]))
-                for c, (u, v) in blocks.items()}
-        self.starts, self.su, self.sv = (
-            x.tolist() for x in _running_sums(skeleton.encode("ascii"), ends))
-        self.last = self.starts[-1]
-        span = {c: (int(v.min()), int(v.max())) for c, (_, v) in blocks.items()}
-        self.vmax = max(abs(s + x) for c, s in zip(skeleton, self.sv)
-                        for x in span[c])
-
-    def _block_of(self, i: int) -> int:
-        # the last block starting at or before vertex i
-        return min(bisect.bisect_right(self.starts, i), len(self.blocks)) - 1
+        import numpy as np
+        chars = sorted(blocks)
+        table = np.zeros(256, dtype=np.uint8)
+        table[[ord(c) for c in chars]] = range(len(chars))
+        codes = skeleton.encode("ascii")
+        self.codes = table[np.frombuffer(codes, dtype=np.uint8)]
+        self.starts, self.su, self.sv = _running_sums(codes, {
+            c: (len(blocks[c][0]) - 1, int(blocks[c][0][-1]), int(blocks[c][1][-1]))
+            for c in chars})
+        self.last = int(self.starts[-1])
+        self.at = np.cumsum([0] + [len(blocks[c][0]) for c in chars])
+        self.fu, self.fv = (np.concatenate([blocks[c][z] for c in chars]).astype(np.int64)
+                            for z in (0, 1))
 
     def vertex(self, i: int) -> tuple[int, int]:
-        j = self._block_of(i)
-        bu, bv = self.blocks[j]
-        k = i - self.starts[j]
-        return self.su[j] + int(bu[k]), self.sv[j] + int(bv[k])
-
-    def coords(self, a: int, b: int):
-        """int64 u and v of the vertices a, ..., b - 1 (0 <= a < b <= last + 1)."""
-        import numpy as np
-        u = np.empty(b - a, dtype=np.int64)
-        v = np.empty(b - a, dtype=np.int64)
-        i, j = a, self._block_of(a)
-        while i < b:
-            start = self.starts[j]
-            bu, bv = self.blocks[j]
-            end = min(b, start + len(bu))
-            np.add(bu[i - start:end - start], self.su[j], out=u[i - a:end - a])
-            np.add(bv[i - start:end - start], self.sv[j], out=v[i - a:end - a])
-            i, j = end, j + 1
-        return u, v
+        # the last block starting at or before vertex i
+        j = min(int(self.starts.searchsorted(i, "right")), len(self.codes)) - 1
+        k = self.at[self.codes[j]] + i - self.starts[j]
+        return int(self.su[j] + self.fu[k]), int(self.sv[j] + self.fv[k])
 
 
-def _block_layout(line: FaultLine, n: int, k: int = 10) -> _Layout:
+def _block_layout(line: FaultLine, n: int, k: int = 5) -> _Layout:
     """sigma^n(H) as the skeleton sigma^(n-k)(H) of the blocks sigma^k(c),
     after the refusals ``iterate`` would make for the whole word.  With
     n <= k the skeleton is H and its one block is the whole word.  Blocks
     are built once per fault line and kept on it; a letter of several
     segments is repeated in the block's word (til12: L -> LL), one byte a
-    segment.  At k = 10 a til12 block has 13,447 to 21,036 segments,
-    about a chunk of ``_nearest_offsets``, so a chunk reads two or three
-    blocks."""
+    segment.  A til12 block of depth 5 has 123 to 188 segments, a size at
+    which ``_nearest_offsets`` ran fastest for n = 16 to 18."""
     check_letter_cap(line.rule, "H", n)
     depth = min(n, k)
     skeleton = iterate(line.rule, "H", n - depth)
@@ -383,119 +363,187 @@ def _block_layout(line: FaultLine, n: int, k: int = 10) -> _Layout:
     return _Layout(skeleton, {c: blocks[c, depth] for c in set(skeleton)})
 
 
+def _positions(u, v, root: float):
+    """Float positions float(v) * root + float(u) of int64 coordinates."""
+    return v * root + u
+
+
+def _ranges(starts, counts):
+    """starts[0], ..., starts[0] + counts[0] - 1, starts[1], ... in one array."""
+    import numpy as np
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+
+
 def _nearest_offsets(layout: _Layout, D: int,
                      chunk: int = 1 << 14) -> dict[int, float]:
     """Distinct nearest-vertex offsets between a word and its mirror.
 
     ``layout`` holds the side-1 vertices from (0, 0), strictly increasing
     in value.  The mirrored side has vertices at total - x; each is
-    matched to its nearest side-1 vertex.  Distinct offsets are keyed by
-    the exact leg-count difference dv (which pins the offset
-    bijectively); values are representative lengths, in order of first
-    appearance.  Mirrored vertices are matched ``chunk`` at a time: the
-    layout assembles the chunk's coordinates and those of the stretch of
-    side-1 vertices it is searched in, which are then indexed locally, so
-    beyond the layout's blocks the kernel holds a fixed number of
-    chunk-sized arrays, which stay in cache.  The stretch's ends are
-    found by a scalar bisect over single vertices whose key, float(v) *
-    root + float(u), rounds as the array expression does, so every
-    position is the same float bit for bit wherever it is computed.  Per
-    vertex only the chosen neighbour, the sign and the key are computed;
-    the u part and the value only at each key's first occurrence.
+    matched to its nearest side-1 vertex, the earlier one at a tie.
+    Distinct offsets are keyed by the exact leg-count difference dv
+    (which pins the offset bijectively); values are representative
+    lengths, in order of first appearance along the mirrored side.
+
+    The mirrored side is the layout's blocks reflected, in reverse
+    skeleton order.  A mirrored block's configuration is its letter, the
+    letters of the forward blocks its span meets plus one either side,
+    and the exact (du, dv) of the first of those from the mirrored
+    block's start; it alone decides the nearest vertices, so each is
+    matched once (``_match``).  The blocks met come from a float search
+    over the block boundaries, each within 2**-52 (max|v| sqrt(D) +
+    max|u|) of its exact value (as in ``_match``), far less than a block
+    while blocks are longer than vertex gaps: the search misses the
+    first or the last block met by at most one, which the slack block
+    either side then holds.  The blocks met hold the vertices at or
+    before and at or after each mirrored vertex, so the slack never
+    drops the nearest one.  A stretch at either end of the word has no
+    slack block there, so its letters mark the end.
+
+    Configurations are numbered by their first appearance and matched in
+    that order, about ``chunk`` mirrored vertices a batch, each one's in
+    mirrored order.  A key's first vertex lies in its configuration's
+    first block, so keys enter the dict in the order of a vertex by
+    vertex scan.  The skeleton is read ``chunk`` blocks at a time.
+    """
+    import numpy as np
+    codes, su, sv = layout.codes, layout.su, layout.sv
+    J = len(codes)
+    fs = _positions(su, sv, math.sqrt(D))   # block boundaries
+    digit = len(layout.at)                   # letters 1.., 0 past the stretch
+    step = max(chunk // int(np.diff(layout.at).max()), 1)
+    seen = np.empty((3, 0), dtype=np.int64)
+    out: dict[int, float] = {}
+    for top in range(J, 0, -chunk):
+        j = np.arange(top - 1, max(top - chunk, 0) - 1, -1)   # mirrored order
+        lo = np.maximum(fs.searchsorted(fs[-1] - fs[j + 1], "right") - 2, 0)
+        hi = np.minimum(fs.searchsorted(fs[-1] - fs[j], "left") + 1, J)
+        width = int((hi - lo).max())
+        if (width + 1) * math.log2(digit) >= 63:
+            raise InternalError(f"a mirrored block meets {width} blocks")
+        key = np.zeros(len(j), dtype=np.int64)
+        for i in range(width - 1, -1, -1):
+            key *= digit
+            key += np.where(lo + i < hi, codes[np.minimum(lo + i, J - 1)] + 1, 0)
+        Ru, Rv = su[-1] - su[j + 1], sv[-1] - sv[j + 1]   # mirrored block starts
+        rows = np.stack([key * digit + codes[j], su[lo] - Ru, sv[lo] - Rv])
+        # lexsort is stable: a seen row sorts before the window's equal ones
+        both = np.concatenate([seen, rows], axis=1)
+        order = np.lexsort(both)
+        both = both[:, order]
+        head = np.append(True, (both[:, 1:] != both[:, :-1]).any(axis=0))
+        new = order[head] - seen.shape[1]
+        del key, both, order, head
+        new = np.sort(new[new >= 0])
+        seen = np.concatenate([seen, rows[:, new]], axis=1)
+        for a in range(0, len(new), step):
+            pick = new[a:a + step]
+            keys, vals = _match(layout, D, codes[j[pick]], lo[pick], hi[pick],
+                                Ru[pick], Rv[pick])
+            for k, val in zip(keys, vals):
+                out.setdefault(k, val)
+    return out
+
+
+def _match(layout: _Layout, D: int, c, lo, hi, Ru, Rv):
+    """Keys and values, in order of first appearance, of a batch of
+    configurations: mirrored blocks ``c`` from (Ru, Rv), each against the
+    forward blocks lo..hi-1, in coordinates from the mirrored block's
+    start.  A forward block keeps its vertices from the second before
+    the mirrored span to the second past it, less its first (its
+    predecessor's last).  Floats of each letter's block and of each
+    configuration are shifted by its number times a stride past the
+    longest stretch, so one search finds the neighbours within it; the
+    shift rounds far below a vertex gap, so it moves only a search that
+    lands on a vertex, by one, and either neighbour pair picks it.
 
     Floats decide which neighbour is nearer and the sign of each offset,
     except within ``margin`` of zero, where the exact sign in Z[sqrt(D)]
     decides.  Each float position is within E = 2**-52 (max|v| sqrt(D) +
-    total) of the exact one (one rounding each for sqrt(D), the product
-    and the sum; every position lies in [0, total]); the layout's max|v|
-    comes from its blocks' extremes.  A midpoint test adds up four
-    positions and four more roundings of at most E/2 each, so 16 E covers
-    it; an offset adds up fewer.  The two neighbours come from a float
-    search, which is right while vertex gaps exceed the margin.
+    max|u|) of the exact one, the maxima taken over the batch: one
+    rounding each for sqrt(D), the product and the sum.  A midpoint test
+    adds up four positions and three more roundings of at most E/2 each,
+    so 16 E covers it; an offset adds up fewer.  The neighbours come from
+    a float search, which is right while vertex gaps exceed the margin.
     """
     import numpy as np
     root = math.sqrt(D)
-    last = layout.last
-    U, V = layout.vertex(last)
-
-    def position(i: int) -> float:
-        x, y = layout.vertex(i)
-        return float(y) * root + float(x)
-
-    def positions(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        fx = v.astype(np.float64)
-        fx *= root
-        fx += u
-        return fx
-
-    total = position(last)
-    vertices = range(last + 1)
-    margin = 16 * 2.0 ** -52 * (layout.vmax * root + total)
-    out: dict[int, float] = {}
-    for hi in range(last + 1, 0, -chunk):
-        # mirrored vertices i = last + 1 - hi, ...: total - vertex (last - i)
-        mu, mv = layout.coords(max(hi - chunk, 0), hi)
-        s2f = np.subtract(total, positions(mu, mv)[::-1])
-        mu, mv = mu[::-1], mv[::-1]
-        # s2f is sorted, so the first vertex at or past each value lies in
-        # lo..top, those of its ends; the stretch is those vertices and the
-        # neighbours either side, kept in 1..last, from vertex ``start``
-        lo, top = (bisect.bisect_left(vertices, x, key=position)
-                   for x in (s2f[0], s2f[-1]))
-        start = min(max(lo, 1), last) - 1
-        u, v = layout.coords(start, min(max(top, 1), last) + 1)
-        fx = positions(u, v)
-        idx = np.searchsorted(fx, s2f)
-        np.clip(idx, 1 - start, last - start, out=idx)
-        left = s2f - fx[idx - 1]
-        right = fx[idx] - s2f
-        choice = idx - (right >= left)
-        # near-ties decided exactly: 2*x vs (prev + next) in Z[sqrt(D)]
-        close = np.flatnonzero(np.abs(right - left) < margin)
-        if close.size:
-            nxt = idx[close]
-            A = 2 * (U - mu[close]) - u[nxt - 1] - u[nxt]
-            B = 2 * (V - mv[close]) - v[nxt - 1] - v[nxt]
-            s = _sign_quad(A, B, D)  # >0: x is past the midpoint, next is nearer
-            choice[close] = np.where(s > 0, nxt, nxt - 1)
-        offset = s2f - fx.take(choice)
-        del fx, idx, left, right
-        dv = np.subtract(V, mv)
-        dv -= v.take(choice)
-        # unsigned offset: flip pairs whose value is negative, by the float
-        # offset x - nearest (left or -right, bit for bit) except near
-        # zero.  With dv = 0 the offset is the integer du, whose float sign
-        # is right while the margin is below 1 (so at any int32
-        # coordinates), or 0: no flip.
-        neg = offset < 0
-        near_zero = np.abs(offset, out=offset) < margin
-        near_zero &= dv != 0
-        unsure = np.flatnonzero(near_zero)
-        if unsure.size:
-            du = U - mu[unsure] - u[choice[unsure]]
-            neg[unsure] = _sign_quad(du, dv[unsure], D) < 0
-        np.negative(dv, out=dv, where=neg)
-        kmin, kmax = int(dv.min()), int(dv.max())
-        if kmax - kmin < len(dv):
-            # the til2 and til12 keys span far fewer values than a chunk
-            # (4,403 at til12 n = 18): first occurrences in one pass over
-            # a dense table, no sort
-            dv -= kmin
-            first = np.full(kmax - kmin + 1, len(dv))
-            np.minimum.at(first, dv, np.arange(len(dv)))
-            keys = np.flatnonzero(first < len(dv))
-            first = first[keys]
-            keys += kmin
-        else:   # keys far apart (a few vertices at large coordinates)
-            keys, first = np.unique(dv, return_index=True)
-        order = np.argsort(first)
-        keys, first = keys[order], first[order]
-        du = U - mu[first] - u[choice[first]]
-        np.negative(du, out=du, where=neg[first])
-        vals = du.astype(np.float64) + keys.astype(np.float64) * root
-        for key, val in zip(keys.tolist(), vals.tolist()):
-            out.setdefault(key, val)
-    return out
+    at, fu, fv = layout.at, layout.fu, layout.fv
+    ends = _positions(fu[at[1:] - 1], fv[at[1:] - 1], root)
+    stride = 8 * float(ends.max())
+    # the mirrored blocks: each block's end minus the block read backwards
+    n = np.diff(at)[c]
+    mq = np.repeat(np.arange(len(c)), n)
+    e = at[c + 1] - 1
+    back = (e + at[c])[mq] - _ranges(at[c], n)
+    yu, yv = fu[e][mq] - fu[back], fv[e][mq] - fv[back]
+    del back
+    # the forward blocks m of configuration pq, from its mirrored block's start
+    pq = np.repeat(np.arange(len(c)), hi - lo)
+    m = _ranges(lo, hi - lo)
+    x = layout.codes[m]
+    ou, ov = layout.su[m] - Ru[pq], layout.sv[m] - Rv[pq]
+    ff = _positions(fu, fv, root)
+    ff += np.repeat(np.arange(len(ends)) * stride, np.diff(at))
+    of = x * stride - _positions(ou, ov, root)
+    ta = np.maximum(ff.searchsorted(of, "right") - 2, at[x] + (m != lo[pq]))
+    tb = np.minimum(ff.searchsorted(of + ends[c[pq]], "left") + 2, at[x + 1])
+    count = np.maximum(tb - ta, 0)
+    i = _ranges(ta, count)
+    xu, xv = fu[i] + np.repeat(ou, count), fv[i] + np.repeat(ov, count)
+    del i, m, x, ou, ov, ff, of, ta, tb
+    fx, ym = _positions(xu, xv, root), _positions(yu, yv, root)
+    # kept vertices lie a gap or more below and above each mirrored one,
+    # but at the word's ends: the search stays in the stretch, and only
+    # the first mirrored vertex lands on its stretch's first vertex, 0
+    idx = (np.repeat(pq * stride, count) + fx).searchsorted(mq * stride + ym)
+    idx = np.maximum(idx, 1)
+    margin = 16 * 2.0 ** -52 * (max(np.abs(xv).max(), np.abs(yv).max()) * root
+                                + max(np.abs(xu).max(), np.abs(yu).max()))
+    # right - left: its float sign is that of the comparison right >= left
+    gap = (fx[idx] - ym) - (ym - fx[idx - 1])
+    choice = idx - (gap >= 0)
+    # near-ties decided exactly: 2*y vs (prev + next) in Z[sqrt(D)]
+    close = np.flatnonzero(np.abs(gap) < margin)
+    if close.size:
+        nxt = idx[close]
+        A = 2 * yu[close] - xu[nxt - 1] - xu[nxt]
+        B = 2 * yv[close] - xv[nxt - 1] - xv[nxt]
+        s = _sign_quad(A, B, D)  # >0: y is past the midpoint, next is nearer
+        choice[close] = np.where(s > 0, nxt, nxt - 1)
+    offset = ym - fx.take(choice)
+    dv = yv - xv.take(choice)
+    # unsigned offset: flip pairs whose value is negative, by the float
+    # offset y - nearest except near zero.  With dv = 0 the offset is the
+    # integer du, whose float sign is right while the margin is below 1,
+    # or 0: no flip.
+    neg = offset < 0
+    near_zero = np.abs(offset, out=offset) < margin
+    near_zero &= dv != 0
+    unsure = np.flatnonzero(near_zero)
+    if unsure.size:
+        du = yu[unsure] - xu[choice[unsure]]
+        neg[unsure] = _sign_quad(du, dv[unsure], D) < 0
+    np.negative(dv, out=dv, where=neg)
+    kmin, kmax = int(dv.min()), int(dv.max())
+    if kmax - kmin < len(dv):
+        # keys span few values (til2, til12): first occurrences in one
+        # pass over a dense table, no sort
+        dv -= kmin
+        first = np.full(kmax - kmin + 1, len(dv))
+        np.minimum.at(first, dv, np.arange(len(dv)))
+        keys = np.flatnonzero(first < len(dv))
+        first = first[keys]
+        keys += kmin
+    else:   # keys far apart (a few vertices at large coordinates)
+        keys, first = np.unique(dv, return_index=True)
+    order = np.argsort(first)
+    keys, first = keys[order], first[order]
+    du = yu[first] - xu[choice[first]]
+    np.negative(du, out=du, where=neg[first])
+    vals = du.astype(np.float64) + keys.astype(np.float64) * root
+    return keys.tolist(), vals.tolist()
 
 
 # -- Til(1/2) slippage --------------------------------------------------------
@@ -523,7 +571,9 @@ def slippage_til12(n: int) -> SlippageProfile:
     the mirrored side left of the midpoint (computed exactly).  The
     offsets are the distinct nearest-vertex contact lengths; c = 4 wide
     windows never recur, so the dv key already is the mod-c reduction.
-    The word is read through ``_block_layout``, never laid out whole.
+    The word is read through ``_block_layout``, never laid out whole: the
+    bisects for Q read single vertices, and the offsets are matched once
+    per distinct block overlap.
     """
     layout = _block_layout(TIL12, n)
     # segment i runs from vertex i to i + 1, and vertices strictly increase:
@@ -556,62 +606,12 @@ def slippage_til12(n: int) -> SlippageProfile:
 # -- Til(2): bounded slippage -------------------------------------------------
 
 
-def trace_letters(segments) -> str:
-    """Encode traced edge segments as signed letters (upper = aligned)."""
-    out = []
-    for seg in segments:
-        if seg.kind == "H":
-            out.append("H" if seg.sign > 0 else "h")
-        elif seg.kind == "L":
-            out.append("L" if seg.sign > 0 else "l")
-        else:
-            out.append("S" if seg.sign > 0 else "s")
-    return "".join(out)
-
-
-def _rule_from_geometry(shape: TriangleShape, name: str, chars: str,
-                        letter_of, generations) -> SubstitutionRule1D:
-    """Read one-dimensional images off the subdivided shape itself.
-
-    ``letter_of(segment, ranks)`` maps a traced edge segment to a letter
-    char.  Images are extracted by span: the word of T_{g+2} restricted to
-    a letter's interval in T_g is that letter's image (substitution acts
-    locally along the edge).
-    """
-    images: dict[str, str] = {}
-    tilings = {g: build_Tn(shape, g) for g in generations}
-    words = {}
-    for g, t in tilings.items():
-        segs = trace_edge(t, "hypotenuse")
-        words[g] = [(letter_of(s), s.position, s.position + s.length)
-                    for s in segs]
-    tol = 1e-9 * shape.c
-    for g_from, g_to in zip(generations, generations[1:]):
-        for letter, lo, hi in words[g_from]:
-            if letter in images:
-                continue
-            img = [l for (l, s0, s1) in words[g_to]
-                   if s0 >= lo - tol and s1 <= hi + tol]
-            images[letter] = "".join(img)
-    if set(images) != set(chars):
-        raise InternalError(f"{name}: derived images for {sorted(images)}, "
-                            f"expected alphabet {sorted(chars)}")
-    return SubstitutionRule1D(name=name, chars=chars, images=images)
-
-
-def _til2_letter(seg) -> str:
-    """Letter of a traced edge segment of the p/q = 2/1 shape."""
-    if seg.size_class != 1:
-        raise InternalError("a small tile touches the til2 fault line")
-    return "H" if seg.kind == "H" else "S"
-
-
 @functools.cache
 def til2_rule() -> SubstitutionRule1D:
     """Hypotenuse/short-leg system of the a < b/2 exceptional shape.
 
-    The images are what ``_rule_from_geometry`` reads off the subdivided
-    p/q = 2/1 triangle with ``_til2_letter`` (the tests derive them again).
+    The images are those the subdivided p/q = 2/1 triangle shows along
+    its hypotenuse (``tests/test_boundary.py`` reads them off it again).
     """
     return SubstitutionRule1D(name="til2", chars="HS",
                               images={"H": "HHHHS", "S": "H"})
@@ -662,24 +662,12 @@ def til2_offsets(n: int) -> dict[int, float]:
 # -- Til(1/3): dyadic fault line ----------------------------------------------
 
 
-def _til13_letter(seg) -> str:
-    """Letter of a traced edge segment of the p/q = 1/3 shape."""
-    if seg.kind == "H" and seg.size_class == 1:
-        return "H"
-    if seg.kind == "L" and seg.size_class == 2:
-        return "L"
-    if seg.kind == "H" and seg.size_class == 3:
-        return "h"
-    raise InternalError(
-        f"unexpected fault-line segment {seg.kind}/{seg.size_class}")
-
-
 @functools.cache
 def til13_rule() -> SubstitutionRule1D:
     """Three-letter system of the theta = pi/4 shape (H, medium L, small h).
 
-    The images are what ``_rule_from_geometry`` reads off the subdivided
-    p/q = 1/3 triangle with ``_til13_letter`` (the tests derive them again).
+    The images are those the subdivided p/q = 1/3 triangle shows along
+    its hypotenuse (``tests/test_boundary.py`` reads them off it again).
     """
     return SubstitutionRule1D(name="til13", chars="HLh",
                               images={"H": "LLH", "L": "hh", "h": "H"})

@@ -355,9 +355,14 @@ def root_tiling(shape: TriangleShape) -> Tiling:
 
 
 def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
-    n = as_count(n)
-    if n < 0:
-        raise ArgumentError(f"generation must be non-negative, got {n}")
+    """T_n, refused before generation 1 if a generation would pass ``cap``
+    tiles: the census counts each generation's tiles without building it,
+    and ``deflate`` would raise the same error at the first one over."""
+    cap = DEFAULT_TILE_CAP if cap is None else cap
+    for gen, counts, _ in _census(shape, n):
+        total = sum(counts.values())
+        if gen and total > cap:
+            raise ResourceError(f"deflation would produce {total} tiles, cap is {cap}")
     t = root_tiling(shape)
     for _ in range(n):
         t = deflate(t, cap=cap)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import re
@@ -10,21 +11,62 @@ import pytest
 from tilelab import boundary
 from tilelab.boundary import (TIL2, TIL12, TIL13, FaultLine,
                               SubstitutionRule1D, _block_layout, _cut,
-                              _nearest_offsets, _rule_from_geometry, _surplus,
-                              _til2_letter, _til13_letter, balanced_pairs,
+                              _nearest_offsets, _surplus, balanced_pairs,
                               check_letter_cap, f_of_n,
                               forbidden_subwords_check, iterate, pair_levels,
                               sigma0_til12, sigma_til12, slippage_til12,
                               til2_identity_check, til2_offsets, til2_pairs,
                               til2_rule, til2_slippage_bound, til13_fluctuation,
-                              til13_offsets, til13_pairs, til13_rule,
-                              trace_letters)
+                              til13_offsets, til13_pairs, til13_rule)
 from tilelab.errors import ArgumentError, ResourceError
 from tilelab.geometry import shape_from_pq
 from tilelab.spectral import count_vectors
 from tilelab.substitution import build_Tn, trace_edge
 
 F_FIRST_TEN = [1, -1, 1, -3, 3, -5, 9, -13, 21, -33]
+
+
+# -- the one-dimensional rules, read off the subdivided triangles ---------------
+
+
+def trace_letters(segments):
+    """Traced edge segments as signed letters (upper = aligned)."""
+    return "".join(s.kind.upper() if s.sign > 0 else s.kind.lower()
+                   for s in segments)
+
+
+def rule_from_geometry(shape, name, chars, letter_of, generations):
+    """Read one-dimensional images off the subdivided shape itself.
+
+    ``letter_of(segment)`` maps a traced edge segment to a letter char.
+    Images are extracted by span: the word of T_{g+2} restricted to a
+    letter's interval in T_g is that letter's image (substitution acts
+    locally along the edge).
+    """
+    images = {}
+    words = {g: [(letter_of(s), s.position, s.position + s.length)
+                 for s in trace_edge(build_Tn(shape, g), "hypotenuse")]
+             for g in generations}
+    tol = 1e-9 * shape.c
+    for g_from, g_to in zip(generations, generations[1:]):
+        for letter, lo, hi in words[g_from]:
+            images.setdefault(letter, "".join(
+                l for (l, s0, s1) in words[g_to] if s0 >= lo - tol and s1 <= hi + tol))
+    assert set(images) == set(chars), (name, sorted(images))
+    return SubstitutionRule1D(name=name, chars=chars, images=images)
+
+
+def til2_letter(seg):
+    """Letter of a traced edge segment of the p/q = 2/1 shape."""
+    assert seg.size_class == 1, "a small tile touches the til2 fault line"
+    return "H" if seg.kind == "H" else "S"
+
+
+def til13_letter(seg):
+    """Letter of a traced edge segment of the p/q = 1/3 shape."""
+    letter = {("H", 1): "H", ("L", 2): "L", ("H", 3): "h"}.get((seg.kind, seg.size_class))
+    assert letter, f"unexpected fault-line segment {seg.kind}/{seg.size_class}"
+    return letter
 
 
 def test_iterate_lengths_match_abelianization():
@@ -152,8 +194,8 @@ def test_til12_v_counts_the_legs():
 
 
 def test_til2_rule_comes_out_of_the_geometry():
-    rule = _rule_from_geometry(shape_from_pq(2, 1), "til2", "HS",
-                               _til2_letter, (2, 4, 6))
+    rule = rule_from_geometry(shape_from_pq(2, 1), "til2", "HS",
+                              til2_letter, (2, 4, 6))
     assert rule.images == {"H": "HHHHS", "S": "H"}
     assert rule == til2_rule()
     eigs = sorted(np.linalg.eigvals(np.array(rule.abelianization(),
@@ -183,8 +225,8 @@ def test_til2_offsets_stabilize():
 
 
 def test_til13_rule_comes_out_of_the_geometry():
-    rule = _rule_from_geometry(shape_from_pq(1, 3), "til13", "HLh",
-                               _til13_letter, (2, 4, 6))
+    rule = rule_from_geometry(shape_from_pq(1, 3), "til13", "HLh",
+                              til13_letter, (2, 4, 6))
     assert rule.images == {"H": "LLH", "L": "hh", "h": "H"}
     assert rule == til13_rule()
     eigs = np.linalg.eigvals(np.array(rule.abelianization(), dtype=float))
@@ -280,8 +322,16 @@ def test_pairs_cut_the_materialized_fault_line(rule, pairs, n_max):
         assert "".join(p.bottom for p in level) == word[::-1]
 
 
-def _laid_out_offsets(line, n):
-    return list(_nearest_offsets(_block_layout(line, n), line.D).items())
+def _laid_out_offsets(line, n, k):
+    return list(_nearest_offsets(_block_layout(line, n, k), line.D).items())
+
+
+# block depths of the laid-out words, each with the largest n it is run
+# to: one-letter blocks, the default depth, and k >= n, where the one
+# block is the whole word and the one configuration
+_DEFAULT_DEPTH = inspect.signature(_block_layout).parameters["k"].default
+_DEPTHS = {"til2": {1: 9, _DEFAULT_DEPTH: 12, 99: 8},
+           "til13": {1: 18, _DEFAULT_DEPTH: 18, 99: 14}}
 
 
 def test_til2_pair_levels_match_the_materialized_rows():
@@ -290,7 +340,9 @@ def test_til2_pair_levels_match_the_materialized_rows():
     levels = pair_levels(til2_pairs())
     for n, present in zip(range(13), levels):
         offsets = {k: v for p in present for k, v in p.offsets.items()}
-        assert list(offsets.items()) == _laid_out_offsets(TIL2, n), n
+        for k, n_max in _DEPTHS["til2"].items():
+            if n <= n_max:
+                assert list(offsets.items()) == _laid_out_offsets(TIL2, n, k), (n, k)
 
 
 def test_til13_pair_levels_match_the_materialized_rows():
@@ -298,7 +350,9 @@ def test_til13_pair_levels_match_the_materialized_rows():
     levels = pair_levels(til13_pairs())
     for n, present in zip(range(19), levels):
         offsets = {k: v for p in present for k, v in p.offsets.items()}
-        assert list(offsets.items()) == _laid_out_offsets(TIL13, n), n
+        for k, n_max in _DEPTHS["til13"].items():
+            if n <= n_max:
+                assert list(offsets.items()) == _laid_out_offsets(TIL13, n, k), (n, k)
 
 
 def test_til2_and_til13_answers_build_no_word(monkeypatch):
@@ -380,6 +434,7 @@ def test_layout_takes_steps_outside_int8():
     # blocks are summed in int64, so a step need not fit in a byte
     line = dataclasses.replace(TIL2, segments={"H": (128, 0, 1), "S": (-2, 1, 1)})
     word = iterate(line.rule, "H", 3)
-    u, v = _block_layout(line, 3, k=2).coords(0, len(word) + 1)
-    assert u.tolist() == [0, *itertools.accumulate(128 if c == "H" else -2 for c in word)]
-    assert v.tolist() == [0, *itertools.accumulate(int(c == "S") for c in word)]
+    layout = _block_layout(line, 3, k=2)
+    u, v = zip(*map(layout.vertex, range(len(word) + 1)))
+    assert u == (0, *itertools.accumulate(128 if c == "H" else -2 for c in word))
+    assert v == (0, *itertools.accumulate(int(c == "S") for c in word))

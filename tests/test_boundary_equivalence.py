@@ -28,7 +28,8 @@ from tilelab.errors import InternalError, ResourceError
 RULES = [sigma0_til12(), sigma_til12(), til2_rule(), til13_rule()]
 DEFAULT_CHUNK = inspect.signature(_nearest_offsets).parameters["chunk"].default
 DEFAULT_DEPTH = inspect.signature(_block_layout).parameters["k"].default
-DEPTHS = (1, 3, DEFAULT_DEPTH)   # many small blocks, or a few long ones
+WHOLE = 99   # k >= n: the skeleton is H, and its one block the whole word
+DEPTHS = (1, 3, DEFAULT_DEPTH, WHOLE)   # many small blocks, a few long ones, or one
 DEFAULT_SLICE = inspect.signature(_avoids_forbidden).parameters["size"].default
 SLICES = (DEFAULT_SLICE, 1, 7, 61)   # one slice or many
 
@@ -122,9 +123,20 @@ def ref_coords(line, n):
     return np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
 
 
-def one_block(u, v):
-    """A raw (u, v) pair as a layout."""
-    return _Layout("H", {"H": (u, v)})
+def split_layout(u, v, size):
+    """Vertices u, v as a layout of blocks of ``size`` segments (the last
+    may be shorter), equal blocks sharing a letter; a size past the last
+    vertex gives the raw (u, v) pair as one block."""
+    letters, blocks, skeleton = {}, {}, ""
+    for a in range(0, len(u) - 1, size):
+        bu, bv = u[a:a + size + 1] - u[a], v[a:a + size + 1] - v[a]
+        c = letters.setdefault((*bu.tolist(), None, *bv.tolist()), chr(65 + len(letters)))
+        blocks[c] = (bu, bv)
+        skeleton += c
+    return _Layout(skeleton, blocks)
+
+
+SPLITS = (1, 2, 1 << 30)   # one segment a block, two, or one block
 
 
 def ref_g_at_Q(n):
@@ -268,10 +280,10 @@ def test_nearest_offsets_match_the_python_loop(line, n_max):
 
 
 def test_nearest_offsets_stream_their_chunks():
-    # til12 n = 14 has 579,289 vertices.  Beyond the layout's blocks the
-    # kernel holds a fixed number of chunk-sized arrays, however long the
-    # word: coordinates and float positions only for one chunk and its
-    # searched stretch.
+    # til12 n = 14 has 579,289 vertices.  Beyond the layout the kernel
+    # holds a fixed number of chunk-sized arrays, however long the word:
+    # the rows of one chunk of skeleton blocks, the configurations seen,
+    # and the coordinates and floats of one batch of configurations.
     layout = _block_layout(TIL12, 14)
     tracemalloc.start()
     try:
@@ -290,17 +302,13 @@ def test_layout_reads_the_word_at_any_depth(line, n_max):
         for k in DEPTHS:
             layout = _block_layout(line, n, k)
             assert layout.last == last
-            assert layout.vmax == int(np.abs(v).max())
             assert [layout.vertex(i) for i in range(last + 1)] == \
-                list(zip(u.tolist(), v.tolist()))
-            spans = [(0, last + 1)] + [(a, min(a + w, last + 1))
-                                       for a in range(0, last + 1, 7)
-                                       for w in (1, 5, 40)]
-            for a, b in spans:
-                got = layout.coords(a, b)
-                assert got[0].dtype == got[1].dtype == np.int64
-                assert got[0].tolist() == u[a:b].tolist(), (n, k, a, b)
-                assert got[1].tolist() == v[a:b].tolist(), (n, k, a, b)
+                list(zip(u.tolist(), v.tolist())), (n, k)
+            # each skeleton letter's block starts where its columns say
+            starts = layout.starts.tolist()
+            assert starts == sorted(starts) and starts[-1] == last
+            assert [(u[i], v[i]) for i in starts] == \
+                list(zip(layout.su, layout.sv)), (n, k)
 
 
 def _block_bound(depth, skeleton_depth):
@@ -312,8 +320,8 @@ def _block_bound(depth, skeleton_depth):
 
 
 def test_til12_builds_no_word_longer_than_a_block(monkeypatch):
-    # sigma^16(H) has 2,968,198 letters; the longest block sigma^10(L)
-    # and the skeleton sigma^6(H) have far fewer
+    # sigma^16(H) has 2,968,198 letters; the skeleton sigma^11(H) has
+    # 26,894 and the longest block sigma^5(L) 152
     asked = []
 
     def recording(rule, seed, n, cap=boundary.DEFAULT_LETTER_CAP):
@@ -331,9 +339,10 @@ def test_til12_builds_no_word_longer_than_a_block(monkeypatch):
 @pytest.mark.parametrize("n", [12, 15])
 def test_til12_traced_peak_does_not_grow_with_n(n, monkeypatch):
     # the whole word would take at least 10 bytes a vertex: 1.5 MB at
-    # n = 12 and 15 MB at n = 15.  The blocks (about 0.75 MB at the default
-    # depth, built inside the trace) and the kernel's chunk-sized arrays
-    # hold the same bytes at every n.
+    # n = 12 and 15 MB at n = 15.  The skeleton columns take about 33
+    # bytes a block of 123 to 188 segments at the default depth (0.35 MB
+    # at n = 15); the blocks, built inside the trace, and the kernel's
+    # chunk-sized arrays hold the same bytes at every n.
     monkeypatch.setitem(vars(TIL12), "_blocks", {})
     tracemalloc.start()
     try:
@@ -370,9 +379,24 @@ def test_offset_sign_near_zero_is_exact(sign):
     assert ref_sign(_A5, _B5, 17) > 0 and abs(_A5 + _B5 * math.sqrt(17)) < 1e-6
     u = np.array([0, 1, 2 + sign * _A5], dtype=np.int32)
     v = np.array([0, 0, sign * _B5], dtype=np.int32)
-    got = list(_nearest_offsets(one_block(u, v), 17).items())
-    assert got == list(exact_nearest_offsets(u, v, 17).items())
-    assert [key for key, _ in got] == [0, _B5]
+    want = list(exact_nearest_offsets(u, v, 17).items())
+    assert [key for key, _ in want] == [0, _B5]
+    for size in SPLITS:
+        assert list(_nearest_offsets(split_layout(u, v, size), 17).items()) == want, size
+
+
+def test_mirrored_vertex_just_below_a_block_end_is_matched():
+    # vertices 0, a = 2 sqrt17 and 2a - eps: the mirror of a lands eps
+    # below a, the end of the first block, and its float lands above it.
+    # Only a stretch that runs past the block end holds a vertex at or
+    # past that float, so the search stays in the stretch.
+    root = math.sqrt(17)
+    u = np.array([0, 0, -_A5], dtype=np.int64)
+    v = np.array([0, 2, 4 - _B5], dtype=np.int64)
+    assert (2 - _B5) * root - _A5 > 2 * root
+    want = list(exact_nearest_offsets(u, v, 17).items())
+    for size in SPLITS:
+        assert list(_nearest_offsets(split_layout(u, v, size), 17).items()) == want, size
 
 
 def test_near_tie_at_int32_reach_is_exact():
@@ -385,11 +409,13 @@ def test_near_tie_at_int32_reach_is_exact():
     v = np.array([0, pv, pv + kv - _B5, 2 * pv + kv // 2], dtype=np.int32)
     want = list(exact_nearest_offsets(u, v, 17).items())
     assert [key for key, _ in want] == [0, kv // 2 - _B5]
-    assert list(_nearest_offsets(one_block(u, v), 17).items()) == want
+    for size in SPLITS:
+        assert list(_nearest_offsets(split_layout(u, v, size), 17).items()) == want, size
 
 
 # sha256 of (f, g_at_Q, keys, float.hex of the values) of slippage_til12(n),
-# recorded from the whole-word layout the blocks replaced
+# recorded from the whole-word layout the blocks replaced (n <= 17) and
+# from the vertex-by-vertex scan of the blocks the overlap memo replaced
 WHOLE_WORD_DIGESTS = {
     1: "968d8358badf1af6a264fea233bfc64ca0b1bd821759cfb5fb3ff63989c80aed",
     2: "4e0773d2abd8c83498c5cf44a18d9ce8c187205531bf8d99d3db0925fb608686",
@@ -408,6 +434,8 @@ WHOLE_WORD_DIGESTS = {
     15: "457da15eb1003ac524d4fc7c6c511a71d0f98839eef51d46f33a637e00c10ce0",
     16: "da14653b819fe046f70b3740e4437e72194b4394978e38e5ab4ce2dd83124130",
     17: "e53b7a5d8c47214fd4f661474dcfa5b850b13f25782856aec05fe149d9a1580d",
+    18: "d1b2be1ead4410516dcabd5c7be4f3da92cfeb63c6a4568c76fadc543dcecb8b",
+    19: "67d0c50685f574c9b098aa7c5f337a8a573db37c6919a3e6f9347da9cc44688a",
 }
 
 
@@ -430,21 +458,59 @@ def test_til12_profiles_do_not_depend_on_the_block_depth(k, monkeypatch):
         assert profile_digest(slippage_til12(n)) == WHOLE_WORD_DIGESTS[n], n
 
 
-def test_til12_peak_is_flat_at_n_18():
-    # the whole-word layout peaked at 268 MiB here; the blocks hold the
-    # same bytes at every n.  A bare interpreter starts the work and reads
-    # its peak: a child's ru_maxrss also counts the pages of the process
-    # it was forked from, which here would be pytest's.
-    work = "from tilelab.boundary import slippage_til12; slippage_til12(18)"
+def bare_peak_kib(*argv):
+    """ru_maxrss (KiB on Linux) of ``python argv``, started by a bare
+    interpreter: a child's ru_maxrss also counts the pages of the process
+    it was forked from, which here would be pytest's."""
     code = ("import os, subprocess, sys; "
-            f"child = subprocess.Popen([sys.executable, '-c', {work!r}]); "
+            f"child = subprocess.Popen([sys.executable, *{argv!r}], "
+            "stdout=subprocess.DEVNULL); "
             "_, status, usage = os.wait4(child.pid, 0); "
             "print(status, usage.ru_maxrss)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     status, peak = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                   capture_output=True, text=True).stdout.split()
     assert status == "0"
-    assert int(peak) < 80 * 1024      # KiB on Linux
+    return int(peak)
+
+
+def test_til12_peak_is_flat_at_n_18():
+    # the whole-word layout peaked at 268 MiB here; the skeleton columns
+    # take about 33 bytes a block of 123 to 188 segments
+    work = "from tilelab.boundary import slippage_til12; slippage_til12(18)"
+    assert bare_peak_kib("-c", work) < 80 * 1024
+
+
+def test_til12_boundary_rows_peak_below_40_mib():
+    # the til12 op of the fault-line benchmark, rows n = 1..16: 34.0 MiB
+    # with the vertex-by-vertex scan of the blocks, 34.7 with the memo
+    argv = ("-m", "tilelab.cli", "boundary", "--system", "til12", "--n", "16")
+    assert bare_peak_kib(*argv) < 40 * 1024
+
+
+def test_til12_matches_each_configuration_once(monkeypatch):
+    # sigma^18(H) has 24.9 M vertices, and the word grows 2.56x a level;
+    # its distinct block overlaps grow about |1 - sqrt(17)| / 2 = 1.56x
+    match = boundary._match
+    seen, counts = set(), []
+
+    def counting(layout, D, c, lo, hi, Ru, Rv):
+        for x, a, b, u, v in zip(c.tolist(), lo.tolist(), hi.tolist(), Ru, Rv):
+            row = (x, *layout.codes[a:b].tolist(), layout.su[a] - u, layout.sv[a] - v)
+            assert row not in seen, row
+            seen.add(row)
+        counts[-1][0] += len(c)
+        counts[-1][1] += int(np.diff(layout.at)[c].sum())
+        return match(layout, D, c, lo, hi, Ru, Rv)
+
+    monkeypatch.setattr(boundary, "_match", counting)
+    for n in range(14, 19):
+        seen.clear()
+        counts.append([0, 0])
+        assert profile_digest(slippage_til12(n)) == WHOLE_WORD_DIGESTS[n], n
+    configs = [c for c, _ in counts]
+    assert all(b < 1.7 * a for a, b in zip(configs, configs[1:])), configs
+    assert counts[-1][1] <= 0.05 * (_block_layout(TIL12, 18).last + 1)
 
 
 def test_g_at_q_matches_the_leg_by_leg_count(monkeypatch):
@@ -462,9 +528,9 @@ def test_vertex_coords_are_running_sums():
     assert u.tolist() == [0, 4, 3, 2, 6]
     assert v.tolist() == [0, 0, 1, 2, 2]
     # sigma^2(H) = HHhhLH, L two segments
-    u, v = _block_layout(TIL12, 2).coords(0, 8)
-    assert u.tolist() == [0, 4, 8, 12, 16, 15, 14, 18]
-    assert v.tolist() == [0, 0, 0, 0, 0, 1, 2, 2]
+    layout = _block_layout(TIL12, 2)
+    assert list(map(layout.vertex, range(8))) == [
+        (0, 0), (4, 0), (8, 0), (12, 0), (16, 0), (15, 1), (14, 2), (18, 2)]
 
 
 def test_layout_refuses_past_the_letter_cap_before_any_block(monkeypatch):

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from tilelab import substitution
+from tilelab.cli import main
 from tilelab.errors import ArgumentError, InternalError, ResourceError
 from tilelab.geometry import shape_from_pq, tile_area, vertices
 from tilelab.substitution import (COLUMNS, Tiling, build_Tn, census_counts,
@@ -110,6 +112,22 @@ def test_deflate_only_touches_minimal_tiles(til12):
 def test_tile_cap(pinwheel):
     with pytest.raises(ResourceError):
         build_Tn(pinwheel, 10, cap=1000)
+
+
+def test_tile_cap_refuses_before_any_generation(monkeypatch, capsys):
+    # T_17 of p/q = 1/2 would hold 14,007,941 tiles and T_16 5.5 M: the
+    # census counts them, so neither is built
+    def build(*args, **kwargs):
+        raise AssertionError("a generation was built")
+
+    monkeypatch.setattr(substitution, "deflate", build)
+    with pytest.raises(ResourceError) as exc:
+        build_Tn(shape_from_pq(1, 2), 17)
+    assert str(exc.value) == "deflation would produce 14007941 tiles, cap is 10000000"
+    monkeypatch.setenv("TILELAB_MAX_TILES", "1000")
+    assert main(["generate", "--pq", "1/2", "--n", "17"]) == 3
+    assert capsys.readouterr().err == \
+        "error: deflation would produce 1165 tiles, cap is 1000\n"
 
 
 def test_json_round_trip(til12):
