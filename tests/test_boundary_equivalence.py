@@ -279,6 +279,20 @@ def test_nearest_offsets_match_the_python_loop(line, n_max):
                 assert got == want, (n, k, chunk)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([TIL12, TIL2]), st.data(), st.sampled_from([1, 2, 3, 5, 8, 1 << 30]),
+       st.sampled_from([1, 2, 7, DEFAULT_CHUNK]))
+def test_nearest_offsets_of_any_word_and_split_match_the_exact_loop(line, data, size, chunk):
+    # random letters, not a word of the rule, cut into blocks that differ
+    # in content, read a chunk of blocks and one configuration at a time
+    steps = [(du, dv) for du, dv, count in line.segments.values() for _ in range(count)]
+    word = data.draw(st.lists(st.sampled_from(steps), min_size=1, max_size=60))
+    u = np.cumsum([0] + [du for du, _ in word])
+    v = np.cumsum([0] + [dv for _, dv in word])
+    got = list(_nearest_offsets(split_layout(u, v, size), line.D, chunk).items())
+    assert got == list(exact_nearest_offsets(u, v, line.D).items())
+
+
 def test_nearest_offsets_stream_their_chunks():
     # til12 n = 14 has 579,289 vertices.  Beyond the layout the kernel
     # holds a fixed number of chunk-sized arrays, however long the word:
