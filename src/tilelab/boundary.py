@@ -453,11 +453,12 @@ def _match(layout: _Layout, D: int, c, lo, hi, Ru, Rv):
     start.  A forward block keeps its vertices from the second at or
     before the mirrored span's start to the second at or past its end
     (one more each side, as the floats of this cut and of the search
-    round apart), less its first (its predecessor's last).  Floats of each letter's block and of each
-    configuration are shifted by its number times a stride past the
-    longest stretch, so one search finds the neighbours within it; the
-    shift rounds far below a vertex gap, so it moves only a search that
-    lands on a vertex, by one, and either neighbour pair picks it.
+    round apart), less its first (its predecessor's last).  Floats of
+    each letter's block and of each configuration are shifted by its
+    number times a stride past the longest stretch, so one search finds
+    the neighbours within it; the shift rounds far below a vertex gap,
+    so it moves only a search that lands on a vertex, by one, and either
+    neighbour pair picks it.
 
     Floats decide which neighbour is nearer and the sign of each offset,
     except within ``margin`` of zero, where the exact sign in Z[sqrt(D)]

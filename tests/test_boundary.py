@@ -64,7 +64,8 @@ def til2_letter(seg):
 
 def til13_letter(seg):
     """Letter of a traced edge segment of the p/q = 1/3 shape."""
-    letter = {("H", 1): "H", ("L", 2): "L", ("H", 3): "h"}.get((seg.kind, seg.size_class))
+    letters = {("H", 1): "H", ("L", 2): "L", ("H", 3): "h"}
+    letter = letters.get((seg.kind, seg.size_class))
     assert letter, f"unexpected fault-line segment {seg.kind}/{seg.size_class}"
     return letter
 

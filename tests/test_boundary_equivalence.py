@@ -130,7 +130,8 @@ def split_layout(u, v, size):
     letters, blocks, skeleton = {}, {}, ""
     for a in range(0, len(u) - 1, size):
         bu, bv = u[a:a + size + 1] - u[a], v[a:a + size + 1] - v[a]
-        c = letters.setdefault((*bu.tolist(), None, *bv.tolist()), chr(65 + len(letters)))
+        key = (*bu.tolist(), None, *bv.tolist())
+        c = letters.setdefault(key, chr(65 + len(letters)))
         blocks[c] = (bu, bv)
         skeleton += c
     return _Layout(skeleton, blocks)
@@ -279,10 +280,13 @@ def test_nearest_offsets_match_the_python_loop(line, n_max):
                 assert got == want, (n, k, chunk)
 
 
+_SIZES = st.sampled_from([1, 2, 3, 5, 8, 1 << 30])   # segments a block
+_CHUNKS = st.sampled_from([1, 2, 7, DEFAULT_CHUNK])
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from([TIL12, TIL2]), st.data(), st.sampled_from([1, 2, 3, 5, 8, 1 << 30]),
-       st.sampled_from([1, 2, 7, DEFAULT_CHUNK]))
-def test_nearest_offsets_of_any_word_and_split_match_the_exact_loop(line, data, size, chunk):
+@given(st.sampled_from([TIL12, TIL2]), st.data(), _SIZES, _CHUNKS)
+def test_nearest_offsets_of_random_splits_match_the_exact_loop(line, data, size, chunk):
     # random letters, not a word of the rule, cut into blocks that differ
     # in content, read a chunk of blocks and one configuration at a time
     steps = [(du, dv) for du, dv, count in line.segments.values() for _ in range(count)]
@@ -396,7 +400,8 @@ def test_offset_sign_near_zero_is_exact(sign):
     want = list(exact_nearest_offsets(u, v, 17).items())
     assert [key for key, _ in want] == [0, _B5]
     for size in SPLITS:
-        assert list(_nearest_offsets(split_layout(u, v, size), 17).items()) == want, size
+        got = list(_nearest_offsets(split_layout(u, v, size), 17).items())
+        assert got == want, size
 
 
 def test_mirrored_vertex_just_below_a_block_end_is_matched():
@@ -410,7 +415,8 @@ def test_mirrored_vertex_just_below_a_block_end_is_matched():
     assert (2 - _B5) * root - _A5 > 2 * root
     want = list(exact_nearest_offsets(u, v, 17).items())
     for size in SPLITS:
-        assert list(_nearest_offsets(split_layout(u, v, size), 17).items()) == want, size
+        got = list(_nearest_offsets(split_layout(u, v, size), 17).items())
+        assert got == want, size
 
 
 def test_near_tie_at_int32_reach_is_exact():
@@ -424,7 +430,8 @@ def test_near_tie_at_int32_reach_is_exact():
     want = list(exact_nearest_offsets(u, v, 17).items())
     assert [key for key, _ in want] == [0, kv // 2 - _B5]
     for size in SPLITS:
-        assert list(_nearest_offsets(split_layout(u, v, size), 17).items()) == want, size
+        got = list(_nearest_offsets(split_layout(u, v, size), 17).items())
+        assert got == want, size
 
 
 # sha256 of (f, g_at_Q, keys, float.hex of the values) of slippage_til12(n),
