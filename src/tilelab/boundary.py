@@ -391,10 +391,12 @@ def _nearest_offsets(layout: _Layout, D: int,
     letters of the forward blocks its span meets plus one either side,
     and the exact (du, dv) of the first of those from the mirrored
     block's start; it alone decides the nearest vertices, so each is
-    matched once (``_match``).  The blocks met come from a float search
-    over the block boundaries, each within 2**-52 (max|v| sqrt(D) +
-    max|u|) of its exact value (as in ``_match``), far less than a block
-    while blocks are longer than vertex gaps: the search misses the
+    matched once (``_match``).  ``_match`` decides every offset exactly:
+    its operands are differences of adjacent vertices, far inside the
+    int64 headroom of ``_sign_quad`` whatever the coordinates.  The blocks
+    met come from a float search over the block boundaries, each within
+    2**-52 (max|v| sqrt(D) + max|u|) of its exact value.  While vertex
+    gaps exceed that rounding, so do blocks, and the search misses the
     first or the last block met by at most one, which the slack block
     either side then holds.  The blocks met hold the vertices at or
     before and at or after each mirrored vertex, so the slack never
@@ -460,14 +462,16 @@ def _match(layout: _Layout, D: int, c, lo, hi, Ru, Rv):
     so it moves only a search that lands on a vertex, by one, and either
     neighbour pair picks it.
 
-    Floats decide which neighbour is nearer and the sign of each offset,
-    except within ``margin`` of zero, where the exact sign in Z[sqrt(D)]
-    decides.  Each float position is within E = 2**-52 (max|v| sqrt(D) +
-    max|u|) of the exact one, the maxima taken over the batch: one
-    rounding each for sqrt(D), the product and the sum.  A midpoint test
-    adds up four positions and three more roundings of at most E/2 each,
-    so 16 E covers it; an offset adds up fewer.  The neighbours come from
-    a float search, which is right while vertex gaps exceed the margin.
+    Which neighbour is nearer (the sign of 2y - prev - next) and the sign
+    of each offset y - nearest are decided exactly by ``_sign_quad``.  Its
+    operands are differences of a mirrored vertex and the forward
+    vertices beside it, so they sit far inside its int64 headroom
+    whatever the coordinates.  Floats only find the neighbours and give
+    the values.  Each float position is within E = 2**-52 (max|v| sqrt(D)
+    + max|u|) of the exact one; the search is off by one only for a
+    mirrored vertex within 2E of a forward one, which both neighbour
+    pairs hold, so it is right while vertex gaps exceed the positions'
+    rounding.
     """
     import numpy as np
     root = math.sqrt(D)
@@ -495,38 +499,19 @@ def _match(layout: _Layout, D: int, c, lo, hi, Ru, Rv):
     i = _ranges(ta, count)
     xu, xv = fu[i] + np.repeat(ou, count), fv[i] + np.repeat(ov, count)
     del i, m, x, ou, ov, ff, of, ta, tb
-    fx, ym = _positions(xu, xv, root), _positions(yu, yv, root)
     # kept vertices lie a gap or more below and above each mirrored one,
     # but at the word's ends: the search stays in the stretch, and only
     # the first mirrored vertex lands on its stretch's first vertex, 0
-    idx = (np.repeat(pq * stride, count) + fx).searchsorted(mq * stride + ym)
+    idx = (np.repeat(pq * stride, count) + _positions(xu, xv, root)).searchsorted(
+        mq * stride + _positions(yu, yv, root))
     idx = np.maximum(idx, 1)
-    margin = 16 * 2.0 ** -52 * (max(np.abs(xv).max(), np.abs(yv).max()) * root
-                                + max(np.abs(xu).max(), np.abs(yu).max()))
-    # right - left: its float sign is that of the comparison right >= left
-    gap = (fx[idx] - ym) - (ym - fx[idx - 1])
-    choice = idx - (gap >= 0)
-    # near-ties decided exactly: 2*y vs (prev + next) in Z[sqrt(D)]
-    close = np.flatnonzero(np.abs(gap) < margin)
-    if close.size:
-        nxt = idx[close]
-        A = 2 * yu[close] - xu[nxt - 1] - xu[nxt]
-        B = 2 * yv[close] - xv[nxt - 1] - xv[nxt]
-        s = _sign_quad(A, B, D)  # >0: y is past the midpoint, next is nearer
-        choice[close] = np.where(s > 0, nxt, nxt - 1)
-    offset = ym - fx.take(choice)
-    dv = yv - xv.take(choice)
-    # unsigned offset: flip pairs whose value is negative, by the float
-    # offset y - nearest except near zero.  With dv = 0 the offset is the
-    # integer du, whose float sign is right while the margin is below 1,
-    # or 0: no flip.
-    neg = offset < 0
-    near_zero = np.abs(offset, out=offset) < margin
-    near_zero &= dv != 0
-    unsure = np.flatnonzero(near_zero)
-    if unsure.size:
-        du = yu[unsure] - xu[choice[unsure]]
-        neg[unsure] = _sign_quad(du, dv[unsure], D) < 0
+    # 2*y - (prev + next) > 0: y is past the midpoint, next is nearer
+    s = _sign_quad(2 * yu - xu[idx - 1] - xu[idx], 2 * yv - xv[idx - 1] - xv[idx], D)
+    choice = idx - (s <= 0)
+    du, dv = yu - xu[choice], yv - xv[choice]
+    # unsigned offset: flip the pairs whose value is negative
+    neg = _sign_quad(du, dv, D) < 0
+    np.negative(du, out=du, where=neg)
     np.negative(dv, out=dv, where=neg)
     kmin, kmax = int(dv.min()), int(dv.max())
     if kmax - kmin < len(dv):
@@ -542,9 +527,7 @@ def _match(layout: _Layout, D: int, c, lo, hi, Ru, Rv):
         keys, first = np.unique(dv, return_index=True)
     order = np.argsort(first)
     keys, first = keys[order], first[order]
-    du = yu[first] - xu[choice[first]]
-    np.negative(du, out=du, where=neg[first])
-    vals = du.astype(np.float64) + keys.astype(np.float64) * root
+    vals = du[first].astype(np.float64) + keys.astype(np.float64) * root
     return keys.tolist(), vals.tolist()
 
 

@@ -193,6 +193,17 @@ class OrientationCensus:
         return sum(self.counts.values())
 
 
+def check_theta_pi(shape: TriangleShape, theta_pi) -> None:
+    """ArgumentError unless ``theta_pi`` is None or a positive Fraction
+    with theta = theta_pi * pi for this shape (within ANGLE_TOL)."""
+    if theta_pi is None:
+        return
+    if not isinstance(theta_pi, Fraction) or theta_pi <= 0:
+        raise ArgumentError(f"theta_pi must be a positive Fraction, got {theta_pi}")
+    if abs(shape.theta - float(theta_pi) * math.pi) > ANGLE_TOL:
+        raise ArgumentError(f"theta = {shape.theta!r} is not ({theta_pi})*pi")
+
+
 def _canon_angle(k: int, l: int, theta_pi: Fraction | None) -> tuple:
     if theta_pi is None:
         return (k, l % 4)
@@ -206,11 +217,13 @@ def orientation_census(shape: TriangleShape, n: int,
 
     Pure integer bookkeeping, no geometry: feasible far beyond the point
     where materializing tiles is.  Cross-checked against built tilings in
-    the tests.
+    the tests.  ``theta_pi``, when given, is theta/pi for this shape
+    (``check_theta_pi``) and keys headings by residue.
     """
     n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
+    check_theta_pi(shape, theta_pi)
     counts: dict = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}
     # Increments compose with the reductions (l mod 4, m mod 4v), so the
     # canonical keys can be evolved directly.

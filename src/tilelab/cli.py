@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
 
 from . import boundary, render, stats
-from .classify import classify
+from .classify import check_theta_pi, classify
 from .errors import (ArgumentError, DomainError, GeometryError,
                      NumericError, ResourceError, TilelabError)
 from .geometry import TriangleShape, shape_from_pq, shape_from_theta
@@ -117,9 +116,7 @@ def _cmd_classify(args) -> int:
             raise ArgumentError("--theta-pi wants U/V or 'irrational', "
                                 f"got {args.theta_pi!r}") from exc
         # the declaration must actually describe this shape
-        if frac <= 0 or abs(shape.theta - float(frac) * math.pi) > 1e-9:
-            raise ArgumentError(
-                f"theta = {shape.theta!r} is not ({args.theta_pi})*pi")
+        check_theta_pi(shape, frac)
         theta_pi = True
     report = classify(shape, theta_pi_rational=theta_pi)
     _emit_json(report.to_json(), args.out)

@@ -437,6 +437,8 @@ def equidistribution_frequency(ratio: float, lo: float, hi: float,
     import numpy as np
     if not (0.0 <= lo < hi <= 1.0):
         raise ArgumentError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
+    if not math.isfinite(ratio):
+        raise ArgumentError(f"ratio must be finite, got {ratio}")
     n_samples = as_count(n_samples, "n_samples")
     if n_samples < 1:
         raise ArgumentError(f"n_samples must be at least 1, got {n_samples}")

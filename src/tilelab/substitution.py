@@ -325,6 +325,8 @@ def deflate(tiling: Tiling, cap: int | None = None) -> Tiling:
     import numpy as np
     if cap is None:
         cap = DEFAULT_TILE_CAP
+    if not len(tiling):
+        raise ArgumentError("cannot deflate an empty tiling")
     pairs, index, _ = tiling.exponent_pairs()
     winners = set(_SizeFrontier(tiling.shape, pairs).next_winners())
     split = np.array([p in winners for p in pairs], dtype=bool)[index]
@@ -577,6 +579,7 @@ def grow_supertile(shape: TriangleShape, choices: list[tuple[int, int]],
         return chain
     prev_order = None
     for n_i, pos in choices:
+        pos = as_count(pos, "tile index")
         current = build_Tn(shape, n_i, cap=cap)
         if not (0 <= pos < len(current)):
             raise ArgumentError(f"tile index {pos} out of range for T_{n_i}")

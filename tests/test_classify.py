@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from tilelab.classify import (classify, convergents, nearest_pi_fraction,
-                              verify_orientation_count, verify_size_count)
+                              orientation_census, verify_orientation_count,
+                              verify_size_count)
 from tilelab.errors import ArgumentError
+from tilelab.stats import census_orientation_histogram, orientation_comparison
 from tilelab.substitution import build_Tn
 
 
@@ -83,3 +85,16 @@ def test_nearest_pi_fraction():
     u, v, err = nearest_pi_fraction(math.pi / 4.0)
     assert (u, v) == (1, 4)
     assert err == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [orientation_census, census_orientation_histogram,
+                                  orientation_comparison])
+@pytest.mark.parametrize("theta_pi, message", [
+    (Fraction(1, 4), r"is not \(1/4\)\*pi"),   # a census keyed by the wrong angle
+    (Fraction(-1, 4), "positive Fraction"),
+    (Fraction(0), "positive Fraction"),
+    (0.25, "positive Fraction"),
+], ids=["wrong-angle", "negative", "zero", "float"])
+def test_theta_pi_must_be_the_shapes_angle(til12, call, theta_pi, message):
+    with pytest.raises(ArgumentError, match=message):
+        call(til12, 3, theta_pi=theta_pi)

@@ -315,6 +315,12 @@ def test_histograms_refuse_bins_below_one(name):
     call(1)   # the least valid value
 
 
+@pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan])
+def test_equidistribution_refuses_a_non_finite_ratio(ratio):
+    with pytest.raises(ArgumentError, match="ratio must be finite"):
+        equidistribution_frequency(ratio, 0.1, 0.5)
+
+
 def test_equidistribution_needs_a_sample():
     with pytest.raises(ArgumentError):
         equidistribution_frequency(0.3, 0.1, 0.5, n_samples=0)

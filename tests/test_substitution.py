@@ -109,6 +109,11 @@ def test_deflate_only_touches_minimal_tiles(til12):
         if til12.size_key(*t.placement.size_exp) == cut)
 
 
+def test_deflate_refuses_an_empty_tiling(til12):
+    with pytest.raises(ArgumentError, match="empty tiling"):
+        deflate(Tiling(til12, [], 0))
+
+
 def test_tile_cap(pinwheel):
     with pytest.raises(ResourceError):
         build_Tn(pinwheel, 10, cap=1000)
