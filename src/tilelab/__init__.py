@@ -8,8 +8,10 @@ orientations stays finite, computes exact and limiting population
 statistics, analyzes the one-dimensional substitution dynamics along
 fault lines, and renders the results as SVG.
 
-Importing the package loads every tilelab module (benchmark tracing
-finds them in ``sys.modules``) but neither numpy nor mpmath: each
+Importing the package loads every tilelab module but ``reader`` (the
+tiling file reader, which only the commands that read a tiling need;
+benchmark tracing finds the others in ``sys.modules``), and neither
+numpy nor mpmath: each
 function that needs one imports it, so the exact integer commands
 (``classify``, ``spectral --theta``, ``boundary --system til2|til13``)
 never pay for the array library.  Each ``tilelab.<name>`` attribute is

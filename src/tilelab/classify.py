@@ -19,9 +19,6 @@ from .errors import ArgumentError, as_count
 from .geometry import TWO_PI, TriangleShape, wrap_angle
 from .substitution import Tiling, _SizeFrontier
 
-# The theta = pi/4 shape, the unique doubly-finite case.
-EXCEPTIONAL_PQ = Fraction(1, 3)
-
 ANGLE_TOL = 1e-9
 
 

@@ -20,8 +20,7 @@ from .errors import (ArgumentError, DomainError, GeometryError,
                      NumericError, ResourceError, TilelabError)
 from .geometry import TriangleShape, shape_from_pq, shape_from_theta
 from .spectral import eigen, irrational_spectrum
-from .substitution import (DEFAULT_TILE_CAP, build_Tn, round12,
-                           tiling_from_json, tiling_json_chunks)
+from .substitution import DEFAULT_TILE_CAP, build_Tn, round12, tiling_json_chunks
 
 ENV_MAX_TILES = "TILELAB_MAX_TILES"
 
@@ -54,15 +53,17 @@ def _emit_chunks(chunks, out_path: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _read_tiling(path: str):
+def _read_tiling(path: str, cap: int):
+    from .reader import read_tiling     # loaded by the commands that read one
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return read_tiling(fh, cap)
+    except TilelabError:        # refused by the tiling checks or the tile cap
+        raise
     except OSError as exc:      # missing, a directory, unreadable
         raise ArgumentError(str(exc)) from None
-    except ValueError as exc:   # not JSON, or not text
+    except (ValueError, RecursionError) as exc:     # not JSON, nested too deep
         raise ArgumentError(f"{path}: not a tiling JSON file ({exc})") from None
-    return tiling_from_json(data)
 
 
 def _shape_from_args(args) -> TriangleShape:
@@ -164,7 +165,7 @@ def _cmd_boundary(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    tiling = _read_tiling(args.infile)
+    tiling = _read_tiling(args.infile, _tile_cap(args))
     hist = stats.size_histogram(tiling, args.weighting)
     comp = stats.histogram_comparison(tiling.shape, hist, args.tolerance)
     if args.csv:
@@ -180,7 +181,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    tiling = _read_tiling(args.infile)
+    tiling = _read_tiling(args.infile, _tile_cap(args))
     _emit_chunks(render.svg_chunks(tiling, color=args.color, faults=args.faults),
                  args.out)
     return 0

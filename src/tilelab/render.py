@@ -5,8 +5,8 @@ group whose transform maps world coordinates to the canvas (y flipped),
 so parsing the polygons back recovers the geometric vertices.  All
 floats are printed with 9 significant digits and iteration orders are
 fixed, making identical inputs render byte-identically.  The text comes
-in pieces of a fixed number of polygons (:func:`svg_chunks`), so a
-writer never holds the whole document.
+in pieces of a fixed number of polygons or fault lines
+(:func:`svg_chunks`), so a writer never holds the whole document.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _bounding_box(corners) -> tuple[float, float, float, float]:
     return x0, x1, y0, y1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Run:
     """A maximal collinear stretch of tile edges on one line."""
 
@@ -91,6 +91,98 @@ def _distinct_per_run(run: np.ndarray, runs: int, *keys) -> np.ndarray:
     return np.bincount(run[order][fresh], minlength=runs)
 
 
+def _far_corner(side: np.ndarray) -> np.ndarray:
+    """Where each side ends: side 3t + s of tile t runs from corner 3t + s
+    to corner 3t + (s + 1) % 3."""
+    far = side + 1
+    far[far % 3 == 0] -= 3
+    return far
+
+
+def _batches(starts: np.ndarray, size: int):
+    """(start, stop) of consecutive batches of whole groups, the groups of
+    ``size`` items beginning at ``starts`` (0 first): at most
+    JSON_CHUNK_TILES items a batch, or one group that has more."""
+    import numpy as np
+    bounds = np.append(starts, size)
+    start = 0
+    while start < size:
+        at = np.searchsorted(bounds, start + JSON_CHUNK_TILES, side="right") - 1
+        stop = int(bounds[at] if bounds[at] > start else bounds[at + 1])
+        yield start, stop
+        start = stop
+
+
+def _line_runs(sides, ux, uy, off, line, px, py, parent, tol) -> list[_Run]:
+    """The fault runs of whole lines: ``sides`` sorted by line, ``ux``,
+    ``uy`` and ``off`` their direction and offset."""
+    import numpy as np
+    line = line - line[0]
+    # each line is described by the direction and offset of its first edge
+    ref = np.flatnonzero(np.diff(line, prepend=-1))
+    # each edge as an interval along its own direction, sorted along the line
+    far = _far_corner(sides)
+    t0 = px[sides] * ux + py[sides] * uy
+    t1 = px[far] * ux + py[far] * uy
+    lo = np.where(t0 > t1, t1, t0)
+    hi = np.where(t0 > t1, t0, t1)
+    along = np.lexsort((hi, lo, line))
+    line, lo, hi, parent = line[along], lo[along], hi[along], parent[sides[along] // 3]
+    # distinct edges are told apart by (round(lo/tol), round(hi/tol));
+    # np.rint rounds half to even as round does, "+ 0.0" folds -0.0 into 0
+    lo_key = np.rint(lo / tol) + 0.0
+    hi_key = np.rint(hi / tol) + 0.0
+
+    # merge touching intervals of a line into maximal stretches: a run
+    # starts at a new line or where an edge begins past reach + tol, the
+    # reach being the largest hi so far on the line (a new run's first hi
+    # exceeds every earlier one, so this is also the largest hi of the run).
+    # The running max goes over integer ranks of hi, offset by line.
+    n = len(hi)
+    rank = np.empty(n, dtype=np.int64)
+    by_hi = np.argsort(hi, kind="stable")
+    rank[by_hi] = np.arange(n)
+    reach = hi[by_hi][np.maximum.accumulate(line * n + rank) - line * n]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = (line[1:] != line[:-1]) | (lo[1:] > reach[:-1] + tol)
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], n) - 1
+    run = np.cumsum(starts) - 1
+    edges = _distinct_per_run(run, len(first), lo_key, hi_key)
+    parents = _distinct_per_run(run, len(first), parent)
+    keep = (edges >= 2) & (parents >= 2)
+    k = ref[line[first[keep]]]
+    u, v, d = ux[k], uy[k], off[k]
+    bottom, top = lo[first[keep]], reach[last[keep]]
+    return [_Run(start=sxy, end=exy, edge_count=e, parent_count=p)
+            for sxy, exy, e, p in zip(
+                zip((-v * d + u * bottom).tolist(), (u * d + v * bottom).tolist()),
+                zip((-v * d + u * top).tolist(), (u * d + v * top).tolist()),
+                edges[keep].tolist(), parents[keep].tolist())]
+
+
+def _direction_runs(sides, ang, px, py, parent, tol) -> list[_Run]:
+    """The fault runs of whole directions: ``sides`` sorted by angle (ties
+    in side order), ``ang`` the angle of every side."""
+    import numpy as np
+    a = ang[sides]
+    ux, uy = cos_sin(a)
+    off = px[sides] * (-uy) + py[sides] * ux   # signed distance of the line
+    # split directions at angle gaps > 1e-9 and sort each by offset alone,
+    # stably (ties stay by angle, then side); split lines at offset gaps > tol
+    direction = np.concatenate(([0], np.cumsum(np.diff(a) > 1e-9)))
+    order = np.lexsort((off, direction))
+    sides, ux, uy, off = sides[order], ux[order], uy[order], off[order]
+    line = np.concatenate(([0], np.cumsum((np.diff(direction[order]) != 0)
+                                          | (np.diff(off) > tol))))
+    runs = []
+    for start, stop in _batches(np.flatnonzero(np.diff(line, prepend=-1)), len(line)):
+        part = slice(start, stop)
+        runs += _line_runs(sides[part], ux[part], uy[part], off[part], line[part],
+                           px, py, parent, tol)
+    return runs
+
+
 def fault_runs(t: Tiling) -> list[_Run]:
     """Maximal straight lines made of >= 2 distinct collinear edges from
     non-sibling tiles.
@@ -113,80 +205,33 @@ def fault_runs(t: Tiling) -> list[_Run]:
     if not (tol > 0.0 and 4.0 * max(-x0, x1, -y0, y1) <= tol * sys.float_info.max):
         raise ArgumentError("tile coordinates are too large for the fault "
                             f"tolerance {tol!r}")
-    # the three sides of every tile, tile by tile: (sa, ra), (ra, ov), (ov, sa)
-    sa, ra, ov = corners
-    px = np.column_stack((sa[0], ra[0], ov[0])).ravel()
-    py = np.column_stack((sa[1], ra[1], ov[1])).ravel()
-    qx = np.column_stack((ra[0], ov[0], sa[0])).ravel()
-    qy = np.column_stack((ra[1], ov[1], sa[1])).ravel()
-    parent = np.repeat(t.parent, 3)
-    ang = _line_angles(qy - py, qx - px)
-    ux, uy = cos_sin(ang)
-    off = px * (-uy) + py * ux   # signed distance of the line
-    # sort by (direction, offset) and split directions at gaps > 1e-9;
-    # re-sort each direction by offset alone, stably, and split lines at
-    # offset gaps > tol
-    order = np.lexsort((off, ang))
-    direction = np.concatenate(([0], np.cumsum(np.diff(ang[order]) > 1e-9)))
-    regroup = np.lexsort((off[order], direction))
-    order, direction = order[regroup], direction[regroup]
-    line = np.concatenate(([0], np.cumsum((np.diff(direction) != 0)
-                                          | (np.diff(off[order]) > tol))))
-    # every array here holds one value per edge and this function sets the
-    # peak memory of render --faults: each is dropped once no longer used
-    del ang, direction, regroup
-    # each line is described by the direction and offset of its first edge
-    ref = order[np.flatnonzero(np.diff(line, prepend=-1))]
-    # each edge as an interval along its own direction, sorted along the line
-    t0 = px * ux + py * uy
-    t1 = qx * ux + qy * uy
-    del px, py, qx, qy
-    lo = np.where(t0 > t1, t1, t0)
-    hi = np.where(t0 > t1, t0, t1)
-    del t0, t1
-    along = np.lexsort((hi[order], lo[order], line))
-    order, line = order[along], line[along]
-    lo, hi, parent = lo[order], hi[order], parent[order]
-    del order
-    # distinct edges are told apart by (round(lo/tol), round(hi/tol));
-    # np.rint rounds half to even as round does, "+ 0.0" folds -0.0 into 0
-    lo_key = np.rint(lo / tol) + 0.0
-    hi_key = np.rint(hi / tol) + 0.0
-
-    # merge touching intervals of a line into maximal stretches: a run
-    # starts at a new line or where an edge begins past reach + tol, the
-    # reach being the largest hi so far on the line (a new run's first hi
-    # exceeds every earlier one, so this is also the largest hi of the run).
-    # The running max goes over integer ranks of hi, offset by line.
-    n = len(hi)
-    rank = np.empty(n, dtype=np.int64)
-    by_hi = np.argsort(hi, kind="stable")
-    rank[by_hi] = np.arange(n)
-    reach = hi[by_hi][np.maximum.accumulate(line * n + rank) - line * n]
-    del rank, by_hi
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = (line[1:] != line[:-1]) | (lo[1:] > reach[:-1] + tol)
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], n) - 1
-    run = np.cumsum(starts) - 1
-    edges = _distinct_per_run(run, len(first), lo_key, hi_key)
-    parents = _distinct_per_run(run, len(first), parent)
-    keep = (edges >= 2) & (parents >= 2)
-    k = ref[line[first[keep]]]
-    u, v, d = ux[k], uy[k], off[k]
-    bottom, top = lo[first[keep]], reach[last[keep]]
-    return [_Run(start=sxy, end=exy, edge_count=e, parent_count=p)
-            for sxy, exy, e, p in zip(
-                zip((-v * d + u * bottom).tolist(), (u * d + v * bottom).tolist()),
-                zip((-v * d + u * top).tolist(), (u * d + v * top).tolist()),
-                edges[keep].tolist(), parents[keep].tolist())]
+    # the corners tile by tile, (sa, ra, ov); the sides are (sa, ra),
+    # (ra, ov), (ov, sa), side k running from corner k to _far_corner(k)
+    px = np.column_stack([x for x, _ in corners]).ravel()
+    py = np.column_stack([y for _, y in corners]).ravel()
+    del corners
+    # only the corners and the direction of every side are held for the
+    # whole tiling; the rest is done a batch of sides at a time
+    ang = np.empty_like(px)
+    for lo in range(0, len(px), JSON_CHUNK_TILES):
+        side = np.arange(lo, min(lo + JSON_CHUNK_TILES, len(px)))
+        far = _far_corner(side)
+        ang[side] = _line_angles(py[far] - py[side], px[far] - px[side])
+    # batches of whole directions (split at angle gaps > 1e-9), each split
+    # again into batches of whole lines
+    by_angle = np.argsort(ang, kind="stable")
+    directions = np.flatnonzero(np.diff(ang[by_angle], prepend=-math.inf) > 1e-9)
+    runs = []
+    for start, stop in _batches(directions, len(ang)):
+        runs += _direction_runs(by_angle[start:stop], ang, px, py, t.parent, tol)
+    return runs
 
 
 def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
                chunk: int = JSON_CHUNK_TILES):
     """Yield the SVG text of :func:`render_svg` in pieces of at most
-    ``chunk`` polygons.  Everything that can fail runs before the first
-    piece."""
+    ``chunk`` polygons or fault lines.  Everything that can fail runs
+    before the first piece."""
     import numpy as np
     if color not in ("size", "phi"):
         raise ArgumentError(f"unknown color mode {color!r}")
@@ -194,6 +239,8 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
         yield ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                f'width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}"/>\n')
         return
+    # the runs first: their working set is gone before the text's is built
+    runs = fault_runs(t) if faults else []
     corners = t.vertex_columns()
     x0, x1, y0, y1 = _bounding_box(corners)
     span = max(x1 - x0, y1 - y0) or 1.0
@@ -205,7 +252,6 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
     rank_of = t.class_rank()
     smallest = t.shape.c * min(t.shape.scale(i, j) for i, j in rank_of)
     stroke = 0.04 * smallest
-    runs = fault_runs(t) if faults else []
     head = ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{_fmt(width)}" height="{_fmt(height)}" '
             f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
@@ -223,20 +269,20 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
         floats.append(t.phi / (2.0 * math.pi) * 360.0)
         # mirrored tiles at lower saturation so both circles stay visible
         last = np.where(t.handedness > 0, 70, 40)
-    floats = np.column_stack(floats)
     row = '<polygon points="%s,%s %s,%s %s,%s" fill="' + fill + tail.replace("%", "%%")
     yield head
     for lo in range(0, len(t), chunk):
         part = slice(lo, lo + chunk)
-        cells = np.empty((len(last[part]), floats.shape[1] + 1), dtype=object)
-        cells[:, :-1] = float_texts(floats[part], _fmt)
+        cells = np.empty((len(last[part]), len(floats) + 1), dtype=object)
+        cells[:, :-1] = float_texts(np.column_stack([v[part] for v in floats]), _fmt)
         cells[:, -1] = last[part]
         yield fill_rows(row, "\n", cells) + "\n"
     if faults:
         yield ('<g stroke="#d62728" fill="none" '
                f'stroke-width="{_fmt(3.0 * stroke)}">\n')
-        if runs:
-            ends = np.array([r.start + r.end for r in runs], dtype=np.float64)
+        for lo in range(0, len(runs), chunk):
+            ends = np.array([r.start + r.end for r in runs[lo:lo + chunk]],
+                            dtype=np.float64)
             yield fill_rows('<line x1="%s" y1="%s" x2="%s" y2="%s"/>', "\n",
                             float_texts(ends, _fmt)) + "\n"
         yield '</g>\n'

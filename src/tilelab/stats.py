@@ -443,7 +443,8 @@ def equidistribution_frequency(ratio: float, lo: float, hi: float,
     if n_samples < 1:
         raise ArgumentError(f"n_samples must be at least 1, got {n_samples}")
     k = np.arange(1, n_samples + 1, dtype=np.float64)
-    frac = np.mod(k * ratio, 1.0)
+    # reduced first (fmod is exact), so k * ratio keeps its fractional bits
+    frac = np.mod(k * math.fmod(ratio, 1.0), 1.0)
     return float(((frac >= lo) & (frac < hi)).mean())
 
 

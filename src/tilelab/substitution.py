@@ -20,19 +20,15 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ArgumentError, InternalError, ResourceError, as_count
 from .geometry import (
-    TWO_PI,
     Placement,
     Similarity,
     Tile,
     TriangleShape,
     apply_columns,
     cos_sin,
-    shape_from_pq,
-    shape_from_theta,
     tile_area,  # re-exported for callers
     vertices,  # re-exported for callers
     wrap_angles,
@@ -43,16 +39,12 @@ DEFAULT_TILE_CAP = 10_000_000
 TILING_FORMAT = "tilelab-tiling/1"
 
 # Tiles per piece of tiling JSON text: writers hold one piece at a time.
-JSON_CHUNK_TILES = 1 << 14
+JSON_CHUNK_TILES = 1 << 12
 
 # Distinct size keys closer than this are treated as a bookkeeping bug:
 # on the lattice of any desk-scale shape genuinely different (i, j)
 # classes are separated by far more.
 NEAR_TIE = 1e-9
-
-# The largest heading a tiling JSON file may hold: 12-digit text rounds
-# headings just below 2pi up to this, which is above 2pi.
-PHI_MAX = float(f"{TWO_PI:.12g}")
 
 # The columns of a Tiling: handedness (+1/-1), heading, small-angle
 # vertex, exponent pair, tile id and parent id (-1 for the root).  The
@@ -697,109 +689,12 @@ def tiling_json_chunks(tiling: Tiling, chunk: int = JSON_CHUNK_TILES):
     yield "\n ]\n}\n"
 
 
-_TILE_KEYS = ("handedness", "i", "id", "j", "origin", "parent", "phi")
-
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _shape_from_json(sh) -> TriangleShape:
-    if not isinstance(sh, dict) or not (_is_number(sh.get("theta"))
-                                        and _is_number(sh.get("c"))):
-        raise ArgumentError("tiling shape must be an object with numeric "
-                            "theta and c")
-    rationality = None
-    rat = sh.get("rationality")
-    if rat:
-        p, q = (rat.get("p"), rat.get("q")) if isinstance(rat, dict) else (None, None)
-        if not all(type(v) is int and v > 0 for v in (p, q)):
-            raise ArgumentError("tiling shape rationality must hold positive "
-                                "integers p and q")
-        rationality = Fraction(p, q)
-        # the tolerance of classify --theta-pi; 12-digit headers of valid
-        # files are far closer
-        want = shape_from_pq(rationality.numerator, rationality.denominator).theta
-        if abs(sh["theta"] - want) > 1e-9:
-            raise ArgumentError(f"tiling shape theta {sh['theta']!r} is not the "
-                                f"p/q = {p}/{q} angle {want!r}")
-    return shape_from_theta(sh["theta"], sh["c"], rationality=rationality)
-
-
-def _int_column(values: list, key: str, dtype, low: int = 0,
-                high: int | None = None) -> np.ndarray:
-    import numpy as np
-    if high is None:
-        high = np.iinfo(dtype).max
-    col = None
-    if set(map(type, values)) == {int}:     # no floats, bools or None
-        try:
-            col = np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    if col is None or col.min() < low or col.max() > high:
-        raise ArgumentError(f"tile {key!r} values must be integers in "
-                            f"[{low}, {high}]")
-    return col.astype(dtype)
-
-
-def _float_column(values: list, key: str, shape: tuple) -> np.ndarray:
-    import numpy as np
-    try:
-        col = np.array(values)
-    except ValueError:      # ragged nested lists
-        col = None
-    if col is None or col.shape != shape or col.dtype.kind not in "if" \
-            or not np.isfinite(col).all():
-        raise ArgumentError(f"tile {key!r} values must be finite numbers, "
-                            f"{'x, y pairs' if len(shape) > 1 else 'one each'}")
-    return col.astype(np.float64)
-
-
 def tiling_from_json(data: dict) -> Tiling:
     """The tiling of a parsed ``tilelab-tiling/1`` document.
 
     Malformed input (wrong format, missing keys, non-integer exponents or
     ids, handedness other than +-1, non-finite floats, headings outside
-    [0, PHI_MAX], no tiles) raises :class:`ArgumentError`."""
-    import numpy as np
-    fmt = data.get("format") if isinstance(data, dict) else None
-    if fmt != TILING_FORMAT:
-        raise ArgumentError(f"unsupported tiling format: {fmt!r}")
-    missing = [k for k in ("shape", "generation", "tiles") if k not in data]
-    if missing:
-        raise ArgumentError(f"tiling JSON lacks {', '.join(missing)}")
-    shape = _shape_from_json(data["shape"])
-    generation = data["generation"]
-    if type(generation) is not int or generation < 0:
-        raise ArgumentError("tiling generation must be a non-negative integer")
-    rows = data["tiles"]
-    if not isinstance(rows, list) or not rows:
-        raise ArgumentError("tiling JSON 'tiles' must be a non-empty list")
-    try:
-        values = {key: [row[key] for row in rows] for key in _TILE_KEYS}
-    except (KeyError, TypeError):
-        raise ArgumentError("every tile must be an object with the keys "
-                            + ", ".join(_TILE_KEYS)) from None
-    hand = _int_column(values["handedness"], "handedness", np.int8, -1, 1)
-    if not hand.all():
-        raise ArgumentError("tile 'handedness' values must be 1 or -1")
-    roots = np.array([p is None for p in values["parent"]])
-    parent = _int_column([0 if p is None else p for p in values["parent"]],
-                         "parent", np.int64)
-    parent[roots] = -1
-    origin = _float_column(values["origin"], "origin", (len(rows), 2))
-    phi = _float_column(values["phi"], "phi", (len(rows),))
-    if not ((phi >= 0.0) & (phi <= PHI_MAX)).all():
-        raise ArgumentError(f"tile 'phi' values must be headings in [0, {PHI_MAX}]")
-    return Tiling.from_columns(shape, generation, {
-        "handedness": hand,
-        "phi": phi,
-        "ox": origin[:, 0],
-        "oy": origin[:, 1],
-        "i": _int_column(values["i"], "i", np.int32),
-        "j": _int_column(values["j"], "j", np.int32),
-        "ids": _int_column(values["id"], "id", np.int64),
-        "parent": parent,
-    })
+    [0, reader.PHI_MAX], no tiles) raises :class:`ArgumentError`.  The checks
+    are those of the file reader, :func:`tilelab.reader.read_tiling`."""
+    from .reader import document_tiling
+    return document_tiling(data)

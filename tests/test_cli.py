@@ -256,6 +256,19 @@ def test_tile_cap_must_be_a_positive_integer(capsys, monkeypatch, value):
     assert err.startswith("error: TILELAB_MAX_TILES must be a positive integer")
 
 
+@pytest.mark.parametrize("command", [["stats"], ["render", "--faults"]])
+def test_tiling_input_obeys_the_tile_cap(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "t2.json"
+    assert main(["generate", "--pq", "1/2", "--n", "2", "--out", str(path)]) == 0
+    for cap, want in (("8", 3), ("9", 0), ("0", 2), ("nine", 2)):
+        monkeypatch.setenv("TILELAB_MAX_TILES", cap)     # T_2 holds 9 tiles
+        capsys.readouterr()
+        rc, out, err = _run(capsys, [*command, "--in", str(path)])
+        assert rc == want, cap
+        if want:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def _broken_tiling(tmp_path, edit):
     """A valid T_1 tiling file, passed through ``edit`` (text -> text)."""
     good = tmp_path / "good.json"

@@ -1,9 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tilelab import render
 from tilelab.errors import ArgumentError
 from tilelab.geometry import cos_sin, shape_from_pq, shape_from_theta
 from tilelab.render import _Run, fault_runs, render_svg, svg_chunks
@@ -168,6 +170,31 @@ def test_fault_runs_match_the_edge_by_edge_merge(shape, generations):
         want = ref_fault_runs(t)
         assert fault_runs(t) == want, n
         assert n < 4 or want    # the deeper tilings do have fault runs
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 64])
+def test_fault_runs_in_small_batches_match_the_merge(monkeypatch, batch):
+    # batches of whole directions and of whole lines: a batch smaller than
+    # a direction, and than a line, runs alone
+    monkeypatch.setattr(render, "JSON_CHUNK_TILES", batch)
+    for shape, n in ((shape_from_pq(1, 2), 8), (shape_from_pq(1, 1), 4),
+                     (shape_from_theta(1.0), 20)):
+        t = build_Tn(shape, n)
+        assert fault_runs(t) == ref_fault_runs(t), (shape, n)
+
+
+def test_fault_runs_hold_a_batch_not_the_tiling(til12):
+    # p/q = 1/2 T_9 (7,589 tiles): the traced peak was 479 bytes a tile
+    # when every step ran on all 22,767 sides at once, and is 258 with
+    # batches of JSON_CHUNK_TILES sides
+    t = build_Tn(til12, 9)
+    tracemalloc.start()
+    try:
+        fault_runs(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 * len(t)
 
 
 @pytest.mark.parametrize("color,faults", [("size", True), ("phi", False),

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -325,3 +326,13 @@ def test_equidistribution_needs_a_sample():
     with pytest.raises(ArgumentError):
         equidistribution_frequency(0.3, 0.1, 0.5, n_samples=0)
     assert equidistribution_frequency(0.3, 0.1, 0.5, n_samples=1) == 1.0
+
+
+@pytest.mark.parametrize("ratio", [2.0 ** 52 - 0.5, -(2.0 ** 52 - 0.5)])
+def test_equidistribution_keeps_the_fraction_of_a_large_ratio(ratio):
+    # k * ratio passes 2**52, where a float holds no fraction any more
+    n = 1000
+    exact = sum(Fraction(1, 4) <= k * Fraction(ratio) % 1 < Fraction(3, 4)
+                for k in range(1, n + 1)) / n
+    assert exact == 0.5
+    assert equidistribution_frequency(ratio, 0.25, 0.75, n_samples=n) == exact
