@@ -6,6 +6,7 @@ The commands that read no tiling never import this module.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -76,8 +77,11 @@ def _float_column(values: list, key: str, shape: tuple) -> np.ndarray:
         col = np.array(values)
     except ValueError:      # ragged nested lists
         col = None
+    # numpy reads true as 1.0 beside a float: bools are refused by type, so
+    # that no value is taken or refused for the tiles read with it
+    flat = itertools.chain.from_iterable(values) if len(shape) > 1 else values
     if col is None or col.shape != shape or col.dtype.kind not in "if" \
-            or not np.isfinite(col).all():
+            or bool in set(map(type, flat)) or not np.isfinite(col).all():
         raise ArgumentError(f"tile {key!r} values must be finite numbers, "
                             f"{'x, y pairs' if len(shape) > 1 else 'one each'}")
     return col.astype(np.float64)

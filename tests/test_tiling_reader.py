@@ -7,6 +7,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilelab import reader
 from tilelab.cli import main
@@ -118,6 +120,63 @@ def test_reader_refuses_documents_with_the_message_of_tiling_from_json(monkeypat
         assert str(got.value) == str(want.value), text
     with pytest.raises(ArgumentError, match="'tiles' must be a non-empty list"):
         read_tiling(io.StringIO(texts[1]))
+
+
+def _paths(node, prefix=()):
+    """Every key or index path into a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+                     st.floats(), st.text(max_size=3))
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
+                    st.dictionaries(st.sampled_from(["p", "q", "x"]), _SCALARS,
+                                    max_size=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_paths(json.loads(_RATIONAL)), key=repr)), _VALUES,
+       st.sampled_from([None, 1]), st.sampled_from([1, 3, 16, 1 << 18]))
+@example(("tiles", 3, "phi"), True, None, 1)        # a bool beside floats
+@example(("tiles", 2, "origin", 0), True, 1, 1 << 18)
+def test_reader_agrees_with_tiling_from_json(path, value, indent, slice_chars):
+    data = json.loads(_RATIONAL)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    text = json.dumps(data, indent=indent)
+    try:
+        want = tiling_from_json(json.loads(text))
+    except Exception as exc:     # the same kind of refusal is wanted
+        want = type(exc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reader, "JSON_READ_CHARS", slice_chars)
+        try:
+            got = read_tiling(io.StringIO(text))
+        except Exception as exc:
+            got = type(exc)
+    if isinstance(want, type):
+        assert got is want, (path, value)
+    else:
+        _assert_same(got, want)
+
+
+@pytest.mark.parametrize("field,value", [("phi", True), ("origin", [True, 0.5]),
+                                         ("origin", [0.5, False])])
+def test_a_bool_is_no_coordinate(field, value):
+    # numpy would read it as 1.0 or 0.0 beside the other tiles' floats
+    data = json.loads(_RATIONAL)
+    data["tiles"][3][field] = value
+    text = json.dumps(data)
+    with pytest.raises(ArgumentError, match=f"tile '{field}' values must be finite"):
+        tiling_from_json(json.loads(text))
+    with pytest.raises(ArgumentError, match=f"tile '{field}' values must be finite"):
+        read_tiling(io.StringIO(text))
 
 
 @pytest.mark.parametrize("text", [
