@@ -6,6 +6,7 @@ The commands that read no tiling never import this module.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
 import math
@@ -120,15 +121,18 @@ def _tile_columns(rows: list) -> dict:
 
 class _TileColumns:
     """The columns of one ``"tiles"`` list, built a piece of the list at a
-    time.  A bad tile is kept as the error to raise when the columns are
-    asked for, since a later ``"tiles"`` key replaces the list (as in
-    ``json``); past ``cap`` tiles (None: no cap) ``add`` raises
-    :class:`ResourceError` before it builds any more columns."""
+    time into one growable typed buffer per column.  A bad tile is kept as
+    the error to raise when the columns are asked for, since a later
+    ``"tiles"`` key replaces the list (as in ``json``); past ``cap`` tiles
+    (None: no cap) ``add`` raises :class:`ResourceError` before it builds
+    any more columns."""
 
     def __init__(self, cap: int | None = None):
+        import numpy as np
         self.cap = cap
         self.count = 0
-        self.pieces: list[dict] = []
+        self.buffers = {name: array.array(np.dtype(dtype).char)
+                        for name, dtype in COLUMNS}
         self.error: ArgumentError | None = None
 
     def add(self, rows: list) -> None:
@@ -138,19 +142,17 @@ class _TileColumns:
                                 f"{self.cap}")
         if rows and self.error is None:
             try:
-                self.pieces.append(_tile_columns(rows))
+                for name, col in _tile_columns(rows).items():
+                    self.buffers[name].frombytes(col.tobytes())
             except ArgumentError as exc:
-                self.error, self.pieces = exc, []
+                self.error, self.buffers = exc, None
 
     def columns(self) -> dict:
-        import numpy as np
         if self.error is not None:
             raise self.error
         if not self.count:
             raise ArgumentError("tiling JSON 'tiles' must be a non-empty list")
-        # one column at a time, each dropping its pieces once joined
-        return {name: np.concatenate([piece.pop(name) for piece in self.pieces])
-                for name, _ in COLUMNS}
+        return self.buffers
 
 
 def _checked_tiling(data, tiles: _TileColumns | None) -> Tiling:

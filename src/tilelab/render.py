@@ -34,13 +34,17 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.9g}"
 
 
-def _bounding_box(corners) -> tuple[float, float, float, float]:
-    """(x0, x1, y0, y1) of the tile vertices; a box that is not finite, or
-    whose sides are not, draws nothing and is refused."""
-    x0 = min(float(x.min()) for x, _ in corners)
-    x1 = max(float(x.max()) for x, _ in corners)
-    y0 = min(float(y.min()) for _, y in corners)
-    y1 = max(float(y.max()) for _, y in corners)
+def _bounding_box(t: Tiling) -> tuple[float, float, float, float]:
+    """(x0, x1, y0, y1) of the tile vertices, a batch of JSON_CHUNK_TILES
+    tiles at a time; a box that is not finite, or whose sides are not,
+    draws nothing and is refused."""
+    import numpy as np
+    lows, highs = [], []
+    for lo in range(0, len(t), JSON_CHUNK_TILES):
+        x, y = map(np.concatenate, zip(*t.vertex_columns(slice(lo, lo + JSON_CHUNK_TILES))))
+        lows.append((x.min(), y.min()))
+        highs.append((x.max(), y.max()))
+    (x0, y0), (x1, y1) = np.min(lows, axis=0).tolist(), np.max(highs, axis=0).tolist()
     if not all(map(math.isfinite, (x0, x1, y0, y1, x1 - x0, y1 - y0))):
         raise ArgumentError("tile vertices do not fit a finite bounding box")
     return x0, x1, y0, y1
@@ -91,14 +95,6 @@ def _distinct_per_run(run: np.ndarray, runs: int, *keys) -> np.ndarray:
     return np.bincount(run[order][fresh], minlength=runs)
 
 
-def _far_corner(side: np.ndarray) -> np.ndarray:
-    """Where each side ends: side 3t + s of tile t runs from corner 3t + s
-    to corner 3t + (s + 1) % 3."""
-    far = side + 1
-    far[far % 3 == 0] -= 3
-    return far
-
-
 def _batches(starts: np.ndarray, size: int):
     """(start, stop) of consecutive batches of whole groups, the groups of
     ``size`` items beginning at ``starts`` (0 first): at most
@@ -113,21 +109,17 @@ def _batches(starts: np.ndarray, size: int):
         start = stop
 
 
-def _line_runs(sides, ux, uy, off, line, px, py, parent, tol) -> list[_Run]:
-    """The fault runs of whole lines: ``sides`` sorted by line, ``ux``,
-    ``uy`` and ``off`` their direction and offset."""
+def _line_runs(t, sides, off, lo, hi, line, ang, tol) -> tuple[np.ndarray, ...]:
+    """The fault runs of whole lines, as :func:`_fault_columns` gives them:
+    ``sides`` sorted by line, ``off``, ``lo`` and ``hi`` their offsets and
+    ends along their own direction, ``ang`` the angle of every side."""
     import numpy as np
     line = line - line[0]
     # each line is described by the direction and offset of its first edge
     ref = np.flatnonzero(np.diff(line, prepend=-1))
     # each edge as an interval along its own direction, sorted along the line
-    far = _far_corner(sides)
-    t0 = px[sides] * ux + py[sides] * uy
-    t1 = px[far] * ux + py[far] * uy
-    lo = np.where(t0 > t1, t1, t0)
-    hi = np.where(t0 > t1, t0, t1)
     along = np.lexsort((hi, lo, line))
-    line, lo, hi, parent = line[along], lo[along], hi[along], parent[sides[along] // 3]
+    line, lo, hi, parent = line[along], lo[along], hi[along], t.parent[sides[along] // 3]
     # distinct edges are told apart by (round(lo/tol), round(hi/tol));
     # np.rint rounds half to even as round does, "+ 0.0" folds -0.0 into 0
     lo_key = np.rint(lo / tol) + 0.0
@@ -152,35 +144,73 @@ def _line_runs(sides, ux, uy, off, line, px, py, parent, tol) -> list[_Run]:
     parents = _distinct_per_run(run, len(first), parent)
     keep = (edges >= 2) & (parents >= 2)
     k = ref[line[first[keep]]]
-    u, v, d = ux[k], uy[k], off[k]
+    (u, v), d = cos_sin(ang[sides[k]]), off[k]
     bottom, top = lo[first[keep]], reach[last[keep]]
-    return [_Run(start=sxy, end=exy, edge_count=e, parent_count=p)
-            for sxy, exy, e, p in zip(
-                zip((-v * d + u * bottom).tolist(), (u * d + v * bottom).tolist()),
-                zip((-v * d + u * top).tolist(), (u * d + v * top).tolist()),
-                edges[keep].tolist(), parents[keep].tolist())]
+    return (np.column_stack((-v * d + u * bottom, u * d + v * bottom,
+                             -v * d + u * top, u * d + v * top)),
+            edges[keep], parents[keep])
 
 
-def _direction_runs(sides, ang, px, py, parent, tol) -> list[_Run]:
-    """The fault runs of whole directions: ``sides`` sorted by angle (ties
-    in side order), ``ang`` the angle of every side."""
+def _direction_runs(t, sides, heads, ang, tol) -> list[tuple[np.ndarray, ...]]:
+    """The fault runs of whole directions, a batch of lines at a time:
+    ``heads`` is the least angle of every direction."""
     import numpy as np
     a = ang[sides]
-    ux, uy = cos_sin(a)
-    off = px[sides] * (-uy) + py[sides] * ux   # signed distance of the line
-    # split directions at angle gaps > 1e-9 and sort each by offset alone,
-    # stably (ties stay by angle, then side); split lines at offset gaps > tol
-    direction = np.concatenate(([0], np.cumsum(np.diff(a) > 1e-9)))
-    order = np.lexsort((off, direction))
-    sides, ux, uy, off = sides[order], ux[order], uy[order], off[order]
-    line = np.concatenate(([0], np.cumsum((np.diff(direction[order]) != 0)
-                                          | (np.diff(off) > tol))))
+    # each side's offset and its ends along its own direction
+    off, lo, hi = np.empty((3, len(sides)))
+    for b in range(0, len(sides), JSON_CHUNK_TILES):
+        part = slice(b, b + JSON_CHUNK_TILES)
+        ux, uy = cos_sin(a[part])
+        # side 3t + s runs from vertex s of tile t to vertex (s + 1) % 3
+        near = sides[part] % 3
+        (sx, sy), (ex, ey) = t.vertex_columns(sides[part] // 3, (near, (near + 1) % 3))
+        off[part] = sx * (-uy) + sy * ux
+        t0 = sx * ux + sy * uy
+        t1 = ex * ux + ey * uy
+        lo[part] = np.where(t0 > t1, t1, t0)
+        hi[part] = np.where(t0 > t1, t0, t1)
+    # sort each direction by offset, then angle, then side; split lines at
+    # offset gaps > tol
+    direction = np.searchsorted(heads, a, side="right")
+    order = np.lexsort((a, off, direction))
+    del a
+    sides, off, lo, hi, direction = (v[order] for v in (sides, off, lo, hi, direction))
+    starts = np.flatnonzero(np.diff(direction, prepend=-1)
+                            | (np.diff(off, prepend=-math.inf) > tol))
+    return [_line_runs(t, sides[b:e], off[b:e], lo[b:e], hi[b:e],
+                       np.searchsorted(starts, np.arange(b, e), side="right"),
+                       ang, tol) for b, e in _batches(starts, len(sides))]
+
+
+def _fault_columns(t: Tiling, box) -> tuple[np.ndarray, ...]:
+    """The runs of :func:`fault_runs` as columns: (m, 4) start and end x, y,
+    edge counts and parent counts; ``box`` is :func:`_bounding_box` of ``t``."""
+    import numpy as np
+    pairs, _, _ = t.exponent_pairs()
+    tol = 1e-7 * (t.shape.c * max(t.shape.scale(i, j) for i, j in pairs))
+    # every offset and interval end below is at most twice the largest
+    # coordinate (4 leaves room for rounding): keep them finite over tol
+    if not (tol > 0.0 and 4.0 * max(map(abs, box)) <= tol * sys.float_info.max):
+        raise ArgumentError("tile coordinates are too large for the fault "
+                            f"tolerance {tol!r}")
+    # only the angle of every side is held for the whole tiling
+    ang = np.empty(3 * len(t))
+    for lo in range(0, len(t), JSON_CHUNK_TILES):
+        xs, ys = zip(*t.vertex_columns(slice(lo, lo + JSON_CHUNK_TILES)))
+        dx = np.column_stack(xs[1:] + xs[:1]) - np.column_stack(xs)
+        dy = np.column_stack(ys[1:] + ys[:1]) - np.column_stack(ys)
+        ang[3 * lo:3 * lo + dx.size] = _line_angles(dy.ravel(), dx.ravel())
+    # the distinct angles and their side counts; directions split them at
+    # gaps > 1e-9, and a batch of whole directions is a range of angles
+    vals, counts = np.unique(ang, return_counts=True)
+    groups = np.flatnonzero(np.diff(vals, prepend=-math.inf) > 1e-9)
+    ranks = np.cumsum(counts) - counts
     runs = []
-    for start, stop in _batches(np.flatnonzero(np.diff(line, prepend=-1)), len(line)):
-        part = slice(start, stop)
-        runs += _line_runs(sides[part], ux[part], uy[part], off[part], line[part],
-                           px, py, parent, tol)
-    return runs
+    for start, stop in _batches(ranks[groups], len(ang)):
+        lo, hi = vals[np.searchsorted(ranks, (start, stop)) - (0, 1)]
+        runs += _direction_runs(t, np.flatnonzero((ang >= lo) & (ang <= hi)),
+                                vals[groups], ang, tol)
+    return tuple(map(np.concatenate, zip(*runs)))
 
 
 def fault_runs(t: Tiling) -> list[_Run]:
@@ -193,38 +223,10 @@ def fault_runs(t: Tiling) -> list[_Run]:
     different parents.  Shared edges between two cousins collapse to one
     distinct segment and drop out; fault lines survive.
     """
-    import numpy as np
     if not len(t):
         return []
-    pairs, _, _ = t.exponent_pairs()
-    tol = 1e-7 * (t.shape.c * max(t.shape.scale(i, j) for i, j in pairs))
-    corners = t.vertex_columns()
-    x0, x1, y0, y1 = _bounding_box(corners)
-    # every offset and interval end below is at most twice the largest
-    # coordinate (4 leaves room for rounding): keep them finite over tol
-    if not (tol > 0.0 and 4.0 * max(-x0, x1, -y0, y1) <= tol * sys.float_info.max):
-        raise ArgumentError("tile coordinates are too large for the fault "
-                            f"tolerance {tol!r}")
-    # the corners tile by tile, (sa, ra, ov); the sides are (sa, ra),
-    # (ra, ov), (ov, sa), side k running from corner k to _far_corner(k)
-    px = np.column_stack([x for x, _ in corners]).ravel()
-    py = np.column_stack([y for _, y in corners]).ravel()
-    del corners
-    # only the corners and the direction of every side are held for the
-    # whole tiling; the rest is done a batch of sides at a time
-    ang = np.empty_like(px)
-    for lo in range(0, len(px), JSON_CHUNK_TILES):
-        side = np.arange(lo, min(lo + JSON_CHUNK_TILES, len(px)))
-        far = _far_corner(side)
-        ang[side] = _line_angles(py[far] - py[side], px[far] - px[side])
-    # batches of whole directions (split at angle gaps > 1e-9), each split
-    # again into batches of whole lines
-    by_angle = np.argsort(ang, kind="stable")
-    directions = np.flatnonzero(np.diff(ang[by_angle], prepend=-math.inf) > 1e-9)
-    runs = []
-    for start, stop in _batches(directions, len(ang)):
-        runs += _direction_runs(by_angle[start:stop], ang, px, py, t.parent, tol)
-    return runs
+    ends, edges, parents = (c.tolist() for c in _fault_columns(t, _bounding_box(t)))
+    return [_Run((sx, sy), (ex, ey), e, p) for (sx, sy, ex, ey), e, p in zip(ends, edges, parents)]
 
 
 def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
@@ -239,10 +241,9 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
         yield ('<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
                f'width="{_fmt(CANVAS)}" height="{_fmt(CANVAS)}"/>\n')
         return
+    x0, x1, y0, y1 = box = _bounding_box(t)
     # the runs first: their working set is gone before the text's is built
-    runs = fault_runs(t) if faults else []
-    corners = t.vertex_columns()
-    x0, x1, y0, y1 = _bounding_box(corners)
+    ends = _fault_columns(t, box)[0] if faults else None
     span = max(x1 - x0, y1 - y0) or 1.0
     s = (CANVAS - 2 * MARGIN) / span
     tx = MARGIN - x0 * s
@@ -260,31 +261,28 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
     tail = f'" stroke="#222222" stroke-width="{_fmt(stroke)}"/>'
     # each polygon row: six vertex coordinates, then its size-class color
     # or its heading hue and saturation
-    floats = [v for corner in corners for v in corner]
-    if color == "size":
-        fill = "%s"
-        last = np.array(PALETTE, dtype=object)[(t.size_ranks() - 1) % len(PALETTE)]
-    else:
-        fill = "hsl(%s,%s%%,55%%)"
-        floats.append(t.phi / (2.0 * math.pi) * 360.0)
-        # mirrored tiles at lower saturation so both circles stay visible
-        last = np.where(t.handedness > 0, 70, 40)
+    fill = "%s" if color == "size" else "hsl(%s,%s%%,55%%)"
     row = '<polygon points="%s,%s %s,%s %s,%s" fill="' + fill + tail.replace("%", "%%")
     yield head
     for lo in range(0, len(t), chunk):
         part = slice(lo, lo + chunk)
-        cells = np.empty((len(last[part]), len(floats) + 1), dtype=object)
-        cells[:, :-1] = float_texts(np.column_stack([v[part] for v in floats]), _fmt)
-        cells[:, -1] = last[part]
+        floats = [v for corner in t.vertex_columns(part) for v in corner]
+        if color == "size":
+            last = np.array(PALETTE, dtype=object)[(t.size_ranks(part) - 1) % len(PALETTE)]
+        else:
+            floats.append(t.phi[part] / (2.0 * math.pi) * 360.0)
+            # mirrored tiles at lower saturation so both circles stay visible
+            last = np.where(t.handedness[part] > 0, 70, 40)
+        cells = np.empty((len(last), len(floats) + 1), dtype=object)
+        cells[:, :-1] = float_texts(np.column_stack(floats), _fmt)
+        cells[:, -1] = last
         yield fill_rows(row, "\n", cells) + "\n"
     if faults:
         yield ('<g stroke="#d62728" fill="none" '
                f'stroke-width="{_fmt(3.0 * stroke)}">\n')
-        for lo in range(0, len(runs), chunk):
-            ends = np.array([r.start + r.end for r in runs[lo:lo + chunk]],
-                            dtype=np.float64)
+        for lo in range(0, len(ends), chunk):
             yield fill_rows('<line x1="%s" y1="%s" x2="%s" y2="%s"/>', "\n",
-                            float_texts(ends, _fmt)) + "\n"
+                            float_texts(ends[lo:lo + chunk], _fmt)) + "\n"
         yield '</g>\n'
     yield '</g>\n</svg>\n'
 

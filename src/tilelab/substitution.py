@@ -38,7 +38,8 @@ DEFAULT_TILE_CAP = 10_000_000
 
 TILING_FORMAT = "tilelab-tiling/1"
 
-# Tiles per piece of tiling JSON text: writers hold one piece at a time.
+# Tiles per piece of tiling JSON or SVG text, which writers hold one at a
+# time, and items per batch of the column work that holds one batch.
 JSON_CHUNK_TILES = 1 << 12
 
 # Distinct size keys closer than this are treated as a bookkeeping bug:
@@ -121,18 +122,31 @@ class Tiling:
 
     def exponent_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray, list[int]]:
         """The distinct exponent pairs in order of first appearance, each
-        tile's index into that list, and the tile count of each pair."""
+        tile's index into that list, and the tile count of each pair, a
+        chunk of JSON_CHUNK_TILES tiles at a time."""
         import numpy as np
         if self._pairs is None:
-            code = self.i.astype(np.int64) * (1 << 32) + self.j
-            _, first, inverse, counts = np.unique(
-                code, return_index=True, return_inverse=True, return_counts=True)
-            order = np.argsort(first)
+            chunks = [slice(lo, lo + JSON_CHUNK_TILES)
+                      for lo in range(0, max(len(self), 1), JSON_CHUNK_TILES)]
+            code = lambda part: self.i[part].astype(np.int64) * (1 << 32) + self.j[part]
+            # chunks in tile order: the first of equal codes is the first tile
+            seen = []
+            for part in chunks:
+                c, f, k = np.unique(code(part), return_index=True, return_counts=True)
+                seen.append((c, f + part.start, k))
+            codes, firsts, counts = map(np.concatenate, zip(*seen))
+            distinct, at, inverse = np.unique(codes, return_index=True,
+                                              return_inverse=True)
+            order = np.argsort(firsts[at])
             remap = np.empty_like(order)
             remap[order] = np.arange(len(order))
-            pairs = list(zip(self.i[first[order]].tolist(),
-                             self.j[first[order]].tolist()))
-            self._pairs = (pairs, remap[inverse], counts[order].tolist())
+            index = np.empty(len(self), dtype=remap.dtype)
+            for part in chunks:
+                index[part] = remap[np.searchsorted(distinct, code(part))]
+            first = firsts[at[order]]
+            pairs = list(zip(self.i[first].tolist(), self.j[first].tolist()))
+            counts = np.bincount(inverse, counts).astype(np.int64)[order]
+            self._pairs = (pairs, index, counts.tolist())
         return self._pairs
 
     def size_keys(self) -> list:
@@ -147,34 +161,39 @@ class Tiling:
         pairs, _, _ = self.exponent_pairs()
         return size_class_ranks(self.shape, pairs)
 
-    def size_ranks(self) -> np.ndarray:
-        """The size class of every tile (1 = largest present)."""
+    def size_ranks(self, rows=slice(None)) -> np.ndarray:
+        """The size class of every tile, or of the tiles at ``rows`` (1 =
+        largest present)."""
         import numpy as np
         pairs, index, _ = self.exponent_pairs()
         rank_of = self.class_rank()
-        return np.array([rank_of[p] for p in pairs], dtype=np.int64)[index]
+        return np.array([rank_of[p] for p in pairs], dtype=np.int64)[index[rows]]
 
     def exponent_counts(self) -> dict[tuple[int, int], int]:
         """Tiles per exponent pair, in order of first appearance."""
         pairs, _, counts = self.exponent_pairs()
         return dict(zip(pairs, counts))
 
-    def scales(self) -> np.ndarray:
-        """The linear scale of every tile relative to the root."""
+    def scales(self, rows=slice(None)) -> np.ndarray:
+        """The linear scale of every tile (or of the tiles at ``rows``)
+        relative to the root."""
         import numpy as np
         pairs, index, _ = self.exponent_pairs()
         return np.array([self.shape.scale(i, j) for i, j in pairs],
-                        dtype=np.float64)[index]
+                        dtype=np.float64)[index[rows]]
 
-    def vertex_columns(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(x, y) columns of the small-angle, right-angle and remaining
-        vertex of every tile: the floats :func:`vertices` gives."""
-        cos_phi, sin_phi = cos_sin(self.phi)
-        scale = self.scales()
-        b, a = self.shape.b, self.shape.a
-        return tuple(apply_columns(pt, self.handedness, cos_phi, sin_phi, scale,
-                                   self.ox, self.oy)
-                     for pt in ((0.0, 0.0), (b, 0.0), (b, a)))
+    def vertex_columns(self, rows=slice(None), corners=(0, 1, 2)) -> tuple:
+        """(x, y) columns of the small-angle (0), right-angle (1) and
+        remaining (2) vertex of every tile, or of the tiles at ``rows``: the
+        floats :func:`vertices` gives.  Each of ``corners`` is a vertex
+        number or an array of one per row."""
+        import numpy as np
+        cos_phi, sin_phi = cos_sin(self.phi[rows])
+        scale = self.scales(rows)
+        points = np.array([(0.0, 0.0), (self.shape.b, 0.0), (self.shape.b, self.shape.a)])
+        return tuple(apply_columns(points[k].T, self.handedness[rows], cos_phi,
+                                   sin_phi, scale, self.ox[rows], self.oy[rows])
+                     for k in corners)
 
     # -- integrity checks (used by tests, not on every build) -------------
 

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import tracemalloc
@@ -5,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tilelab import render
+from tilelab import render, substitution
 from tilelab.errors import ArgumentError
 from tilelab.geometry import cos_sin, shape_from_pq, shape_from_theta
 from tilelab.render import _Run, fault_runs, render_svg, svg_chunks
-from tilelab.substitution import Tiling, build_Tn, vertices
+from tilelab.reader import read_tiling
+from tilelab.substitution import Tiling, build_Tn, tiling_json_chunks, vertices
 
 POLY = re.compile(r'<polygon points="([^"]+)"')
 
@@ -183,18 +185,126 @@ def test_fault_runs_in_small_batches_match_the_merge(monkeypatch, batch):
         assert fault_runs(t) == ref_fault_runs(t), (shape, n)
 
 
-def test_fault_runs_hold_a_batch_not_the_tiling(til12):
-    # p/q = 1/2 T_9 (7,589 tiles): the traced peak was 479 bytes a tile
-    # when every step ran on all 22,767 sides at once, and is 258 with
-    # batches of JSON_CHUNK_TILES sides
-    t = build_Tn(til12, 9)
+def _traced_peak(work) -> int:
     tracemalloc.start()
     try:
-        fault_runs(t)
-        peak = tracemalloc.get_traced_memory()[1]
+        work()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 320 * len(t)
+
+
+def test_fault_runs_hold_a_batch_not_the_tiling(til12):
+    # p/q = 1/2 T_9 (7,589 tiles): the traced peak was 479 bytes a tile
+    # when every step ran on all 22,767 sides at once, 251 with the corners
+    # and side angles of the whole tiling and batches of JSON_CHUNK_TILES
+    # sides, and is 195 with the side angles alone and the corners taken a
+    # batch at a time
+    t = build_Tn(til12, 9)
+    assert _traced_peak(lambda: fault_runs(t)) < 245 * len(t)
+
+
+def test_svg_chunks_hold_a_chunk_not_the_tiling(til12_T10):
+    # p/q = 1/2 T_10 (19,305 tiles): the traced peak was 252 bytes a tile
+    # with the corners, colors and runs of the whole tiling, and is 153
+    # with corners and colors a chunk at a time and the runs as columns.
+    # At T_9 one chunk's text is most of the peak, either way.
+    til12_T10.exponent_pairs()
+    peak = _traced_peak(lambda: [None for _ in svg_chunks(til12_T10, faults=True)])
+    assert peak < 190 * len(til12_T10)
+
+
+def _bits(*columns) -> list[bytes]:
+    return [np.ascontiguousarray(c).tobytes() for c in columns]
+
+
+def _minus_zero_corners():
+    # origin -0.0 and heading pi: the small-angle corner is (-0.0, -0.0)
+    t = Tiling.from_columns(shape_from_pq(1, 2), 0, {
+        "handedness": [1, -1, -1], "phi": [math.pi, math.pi, 0.0],
+        "ox": [-0.0, -0.0, 0.5], "oy": [-0.0, 0.25, -0.0], "i": [0, 1, 0],
+        "j": [0, 0, 1], "ids": [0, 1, 2], "parent": [-1, 0, 0]})
+    assert np.signbit(t.vertex_columns()[0][0][0])
+    return t
+
+
+_CORNER_CASES = {
+    "pq12": lambda: build_Tn(shape_from_pq(1, 2), 6),
+    "minus-zero": _minus_zero_corners,
+    "theta1": lambda: build_Tn(shape_from_theta(1.0), 25),
+    "json": lambda: read_tiling(io.StringIO("".join(tiling_json_chunks(
+        build_Tn(shape_from_pq(1, 2), 6))))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORNER_CASES))
+def test_vertex_columns_of_some_rows_are_those_of_the_whole(case):
+    # mirrored tiles, -0.0 corners, theta = 1.0 and a tiling read from JSON
+    t = _CORNER_CASES[case]()
+    whole = t.vertex_columns()
+    assert any(t.handedness < 0)
+    rng = np.random.default_rng(len(t))
+    rows = rng.integers(0, len(t), 3 * len(t))
+    near = rng.integers(0, 3, len(rows))
+    for part in (slice(None), slice(1, None, 3), rows):
+        assert _bits(*sum(t.vertex_columns(part), ())) == \
+            _bits(*(v[part] for corner in whole for v in corner))
+    # a vertex number per row picks that vertex of each row
+    (x, y), = t.vertex_columns(rows, (near,))
+    want = [np.choose(near, [whole[k][axis][rows] for k in range(3)]) for axis in (0, 1)]
+    assert _bits(x, y) == _bits(*want)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_batch_size_changes_no_output(monkeypatch, chunk):
+    cases = [(shape_from_pq(1, 2), 6), (shape_from_theta(1.0), 18)]
+    want = {}
+    for shape, n in cases:
+        t = build_Tn(shape, n)
+        want[n] = (fault_runs(t), {(color, faults): render_svg(t, color, faults)
+                                   for color in ("size", "phi") for faults in (False, True)})
+    # batches of sides, directions, tiles and exponent codes
+    monkeypatch.setattr(render, "JSON_CHUNK_TILES", chunk)
+    monkeypatch.setattr(substitution, "JSON_CHUNK_TILES", chunk)
+    for shape, n in cases:
+        t = build_Tn(shape, n)
+        runs, svgs = want[n]
+        assert fault_runs(t) == runs == ref_fault_runs(t)
+        for (color, faults), svg in svgs.items():
+            assert render_svg(t, color, faults) == svg
+            assert "".join(svg_chunks(t, color, faults, chunk)) == svg
+
+
+def _ref_exponent_pairs(t):
+    """exponent_pairs with one np.unique over the whole tiling."""
+    code = t.i.astype(np.int64) * (1 << 32) + t.j
+    _, first, inverse, counts = np.unique(code, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    remap = np.empty_like(order)
+    remap[order] = np.arange(len(order))
+    return (list(zip(t.i[first[order]].tolist(), t.j[first[order]].tolist())),
+            remap[inverse], counts[order].tolist())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_exponent_pairs_match_one_unique(monkeypatch, chunk):
+    monkeypatch.setattr(substitution, "JSON_CHUNK_TILES", chunk)
+    rng = np.random.default_rng(chunk)
+    top = 2**31 - 1
+    for n, high in ((1, 3), (50, 3), (5000, 40), (3000, top)):
+        i = rng.integers(0, high, n, endpoint=True)
+        j = rng.integers(0, high, n, endpoint=True)
+        j[rng.integers(0, n)] = top
+        t = Tiling.from_columns(shape_from_pq(1, 2), 0, {
+            "handedness": np.ones(n), "phi": np.zeros(n), "ox": np.zeros(n),
+            "oy": np.zeros(n), "i": i, "j": j, "ids": np.arange(n),
+            "parent": np.full(n, -1)})
+        pairs, index, counts = t.exponent_pairs()
+        want = _ref_exponent_pairs(t)
+        assert pairs == want[0] and counts == want[2]
+        assert index.dtype == want[1].dtype and index.tolist() == want[1].tolist()
+    assert Tiling(shape_from_pq(1, 2), [], 0).exponent_pairs()[::2] == ([], [])
 
 
 @pytest.mark.parametrize("color,faults", [("size", True), ("phi", False),
