@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArgumentError
 from .geometry import cos_sin
@@ -50,8 +50,7 @@ def _bounding_box(t: Tiling) -> tuple[float, float, float, float]:
     return x0, x1, y0, y1
 
 
-@dataclass(frozen=True, slots=True)
-class _Run:
+class _Run(NamedTuple):
     """A maximal collinear stretch of tile edges on one line."""
 
     start: tuple[float, float]
