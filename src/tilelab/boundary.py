@@ -513,18 +513,7 @@ def _match(layout: _Layout, D: int, c, lo, hi, Ru, Rv):
     neg = _sign_quad(du, dv, D) < 0
     np.negative(du, out=du, where=neg)
     np.negative(dv, out=dv, where=neg)
-    kmin, kmax = int(dv.min()), int(dv.max())
-    if kmax - kmin < len(dv):
-        # keys span few values (til2, til12): first occurrences in one
-        # pass over a dense table, no sort
-        dv -= kmin
-        first = np.full(kmax - kmin + 1, len(dv))
-        np.minimum.at(first, dv, np.arange(len(dv)))
-        keys = np.flatnonzero(first < len(dv))
-        first = first[keys]
-        keys += kmin
-    else:   # keys far apart (a few vertices at large coordinates)
-        keys, first = np.unique(dv, return_index=True)
+    keys, first = np.unique(dv, return_index=True)
     order = np.argsort(first)
     keys, first = keys[order], first[order]
     vals = du[first].astype(np.float64) + keys.astype(np.float64) * root

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArgumentError, as_count
+from .errors import ArgumentError
 from .geometry import TWO_PI, TriangleShape, wrap_angle
-from .substitution import Tiling, _SizeFrontier
+from .substitution import Tiling, _census
 
 ANGLE_TOL = 1e-9
 
@@ -217,11 +217,7 @@ def orientation_census(shape: TriangleShape, n: int,
     the tests.  ``theta_pi``, when given, is theta/pi for this shape
     (``check_theta_pi``) and keys headings by residue.
     """
-    n = as_count(n)
-    if n < 0:
-        raise ArgumentError(f"generation must be non-negative, got {n}")
     check_theta_pi(shape, theta_pi)
-    counts: dict = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}
     # Increments compose with the reductions (l mod 4, m mod 4v), so the
     # canonical keys can be evolved directly.
     if theta_pi is None:
@@ -234,20 +230,16 @@ def orientation_census(shape: TriangleShape, n: int,
 
         def turn(key, sign, dk, dl):
             return ((key[0] + sign * (2 * dk * u + dl * v)) % mod,)
-    # relative pose of each daughter: handedness factor, the heading
-    # increment k*theta + l*(pi/2) as an integer pair, and the exponent step
-    deltas = tuple((f.handedness, (f.k, f.l), f.exp_delta)
+    # relative pose of each daughter: the exponent step, handedness factor
+    # and the heading increment k*theta + l*(pi/2) as an integer pair
+    deltas = tuple((f.exp_delta, f.handedness, (f.k, f.l))
                    for f in shape.daughter_frames())
-    frontier = _SizeFrontier(shape, [(0, 0)])
-    for _ in range(n):
-        winners = set(frontier.next_winners())
-        nxt: dict = {}
-        for (i, j, sign, key), cnt in counts.items():
-            if (i, j) not in winners:
-                nxt[(i, j, sign, key)] = nxt.get((i, j, sign, key), 0) + cnt
-                continue
-            for dsign, (dk, dl), (di, dj) in deltas:
-                nk = (i + di, j + dj, sign * dsign, turn(key, sign, dk, dl))
-                nxt[nk] = nxt.get(nk, 0) + cnt
-        counts = nxt
+
+    def children(key):
+        i, j, sign, angle = key
+        return [((i + di, j + dj, sign * dsign, turn(angle, sign, dk, dl)), 1)
+                for (di, dj), dsign, (dk, dl) in deltas]
+    root = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}
+    for n, counts, _ in _census(shape, n, root, children):
+        pass
     return OrientationCensus(shape=shape, n=n, theta_pi=theta_pi, counts=counts)

@@ -185,6 +185,7 @@ def document_tiling(data: dict) -> Tiling:
 
 
 _JSON = json.JSONDecoder()
+_NUMBER_CHARS = ".eE+-0123456789"
 
 
 class _TextSlices:
@@ -225,8 +226,8 @@ class _TextSlices:
 
     def decode(self, scan):
         """The value of ``scan(text, pos) -> (value, end)``, reading on
-        while it fails or ends where the text read so far ends (a number
-        may go on)."""
+        while it fails or ends where a number may go on: at the end of the
+        text read so far, or before a number's character ("0." of "0.5")."""
         while True:
             try:
                 value, end = scan(self.text, self.pos)
@@ -234,7 +235,7 @@ class _TextSlices:
                 if self.eof:
                     raise self.error(exc.msg, exc.pos - self.pos) from None
             else:
-                if end < len(self.text) or self.eof:
+                if self.eof or self.text[end:end + 1] not in _NUMBER_CHARS:
                     self.pos = end
                     return value
             self.more()

@@ -228,10 +228,9 @@ def fault_runs(t: Tiling) -> list[_Run]:
     return [_Run((sx, sy), (ex, ey), e, p) for (sx, sy, ex, ey), e, p in zip(ends, edges, parents)]
 
 
-def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
-               chunk: int = JSON_CHUNK_TILES):
+def svg_chunks(t: Tiling, color: str = "size", faults: bool = False):
     """Yield the SVG text of :func:`render_svg` in pieces of at most
-    ``chunk`` polygons or fault lines.  Everything that can fail runs
+    JSON_CHUNK_TILES polygons or fault lines.  Everything that can fail runs
     before the first piece."""
     import numpy as np
     if color not in ("size", "phi"):
@@ -263,8 +262,8 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
     fill = "%s" if color == "size" else "hsl(%s,%s%%,55%%)"
     row = '<polygon points="%s,%s %s,%s %s,%s" fill="' + fill + tail.replace("%", "%%")
     yield head
-    for lo in range(0, len(t), chunk):
-        part = slice(lo, lo + chunk)
+    for lo in range(0, len(t), JSON_CHUNK_TILES):
+        part = slice(lo, lo + JSON_CHUNK_TILES)
         floats = [v for corner in t.vertex_columns(part) for v in corner]
         if color == "size":
             last = np.array(PALETTE, dtype=object)[(t.size_ranks(part) - 1) % len(PALETTE)]
@@ -279,9 +278,9 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False,
     if faults:
         yield ('<g stroke="#d62728" fill="none" '
                f'stroke-width="{_fmt(3.0 * stroke)}">\n')
-        for lo in range(0, len(ends), chunk):
+        for lo in range(0, len(ends), JSON_CHUNK_TILES):
             yield fill_rows('<line x1="%s" y1="%s" x2="%s" y2="%s"/>', "\n",
-                            float_texts(ends[lo:lo + chunk], _fmt)) + "\n"
+                            float_texts(ends[lo:lo + JSON_CHUNK_TILES], _fmt)) + "\n"
         yield '</g>\n'
     yield '</g>\n</svg>\n'
 

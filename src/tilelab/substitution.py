@@ -29,8 +29,6 @@ from .geometry import (
     TriangleShape,
     apply_columns,
     cos_sin,
-    tile_area,  # re-exported for callers
-    vertices,  # re-exported for callers
     wrap_angles,
 )
 
@@ -132,11 +130,10 @@ class Tiling:
             # chunks in tile order: the first of equal codes is the first tile
             seen = []
             for part in chunks:
-                c, f, k = np.unique(code(part), return_index=True, return_counts=True)
-                seen.append((c, f + part.start, k))
-            codes, firsts, counts = map(np.concatenate, zip(*seen))
-            distinct, at, inverse = np.unique(codes, return_index=True,
-                                              return_inverse=True)
+                c, f = np.unique(code(part), return_index=True)
+                seen.append((c, f + part.start))
+            codes, firsts = map(np.concatenate, zip(*seen))
+            distinct, at = np.unique(codes, return_index=True)
             order = np.argsort(firsts[at])
             remap = np.empty_like(order)
             remap[order] = np.arange(len(order))
@@ -145,7 +142,7 @@ class Tiling:
                 index[part] = remap[np.searchsorted(distinct, code(part))]
             first = firsts[at[order]]
             pairs = list(zip(self.i[first].tolist(), self.j[first].tolist()))
-            counts = np.bincount(inverse, counts).astype(np.int64)[order]
+            counts = np.bincount(index, minlength=len(pairs))
             self._pairs = (pairs, index, counts.tolist())
         return self._pairs
 
@@ -398,6 +395,7 @@ class _SizeFrontier:
     def __init__(self, shape: TriangleShape, pairs):
         self._shape = shape
         self._exact = shape.rationality is not None
+        self._steps = [step for step, _ in _exponent_steps(shape)]
         self._items = sorted((shape.size_key(*pair), pair) for pair in pairs)
         self._live = set(pairs)
         self._winners: list[tuple[int, int]] = []
@@ -421,7 +419,8 @@ class _SizeFrontier:
             del self._items[:len(self._winners)]
             self._live.difference_update(self._winners)
             for i, j in self._winners:
-                for pair in ((i + 1, j), (i, j + 1)):
+                for di, dj in self._steps:
+                    pair = (i + di, j + dj)
                     if pair not in self._live:
                         self._add(pair)
         min_key = self._items[0][0]
@@ -430,27 +429,46 @@ class _SizeFrontier:
         return self._winners
 
 
-def _census(shape: TriangleShape, n: int):
+def _exponent_steps(shape: TriangleShape) -> list:
+    """``(exponent step, daughters per parent)`` of each daughter class of
+    ``shape.daughter_frames()``, the A-class (1, 0) first."""
+    return sorted(Counter(f.exp_delta for f in shape.daughter_frames()).items(),
+                  reverse=True)
+
+
+def _census(shape: TriangleShape, n: int, counts: dict | None = None,
+            children=None):
     """:func:`census_steps` without the copies: each yielded dict is the
-    census's own (it is replaced, never changed, by the next generation)."""
+    census's own (it is replaced, never changed, by the next generation).
+
+    The keys of ``counts`` (default: the root's exponent pair) start with
+    an exponent pair; ``children(key)`` lists ``(child key, daughters per
+    parent)`` for a key whose class subdivides (default: the exponent
+    pairs of :func:`_exponent_steps`)."""
     n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
-    counts: dict[tuple[int, int], int] = {(0, 0): 1}
-    frontier = _SizeFrontier(shape, [(0, 0)])
+    if counts is None:
+        counts = {(0, 0): 1}
+    if children is None:
+        steps = _exponent_steps(shape)
+
+        def children(key):
+            return [((key[0] + di, key[1] + dj), m) for (di, dj), m in steps]
+    frontier = _SizeFrontier(shape, list(dict.fromkeys(key[:2] for key in counts)))
     for gen in range(n + 1):
         winners = frontier.next_winners()
         yield gen, counts, winners[0]
         if gen == n:
             break
         split = set(winners)
-        nxt: dict[tuple[int, int], int] = {}
-        for (i, j), cnt in counts.items():
-            if (i, j) in split:
-                nxt[(i + 1, j)] = nxt.get((i + 1, j), 0) + cnt
-                nxt[(i, j + 1)] = nxt.get((i, j + 1), 0) + 4 * cnt
+        nxt: dict = {}
+        for key, cnt in counts.items():
+            if key[:2] in split:
+                for child, m in children(key):
+                    nxt[child] = nxt.get(child, 0) + m * cnt
             else:
-                nxt[(i, j)] = nxt.get((i, j), 0) + cnt
+                nxt[key] = nxt.get(key, 0) + cnt
         counts = nxt
 
 
@@ -680,10 +698,10 @@ _TILE_TEXT = ('  {\n   "handedness": %s,\n   "i": %s,\n   "id": %s,\n   "j": %s,
               '   "phi": %s\n  }')
 
 
-def tiling_json_chunks(tiling: Tiling, chunk: int = JSON_CHUNK_TILES):
+def tiling_json_chunks(tiling: Tiling):
     """Yield the text of ``json.dumps(round12(tiling_to_json(tiling)),
-    sort_keys=True, indent=1) + "\\n"`` in pieces of at most ``chunk``
-    tiles, without building the per-tile dicts."""
+    sort_keys=True, indent=1) + "\\n"`` in pieces of at most
+    JSON_CHUNK_TILES tiles, without building the per-tile dicts."""
     import numpy as np
     header = {"format": TILING_FORMAT, "shape": tiling.shape.to_json(),
               "generation": tiling.generation}
@@ -694,8 +712,8 @@ def tiling_json_chunks(tiling: Tiling, chunk: int = JSON_CHUNK_TILES):
     # "tiles" sorts last: open its list where the header object closes
     yield json.dumps(round12(header), sort_keys=True, indent=1)[:-2] + \
         ',\n "tiles": [\n'
-    for lo in range(0, len(tiling), chunk):
-        part = slice(lo, lo + chunk)
+    for lo in range(0, len(tiling), JSON_CHUNK_TILES):
+        part = slice(lo, lo + JSON_CHUNK_TILES)
         cells = np.empty((len(tiling.ids[part]), 8), dtype=object)
         cells[:, :4] = np.column_stack((tiling.handedness[part], tiling.i[part],
                                         tiling.ids[part], tiling.j[part]))

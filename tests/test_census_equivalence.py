@@ -186,6 +186,19 @@ def test_orientation_census_matches_the_reference(shape, n):
     assert list(got.items()) == list(ref_orientation_counts(shape, n, theta_pi).items())
 
 
+@pytest.mark.parametrize("shape, theta_pi", [
+    (shape_from_pq(1, 2), None), (shape_from_pq(2, 1), None),
+    (shape_from_pq(1, 1), None), (shape_from_pq(1, 3), None),
+    (shape_from_pq(1, 3), Fraction(1, 4)), (shape_from_theta(1.0), None),
+], ids=["1/2", "2/1", "1/1", "1/3", "1/3-pi/4", "theta=1.0"])
+def test_orientation_census_sums_to_the_pair_census(shape, theta_pi):
+    for n in range(31):
+        summed = {}
+        for (i, j, _, _), cnt in orientation_census(shape, n, theta_pi).counts.items():
+            summed[(i, j)] = summed.get((i, j), 0) + cnt
+        assert summed == census_counts(shape, n)[0], n
+
+
 @settings(max_examples=20, deadline=None)
 @given(shape=shapes, i=st.integers(0, 300), j=st.integers(0, 300))
 def test_size_key_is_the_fresh_key(shape, i, j):

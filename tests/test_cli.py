@@ -487,6 +487,17 @@ def test_import_loads_every_traced_layer():
     assert result.returncode == 0, result.stderr
 
 
+def test_the_package_alone_loads_no_module():
+    code = ("import sys, tilelab; "
+            "loaded = sorted(m for m in sys.modules if m.startswith('tilelab.') "
+            "or m.split('.')[0] in ('numpy', 'mpmath')); "
+            "sys.exit(f'loaded: {loaded}' if loaded else 0)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_each_package_attribute_named_after_a_module_is_that_module():
     import importlib
     from pathlib import Path

@@ -8,10 +8,10 @@ import pytest
 
 from tilelab import render, substitution
 from tilelab.errors import ArgumentError
-from tilelab.geometry import cos_sin, shape_from_pq, shape_from_theta
+from tilelab.geometry import cos_sin, shape_from_pq, shape_from_theta, vertices
 from tilelab.render import _Run, fault_runs, render_svg, svg_chunks
 from tilelab.reader import read_tiling
-from tilelab.substitution import Tiling, build_Tn, tiling_json_chunks, vertices
+from tilelab.substitution import Tiling, build_Tn, tiling_json_chunks
 
 POLY = re.compile(r'<polygon points="([^"]+)"')
 
@@ -272,7 +272,7 @@ def test_batch_size_changes_no_output(monkeypatch, chunk):
         assert fault_runs(t) == runs == ref_fault_runs(t)
         for (color, faults), svg in svgs.items():
             assert render_svg(t, color, faults) == svg
-            assert "".join(svg_chunks(t, color, faults, chunk)) == svg
+            assert "".join(svg_chunks(t, color, faults)) == svg
 
 
 def _ref_exponent_pairs(t):
@@ -309,10 +309,11 @@ def test_exponent_pairs_match_one_unique(monkeypatch, chunk):
 
 @pytest.mark.parametrize("color,faults", [("size", True), ("phi", False),
                                           ("phi", True)])
-def test_svg_chunks_join_to_the_document(til12_T6, color, faults):
+def test_svg_chunks_join_to_the_document(monkeypatch, til12_T6, color, faults):
     whole = render_svg(til12_T6, color, faults)
     for chunk in (1, 7, 1 << 14):
-        pieces = list(svg_chunks(til12_T6, color, faults, chunk))
+        monkeypatch.setattr(render, "JSON_CHUNK_TILES", chunk)
+        pieces = list(svg_chunks(til12_T6, color, faults))
         assert "".join(pieces) == whole
         assert pieces[1].count("<polygon") == min(chunk, len(til12_T6))
 

@@ -387,7 +387,9 @@ def test_deflate_raises_a_near_tie_at_the_reference_generation(
 def test_json_writer_matches_json_dumps(case, chunk):
     shape, n = case
     tiling = build_Tn(shape, n)
-    text = "".join(tiling_json_chunks(tiling, chunk))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(substitution, "JSON_CHUNK_TILES", chunk)
+        text = "".join(tiling_json_chunks(tiling))
     assert text == ref_json_text(shape, n, ref_build(shape, n))
     assert text == json.dumps(round12(tiling_to_json(tiling)), sort_keys=True,
                               indent=1) + "\n"
@@ -447,14 +449,15 @@ def test_tile_view_builds_tiles_on_demand():
 
 
 @pytest.mark.parametrize("zeros", [(0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), ()])
-def test_json_writer_keeps_signed_zeros(zeros):
+def test_json_writer_keeps_signed_zeros(monkeypatch, zeros):
     shape = shape_from_pq(1, 2)
     tiles = [Tile(shape, Placement(1, z, (z, -z), (0, k)), k, None if k == 0 else 0)
              for k, z in enumerate(zeros)]
     tiling = Tiling(shape, tiles, 0)
     want = json.dumps(round12(tiling_to_json(tiling)), sort_keys=True,
                       indent=1) + "\n"
-    assert "".join(tiling_json_chunks(tiling, 1)) == want
+    monkeypatch.setattr(substitution, "JSON_CHUNK_TILES", 1)
+    assert "".join(tiling_json_chunks(tiling)) == want
 
 
 def _segment_bits(segs):

@@ -144,6 +144,10 @@ _VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3),
        st.sampled_from([None, 1]), st.sampled_from([1, 3, 16, 1 << 18]))
 @example(("tiles", 3, "phi"), True, None, 1)        # a bool beside floats
 @example(("tiles", 2, "origin", 0), True, 1, 1 << 18)
+# a number cut after "0." or before its exponent's digits is read on
+@example(("generation",), 0.0, None, 1)
+@example(("format",), -0.0, None, 3)
+@example(("generation",), 1.3510798882109852e+16, 1, 1)
 def test_reader_agrees_with_tiling_from_json(path, value, indent, slice_chars):
     data = json.loads(_RATIONAL)
     node = data
@@ -267,6 +271,20 @@ def t9_file(tmp_path_factory):
     with open(path, "w") as fh:
         fh.writelines(tiling_json_chunks(build_Tn(shape_from_pq(1, 2), 9)))
     return path
+
+
+def test_a_number_cut_at_a_slice_end_is_read_whole(t9_file, tmp_path, capsys):
+    # a valid file whose last key's value "0.25" is cut after "0." by the
+    # fifth slice of the default size: it was refused with "Expecting ','
+    # delimiter at character 1310719"
+    text = t9_file.read_text().rstrip()[:-1] + " " * 30020 + ', "zz": 0.25}\n'
+    assert text.rindex("0.25") + 2 == 5 * reader.JSON_READ_CHARS
+    path = tmp_path / "extra.json"
+    path.write_text(text)
+    with open(path) as fh:
+        _assert_same(read_tiling(fh), tiling_from_json(json.loads(text)))
+    assert main(["stats", "--in", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_reader_holds_a_slice_not_the_document(t9_file):
