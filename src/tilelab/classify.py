@@ -84,6 +84,8 @@ def nearest_pi_fraction(theta: float, max_den: int = 100) -> tuple[int, int, flo
     tolerance rules the shape out of the finite-orientation class up to
     that denominator, it never certifies rationality.
     """
+    if not math.isfinite(theta * max_den):
+        raise ArgumentError(f"theta * max_den must be finite, got theta = {theta}")
     best = (0, 1, abs(theta))
     for n in range(1, max_den + 1):
         k = round(theta * n / math.pi)
@@ -143,10 +145,10 @@ def verify_size_count(t: Tiling) -> int:
     return len(t.size_keys())
 
 
-def verify_orientation_count(t: Tiling, tol: float = ANGLE_TOL) -> int:
+def verify_orientation_count(t: Tiling) -> int:
     """Number of distinct (handedness, heading) pairs in the tiling.
 
-    Headings within ``tol`` of each other (on the circle) count once.
+    Headings within ANGLE_TOL of each other (on the circle) count once.
     """
     import numpy as np
     total = 0
@@ -154,8 +156,8 @@ def verify_orientation_count(t: Tiling, tol: float = ANGLE_TOL) -> int:
         phis = np.unique(t.phi[t.handedness == hand])
         if not len(phis):
             continue
-        clusters = 1 + int((np.diff(phis) > tol).sum())
-        if clusters > 1 and (phis[0] + TWO_PI) - phis[-1] <= tol:
+        clusters = 1 + int((np.diff(phis) > ANGLE_TOL).sum())
+        if clusters > 1 and (phis[0] + TWO_PI) - phis[-1] <= ANGLE_TOL:
             clusters -= 1  # first and last meet across the 0/2pi seam
         total += clusters
     return total
@@ -186,9 +188,6 @@ class OrientationCensus:
         v = self.theta_pi.denominator
         return wrap_angle(key[0] * math.pi / (2.0 * v))
 
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 def check_theta_pi(shape: TriangleShape, theta_pi) -> None:
     """ArgumentError unless ``theta_pi`` is None or a positive Fraction
@@ -197,7 +196,9 @@ def check_theta_pi(shape: TriangleShape, theta_pi) -> None:
         return
     if not isinstance(theta_pi, Fraction) or theta_pi <= 0:
         raise ArgumentError(f"theta_pi must be a positive Fraction, got {theta_pi}")
-    if abs(shape.theta - float(theta_pi) * math.pi) > ANGLE_TOL:
+    # theta < pi/2, and a larger fraction may not fit a float
+    if theta_pi >= Fraction(1, 2) or \
+            abs(shape.theta - float(theta_pi) * math.pi) > ANGLE_TOL:
         raise ArgumentError(f"theta = {shape.theta!r} is not ({theta_pi})*pi")
 
 

@@ -26,12 +26,8 @@ ENV_MAX_TILES = "TILELAB_MAX_TILES"
 
 
 def _emit_json(data, out_path: str | None) -> None:
-    _emit_text(json.dumps(round12(data), sort_keys=True, indent=1) + "\n",
-               out_path)
-
-
-def _emit_text(text: str, out_path: str | None) -> None:
-    _emit_chunks([text], out_path)
+    _emit_chunks([json.dumps(round12(data), sort_keys=True, indent=1) + "\n"],
+                 out_path)
 
 
 def _emit_chunks(chunks, out_path: str | None) -> None:
@@ -77,7 +73,7 @@ def _shape_from_args(args) -> TriangleShape:
     return shape_from_theta(args.theta)
 
 
-def _tile_cap(args) -> int:
+def _tile_cap() -> int:
     env = os.environ.get(ENV_MAX_TILES)
     if env is None:
         return DEFAULT_TILE_CAP
@@ -99,7 +95,7 @@ def _add_shape_args(sub, required: bool = True) -> None:
 
 def _cmd_generate(args) -> int:
     shape = _shape_from_args(args)
-    tiling = build_Tn(shape, args.n, cap=_tile_cap(args))
+    tiling = build_Tn(shape, args.n, cap=_tile_cap())
     _emit_chunks(tiling_json_chunks(tiling), args.out)
     return 0
 
@@ -126,12 +122,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_spectral(args) -> int:
     shape = _shape_from_args(args)
-    if shape.rationality is not None:
-        report = eigen(shape)
-        _emit_json(report.to_json(), args.out)
-    else:
-        report = irrational_spectrum(shape)
-        _emit_json(report.to_json(), args.out)
+    report = (irrational_spectrum if shape.rationality is None else eigen)(shape)
+    _emit_json(report.to_json(), args.out)
     return 0
 
 
@@ -160,16 +152,16 @@ def _cmd_boundary(args) -> int:
     line = _BOUNDARY_SYSTEMS[args.system]
     # refuse past the letter cap before row 1, not at row n
     boundary.check_letter_cap(line.rule, "H", args.n)
-    _emit_text("\n".join(_boundary_rows(line, args.n)) + "\n", args.out)
+    _emit_chunks(["\n".join(_boundary_rows(line, args.n)) + "\n"], args.out)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    tiling = _read_tiling(args.infile, _tile_cap(args))
+    tiling = _read_tiling(args.infile, _tile_cap())
     hist = stats.size_histogram(tiling, args.weighting)
     comp = stats.histogram_comparison(tiling.shape, hist, args.tolerance)
     if args.csv:
-        _emit_text(comp.to_csv(), args.out)
+        _emit_chunks([comp.to_csv()], args.out)
         return 0
     summary = {"size": comp.to_json(), "generation": tiling.generation,
                "tiles": len(tiling)}
@@ -181,7 +173,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    tiling = _read_tiling(args.infile, _tile_cap(args))
+    tiling = _read_tiling(args.infile, _tile_cap())
     _emit_chunks(render.svg_chunks(tiling, color=args.color, faults=args.faults),
                  args.out)
     return 0

@@ -20,6 +20,7 @@ from .geometry import TriangleShape
 
 DEDUPE_TOL = 1e-9
 LEADING_REL_TOL = 1e-9
+RESIDUAL_TOL = 1e-6     # orientation_spectrum_check's eigenvalue residual
 
 
 def _check_pq(p: int, q: int) -> None:
@@ -285,8 +286,7 @@ def orientation_char_value(shape: TriangleShape, n: int, lam: complex) -> comple
             - t_pq * lam ** (2 * m - p - q))
 
 
-def orientation_spectrum_check(shape: TriangleShape, n: int,
-                               residual_tol: float = 1e-6) -> dict:
+def orientation_spectrum_check(shape: TriangleShape, n: int) -> dict:
     """Eigenvalues of the mode-n transfer matrix against the mode bounds.
 
     Odd modes must peak exactly at r^{-1}; even nonzero modes must stay
@@ -308,9 +308,9 @@ def orientation_spectrum_check(shape: TriangleShape, n: int,
         scale = max(1.0, abs(lam) ** (2 * m))
         residuals.append(abs(val) / scale)
     worst = max(residuals)
-    if worst > residual_tol:
+    if worst > RESIDUAL_TOL:
         raise NumericError(
-            f"orientation eigenvalue residual {worst:.3e} exceeds {residual_tol:.1e}")
+            f"orientation eigenvalue residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     if n % 2 == 1:
         ok = abs(max_mod - r_inv) <= 1e-9 * r_inv
     else:

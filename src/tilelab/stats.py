@@ -22,7 +22,7 @@ from .classify import orientation_census
 from .errors import ArgumentError, DomainError, as_count
 from .geometry import TriangleShape, _float_size_key
 from .spectral import count_vectors, eigen, population_matrix
-from .substitution import Tiling, census_counts, size_class_ranks
+from .substitution import JSON_CHUNK_TILES, Tiling, census_counts, size_class_ranks
 
 DEFAULT_SIZE_BINS = 64
 DEFAULT_ORIENTATION_BINS = 64
@@ -36,18 +36,6 @@ class Histogram:
     weighting: str  # "count" or "area"
     labels: tuple
     masses: tuple[float, ...]
-    edges: tuple[float, ...] | None = None  # interval bins only
-
-    def total(self) -> float:
-        return float(sum(self.masses))
-
-    def to_json(self) -> dict:
-        out = {"weighting": self.weighting,
-               "labels": list(self.labels),
-               "masses": list(self.masses)}
-        if self.edges is not None:
-            out["edges"] = list(self.edges)
-        return out
 
 
 @dataclass(frozen=True)
@@ -75,15 +63,6 @@ class OrientationHistogram:
         import numpy as np
         pooled = np.asarray(self.pooled())
         return float(np.abs(pooled - 1.0 / self.bins).max())
-
-    def to_json(self) -> dict:
-        return {
-            "bins": self.bins,
-            "cells": [{"size_rank": r, "handedness": h,
-                       "weight": w, "phi": list(self.phi_bins[(r, h)])}
-                      for (r, h), w in sorted(self.cells.items())],
-            "max_deviation": self.max_deviation(),
-        }
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:
@@ -157,11 +136,9 @@ def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
     for key, w in zip(keys, weights):
         b = min(int((key - lo) / width), bins - 1)
         masses[b] += w
-    edges = tuple((lo - lo) + width * k for k in range(bins + 1))
     return Histogram(weighting=weighting,
                      labels=tuple(range(bins)),
-                     masses=tuple(_normalize(masses).tolist()),
-                     edges=edges)
+                     masses=tuple(_normalize(masses).tolist()))
 
 
 def size_histogram(t: Tiling, weighting: str = "count",
@@ -228,50 +205,61 @@ def matrix_power_counts(shape: TriangleShape, n: int) -> tuple[int, ...]:
     return next(itertools.islice(walk, n, None))
 
 
+def _orientation_histogram(shape: TriangleShape, items, bins: int
+                           ) -> OrientationHistogram:
+    """The histogram of ``((i, j, hand, heading_bin), count)`` items: each
+    count adds, in item order, into the float row of its (size rank, hand)
+    cell, and cells keep their first-appearance order (pooled() sums in it)."""
+    import numpy as np
+    items = list(items)
+    ranks = size_class_ranks(shape, {(i, j) for (i, j, _, _), _ in items})
+    raw: dict = {}
+    for (i, j, hand, b), cnt in items:
+        raw.setdefault((ranks[(i, j)], hand), np.zeros(bins))[b] += cnt
+    total = sum(cnt for _, cnt in items)
+    cells, phi_bins = {}, {}
+    for cell, arr in raw.items():
+        cells[cell] = float(arr.sum()) / total
+        phi_bins[cell] = tuple(_normalize(arr).tolist())
+    return OrientationHistogram(bins=bins, cells=cells, phi_bins=phi_bins)
+
+
 def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
                           ) -> OrientationHistogram:
-    """Heading distribution of a built tiling, split by size and hand."""
+    """Heading distribution of a built tiling, split by size and hand, binned
+    a chunk of JSON_CHUNK_TILES tiles at a time per cell 2 * pair + (hand > 0)."""
     import numpy as np
     _check_bins(bins)
-    rank = t.size_ranks()
-    total = len(t)
-    # cells in order of first appearance: pooled() sums them in that order
-    _, first, cell = np.unique(2 * rank + (t.handedness > 0), return_index=True,
-                               return_inverse=True)
-    raw = np.bincount(cell * bins + _phi_bin(t.phi, bins),
-                      minlength=len(first) * bins).reshape(len(first), bins)
-    cells: dict = {}
-    phi_bins = {}
-    for k in np.argsort(first).tolist():
-        key = (int(rank[first[k]]), int(t.handedness[first[k]]))
-        arr = raw[k].astype(np.float64)
-        cells[key] = float(arr.sum()) / total
-        phi_bins[key] = tuple(_normalize(arr).tolist())
-    return OrientationHistogram(bins=bins, cells=cells, phi_bins=phi_bins)
+    pairs, index, _ = t.exponent_pairs()
+    counts = np.zeros(2 * len(pairs) * bins, dtype=np.int64)
+    order = {}      # cells in order of first appearance
+    for lo in range(0, len(t), JSON_CHUNK_TILES):
+        part = slice(lo, lo + JSON_CHUNK_TILES)
+        cell = 2 * index[part] + (t.handedness[part] > 0)
+        shown, first = np.unique(cell, return_index=True)
+        order.update(dict.fromkeys(shown[np.argsort(first)].tolist()))
+        counts += np.bincount(cell * bins + _phi_bin(t.phi[part], bins),
+                              minlength=len(counts))
+    rows = counts.reshape(-1, bins)
+    return _orientation_histogram(
+        t.shape, (((*pairs[c >> 1], 1 if c & 1 else -1, b), cnt)
+                  for c in order for b, cnt in enumerate(rows[c].tolist()) if cnt),
+        bins)
 
 
 def census_orientation_histogram(shape: TriangleShape, n: int,
                                  bins: int = DEFAULT_ORIENTATION_BINS,
                                  theta_pi: Fraction | None = None
                                  ) -> OrientationHistogram:
-    """Heading distribution from the exact orientation census."""
+    """Heading distribution from the exact orientation census, one item
+    per census key."""
     import numpy as np
     _check_bins(bins)
     census = orientation_census(shape, n, theta_pi)
-    pairs = {(i, j) for (i, j, _, _) in census.counts}
-    ranks = size_class_ranks(shape, pairs)
-    total = census.total()
-    raw: dict = {}
-    for (i, j, sign, key), cnt in census.counts.items():
-        cell = (ranks[(i, j)], sign)
-        b = int(_phi_bin(np.float64(census.angle(key)), bins))
-        raw.setdefault(cell, np.zeros(bins))[b] += cnt
-    cells = {}
-    phi_bins = {}
-    for cell, arr in raw.items():
-        cells[cell] = float(arr.sum()) / total
-        phi_bins[cell] = tuple(_normalize(arr).tolist())
-    return OrientationHistogram(bins=bins, cells=cells, phi_bins=phi_bins)
+    return _orientation_histogram(
+        shape, (((i, j, sign, int(_phi_bin(np.float64(census.angle(key)), bins))), cnt)
+                for (i, j, sign, key), cnt in census.counts.items()),
+        bins)
 
 
 # -- exact lattice-path counts ------------------------------------------------

@@ -572,8 +572,6 @@ def trace_edge(tiling: Tiling, edge: str) -> list[TraceSegment]:
 
 @dataclass
 class SupertileChain:
-    shape: TriangleShape
-    choices: list[tuple[int, int]]
     orders: list[int]
     levels: list[tuple[Tiling, Similarity]]
 
@@ -601,7 +599,7 @@ def grow_supertile(shape: TriangleShape, choices: list[tuple[int, int]],
     count above T_prev's tile count is therefore an internal error.
     """
     import numpy as np
-    chain = SupertileChain(shape, list(choices), [], [])
+    chain = SupertileChain([], [])
     if not choices:
         chain.orders.append(0)
         chain.levels.append((build_Tn(shape, 0), Similarity()))

@@ -368,6 +368,37 @@ def test_size_histogram_past_the_float_range(til12):
     assert abs(math.fsum(area.masses) - 1.0) <= 1e-12
 
 
+# -- the census orientation histogram ----------------------------------------
+
+
+def ref_census_orientation_histogram(shape, n, theta_pi, bins=64):
+    """Cells and heading rows, each census key's count added in census
+    order into the float row of its (size rank, hand) cell."""
+    census = orientation_census(shape, n, theta_pi)
+    keys = sorted({shape.size_key(i, j) for (i, j, _, _) in census.counts})
+    raw = {}
+    for (i, j, sign, key), cnt in census.counts.items():
+        cell = (keys.index(shape.size_key(i, j)) + 1, sign)
+        b = int((census.angle(key) / (2.0 * math.pi) + 1e-9) * bins) % bins
+        raw.setdefault(cell, np.zeros(bins))[b] += cnt
+    total = sum(census.counts.values())
+    return ({cell: float(arr.sum()) / total for cell, arr in raw.items()},
+            {cell: tuple((arr / arr.sum()).tolist()) for cell, arr in raw.items()})
+
+
+@pytest.mark.parametrize("shape, n, theta_pi", [
+    (shape_from_pq(1, 2), 60, None), (shape_from_theta(1.0), 60, None),
+    (shape_from_pq(1, 3), 30, Fraction(1, 4)),
+], ids=["1/2", "theta=1.0", "1/3-pi/4"])
+def test_census_orientation_histogram_adds_counts_key_by_key(shape, n, theta_pi):
+    # at 1/2 n = 60 a bin's count passes 2**53, so summing keys first in
+    # exact integers would round differently
+    hist = stats.census_orientation_histogram(shape, n, theta_pi=theta_pi)
+    cells, phi_bins = ref_census_orientation_histogram(shape, n, theta_pi)
+    assert list(hist.cells.items()) == list(cells.items())
+    assert list(hist.phi_bins.items()) == list(phi_bins.items())
+
+
 # -- Brent's method -----------------------------------------------------------
 
 

@@ -94,7 +94,15 @@ def test_nearest_pi_fraction():
     (Fraction(-1, 4), "positive Fraction"),
     (Fraction(0), "positive Fraction"),
     (0.25, "positive Fraction"),
-], ids=["wrong-angle", "negative", "zero", "float"])
+    (Fraction(1, 2), r"is not \(1/2\)\*pi"),     # theta < pi/2 for every shape
+    (Fraction(10 ** 400), r"is not \(1000*\)\*pi"),     # past the float range
+], ids=["wrong-angle", "negative", "zero", "float", "half", "huge"])
 def test_theta_pi_must_be_the_shapes_angle(til12, call, theta_pi, message):
     with pytest.raises(ArgumentError, match=message):
         call(til12, 3, theta_pi=theta_pi)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf"), 1e308])
+def test_nearest_pi_fraction_refuses_what_it_cannot_scale(theta):
+    with pytest.raises(ArgumentError, match="finite"):
+        nearest_pi_fraction(theta)

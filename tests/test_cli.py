@@ -79,6 +79,10 @@ def test_classify_rational_theta_declaration(capsys):
     assert main(["classify", "--pq", "1/2", "--theta-pi", "1/4"]) == 2
     assert main(["classify", "--pq", "1/3", "--theta-pi", "bogus"]) == 2
     capsys.readouterr()
+    # a fraction past the float range is refused by value, not by float()
+    rc, _, err = _run(capsys, ["classify", "--pq", "1/3",
+                               "--theta-pi", "1" + "0" * 400 + "/1"])
+    assert rc == 2 and "is not (1000" in err and "Traceback" not in err
 
 
 def test_classify_far_pq_ratios(capsys):
@@ -639,6 +643,7 @@ def fuzz_dir(tmp_path_factory):
 @example(argv=["generate", "--pq", "1/1", "--n", "10"], cap="5000")
 @example(argv=["spectral", "--pq", ""], cap="1")        # was read as no --pq
 @example(argv=["classify", "--pq", "1/1", "--theta-pi", "1/0"], cap="1")
+@example(argv=["classify", "--pq", "1/3", "--theta-pi", "1" + "0" * 400 + "/1"], cap="1")
 @example(argv=["boundary", "--system", "til2", "--n", "9223372036854775807"], cap="1")
 @example(argv=["boundary", "--system", "til12", "--n", "9223372036854775807"], cap="1")
 @example(argv=["boundary", "--system", "til13", "--n", "9223372036854775807"], cap="1")
