@@ -16,7 +16,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArgumentError, InternalError, ResourceError, as_count
 from .spectral import count_vectors
@@ -24,15 +24,19 @@ from .spectral import count_vectors
 DEFAULT_LETTER_CAP = 10 ** 8
 
 
-@dataclass(frozen=True)
-class SubstitutionRule1D:
-    """A letter substitution on words stored as str, one character a letter."""
-
+class _RuleFields(NamedTuple):
     name: str
     chars: str              # the alphabet
     images: dict[str, str]  # letter -> image
 
-    def __post_init__(self) -> None:
+
+class SubstitutionRule1D(_RuleFields):
+    """A letter substitution on words stored as str, one character a letter."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         pool = set(self.chars)
         if set(self.images) != pool:
             raise ArgumentError(f"{self.name}: images must cover {self.chars!r}")
@@ -40,6 +44,7 @@ class SubstitutionRule1D:
             if not set(img) <= pool:
                 raise ArgumentError(
                     f"{self.name}: image of {ch!r} uses letters outside the alphabet")
+        return self
 
     def abelianization(self) -> list[list[int]]:
         """Column j counts the letters in the image of chars[j]."""
@@ -47,8 +52,14 @@ class SubstitutionRule1D:
                 for ci in self.chars]
 
 
-@dataclass(frozen=True)
-class FaultLine:
+class _FaultLineFields(NamedTuple):
+    rule: SubstitutionRule1D
+    segments: dict[str, tuple[int, int, int]]
+    D: int
+    leg: str
+
+
+class FaultLine(_FaultLineFields):
     """A fault-line system: the 1D rule of its edge word and the exact
     letter lengths that lay the word out.
 
@@ -57,12 +68,9 @@ class FaultLine:
     the letter whose surplus a balanced pair records.
     """
 
-    rule: SubstitutionRule1D
-    segments: dict[str, tuple[int, int, int]]
-    D: int
-    leg: str
-
-    def __post_init__(self) -> None:
+    # no __slots__: the instance dict keeps the blocks of _block_layout
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         name = self.rule.name
         if set(self.segments) != set(self.rule.chars):
             raise ArgumentError(
@@ -79,6 +87,7 @@ class FaultLine:
             if _sign(du, dv, self.D) <= 0:
                 raise ArgumentError(f"{name}: the segment of {c!r}, "
                                     f"{du} + {dv}*sqrt({self.D}), is not positive")
+        return self
 
 
 def _letter_counts(rule: SubstitutionRule1D, seed: str):
@@ -523,8 +532,7 @@ def _match(layout: _Layout, D: int, c, lo, hi, Ru, Rv):
 # -- Til(1/2) slippage --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlippageProfile:
+class SlippageProfile(NamedTuple):
     n: int
     f: int
     g_at_Q: int
@@ -677,8 +685,7 @@ def til13_offsets(n: int) -> dict[int, float]:
 PAIR_LETTER_CAP = 10 ** 4
 
 
-@dataclass(frozen=True)
-class BalancedPair:
+class BalancedPair(NamedTuple):
     """Two equally long words, side 1 over the mirrored side, sharing no
     letter boundary strictly inside.
 

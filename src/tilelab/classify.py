@@ -12,8 +12,8 @@ triangle, has both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ArgumentError
 from .geometry import TWO_PI, TriangleShape, wrap_angle
@@ -22,8 +22,7 @@ from .substitution import Tiling, _census
 ANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     z: float
     rationality: Fraction | None
     theta_over_pi_rational: bool | None
@@ -34,22 +33,14 @@ class ClassificationReport:
     z_convergents: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict:
-        rat = None
+        data = self._asdict()
         if self.rationality is not None:
-            rat = {"p": self.rationality.numerator,
-                   "q": self.rationality.denominator}
-        return {
-            "z": self.z,
-            "rationality": rat,
-            "theta_over_pi_rational": self.theta_over_pi_rational,
-            "size_count_predicted": (
-                self.size_count_predicted
-                if self.size_count_predicted is not None else "infinite"),
-            "orientation_count_predicted": self.orientation_count_predicted,
-            "is_pinwheel": self.is_pinwheel,
-            "is_exceptional_13": self.is_exceptional_13,
-            "z_convergents": [list(pq) for pq in self.z_convergents],
-        }
+            data["rationality"] = {"p": self.rationality.numerator,
+                                   "q": self.rationality.denominator}
+        if self.size_count_predicted is None:
+            data["size_count_predicted"] = "infinite"
+        data["z_convergents"] = [list(pq) for pq in self.z_convergents]
+        return data
 
 
 def convergents(x: float, count: int = 3, max_den: int = 10 ** 6) -> list[tuple[int, int]]:
@@ -165,8 +156,7 @@ def verify_orientation_count(t: Tiling) -> int:
 
 # -- exact orientation census -------------------------------------------------
 
-@dataclass
-class OrientationCensus:
+class OrientationCensus(NamedTuple):
     """Exact tile counts keyed by exponents and orientation.
 
     ``counts`` maps ``(i, j, sign, angle_key)`` to an integer count.  When
@@ -231,16 +221,15 @@ def orientation_census(shape: TriangleShape, n: int,
 
         def turn(key, sign, dk, dl):
             return ((key[0] + sign * (2 * dk * u + dl * v)) % mod,)
-    # relative pose of each daughter: the exponent step, handedness factor
-    # and the heading increment k*theta + l*(pi/2) as an integer pair
-    deltas = tuple((f.exp_delta, f.handedness, (f.k, f.l))
-                   for f in shape.daughter_frames())
+    # relative pose of each daughter: handedness factor and the heading
+    # increment k*theta + l*(pi/2) as an integer pair
+    deltas = [(f.handedness, f.k, f.l) for f in shape.daughter_frames()]
 
-    def children(key):
-        i, j, sign, angle = key
-        return [((i + di, j + dj, sign * dsign, turn(angle, sign, dk, dl)), 1)
-                for (di, dj), dsign, (dk, dl) in deltas]
+    def turns(tail):
+        sign, angle = tail
+        return [(sign * dsign, turn(angle, sign, dk, dl))
+                for dsign, dk, dl in deltas]
     root = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}
-    for n, counts, _ in _census(shape, n, root, children):
+    for n, counts, _ in _census(shape, n, root, turns):
         pass
     return OrientationCensus(shape=shape, n=n, theta_pi=theta_pi, counts=counts)

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ArgumentError, DomainError, GeometryError, NumericError
 
@@ -109,8 +109,7 @@ def _float_size_key(theta: float, i: int, j: int) -> float:
     return float(_mp_size_key(theta, i, j))
 
 
-@dataclass(frozen=True)
-class DaughterFrame:
+class DaughterFrame(NamedTuple):
     """Pose of one daughter relative to an upright, unit-scale parent.
 
     ``phi = k*theta + l*(pi/2)`` is kept in integer form so orientation
@@ -128,8 +127,7 @@ class DaughterFrame:
         return wrap_angle(self.k * theta + self.l * (math.pi / 2.0))
 
 
-@dataclass(frozen=True)
-class TriangleShape:
+class _ShapeFields(NamedTuple):
     a: float
     b: float
     c: float
@@ -143,11 +141,16 @@ class TriangleShape:
     rationality: Fraction | None = None
     r: float | None = None
 
-    def __post_init__(self) -> None:
+
+class TriangleShape(_ShapeFields):
+    # no __slots__: the instance dict keeps the per-shape caches
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.theta < math.pi / 2.0):
             raise DomainError(f"theta must lie strictly inside (0, pi/2), got {self.theta}")
         if self.c <= 0.0 or self.a <= 0.0 or self.b <= 0.0:
             raise GeometryError("degenerate triangle: all sides must be positive")
+        return self
 
     # -- size bookkeeping ------------------------------------------------
 
@@ -203,24 +206,11 @@ class TriangleShape:
                 DaughterFrame(+1, 1, 2, foot, (0, 1)),
                 DaughterFrame(-1, 1, 1, (b, 0.0), (1, 0)),
             )
-            object.__setattr__(self, "_frames", frames)
+            self._frames = frames
         return frames
 
     def to_json(self) -> dict:
-        data = {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "theta": self.theta,
-            "A": self.A,
-            "B": self.B,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "z": self.z,
-            "mu": self.mu,
-            "rationality": None,
-            "r": self.r,
-        }
+        data = self._asdict()
         if self.rationality is not None:
             data["rationality"] = {
                 "p": self.rationality.numerator,
@@ -310,8 +300,7 @@ def shape_from_pq(p: int, q: int, c: float = 1.0) -> TriangleShape:
     return shape_from_theta(mid, c, rationality=Fraction(p, q))
 
 
-@dataclass(frozen=True)
-class Similarity:
+class Similarity(NamedTuple):
     """Orientation-preserving-or-reversing similarity of the plane.
 
     Applies as ``p -> translation + scale * R(phi) * H(handedness) * p``
@@ -358,16 +347,14 @@ def compose(outer: Similarity, inner: Similarity) -> Similarity:
     )
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     handedness: int
     phi: float
     origin: tuple[float, float]
     size_exp: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     shape: TriangleShape
     placement: Placement
     id: int

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArgumentError, DomainError, NumericError
 from .geometry import TriangleShape
@@ -119,8 +119,7 @@ def _polished_roots(coeffs) -> list[complex]:
     return dedup
 
 
-@dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(NamedTuple):
     p: int
     q: int
     char_poly: tuple[int, ...]
@@ -219,8 +218,7 @@ def descendant_limit(shape: TriangleShape, k: int) -> float:
 # -- orientation transfer ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrientationMatrix:
+class OrientationMatrix(NamedTuple):
     n: int
     A2: np.ndarray
     B2: np.ndarray
@@ -445,8 +443,7 @@ def irrational_density(shape: TriangleShape, s: float) -> tuple[float, float]:
     return nu_density, rho_density
 
 
-@dataclass(frozen=True)
-class IrrationalSpectrum:
+class IrrationalSpectrum(NamedTuple):
     alpha: float
     beta: float
     mu: float
@@ -454,13 +451,7 @@ class IrrationalSpectrum:
     lower_bound: float
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "mu": self.mu,
-            "real_eigenvalue": self.real_eigenvalue,
-            "lower_bound": self.lower_bound,
-        }
+        return self._asdict()
 
 
 def irrational_spectrum(shape: TriangleShape) -> IrrationalSpectrum:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classify import orientation_census
 from .errors import ArgumentError, DomainError, as_count
@@ -28,8 +28,7 @@ DEFAULT_SIZE_BINS = 64
 DEFAULT_ORIENTATION_BINS = 64
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Mass per size bin; bins are class ranks (rational shapes) or
     left-closed intervals over the size window (irrational shapes)."""
 
@@ -38,8 +37,7 @@ class Histogram:
     masses: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class OrientationHistogram:
+class OrientationHistogram(NamedTuple):
     """Heading distribution split by size class and handedness.
 
     ``cells`` maps (size_rank, handedness) to that cell's share of all
@@ -295,7 +293,7 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
     window = getattr(shape, "_oracle", None)
     if window is None:      # built once per shape, kept on it
         window = _OracleWindow(shape)
-        object.__setattr__(shape, "_oracle", window)
+        shape._oracle = window
     upper = None
     if type(t_cut) in window.float_cuts and window.mpf.context.prec >= 53:
         cut = window.cut    # read once: another thread may replace it
@@ -439,8 +437,17 @@ def equidistribution_frequency(ratio: float, lo: float, hi: float,
 # -- analytic-vs-empirical reports --------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class _ReportFields(NamedTuple):
+    name: str
+    weighting: str
+    labels: tuple
+    analytic: tuple[float, ...]
+    empirical: tuple[float, ...]
+    tolerance: float
+    metric: str = "l1"
+
+
+class ComparisonReport(_ReportFields):
     """Per-bin table plus a single verdict.
 
     Rational shapes are judged by per-bin L1 distance.  Irrational
@@ -450,15 +457,10 @@ class ComparisonReport:
     instead (sup norm).
     """
 
-    name: str
-    weighting: str
-    labels: tuple
-    analytic: tuple[float, ...]
-    empirical: tuple[float, ...]
-    tolerance: float
-    metric: str = "l1"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         try:
             valid = math.isfinite(self.tolerance) and self.tolerance >= 0
         except TypeError:
@@ -466,6 +468,7 @@ class ComparisonReport:
         if not valid:
             raise ArgumentError("tolerance must be a finite number >= 0, "
                                 f"got {self.tolerance!r}")
+        return self
 
     @property
     def l1(self) -> float:

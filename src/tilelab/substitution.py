@@ -14,12 +14,13 @@ deflation, serialization and the statistics work on whole columns.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import json
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ArgumentError, InternalError, ResourceError, as_count
 from .geometry import (
@@ -437,24 +438,27 @@ def _exponent_steps(shape: TriangleShape) -> list:
 
 
 def _census(shape: TriangleShape, n: int, counts: dict | None = None,
-            children=None):
+            turns=None):
     """:func:`census_steps` without the copies: each yielded dict is the
     census's own (it is replaced, never changed, by the next generation).
 
-    The keys of ``counts`` (default: the root's exponent pair) start with
-    an exponent pair; ``children(key)`` lists ``(child key, daughters per
-    parent)`` for a key whose class subdivides (default: the exponent
-    pairs of :func:`_exponent_steps`)."""
+    The keys of ``counts`` (default: the root's exponent pair) are an
+    exponent pair, then a tail.  A key whose class subdivides splits
+    along a table of ``(exponent step, daughters per parent)`` rows: by
+    default the rows of :func:`_exponent_steps`, and keys have no tail.
+    With ``turns``, each daughter frame is a row, the child pairs are
+    built once per subdividing class, and ``turns(tail)`` lists the
+    daughters' tails in frame order (memoised per tail)."""
     n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
     if counts is None:
         counts = {(0, 0): 1}
-    if children is None:
+    if turns is None:
         steps = _exponent_steps(shape)
-
-        def children(key):
-            return [((key[0] + di, key[1] + dj), m) for (di, dj), m in steps]
+    else:
+        steps = [(f.exp_delta, 1) for f in shape.daughter_frames()]
+        turns = functools.cache(turns)
     frontier = _SizeFrontier(shape, list(dict.fromkeys(key[:2] for key in counts)))
     for gen in range(n + 1):
         winners = frontier.next_winners()
@@ -462,13 +466,23 @@ def _census(shape: TriangleShape, n: int, counts: dict | None = None,
         if gen == n:
             break
         split = set(winners)
+        if turns is not None:   # shared by every key of a class
+            rows = {(i, j): [((i + di, j + dj), m) for (di, dj), m in steps]
+                    for i, j in split}
         nxt: dict = {}
         for key, cnt in counts.items():
-            if key[:2] in split:
-                for child, m in children(key):
+            pair = key[:2]
+            if pair not in split:
+                nxt[key] = nxt.get(key, 0) + cnt
+            elif turns is None:
+                i, j = pair
+                for (di, dj), m in steps:
+                    child = (i + di, j + dj)
                     nxt[child] = nxt.get(child, 0) + m * cnt
             else:
-                nxt[key] = nxt.get(key, 0) + cnt
+                for (child, m), tail in zip(rows[pair], turns(key[2:])):
+                    child += tail
+                    nxt[child] = nxt.get(child, 0) + m * cnt
         counts = nxt
 
 
@@ -496,8 +510,7 @@ def census_counts(shape: TriangleShape, n: int):
 # -- edge tracing -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceSegment:
+class TraceSegment(NamedTuple):
     tile_id: int
     kind: str          # "H" hypotenuse, "L" long leg, "S" short leg
     sign: int          # +1 if the tile's own edge direction follows the trace
@@ -570,8 +583,7 @@ def trace_edge(tiling: Tiling, edge: str) -> list[TraceSegment]:
 # -- supertile chains ---------------------------------------------------------
 
 
-@dataclass
-class SupertileChain:
+class SupertileChain(NamedTuple):
     orders: list[int]
     levels: list[tuple[Tiling, Similarity]]
 

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import itertools
 import math
@@ -303,7 +302,7 @@ def test_pair_surplus_counts_the_leg_letter():
     # S ends at sqrt5 - 2 and H at 1, so both bottom S legs end before the
     # first top H; the H surplus is only 1
     assert _surplus("HHSS", "SSHH", TIL2) == 2
-    assert _surplus("HHSS", "SSHH", dataclasses.replace(TIL2, leg="H")) == 1
+    assert _surplus("HHSS", "SSHH", FaultLine(**{**TIL2._asdict(), "leg": "H"})) == 1
 
 
 def test_til13_pairs_close_at_seven():
@@ -405,7 +404,8 @@ def test_balanced_pair_cut_is_exact_past_float_precision():
 
 
 def test_balanced_pairs_need_eigen_lengths():
-    line = dataclasses.replace(TIL2, segments={"H": (1, 0, 1), "S": (1, 0, 1)})
+    line = FaultLine(**{**TIL2._asdict(),
+                         "segments": {"H": (1, 0, 1), "S": (1, 0, 1)}})
     with pytest.raises(ArgumentError):
         balanced_pairs(line)
 
@@ -433,7 +433,8 @@ def test_fault_line_refuses_non_ascii_letters():
 
 def test_layout_takes_steps_outside_int8():
     # blocks are summed in int64, so a step need not fit in a byte
-    line = dataclasses.replace(TIL2, segments={"H": (128, 0, 1), "S": (-2, 1, 1)})
+    line = FaultLine(**{**TIL2._asdict(),
+                         "segments": {"H": (128, 0, 1), "S": (-2, 1, 1)}})
     word = iterate(line.rule, "H", 3)
     layout = _block_layout(line, 3, k=2)
     u, v = zip(*map(layout.vertex, range(len(word) + 1)))

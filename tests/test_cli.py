@@ -502,6 +502,18 @@ def test_the_package_alone_loads_no_module():
     assert result.returncode == 0, result.stderr
 
 
+def test_the_cli_import_loads_no_dataclasses():
+    # the record types are NamedTuples, so no class is built by dataclasses
+    # at start-up and its import of inspect is not paid either
+    code = ("import sys; before = set(sys.modules); import tilelab.cli; "
+            "loaded = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)); "
+            "sys.exit(f'loaded: {loaded}' if loaded else 0)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_each_package_attribute_named_after_a_module_is_that_module():
     import importlib
     from pathlib import Path

@@ -41,5 +41,8 @@ def test_a_count_must_be_an_integer(entry, count):
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_numpy_integer_counts_are_ints(entry):
     got, want = ENTRIES[entry](np.int64(3)), ENTRIES[entry](3)
+    if isinstance(want, substitution.SupertileChain):   # a Tiling has no ==
+        got, want = ((c.orders, [(len(t), sim) for t, sim in c.levels])
+                     for c in (got, want))
     if isinstance(want, (int, float, bool, tuple, dict, str)):
         assert got == want
