@@ -157,13 +157,16 @@ def verify_orientation_count(t: Tiling) -> int:
 # -- exact orientation census -------------------------------------------------
 
 class OrientationCensus(NamedTuple):
-    """Exact tile counts keyed by exponents and orientation.
+    """Exact tile counts keyed by size class and orientation.
 
-    ``counts`` maps ``(i, j, sign, angle_key)`` to an integer count.  When
-    theta/pi is irrational the angle key is ``(k, l)`` with the heading
-    k*theta + l*(pi/2), l reduced mod 4 (distinct keys are then distinct
-    headings).  When theta = (u/v)*pi the key is the single residue
-    ``(m,)`` with heading m*pi/(2v), m reduced mod 4v.
+    ``counts`` maps ``(i, j, sign, angle_key)`` to an integer count.  The
+    pair (i, j) stands for a size class: on a rational shape p/q it is the
+    one pair of its size key i*p + j*q with i < q, and the count sums every
+    exponent pair of that key; on an irrational shape each exponent pair is
+    its own class.  When theta/pi is irrational the angle key is ``(k, l)``
+    with the heading k*theta + l*(pi/2), l reduced mod 4 (distinct keys are
+    then distinct headings).  When theta = (u/v)*pi the key is the single
+    residue ``(m,)`` with heading m*pi/(2v), m reduced mod 4v.
     """
 
     shape: TriangleShape
@@ -230,6 +233,6 @@ def orientation_census(shape: TriangleShape, n: int,
         return [(sign * dsign, turn(angle, sign, dk, dl))
                 for dsign, dk, dl in deltas]
     root = {(0, 0, 1, _canon_angle(0, 0, theta_pi)): 1}
-    for n, counts, _ in _census(shape, n, root, turns):
+    for n, counts, _ in _census(shape, n, root, turns, classes=True):
         pass
     return OrientationCensus(shape=shape, n=n, theta_pi=theta_pi, counts=counts)

@@ -1,19 +1,17 @@
 """Size and orientation statistics of supertiles against their predicted
 limit distributions.
 
-Empirical data comes from three interchangeable sources: built tilings
-(geometry), the exact exponent census (integer bookkeeping, reaches far
-larger generations), and population-matrix powers (per-class counts
-only; the census size histograms of rational shapes use them).
-Predictions come from the eigenvector distributions (rational
-shapes), the closed-form window densities (irrational shapes), and the
-binomial lattice-path oracle for individual exponent classes.
+Empirical data comes from two interchangeable sources: built tilings
+(geometry) and the exact census (integer bookkeeping per size class,
+reaches far larger generations).  Predictions come from the eigenvector
+distributions (rational shapes), the closed-form window densities
+(irrational shapes), and the binomial lattice-path oracle for individual
+exponent classes.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -21,8 +19,8 @@ from typing import NamedTuple
 from .classify import orientation_census
 from .errors import ArgumentError, DomainError, as_count
 from .geometry import TriangleShape, _float_size_key
-from .spectral import count_vectors, eigen, population_matrix
-from .substitution import JSON_CHUNK_TILES, Tiling, census_counts, size_class_ranks
+from .spectral import eigen
+from .substitution import JSON_CHUNK_TILES, Tiling, _census_at, size_class_ranks
 
 DEFAULT_SIZE_BINS = 64
 DEFAULT_ORIENTATION_BINS = 64
@@ -61,13 +59,6 @@ class OrientationHistogram(NamedTuple):
         import numpy as np
         pooled = np.asarray(self.pooled())
         return float(np.abs(pooled - 1.0 / self.bins).max())
-
-
-def _normalize(values: np.ndarray) -> np.ndarray:
-    total = values.sum()
-    if total <= 0:
-        raise ArgumentError("empty distribution")
-    return values / total
 
 
 def _check_bins(bins) -> None:
@@ -116,27 +107,25 @@ def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
                                 weighting: str, bins: int) -> Histogram:
     import numpy as np
     weights = _weights(shape, counts, weighting)
-    pairs = list(counts)
     if shape.rationality is not None:
-        ranks = size_class_ranks(shape, pairs)
-        m = max(ranks.values())
-        masses = np.zeros(m)
-        for pair, w in zip(pairs, weights):
-            masses[ranks[pair] - 1] += w
-        return Histogram(weighting=weighting,
-                         labels=tuple(range(1, m + 1)),
-                         masses=tuple(_normalize(masses).tolist()))
-    # irrational: left-closed bins of width mu/bins over the size window
-    keys = [float(shape.size_key(i, j)) for i, j in pairs]
-    lo = min(keys)
-    width = shape.mu / bins
-    masses = np.zeros(bins)
-    for key, w in zip(keys, weights):
-        b = min(int((key - lo) / width), bins - 1)
+        ranks = size_class_ranks(shape, counts)
+        slots = [ranks[pair] - 1 for pair in counts]
+        labels = range(1, max(slots) + 2)
+    else:
+        # irrational: left-closed bins of width mu/bins over the size window
+        keys = [float(shape.size_key(i, j)) for i, j in counts]
+        lo = min(keys)
+        width = shape.mu / bins
+        slots = [min(int((key - lo) / width), bins - 1) for key in keys]
+        labels = range(bins)
+    masses = np.zeros(len(labels))
+    for b, w in zip(slots, weights):
         masses[b] += w
-    return Histogram(weighting=weighting,
-                     labels=tuple(range(bins)),
-                     masses=tuple(_normalize(masses).tolist()))
+    total = masses.sum()
+    if total <= 0:
+        raise ArgumentError("empty distribution")
+    return Histogram(weighting=weighting, labels=tuple(labels),
+                     masses=tuple((masses / total).tolist()))
 
 
 def size_histogram(t: Tiling, weighting: str = "count",
@@ -152,73 +141,31 @@ def census_size_histogram(shape: TriangleShape, n: int,
                           bins: int = DEFAULT_SIZE_BINS) -> Histogram:
     """Same distribution from exact counts; no tiles are built.
 
-    Rational shapes read the per-rank counts of :func:`matrix_power_counts`:
-    O(n*m) integer work for m = max(p, q) classes, where the pair census
-    grows O(n**2) pairs.  Each count mass is ``count / total`` rounded
-    once, and an area mass is that times ``r**(2*d)`` for a class d
-    lattice steps below the cut, normalised; so masses may differ in the
-    last bit from those the pair census (or :func:`size_histogram` of the
-    built T_n) gives.  Irrational shapes bin the exact exponent census.
-    """
-    import numpy as np
+    The census walks size classes, so a rational shape holds at most
+    max(p, q) of them at any n, and each class's count is one exact
+    integer however far it passes the float range."""
     _check_bins(bins)
-    if shape.rationality is None:
-        counts, _ = census_counts(shape, n)
-        return _size_histogram_from_counts(shape, counts, weighting, bins)
-    if weighting not in ("count", "area"):
-        raise ArgumentError(f"unknown weighting {weighting!r}")
-    ranked = matrix_power_counts(shape, n)
-    total = sum(ranked)
-    # int / int is correctly rounded, however far the counts pass 2**1024
-    present = [(d, cnt / total) for d, cnt in enumerate(ranked) if cnt]
-    masses = [mass for _, mass in present]
-    if weighting == "area":
-        masses = _normalize(np.array([mass * shape.r ** (2 * d)
-                                      for d, mass in present])).tolist()
-    return Histogram(weighting=weighting,
-                     labels=tuple(range(1, len(present) + 1)),
-                     masses=tuple(masses))
-
-
-def matrix_power_counts(shape: TriangleShape, n: int) -> tuple[int, ...]:
-    """Tile counts of T_n per lattice step below its size cut, from the
-    population matrix (exact integers at any n).
-
-    Entry d counts the tiles whose size key is d steps of the rational
-    lattice past the cut, so entry 0 holds the largest tiles.  A
-    generation is one step of the walk ``count_vectors`` plus every
-    following step whose first entry is 0: an empty largest class only
-    promotes the others, and the census cut skips those keys, since no
-    exponent pair reaches them.  The nonzero entries, in order, are the
-    census classes by dense size rank.
-    """
-    if shape.rationality is None:
-        raise DomainError("population matrix needs a rational shape")
-    n = as_count(n)
-    if n < 0:
-        raise ArgumentError(f"generation must be non-negative, got {n}")
-    z = shape.rationality
-    M = population_matrix(z.numerator, z.denominator)
-    walk = (v for v in count_vectors(M, [1] + [0] * (len(M) - 1)) if v[0])
-    return next(itertools.islice(walk, n, None))
+    counts, _ = _census_at(shape, n, classes=True)
+    return _size_histogram_from_counts(shape, counts, weighting, bins)
 
 
 def _orientation_histogram(shape: TriangleShape, items, bins: int
                            ) -> OrientationHistogram:
     """The histogram of ``((i, j, hand, heading_bin), count)`` items: each
-    count adds, in item order, into the float row of its (size rank, hand)
-    cell, and cells keep their first-appearance order (pooled() sums in it)."""
-    import numpy as np
+    count adds exactly into the integer row of its (size rank, hand) cell,
+    every share is one correctly rounded division, and cells keep their
+    first-appearance order (pooled() sums in it)."""
     items = list(items)
     ranks = size_class_ranks(shape, {(i, j) for (i, j, _, _), _ in items})
-    raw: dict = {}
+    rows: dict = {}
     for (i, j, hand, b), cnt in items:
-        raw.setdefault((ranks[(i, j)], hand), np.zeros(bins))[b] += cnt
+        rows.setdefault((ranks[(i, j)], hand), [0] * bins)[b] += cnt
     total = sum(cnt for _, cnt in items)
     cells, phi_bins = {}, {}
-    for cell, arr in raw.items():
-        cells[cell] = float(arr.sum()) / total
-        phi_bins[cell] = tuple(_normalize(arr).tolist())
+    for cell, row in rows.items():
+        mass = sum(row)
+        cells[cell] = mass / total
+        phi_bins[cell] = tuple(x / mass for x in row)
     return OrientationHistogram(bins=bins, cells=cells, phi_bins=phi_bins)
 
 
@@ -402,19 +349,17 @@ def count_fraction_limit(shape: TriangleShape, interval) -> float:
 def empirical_size_fraction(shape: TriangleShape, n: int, interval,
                             weighting: str = "area") -> float:
     """Weight fraction of T_n tiles whose size offset lies in the
-    interval (census counts; offsets measured from the generation's cut)."""
+    interval (census counts; offsets in size units from the generation's
+    cut, which on a rational shape is ``lattice_unit`` per key step)."""
     s0, s1 = interval
-    counts, _ = census_counts(shape, n)
+    counts, _ = _census_at(shape, n, classes=True)
     weights = _weights(shape, counts, weighting)
-    keys = [float(shape.size_key(*ij)) for ij in counts]
+    keys = [shape.size_key(*ij) for ij in counts]
     cut = min(keys)
-    total = 0.0
-    inside = 0.0
-    for key, w in zip(keys, weights):
-        total += w
-        if s0 <= key - cut < s1:
-            inside += w
-    return inside / total
+    unit = 1.0 if shape.rationality is None else shape.lattice_unit
+    inside = sum(w for key, w in zip(keys, weights)
+                 if s0 <= float(key - cut) * unit < s1)
+    return inside / sum(weights)
 
 
 def equidistribution_frequency(ratio: float, lo: float, hi: float,
@@ -514,8 +459,9 @@ class ComparisonReport(_ReportFields):
 def size_comparison(shape: TriangleShape, n: int, weighting: str = "area",
                     tolerance: float = 0.02,
                     bins: int = DEFAULT_SIZE_BINS) -> ComparisonReport:
-    """Census distribution of T_n against the predicted limit (see
-    :func:`census_size_histogram`: O(n*m) for rational shapes)."""
+    """Census size distribution of T_n against the predicted limit (see
+    :func:`census_size_histogram`: O(n*m) for a rational shape with m =
+    max(p, q) size classes)."""
     hist = census_size_histogram(shape, n, weighting, bins)
     return histogram_comparison(shape, hist, tolerance)
 

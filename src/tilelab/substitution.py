@@ -370,7 +370,7 @@ def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
     tiles: the census counts each generation's tiles without building it,
     and ``deflate`` would raise the same error at the first one over."""
     cap = DEFAULT_TILE_CAP if cap is None else cap
-    for gen, counts, _ in _census(shape, n):
+    for gen, counts, _ in _census(shape, n, classes=True):
         total = sum(counts.values())
         if gen and total > cap:
             raise ResourceError(f"deflation would produce {total} tiles, cap is {cap}")
@@ -383,6 +383,26 @@ def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
 # -- exact exponent census ---------------------------------------------------
 
 
+def _same_pair(pair: tuple[int, int]) -> tuple[int, int]:
+    return pair
+
+
+def _size_class(shape: TriangleShape, classes: bool = True):
+    """The map from an exponent pair to the one pair that stands for its
+    size class.  On a rational shape p/q the pairs (i + q*t, j - p*t) all
+    have the key i*p + j*q, and (i mod q, j + p*(i div q)) is the only one
+    of them with i < q.  On an irrational shape, or without ``classes``,
+    each pair is its own class."""
+    if not classes or shape.rationality is None:
+        return _same_pair
+    p, q = shape.rationality.numerator, shape.rationality.denominator
+
+    def canon(pair):
+        t, i = divmod(pair[0], q)
+        return (i, pair[1] + p * t)
+    return canon
+
+
 class _SizeFrontier:
     """The live exponent classes of a tiling or census, sorted by size key.
 
@@ -390,13 +410,15 @@ class _SizeFrontier:
     placed by bisection.  A deflation removes exactly the equal-key
     prefix, so it never makes two classes adjacent that were not adjacent
     before: the near-tie check needs only a new class's two neighbours,
-    and integer (rational) keys need none.
+    and integer (rational) keys need none.  ``canon`` maps each daughter
+    class to the pair that stands for it (see :func:`_size_class`).
     """
 
-    def __init__(self, shape: TriangleShape, pairs):
+    def __init__(self, shape: TriangleShape, pairs, canon=_same_pair):
         self._shape = shape
         self._exact = shape.rationality is not None
         self._steps = [step for step, _ in _exponent_steps(shape)]
+        self._canon = canon
         self._items = sorted((shape.size_key(*pair), pair) for pair in pairs)
         self._live = set(pairs)
         self._winners: list[tuple[int, int]] = []
@@ -421,7 +443,7 @@ class _SizeFrontier:
             self._live.difference_update(self._winners)
             for i, j in self._winners:
                 for di, dj in self._steps:
-                    pair = (i + di, j + dj)
+                    pair = self._canon((i + di, j + dj))
                     if pair not in self._live:
                         self._add(pair)
         min_key = self._items[0][0]
@@ -438,7 +460,7 @@ def _exponent_steps(shape: TriangleShape) -> list:
 
 
 def _census(shape: TriangleShape, n: int, counts: dict | None = None,
-            turns=None):
+            turns=None, classes: bool = False):
     """:func:`census_steps` without the copies: each yielded dict is the
     census's own (it is replaced, never changed, by the next generation).
 
@@ -446,9 +468,10 @@ def _census(shape: TriangleShape, n: int, counts: dict | None = None,
     exponent pair, then a tail.  A key whose class subdivides splits
     along a table of ``(exponent step, daughters per parent)`` rows: by
     default the rows of :func:`_exponent_steps`, and keys have no tail.
-    With ``turns``, each daughter frame is a row, the child pairs are
-    built once per subdividing class, and ``turns(tail)`` lists the
-    daughters' tails in frame order (memoised per tail)."""
+    With ``turns``, each daughter frame is a row, and ``turns(tail)`` lists
+    the daughters' tails in frame order (memoised per tail).  With
+    ``classes``, a pair stands for its whole size class (:func:`_size_class`),
+    for callers that read sizes only."""
     n = as_count(n)
     if n < 0:
         raise ArgumentError(f"generation must be non-negative, got {n}")
@@ -459,25 +482,23 @@ def _census(shape: TriangleShape, n: int, counts: dict | None = None,
     else:
         steps = [(f.exp_delta, 1) for f in shape.daughter_frames()]
         turns = functools.cache(turns)
-    frontier = _SizeFrontier(shape, list(dict.fromkeys(key[:2] for key in counts)))
+    canon = _size_class(shape, classes)
+    frontier = _SizeFrontier(shape, dict.fromkeys(key[:2] for key in counts), canon)
     for gen in range(n + 1):
         winners = frontier.next_winners()
         yield gen, counts, winners[0]
         if gen == n:
             break
         split = set(winners)
-        if turns is not None:   # shared by every key of a class
-            rows = {(i, j): [((i + di, j + dj), m) for (di, dj), m in steps]
-                    for i, j in split}
+        rows = {(i, j): [(canon((i + di, j + dj)), m) for (di, dj), m in steps]
+                for i, j in split}
         nxt: dict = {}
         for key, cnt in counts.items():
             pair = key[:2]
             if pair not in split:
                 nxt[key] = nxt.get(key, 0) + cnt
             elif turns is None:
-                i, j = pair
-                for (di, dj), m in steps:
-                    child = (i + di, j + dj)
+                for child, m in rows[pair]:
                     nxt[child] = nxt.get(child, 0) + m * cnt
             else:
                 for (child, m), tail in zip(rows[pair], turns(key[2:])):
@@ -501,10 +522,14 @@ def census_steps(shape: TriangleShape, n: int):
 
 def census_counts(shape: TriangleShape, n: int):
     """Exponent counts and size cut of ``T_n`` (exact integers)."""
-    for gen, counts, min_pair in _census(shape, n):
-        if gen == n:
-            return counts, min_pair
-    raise InternalError("census terminated early")
+    return _census_at(shape, n)
+
+
+def _census_at(shape: TriangleShape, n: int, classes: bool = False):
+    """The counts and the least pair of :func:`_census`'s generation n."""
+    for _, counts, min_pair in _census(shape, n, classes=classes):
+        pass
+    return counts, min_pair
 
 
 # -- edge tracing -------------------------------------------------------------

@@ -22,8 +22,8 @@ from tilelab.geometry import shape_from_pq, shape_from_theta, tile_area
 from tilelab.spectral import (char_poly, eigen, eigenfunction,
                               irrational_bounds, irrational_char,
                               irrational_density)
-from tilelab.stats import (census_orientation_histogram, count_oracle,
-                           matrix_power_counts)
+from tilelab.stats import (census_orientation_histogram, census_size_histogram,
+                           count_oracle)
 from tilelab.substitution import build_Tn, census_steps, root_tiling, subdivide
 
 
@@ -201,13 +201,9 @@ def test_criterion_07_oracle(capsys, five_shapes):
 
 def test_criterion_08_distributions(capsys, til12):
     def body():
-        counts = matrix_power_counts(til12, 30)
-        r2 = til12.r ** 2
-        weights = [cnt * r2 ** k for k, cnt in enumerate(counts, start=1)]
-        total = sum(weights)
-        empirical = [w / total for w in weights]
+        hist = census_size_histogram(til12, 30, "area")
         rho = eigen(til12).rho
-        l1 = sum(abs(e - r) for e, r in zip(empirical, rho))
+        l1 = sum(abs(m - rho[k - 1]) for k, m in zip(hist.labels, hist.masses))
         assert l1 < 0.02
 
         devs = [census_orientation_histogram(til12, n).max_deviation()

@@ -176,14 +176,28 @@ def test_a_near_tie_also_stops_the_orientation_census(monkeypatch):
         orientation_census(shape, 5)
 
 
+def by_size_key(shape, counts, tail=lambda key: key[2:]):
+    """Counts keyed by (i, j, ...) summed per (size key, *tail(key))."""
+    out = {}
+    for key, cnt in counts.items():
+        cls = (shape.size_key(*key[:2]), *tail(key))
+        out[cls] = out.get(cls, 0) + cnt
+    return out
+
+
 @settings(max_examples=20, deadline=None)
 @given(shape=shapes, n=st.integers(0, 40))
 def test_orientation_census_matches_the_reference(shape, n):
+    # rational shapes count per size class, the reference per exponent pair
     theta_pi = None
     if shape.rationality == Fraction(1, 3) and n % 2:
         theta_pi = Fraction(1, 4)     # the doubly finite shape, residue keys
     got = orientation_census(shape, n, theta_pi).counts
-    assert list(got.items()) == list(ref_orientation_counts(shape, n, theta_pi).items())
+    want = ref_orientation_counts(shape, n, theta_pi)
+    if shape.rationality is None:
+        assert list(got.items()) == list(want.items())
+    else:
+        assert by_size_key(shape, got) == by_size_key(shape, want)
 
 
 @pytest.mark.parametrize("shape, theta_pi", [
@@ -192,11 +206,22 @@ def test_orientation_census_matches_the_reference(shape, n):
     (shape_from_pq(1, 3), Fraction(1, 4)), (shape_from_theta(1.0), None),
 ], ids=["1/2", "2/1", "1/1", "1/3", "1/3-pi/4", "theta=1.0"])
 def test_orientation_census_sums_to_the_pair_census(shape, theta_pi):
+    def no_tail(key):
+        return ()
     for n in range(31):
-        summed = {}
-        for (i, j, _, _), cnt in orientation_census(shape, n, theta_pi).counts.items():
-            summed[(i, j)] = summed.get((i, j), 0) + cnt
-        assert summed == census_counts(shape, n)[0], n
+        got = orientation_census(shape, n, theta_pi).counts
+        assert by_size_key(shape, got, no_tail) == \
+            by_size_key(shape, census_counts(shape, n)[0], no_tail), n
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (2, 5), (1, 3), (5, 3)])
+def test_orientation_census_keeps_one_pair_per_size_class(p, q):
+    shape = shape_from_pq(p, q)
+    for n in (7, 40):
+        counts = orientation_census(shape, n).counts
+        pairs = {(i, j) for i, j, _, _ in counts}
+        assert len({shape.size_key(i, j) for i, j in pairs}) == len(pairs)
+        assert all(i < q for i, _ in pairs)
 
 
 @settings(max_examples=20, deadline=None)
@@ -372,18 +397,20 @@ def test_size_histogram_past_the_float_range(til12):
 
 
 def ref_census_orientation_histogram(shape, n, theta_pi, bins=64):
-    """Cells and heading rows, each census key's count added in census
-    order into the float row of its (size rank, hand) cell."""
+    """Cells and heading rows from exact integer rows per (size rank, hand)
+    cell, in census order: each cell's share of all tiles and each bin's
+    share of its cell, as exact fractions rounded once."""
     census = orientation_census(shape, n, theta_pi)
     keys = sorted({shape.size_key(i, j) for (i, j, _, _) in census.counts})
     raw = {}
     for (i, j, sign, key), cnt in census.counts.items():
         cell = (keys.index(shape.size_key(i, j)) + 1, sign)
         b = int((census.angle(key) / (2.0 * math.pi) + 1e-9) * bins) % bins
-        raw.setdefault(cell, np.zeros(bins))[b] += cnt
+        raw.setdefault(cell, [0] * bins)[b] += cnt
     total = sum(census.counts.values())
-    return ({cell: float(arr.sum()) / total for cell, arr in raw.items()},
-            {cell: tuple((arr / arr.sum()).tolist()) for cell, arr in raw.items()})
+    return ({cell: float(Fraction(sum(row), total)) for cell, row in raw.items()},
+            {cell: tuple(float(Fraction(x, sum(row))) for x in row)
+             for cell, row in raw.items()})
 
 
 @pytest.mark.parametrize("shape, n, theta_pi", [
@@ -391,8 +418,7 @@ def ref_census_orientation_histogram(shape, n, theta_pi, bins=64):
     (shape_from_pq(1, 3), 30, Fraction(1, 4)),
 ], ids=["1/2", "theta=1.0", "1/3-pi/4"])
 def test_census_orientation_histogram_adds_counts_key_by_key(shape, n, theta_pi):
-    # at 1/2 n = 60 a bin's count passes 2**53, so summing keys first in
-    # exact integers would round differently
+    # at 1/2 n = 60 a bin's count passes 2**53, so float rows would round
     hist = stats.census_orientation_histogram(shape, n, theta_pi=theta_pi)
     cells, phi_bins = ref_census_orientation_histogram(shape, n, theta_pi)
     assert list(hist.cells.items()) == list(cells.items())

@@ -23,7 +23,7 @@ ENTRIES = {
     "build_Tn": lambda n: substitution.build_Tn(SHAPE, n),
     "census_counts": lambda n: substitution.census_counts(SHAPE, n),
     "orientation_census": lambda n: classify.orientation_census(SHAPE, n),
-    "matrix_power_counts": lambda n: stats.matrix_power_counts(SHAPE, n),
+    "census_size_histogram": lambda n: stats.census_size_histogram(SHAPE, n),
     "grow_supertile": lambda n: substitution.grow_supertile(SHAPE, [(3, n)]),
     "equidistribution_frequency":
         lambda n: stats.equidistribution_frequency(0.3, 0.1, 0.5, n_samples=n),

@@ -12,10 +12,10 @@ from tilelab.stats import (ComparisonReport, _size_histogram_from_counts,
                            census_orientation_histogram,
                            census_size_histogram, count_fraction_limit,
                            count_oracle, empirical_size_fraction,
-                           equidistribution_frequency, matrix_power_counts,
+                           equidistribution_frequency,
                            orientation_comparison, orientation_histogram,
                            size_comparison, size_histogram)
-from tilelab.substitution import build_Tn, census_counts, census_steps
+from tilelab.substitution import _census, _census_at, build_Tn, census_counts, census_steps
 
 
 def test_count_oracle_matches_enumeration_small(til12, til2, pinwheel):
@@ -58,10 +58,14 @@ def test_area_weighting_is_count_reweighted(til12, til12_T6):
         assert got == pytest.approx(want / total, abs=1e-12)
 
 
+# The class walk (the census on size classes) gives the counts per lattice
+# step that powers of the population matrix give.
+
+
 def test_matrix_power_counts_match_census(til12, til2):
     for shape in (til12, til2):
         for n in (1, 5, 12, 30):
-            ranked = matrix_power_counts(shape, n)
+            ranked = _census_by_rank(shape, *_census_at(shape, n, classes=True))
             hist = census_size_histogram(shape, n, weighting="count")
             total = sum(ranked)
             for k, mass in zip(hist.labels, hist.masses):
@@ -85,24 +89,27 @@ def _census_by_rank(shape, counts, min_pair):
 @pytest.mark.parametrize("p,q", COPRIME_12)
 def test_matrix_power_counts_equal_the_pair_census(p, q):
     shape = shape_from_pq(p, q)
-    for gen, counts, min_pair in census_steps(shape, 40):
-        ranked = matrix_power_counts(shape, gen)
-        assert len(ranked) == max(p, q)
-        assert ranked[0] > 0
-        assert [c for c in ranked if c] == _census_by_rank(shape, counts, min_pair)
+    walks = zip(census_steps(shape, 40), _census(shape, 40, classes=True))
+    for (gen, counts, min_pair), (_, classes, min_class) in walks:
+        keys = {shape.size_key(i, j) for i, j in classes}
+        assert len(keys) == len(classes) <= max(p, q)
+        assert all(i < q for i, _ in classes)
+        assert shape.size_key(*min_class) == shape.size_key(*min_pair)
+        assert _census_by_rank(shape, classes, min_class) == \
+            _census_by_rank(shape, counts, min_pair)
 
 
 def test_matrix_power_counts_equal_the_pair_census_far_out(til12):
     counts, min_pair = census_counts(til12, 800)
-    assert list(matrix_power_counts(til12, 800)) == \
+    assert _census_by_rank(til12, *_census_at(til12, 800, classes=True)) == \
         _census_by_rank(til12, counts, min_pair)
 
 
 def test_matrix_power_counts_rejects_bad_input(irr1, til12):
-    with pytest.raises(DomainError):
-        matrix_power_counts(irr1, 3)
+    # every exponent pair of an irrational shape is its own size class
+    assert _census_at(irr1, 60, classes=True) == census_counts(irr1, 60)
     with pytest.raises(ArgumentError):
-        matrix_power_counts(til12, -1)
+        census_size_histogram(til12, -1)
 
 
 @pytest.mark.parametrize("p,q", COPRIME_12)
@@ -180,6 +187,22 @@ def test_empirical_interval_fraction_converges(irr1):
     want = area_fraction_limit(irr1, iv)
     got = empirical_size_fraction(irr1, 400, iv, weighting="area")
     assert abs(got - want) < 0.05
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 5)])
+def test_empirical_size_fraction_measures_offsets_in_size_units(p, q):
+    # rational classes sit lattice_unit apart; interval ends halfway between
+    shape = shape_from_pq(p, q)
+    area = census_size_histogram(shape, 40, "area").masses
+    assert len(area) == max(p, q)   # one class per lattice step of the window
+    u = shape.lattice_unit
+    for d, mass in enumerate(area):
+        iv = (max(d - 0.5, 0.0) * u, (d + 0.5) * u)
+        assert empirical_size_fraction(shape, 40, iv) == pytest.approx(mass, abs=1e-12)
+    assert empirical_size_fraction(shape, 40, (shape.mu - u / 2, shape.mu + u / 2)) == 0.0
+    if (p, q) == (1, 2):
+        assert empirical_size_fraction(shape, 40, (0.2, 0.6)) == \
+            pytest.approx(0.3787, abs=1e-4)
 
 
 def test_equidistribution():

@@ -15,8 +15,8 @@ from tilelab.classify import verify_orientation_count
 from tilelab.geometry import (Placement, Tile, shape_from_pq, shape_from_theta,
                               vertices, wrap_angle)
 from tilelab.render import _Run, fault_runs, svg_chunks
-from tilelab.stats import (_size_histogram_from_counts, _normalize,
-                           orientation_histogram, size_histogram)
+from tilelab.stats import (_size_histogram_from_counts, orientation_histogram,
+                           size_histogram)
 from tilelab import stats, substitution
 from tilelab.errors import InternalError
 from tilelab.substitution import (JSON_CHUNK_TILES, build_Tn, deflate, root_tiling,
@@ -179,7 +179,7 @@ def ref_orientation_histogram(rank_of, tiles, bins=64):
     phi_bins = {}
     for key, arr in raw.items():
         cells[key] = float(arr.sum()) / len(tiles)
-        phi_bins[key] = tuple(_normalize(arr).tolist())
+        phi_bins[key] = tuple((arr / arr.sum()).tolist())
     return cells, phi_bins
 
 
