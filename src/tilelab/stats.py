@@ -145,6 +145,7 @@ def census_size_histogram(shape: TriangleShape, n: int,
     max(p, q) of them at any n, and each class's count is one exact
     integer however far it passes the float range."""
     _check_bins(bins)
+    _weights(shape, {}, weighting)      # a bad weighting fails before the walk
     counts, _ = _census_at(shape, n, classes=True)
     return _size_histogram_from_counts(shape, counts, weighting, bins)
 

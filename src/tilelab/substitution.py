@@ -387,7 +387,7 @@ def _same_pair(pair: tuple[int, int]) -> tuple[int, int]:
     return pair
 
 
-def _size_class(shape: TriangleShape, classes: bool = True):
+def _size_class(shape: TriangleShape, classes: bool):
     """The map from an exponent pair to the one pair that stands for its
     size class.  On a rational shape p/q the pairs (i + q*t, j - p*t) all
     have the key i*p + j*q, and (i mod q, j + p*(i div q)) is the only one

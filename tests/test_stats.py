@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tilelab import stats
 from tilelab.errors import ArgumentError, DomainError
 from tilelab.geometry import shape_from_pq, shape_from_theta
 from tilelab.spectral import eigen
@@ -311,6 +312,16 @@ def test_til13_orientations_stay_concentrated(til13):
 def test_negative_census_generation_is_an_argument_error(call):
     with pytest.raises(ArgumentError, match="generation must be non-negative, got -1"):
         call()
+
+
+@pytest.mark.parametrize("shape", [shape_from_pq(1, 2), shape_from_theta(1.0)],
+                         ids=["1/2", "theta=1.0"])
+def test_census_size_histogram_refuses_a_weighting_before_the_walk(shape, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the census walked")
+    monkeypatch.setattr(stats, "_census_at", walk)
+    with pytest.raises(ArgumentError, match="unknown weighting 'volume'"):
+        census_size_histogram(shape, 10 ** 6, "volume")
 
 
 _BIN_CALLS = {
