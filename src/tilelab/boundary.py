@@ -265,6 +265,39 @@ def _avoids_forbidden(letters: str, size: int = 1 << 16) -> bool:
     return True
 
 
+def _factors(word: str, k: int) -> set[str]:
+    return {word[i:j] for i in range(len(word))
+            for j in range(i + 1, min(i + k, len(word)) + 1)}
+
+
+def legal_factors(rule: SubstitutionRule1D, k: int) -> list[frozenset[str]]:
+    """The sets F_0, F_1, ... of the factors of length at most ``k`` of
+    sigma^n(H), up to the first set that repeats an earlier one.
+
+    F_(n+1) follows from F_n alone.  Every image has at least two letters
+    (checked), so a factor of sigma(w) of length at most k lies in
+    sigma(u) for a factor u of w of at most k // 2 + 1 <= k letters, and
+    every factor of such a sigma(u) is one of sigma(w).  The map from F_n
+    to F_(n+1) is fixed, so from the repeated set on the sets cycle
+    through ones already listed: every factor of length at most k of every
+    sigma^n(H) is in one of the returned sets.  That makes a check of
+    patterns of at most k letters, such as the til12 forbidden subwords
+    with k = 7, a proof for all n.
+    """
+    k = as_count(k, "factor length")
+    if k < 1:
+        raise ArgumentError(f"factor length must be at least 1, got {k}")
+    if min(map(len, rule.images.values())) < 2:
+        raise ArgumentError(f"{rule.name}: every image needs at least two "
+                            "letters to bound the factors it maps")
+    table = {ord(c): img for c, img in rule.images.items()}
+    sets = [frozenset(_factors("H", k))]
+    while sets[-1] not in sets[:-1]:
+        sets.append(frozenset().union(*(_factors(u.translate(table), k)
+                                        for u in sets[-1] if len(u) <= k // 2 + 1)))
+    return sets
+
+
 # -- exact quadratic-integer layout -------------------------------------------
 
 

@@ -20,7 +20,7 @@ from .errors import (ArgumentError, DomainError, GeometryError,
                      NumericError, ResourceError, TilelabError)
 from .geometry import TriangleShape, shape_from_pq, shape_from_theta
 from .spectral import eigen, irrational_spectrum
-from .substitution import DEFAULT_TILE_CAP, build_Tn, round12, tiling_json_chunks
+from .substitution import DEFAULT_TILE_CAP, Tn_batches, round12, tiling_json_chunks
 
 ENV_MAX_TILES = "TILELAB_MAX_TILES"
 
@@ -95,8 +95,9 @@ def _add_shape_args(sub, required: bool = True) -> None:
 
 def _cmd_generate(args) -> int:
     shape = _shape_from_args(args)
-    tiling = build_Tn(shape, args.n, cap=_tile_cap())
-    _emit_chunks(tiling_json_chunks(tiling), args.out)
+    # T_n a batch at a time: the cap and near-tie checks run before any text
+    _emit_chunks(tiling_json_chunks(Tn_batches(shape, args.n, cap=_tile_cap())),
+                 args.out)
     return 0
 
 

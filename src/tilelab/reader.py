@@ -19,7 +19,7 @@ from .substitution import COLUMNS, DEFAULT_TILE_CAP, TILING_FORMAT, Tiling
 # Characters per slice of tiling JSON text: the reader holds one slice and
 # its tile objects at a time (more only while one tile or header value
 # does not fit).
-JSON_READ_CHARS = 1 << 18
+JSON_READ_CHARS = 1 << 16
 
 # The largest heading a tiling JSON file may hold: 12-digit text rounds
 # headings just below 2pi up to this, which is above 2pi.

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .errors import ArgumentError
 from .geometry import cos_sin
-from .substitution import JSON_CHUNK_TILES, Tiling, fill_rows, float_texts
+from .substitution import JSON_CHUNK_TILES, Tiling, fill_rows, float_texts, format_floats
 
 CANVAS = 1000.0
 MARGIN = 20.0
@@ -32,6 +32,11 @@ PALETTE = (
 def _fmt(x: float) -> str:
     # "+ 0.0" turns -0.0 into 0.0, which prints as "0"
     return f"{x + 0.0:.9g}"
+
+
+def _fmts(values: np.ndarray) -> list[str]:
+    """:func:`_fmt` of every value."""
+    return format_floats("%.9g", values + 0.0)
 
 
 def _bounding_box(t: Tiling) -> tuple[float, float, float, float]:
@@ -272,7 +277,7 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False):
             # mirrored tiles at lower saturation so both circles stay visible
             last = np.where(t.handedness[part] > 0, 70, 40)
         cells = np.empty((len(last), len(floats) + 1), dtype=object)
-        cells[:, :-1] = float_texts(np.column_stack(floats), _fmt)
+        cells[:, :-1] = float_texts(np.column_stack(floats), _fmts)
         cells[:, -1] = last
         yield fill_rows(row, "\n", cells) + "\n"
     if faults:
@@ -280,7 +285,7 @@ def svg_chunks(t: Tiling, color: str = "size", faults: bool = False):
                f'stroke-width="{_fmt(3.0 * stroke)}">\n')
         for lo in range(0, len(ends), JSON_CHUNK_TILES):
             yield fill_rows('<line x1="%s" y1="%s" x2="%s" y2="%s"/>', "\n",
-                            float_texts(ends[lo:lo + JSON_CHUNK_TILES], _fmt)) + "\n"
+                            float_texts(ends[lo:lo + JSON_CHUNK_TILES], _fmts)) + "\n"
         yield '</g>\n'
     yield '</g>\n</svg>\n'
 

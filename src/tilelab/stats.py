@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,6 +65,16 @@ class OrientationHistogram(NamedTuple):
 def _check_bins(bins) -> None:
     if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
         raise ArgumentError(f"bins must be an integer >= 1, got {bins!r}")
+
+
+def _check_tolerance(tolerance) -> None:
+    try:
+        valid = math.isfinite(tolerance) and tolerance >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ArgumentError("tolerance must be a finite number >= 0, "
+                            f"got {tolerance!r}")
 
 
 def _phi_bin(phi: np.ndarray, bins: int) -> np.ndarray:
@@ -352,7 +363,16 @@ def empirical_size_fraction(shape: TriangleShape, n: int, interval,
     """Weight fraction of T_n tiles whose size offset lies in the
     interval (census counts; offsets in size units from the generation's
     cut, which on a rational shape is ``lattice_unit`` per key step)."""
-    s0, s1 = interval
+    # bad arguments fail before the walk
+    try:
+        s0, s1 = interval
+        valid = not any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                        or math.isnan(v) for v in (s0, s1))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ArgumentError(f"interval must be a pair of numbers, got {interval!r}")
+    _weights(shape, {}, weighting)
     counts, _ = _census_at(shape, n, classes=True)
     weights = _weights(shape, counts, weighting)
     keys = [shape.size_key(*ij) for ij in counts]
@@ -407,13 +427,7 @@ class ComparisonReport(_ReportFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        try:
-            valid = math.isfinite(self.tolerance) and self.tolerance >= 0
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ArgumentError("tolerance must be a finite number >= 0, "
-                                f"got {self.tolerance!r}")
+        _check_tolerance(self.tolerance)
         return self
 
     @property
@@ -463,6 +477,7 @@ def size_comparison(shape: TriangleShape, n: int, weighting: str = "area",
     """Census size distribution of T_n against the predicted limit (see
     :func:`census_size_histogram`: O(n*m) for a rational shape with m =
     max(p, q) size classes)."""
+    _check_tolerance(tolerance)     # before the walk, as the other arguments
     hist = census_size_histogram(shape, n, weighting, bins)
     return histogram_comparison(shape, hist, tolerance)
 
@@ -499,6 +514,7 @@ def orientation_comparison(shape: TriangleShape, n: int,
                            tolerance: float = 0.05,
                            theta_pi: Fraction | None = None) -> ComparisonReport:
     """Pooled heading distribution of T_n against the uniform law."""
+    _check_tolerance(tolerance)     # before the walk, as the other arguments
     hist = census_orientation_histogram(shape, n, bins, theta_pi)
     uniform = tuple([1.0 / bins] * bins)
     return ComparisonReport(name="orientation", weighting="count",

@@ -39,7 +39,10 @@ TILING_FORMAT = "tilelab-tiling/1"
 
 # Tiles per piece of tiling JSON or SVG text, which writers hold one at a
 # time, and items per batch of the column work that holds one batch.
-JSON_CHUNK_TILES = 1 << 12
+# generate deflates T_n, and formats its floats, in batches of two pieces:
+# batches of one piece made it 15 % slower on p/q = 1/2 T_13 and 22 % on
+# theta = 1.0 T_60 (more deflations, and more floats formatted twice).
+JSON_CHUNK_TILES = 1 << 11
 
 # Distinct size keys closer than this are treated as a bookkeeping bug:
 # on the lattice of any desk-scale shape genuinely different (i, j)
@@ -303,42 +306,55 @@ def _daughters(tiling: Tiling, rows: np.ndarray, first_id: int) -> dict:
     ``shape.daughter_frames()``, with ids counting up from ``first_id``."""
     import numpy as np
     shape = tiling.shape
-    hand = tiling.handedness[rows]
-    phi = tiling.phi[rows]
-    ox, oy = tiling.ox[rows], tiling.oy[rows]
-    i, j = tiling.i[rows], tiling.j[rows]
-    scale = tiling.scales()[rows]
-    cos_phi, sin_phi = cos_sin(phi)
     frames = shape.daughter_frames()
-    kids = {name: np.empty((len(rows), len(frames)), dtype=dtype)
+    # one row per parent, one column per frame
+    per_frame = lambda values: np.array(list(values))
+    hand = tiling.handedness[rows][:, None]
+    phi = tiling.phi[rows]
+    cos_phi, sin_phi = (v[:, None] for v in cos_sin(phi))
+    x, y = apply_columns((per_frame(f.origin[0] for f in frames),
+                          per_frame(f.origin[1] for f in frames)),
+                         hand, cos_phi, sin_phi, tiling.scales()[rows][:, None],
+                         tiling.ox[rows][:, None], tiling.oy[rows][:, None])
+    kids = {
+        "handedness": hand * per_frame(f.handedness for f in frames),
+        "phi": wrap_angles(phi[:, None]
+                           + hand * per_frame(f.phi(shape.theta) for f in frames)),
+        "ox": x,
+        "oy": y,
+        "i": tiling.i[rows][:, None] + per_frame(f.exp_delta[0] for f in frames),
+        "j": tiling.j[rows][:, None] + per_frame(f.exp_delta[1] for f in frames),
+        "ids": first_id + len(frames) * np.arange(len(rows), dtype=np.int64)[:, None]
+        + np.arange(len(frames)),
+        "parent": np.repeat(tiling.ids[rows], len(frames)),
+    }
+    return {name: np.asarray(kids[name], dtype=dtype).ravel()
             for name, dtype in COLUMNS}
-    first = first_id + len(frames) * np.arange(len(rows), dtype=np.int64)
-    for slot, frame in enumerate(frames):
-        x, y = apply_columns(frame.origin, hand, cos_phi, sin_phi, scale, ox, oy)
-        kids["handedness"][:, slot] = hand * frame.handedness
-        kids["phi"][:, slot] = wrap_angles(phi + hand * frame.phi(shape.theta))
-        kids["ox"][:, slot] = x
-        kids["oy"][:, slot] = y
-        kids["i"][:, slot] = i + frame.exp_delta[0]
-        kids["j"][:, slot] = j + frame.exp_delta[1]
-        kids["ids"][:, slot] = first + slot
-        kids["parent"][:, slot] = tiling.ids[rows]
-    return {name: col.ravel() for name, col in kids.items()}
 
 
-def deflate(tiling: Tiling, cap: int | None = None) -> Tiling:
+def deflate(tiling: Tiling, cap: int | None = None, winners=None,
+            first_id: int | None = None) -> Tiling:
     """Subdivide every largest tile; all other tiles pass through.
 
     Each subdivided tile is replaced in place by its five daughters, whose
-    ids continue from the largest id present."""
+    ids count up from ``first_id`` (default: the largest id present + 1).
+    ``winners`` are the size classes to subdivide, as the size-class census
+    names them (:func:`_size_class`); by default, the class of least size
+    key present."""
     import numpy as np
     if cap is None:
         cap = DEFAULT_TILE_CAP
     if not len(tiling):
         raise ArgumentError("cannot deflate an empty tiling")
     pairs, index, _ = tiling.exponent_pairs()
-    winners = set(_SizeFrontier(tiling.shape, pairs).next_winners())
-    split = np.array([p in winners for p in pairs], dtype=bool)[index]
+    canon = _size_class(tiling.shape, True)
+    classes = [canon(p) for p in pairs]
+    if winners is None:
+        winners = _SizeFrontier(tiling.shape, dict.fromkeys(classes)).next_winners()
+    if first_id is None:
+        first_id = int(tiling.ids.max()) + 1
+    winners = set(winners)
+    split = np.array([c in winners for c in classes], dtype=bool)[index]
     rows = np.flatnonzero(split)
     predicted = len(tiling) + 4 * len(rows)
     if predicted > cap:
@@ -347,7 +363,7 @@ def deflate(tiling: Tiling, cap: int | None = None) -> Tiling:
     width = np.where(split, 5, 1)
     start = np.cumsum(width) - width
     keep = np.flatnonzero(~split)
-    kids = _daughters(tiling, rows, int(tiling.ids.max()) + 1)
+    kids = _daughters(tiling, rows, first_id)
     kid_at = (start[rows][:, None] + np.arange(5)).ravel()
     out = {}
     for name, dtype in COLUMNS:
@@ -365,19 +381,96 @@ def root_tiling(shape: TriangleShape) -> Tiling:
     return Tiling(shape, [root], 0)
 
 
-def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
-    """T_n, refused before generation 1 if a generation would pass ``cap``
-    tiles: the census counts each generation's tiles without building it,
-    and ``deflate`` would raise the same error at the first one over."""
+def _schedule(shape: TriangleShape, n: int, cap: int | None):
+    """The winners and the first daughter id of each generation 0..n-1 of
+    T_n, and T_n's tile count, from the size-class census.  Refused before
+    anything is built if a generation would pass ``cap`` tiles: ``deflate``
+    would raise the same error at the first one over."""
     cap = DEFAULT_TILE_CAP if cap is None else cap
-    for gen, counts, _ in _census(shape, n, classes=True):
+    schedule, first_id = [], 1
+    for gen, counts, winners in _census(shape, n, classes=True):
         total = sum(counts.values())
         if gen and total > cap:
             raise ResourceError(f"deflation would produce {total} tiles, cap is {cap}")
-    t = root_tiling(shape)
-    for _ in range(n):
-        t = deflate(t, cap=cap)
-    return t
+        if gen < n:
+            schedule.append((winners, first_id))
+            first_id += 5 * sum(counts[w] for w in winners)
+    return schedule, total
+
+
+def _part(t: Tiling, lo: int, hi: int) -> Tiling:
+    """The tiling of rows lo:hi of ``t``, on views of its columns."""
+    return Tiling.from_columns(t.shape, t.generation, {
+        name: getattr(t, name)[lo:hi] for name, _ in COLUMNS})
+
+
+def _joined(parts: list) -> Tiling:
+    """The tiling of the rows of ``parts`` in turn."""
+    import numpy as np
+    return parts[0] if len(parts) == 1 else Tiling.from_columns(
+        parts[0].shape, parts[0].generation,
+        {name: np.concatenate([getattr(p, name) for p in parts]) for name, _ in COLUMNS})
+
+
+def _batches(shape: TriangleShape, schedule, rows: int | None = None):
+    """T_n in batches of ``rows`` (default 2 * JSON_CHUNK_TILES) rows, the
+    last one shorter, for the ``schedule`` of :func:`_schedule`.  Each range
+    of at most ``rows`` rows of a generation is deflated with the census's
+    winners and cut into equal ranges again, depth first.  A tile's
+    daughters take its place, so the ranges of T_n come out in row order;
+    a daughter's id is its generation's first id plus 5 times its parent's
+    rank among the tiles that subdivide there, counted over the earlier
+    ranges."""
+    rows = rows or 2 * JSON_CHUNK_TILES
+    n = len(schedule)
+    split = [0] * n
+    todo = [root_tiling(shape)]
+    held, size = [], 0      # ranges of T_n not yet yielded, and their rows
+    while todo:
+        t = todo.pop()
+        gen = t.generation
+        if gen == n:
+            held.append(t)
+            size += len(t)
+            if size >= rows:
+                cut = len(t) - (size - rows)
+                yield _joined(held[:-1] + [_part(t, 0, cut)])
+                held, size = [_part(t, cut, len(t))], size - rows
+            continue
+        winners, first_id = schedule[gen]
+        before = len(t)
+        t = deflate(t, winners=winners, first_id=first_id + 5 * split[gen])
+        split[gen] += (len(t) - before) // 4
+        # equal ranges: a short last one would take as many deflations as
+        # a full one
+        cuts = -(-len(t) // rows)
+        todo += [_part(t, len(t) * k // cuts, len(t) * (k + 1) // cuts)
+                 for k in reversed(range(cuts))]
+    if size:
+        yield _joined(held)
+
+
+def Tn_batches(shape: TriangleShape, n: int, cap: int | None = None):
+    """T_n as consecutive tilings of 2 * JSON_CHUNK_TILES tiles each, the
+    last one shorter, whose rows in order are T_n's.  The tile cap and
+    the near-tie checks run before this returns.  The batches are built
+    as they are taken, holding at most one deflated range of each
+    generation."""
+    return _batches(shape, _schedule(shape, n, cap)[0])
+
+
+def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
+    """T_n: the batches of :func:`Tn_batches` joined, refused before
+    generation 1 if a generation would pass ``cap`` tiles."""
+    import numpy as np
+    schedule, total = _schedule(shape, n, cap)
+    out = {name: np.empty(total, dtype=dtype) for name, dtype in COLUMNS}
+    at = 0
+    for batch in _batches(shape, schedule):
+        for name, col in out.items():
+            col[at:at + len(batch)] = getattr(batch, name)
+        at += len(batch)
+    return Tiling.from_columns(shape, n, out)
 
 
 # -- exact exponent census ---------------------------------------------------
@@ -461,8 +554,10 @@ def _exponent_steps(shape: TriangleShape) -> list:
 
 def _census(shape: TriangleShape, n: int, counts: dict | None = None,
             turns=None, classes: bool = False):
-    """:func:`census_steps` without the copies: each yielded dict is the
-    census's own (it is replaced, never changed, by the next generation).
+    """:func:`census_steps` without the copies, and with every winner: each
+    generation yields its counts and the classes of least size key, which
+    it subdivides.  Each yielded dict is the census's own (it is replaced,
+    never changed, by the next generation).
 
     The keys of ``counts`` (default: the root's exponent pair) are an
     exponent pair, then a tail.  A key whose class subdivides splits
@@ -486,7 +581,7 @@ def _census(shape: TriangleShape, n: int, counts: dict | None = None,
     frontier = _SizeFrontier(shape, dict.fromkeys(key[:2] for key in counts), canon)
     for gen in range(n + 1):
         winners = frontier.next_winners()
-        yield gen, counts, winners[0]
+        yield gen, counts, winners
         if gen == n:
             break
         split = set(winners)
@@ -516,8 +611,8 @@ def census_steps(shape: TriangleShape, n: int):
     (the class about to subdivide), usable as the size cut of the
     generation.
     """
-    for gen, counts, min_pair in _census(shape, n):
-        yield gen, dict(counts), min_pair
+    for gen, counts, winners in _census(shape, n):
+        yield gen, dict(counts), winners[0]
 
 
 def census_counts(shape: TriangleShape, n: int):
@@ -527,9 +622,9 @@ def census_counts(shape: TriangleShape, n: int):
 
 def _census_at(shape: TriangleShape, n: int, classes: bool = False):
     """The counts and the least pair of :func:`_census`'s generation n."""
-    for _, counts, min_pair in _census(shape, n, classes=classes):
+    for _, counts, winners in _census(shape, n, classes=classes):
         pass
-    return counts, min_pair
+    return counts, winners[0]
 
 
 # -- edge tracing -------------------------------------------------------------
@@ -706,14 +801,19 @@ def tiling_to_json(tiling: Tiling) -> dict:
 
 
 def float_texts(values: np.ndarray, fmt) -> np.ndarray:
-    """``fmt(v)`` of every float of ``values``, as an object array of the
-    same shape, calling ``fmt`` once per distinct bit pattern (so 0.0 and
-    -0.0 stay apart, as JSON prints them)."""
+    """The text of every float of ``values``, as an object array of the
+    same shape.  ``fmt`` maps an array of the distinct bit patterns (so
+    0.0 and -0.0 stay apart, as JSON prints them) to a list of texts."""
     import numpy as np
     flat = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(fmt, bits.view(np.float64).tolist())), dtype=object)
+    texts = np.array(fmt(bits.view(np.float64)), dtype=object)
     return texts[inverse.ravel()].reshape(np.shape(values))
+
+
+def format_floats(fmt: str, values: np.ndarray) -> list[str]:
+    """``[fmt % v for v in values]``, with one ``%`` over all of them."""
+    return ((fmt + "\n") * len(values) % tuple(values.tolist())).split("\n")[:-1]
 
 
 def fill_rows(row: str, sep: str, cells: np.ndarray) -> str:
@@ -722,9 +822,13 @@ def fill_rows(row: str, sep: str, cells: np.ndarray) -> str:
     return sep.join([row] * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def _text12(v: float) -> str:
-    """JSON text of ``round12(v)``."""
-    return repr(float(f"{v:.12g}"))
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The JSON text of ``round12(v)``, ``repr(float(f"{v:.12g}"))``, of
+    every value.  Without an exponent the 12-digit text is a normal
+    float's, and ``repr`` gives the same digits (another string of at most
+    12 digits is another float), with ".0" after an integer."""
+    return [repr(float(t)) if "e" in t or "n" in t else t if "." in t else t + ".0"
+            for t in format_floats("%.12g", values)]
 
 
 # One tile of ``json.dumps(..., sort_keys=True, indent=1)`` output.
@@ -733,31 +837,40 @@ _TILE_TEXT = ('  {\n   "handedness": %s,\n   "i": %s,\n   "id": %s,\n   "j": %s,
               '   "phi": %s\n  }')
 
 
-def tiling_json_chunks(tiling: Tiling):
+def tiling_json_chunks(tiling):
     """Yield the text of ``json.dumps(round12(tiling_to_json(tiling)),
     sort_keys=True, indent=1) + "\\n"`` in pieces of at most
-    JSON_CHUNK_TILES tiles, without building the per-tile dicts."""
+    JSON_CHUNK_TILES tiles, without building the per-tile dicts.
+    ``tiling`` is a :class:`Tiling`, taken in batches of two pieces, or
+    consecutive batches of one, as :func:`Tn_batches` gives them; the
+    first batch is taken before any text.  The floats of a batch are
+    formatted once per distinct value."""
     import numpy as np
-    header = {"format": TILING_FORMAT, "shape": tiling.shape.to_json(),
-              "generation": tiling.generation}
-    if not len(tiling):
+    if isinstance(tiling, Tiling):
+        step = 2 * JSON_CHUNK_TILES
+        tiling = [_part(tiling, lo, lo + step) for lo in range(0, max(len(tiling), 1), step)]
+    batches = iter(tiling)
+    first = next(batches)
+    header = {"format": TILING_FORMAT, "shape": first.shape.to_json(),
+              "generation": first.generation}
+    if not len(first):
         yield json.dumps(round12({**header, "tiles": []}),
                          sort_keys=True, indent=1) + "\n"
         return
     # "tiles" sorts last: open its list where the header object closes
     yield json.dumps(round12(header), sort_keys=True, indent=1)[:-2] + \
         ',\n "tiles": [\n'
-    for lo in range(0, len(tiling), JSON_CHUNK_TILES):
-        part = slice(lo, lo + JSON_CHUNK_TILES)
-        cells = np.empty((len(tiling.ids[part]), 8), dtype=object)
-        cells[:, :4] = np.column_stack((tiling.handedness[part], tiling.i[part],
-                                        tiling.ids[part], tiling.j[part]))
+    sep = ""
+    for batch in itertools.chain([first], batches):
+        cells = np.empty((len(batch), 8), dtype=object)
+        cells[:, :4] = np.column_stack((batch.handedness, batch.i, batch.ids, batch.j))
         cells[:, [4, 5, 7]] = float_texts(np.column_stack(
-            (tiling.ox[part], tiling.oy[part], tiling.phi[part])), _text12)
-        cells[:, 6] = tiling.parent[part]
-        cells[tiling.parent[part] < 0, 6] = "null"
-        text = fill_rows(_TILE_TEXT, ",\n", cells)
-        yield text if lo == 0 else ",\n" + text
+            (batch.ox, batch.oy, batch.phi)), _json_floats)
+        cells[:, 6] = batch.parent
+        cells[batch.parent < 0, 6] = "null"
+        for lo in range(0, len(batch), JSON_CHUNK_TILES):
+            yield sep + fill_rows(_TILE_TEXT, ",\n", cells[lo:lo + JSON_CHUNK_TILES])
+            sep = ",\n"
     yield "\n ]\n}\n"
 
 

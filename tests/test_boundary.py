@@ -12,7 +12,8 @@ from tilelab.boundary import (TIL2, TIL12, TIL13, FaultLine,
                               SubstitutionRule1D, _block_layout, _cut,
                               _nearest_offsets, _surplus, balanced_pairs,
                               check_letter_cap, f_of_n,
-                              forbidden_subwords_check, iterate, pair_levels,
+                              forbidden_subwords_check, iterate,
+                              legal_factors, pair_levels,
                               sigma0_til12, sigma_til12, slippage_til12,
                               til2_identity_check, til2_offsets, til2_pairs,
                               til2_rule, til2_slippage_bound, til13_fluctuation,
@@ -150,6 +151,45 @@ def test_forbidden_subwords():
     assert not forbidden_subwords_check("L" + "hH" * 1)
     assert not forbidden_subwords_check("HhHhHhH")   # seven-run of {H, h}
     assert forbidden_subwords_check("HLhLHLh")
+
+
+def _factor_set(word, k):
+    return {word[i:j] for i in range(len(word))
+            for j in range(i + 1, min(i + k, len(word)) + 1)}
+
+
+def test_til12_legal_factors_close_at_five():
+    sets = legal_factors(sigma_til12(), 7)
+    assert [len(f) for f in sets] == [1, 3, 18, 59, 121, 141, 141]
+    assert sets[6] == sets[5]
+    # the factor sets of the materialized words, the last one for all n >= 5
+    for n in range(13):
+        word = iterate(sigma_til12(), "H", n)
+        assert sets[min(n, 5)] == _factor_set(word, 7), n
+    # so no sigma^n(H) holds LL, hH or seven H/h in a row, for any n
+    assert all(forbidden_subwords_check(f) for f in sets[5])
+    assert forbidden_subwords_check("".join(sorted(sets[5], key=len)[-1]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_legal_factors_of_every_length_match_the_words(k):
+    for rule in (sigma_til12(), sigma0_til12()):
+        sets = legal_factors(rule, k)
+        assert sets[-1] in sets[:-1]
+        first = sets.index(sets[-1])
+        period = len(sets) - 1 - first
+        for n in range(10):
+            at = n if n < len(sets) - 1 else first + (n - first) % period
+            assert sets[at] == _factor_set(iterate(rule, "H", n), k), (rule.name, k, n)
+
+
+def test_legal_factors_refuse_what_they_cannot_bound():
+    with pytest.raises(ArgumentError, match="at least two letters"):
+        legal_factors(til13_rule(), 7)      # h -> H
+    with pytest.raises(ArgumentError, match="at least two letters"):
+        legal_factors(til2_rule(), 7)       # S -> H
+    with pytest.raises(ArgumentError, match="factor length must be at least 1, got 0"):
+        legal_factors(sigma_til12(), 0)
 
 
 def test_growth_bounds():

@@ -91,7 +91,7 @@ def _census_by_rank(shape, counts, min_pair):
 def test_matrix_power_counts_equal_the_pair_census(p, q):
     shape = shape_from_pq(p, q)
     walks = zip(census_steps(shape, 40), _census(shape, 40, classes=True))
-    for (gen, counts, min_pair), (_, classes, min_class) in walks:
+    for (gen, counts, min_pair), (_, classes, (min_class, *_)) in walks:
         keys = {shape.size_key(i, j) for i, j in classes}
         assert len(keys) == len(classes) <= max(p, q)
         assert all(i < q for i, _ in classes)
@@ -322,6 +322,57 @@ def test_census_size_histogram_refuses_a_weighting_before_the_walk(shape, monkey
     monkeypatch.setattr(stats, "_census_at", walk)
     with pytest.raises(ArgumentError, match="unknown weighting 'volume'"):
         census_size_histogram(shape, 10 ** 6, "volume")
+
+
+_EARLY_REFUSALS = {
+    "size_comparison-tolerance": (
+        lambda shape: size_comparison(shape, 10 ** 6, tolerance=-1.0),
+        "tolerance must be a finite number >= 0, got -1.0"),
+    "size_comparison-weighting": (
+        lambda shape: size_comparison(shape, 10 ** 6, weighting="volume"),
+        "unknown weighting 'volume'"),
+    "size_comparison-bins": (
+        lambda shape: size_comparison(shape, 10 ** 6, bins=0),
+        "bins must be an integer >= 1, got 0"),
+    "orientation_comparison-tolerance": (
+        lambda shape: orientation_comparison(shape, 10 ** 6, tolerance=math.nan),
+        "tolerance must be a finite number >= 0, got nan"),
+    "orientation_comparison-bins": (
+        lambda shape: orientation_comparison(shape, 10 ** 6, bins=True),
+        "bins must be an integer >= 1, got True"),
+    "empirical_size_fraction-weighting": (
+        lambda shape: empirical_size_fraction(shape, 10 ** 6, (0, 0.1), "volume"),
+        "unknown weighting 'volume'"),
+    "empirical_size_fraction-interval": (
+        lambda shape: empirical_size_fraction(shape, 10 ** 6, (0, "0.1")),
+        r"interval must be a pair of numbers, got \(0, '0.1'\)"),
+    "empirical_size_fraction-interval-nan": (
+        lambda shape: empirical_size_fraction(shape, 10 ** 6, (math.nan, 1.0)),
+        r"interval must be a pair of numbers, got \(nan, 1.0\)"),
+    "empirical_size_fraction-not-a-pair": (
+        lambda shape: empirical_size_fraction(shape, 10 ** 6, 0.5),
+        "interval must be a pair of numbers, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("shape", [shape_from_pq(1, 2), shape_from_theta(1.0)],
+                         ids=["1/2", "theta=1.0"])
+@pytest.mark.parametrize("case", sorted(_EARLY_REFUSALS))
+def test_comparisons_refuse_bad_arguments_before_the_walk(case, shape, monkeypatch):
+    # at n = 10**6 a walk would not end: each refusal must come first
+    def walk(*args, **kwargs):
+        raise AssertionError("the census walked")
+    monkeypatch.setattr(stats, "_census_at", walk)
+    monkeypatch.setattr(stats, "orientation_census", walk)
+    call, message = _EARLY_REFUSALS[case]
+    with pytest.raises(ArgumentError, match=message):
+        call(shape)
+
+
+def test_a_valid_interval_still_walks(til12):
+    # the interval check takes any real numbers, Fractions and infinities too
+    assert empirical_size_fraction(til12, 12, (Fraction(0), math.inf)) == 1.0
+    assert empirical_size_fraction(til12, 12, (0.6, 0.2)) == 0.0
 
 
 _BIN_CALLS = {

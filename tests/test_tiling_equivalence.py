@@ -17,7 +17,7 @@ from tilelab.geometry import (Placement, Tile, shape_from_pq, shape_from_theta,
 from tilelab.render import _Run, fault_runs, svg_chunks
 from tilelab.stats import (_size_histogram_from_counts, orientation_histogram,
                            size_histogram)
-from tilelab import stats, substitution
+from tilelab import render, stats, substitution
 from tilelab.errors import InternalError
 from tilelab.substitution import (JSON_CHUNK_TILES, build_Tn, deflate, root_tiling,
                                   Tiling, TraceSegment, census_steps,
@@ -532,3 +532,25 @@ def test_the_library_reads_tilings_only_as_columns(monkeypatch):
     "".join(tiling_json_chunks(tiling))
     with pytest.raises(AssertionError, match="iterated"):
         list(tiling.tiles)
+
+
+def _awkward_floats():
+    rng = np.random.default_rng(12)
+    bits = rng.integers(-2**63, 2**63 - 1, 20000, dtype=np.int64, endpoint=True)
+    picked = [0.0, -0.0, 1.0, -3.0, 0.5, 1e-4, 9.99999999999e-5, 123456789012.0,
+              999999999999.5, 1e12, 1.5e15, 1e16, 5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, math.pi, 2 * math.pi, math.inf, -math.inf]
+    values = np.concatenate([bits.view(np.float64), picked,
+                             rng.uniform(-4.0, 4.0, 5000), rng.integers(-9, 9, 100)])
+    return values[~np.isnan(values)]        # no tiling holds one
+
+
+def test_json_floats_are_the_text_of_round12():
+    values = _awkward_floats()
+    assert substitution._json_floats(values) == \
+        [repr(float(f"{v:.12g}")) for v in values.tolist()]
+
+
+def test_svg_floats_are_the_text_of_fmt():
+    values = _awkward_floats()
+    assert render._fmts(values) == [render._fmt(v) for v in values.tolist()]

@@ -274,11 +274,13 @@ def t9_file(tmp_path_factory):
 
 
 def test_a_number_cut_at_a_slice_end_is_read_whole(t9_file, tmp_path, capsys):
-    # a valid file whose last key's value "0.25" is cut after "0." by the
-    # fifth slice of the default size: it was refused with "Expecting ','
-    # delimiter at character 1310719"
-    text = t9_file.read_text().rstrip()[:-1] + " " * 30020 + ', "zz": 0.25}\n'
-    assert text.rindex("0.25") + 2 == 5 * reader.JSON_READ_CHARS
+    # a valid file whose last key's value "0.25" is cut after "0." where a
+    # slice of the default size ends: it was refused with "Expecting ','
+    # delimiter at character 1310719" (the fifth 256 KiB slice)
+    head = t9_file.read_text().rstrip()[:-1]
+    cut = -(-(len(head) + 10) // reader.JSON_READ_CHARS) * reader.JSON_READ_CHARS
+    text = head + " " * (cut - len(head) - 10) + ', "zz": 0.25}\n'
+    assert text.rindex("0.25") + 2 == cut
     path = tmp_path / "extra.json"
     path.write_text(text)
     with open(path) as fh:
