@@ -170,7 +170,7 @@ def _checked_tiling(data, tiles: _TileColumns | None) -> Tiling:
         raise ArgumentError("tiling generation must be a non-negative integer")
     if tiles is None:
         raise ArgumentError("tiling JSON 'tiles' must be a non-empty list")
-    return Tiling.from_columns(shape, generation, tiles.columns())
+    return Tiling(shape, generation, tiles.columns())
 
 
 def document_tiling(data: dict) -> Tiling:

@@ -276,44 +276,43 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
 
 def _exact_upper(window: _OracleWindow, s) -> bool:
     """Whether the size offset s lies in the upper part of the window,
-    compared in the size key's own arithmetic."""
-    if s < window.low or s >= window.high:
+    compared in the size key's own arithmetic at the caller's precision."""
+    eps = window.eps
+    if s < -eps or s >= window.mu - eps:
         raise DomainError(f"size offset {float(s)} outside the window "
                           f"[0, {float(window.mu)})")
-    return not s < window.lower
+    return not s < window.step - eps
 
 
 class _OracleWindow:
-    """The offsets bounding the window and its lower part, mu, and
-    whether alpha < beta, in the size key's own arithmetic: integers on
-    the rational lattice, extended precision otherwise (boundary hits are
-    exact lattice coincidences, snapped rather than left to rounding).
+    """mu, the smaller step min(alpha, beta), whether alpha < beta, and
+    the snap eps in the size key's own arithmetic: integers on the
+    rational lattice, extended precision otherwise (boundary hits are
+    exact lattice coincidences, snapped by eps rather than left to
+    rounding).  The window is [-eps, mu - eps) and its lower part ends at
+    step - eps, each formed at the precision of the call that reads it.
 
     Irrational shapes also keep the cut types :func:`count_oracle` may
     read as doubles, and the double bounds of the last such cut.
     """
 
-    __slots__ = ("low", "high", "lower", "mu", "a_below_b", "float_cuts",
-                 "mpf", "cut")
+    __slots__ = ("eps", "step", "mu", "a_below_b", "float_cuts", "mpf", "cut")
 
     def __init__(self, shape: TriangleShape):
         alpha = shape.size_key(1, 0)
         beta = shape.size_key(0, 1)
         self.mu = max(alpha, beta)
+        self.step = min(alpha, beta)
         self.a_below_b = alpha < beta
         self.float_cuts = ()
-        if shape.rationality is not None:
-            eps = 0
-        else:
+        self.eps = 0
+        if shape.rationality is None:
             import mpmath   # irrational keys are mpmath reals already
 
-            eps = mpmath.mpf("1e-30")
+            self.eps = mpmath.mpf("1e-30")
             self.float_cuts = (int, float, mpmath.mpf)
             self.mpf = mpmath.mpf
             self.cut = (None,)
-        self.low = -eps
-        self.high = self.mu - eps
-        self.lower = min(alpha, beta) - eps
 
     def float_bounds(self, t_cut) -> tuple:
         """``t_cut``, its double, and the open intervals of s_f that lie
@@ -323,7 +322,7 @@ class _OracleWindow:
         except OverflowError:
             tf = math.nan   # no interval holds a nan: the exact path decides
         margin = 2.0 ** -47 * (abs(tf) + float(self.mu))
-        low, lower, high = float(self.low), float(self.lower), float(self.high)
+        low, lower, high = (float(v - self.eps) for v in (0, self.step, self.mu))
         return (t_cut, tf, low + margin, lower - margin,
                 lower + margin, high - margin)
 

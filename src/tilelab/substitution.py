@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 from collections.abc import Sequence
 from typing import NamedTuple
@@ -68,9 +69,17 @@ def subdivide(tile: Tile, first_id: int | None = None) -> list[Tile]:
     import numpy as np
     if first_id is None:
         first_id = tile.id + 1
-    kids = _daughters(Tiling(tile.shape, [tile], 0), np.array([0]), first_id)
-    return [_make_tile(tile.shape, *row)
-            for row in Tiling.from_columns(tile.shape, 0, kids).rows()]
+    p = tile.placement
+    one = _one_tile(tile.shape, p.handedness, p.phi, *p.origin, *p.size_exp, tile.id,
+                    -1 if tile.parent is None else tile.parent)
+    kids = _daughters(one, np.array([0]), first_id)
+    return [_make_tile(tile.shape, *row) for row in Tiling(tile.shape, 0, kids).rows()]
+
+
+def _one_tile(shape: TriangleShape, *row) -> Tiling:
+    """The generation-0 tiling of the one tile whose values, in
+    :data:`COLUMNS` order, are ``row``."""
+    return Tiling(shape, 0, {name: [v] for (name, _), v in zip(COLUMNS, row)})
 
 
 class Tiling:
@@ -84,22 +93,7 @@ class Tiling:
     a :class:`Tile` object for each tile it hands out.
     """
 
-    def __init__(self, shape: TriangleShape, tiles, generation: int):
-        rows = [(t.placement.handedness, t.placement.phi, *t.placement.origin,
-                 *t.placement.size_exp, t.id, -1 if t.parent is None else t.parent)
-                for t in tiles]
-        values = list(zip(*rows)) if rows else [()] * len(COLUMNS)
-        self._init(shape, generation,
-                   {name: v for (name, _), v in zip(COLUMNS, values)})
-
-    @classmethod
-    def from_columns(cls, shape: TriangleShape, generation: int,
-                     columns: dict) -> "Tiling":
-        tiling = cls.__new__(cls)
-        tiling._init(shape, generation, columns)
-        return tiling
-
-    def _init(self, shape, generation, columns) -> None:
+    def __init__(self, shape: TriangleShape, generation: int, columns: dict):
         import numpy as np
         self.shape = shape
         self.generation = generation
@@ -371,27 +365,31 @@ def deflate(tiling: Tiling, cap: int | None = None, winners=None,
         col[start[keep]] = getattr(tiling, name)[keep]
         col[kid_at] = kids[name]
         out[name] = col
-    return Tiling.from_columns(tiling.shape, tiling.generation + 1, out)
+    return Tiling(tiling.shape, tiling.generation + 1, out)
 
 
 def root_tiling(shape: TriangleShape) -> Tiling:
-    root = Tile(shape=shape,
-                placement=Placement(1, 0.0, (0.0, 0.0), (0, 0)),
-                id=0, parent=None)
-    return Tiling(shape, [root], 0)
+    return _one_tile(shape, 1, 0.0, 0.0, 0.0, 0, 0, 0, -1)
 
 
-def _schedule(shape: TriangleShape, n: int, cap: int | None):
-    """The winners and the first daughter id of each generation 0..n-1 of
-    T_n, and T_n's tile count, from the size-class census.  Refused before
-    anything is built if a generation would pass ``cap`` tiles: ``deflate``
-    would raise the same error at the first one over."""
+def _sized_census(shape: TriangleShape, n: int, cap: int | None):
+    """The size-class census of generations 0..n, each with its tile
+    count, refused at the first generation after 0 that passes ``cap``
+    tiles: ``deflate`` would raise the same error there."""
     cap = DEFAULT_TILE_CAP if cap is None else cap
-    schedule, first_id = [], 1
     for gen, counts, winners in _census(shape, n, classes=True):
         total = sum(counts.values())
         if gen and total > cap:
             raise ResourceError(f"deflation would produce {total} tiles, cap is {cap}")
+        yield gen, counts, winners, total
+
+
+def _schedule(shape: TriangleShape, n: int, cap: int | None):
+    """The winners and the first daughter id of each generation 0..n-1 of
+    T_n, and T_n's tile count, from the size-class census, refused before
+    anything is built if a generation would pass ``cap`` tiles."""
+    schedule, first_id = [], 1
+    for gen, counts, winners, total in _sized_census(shape, n, cap):
         if gen < n:
             schedule.append((winners, first_id))
             first_id += 5 * sum(counts[w] for w in winners)
@@ -400,42 +398,28 @@ def _schedule(shape: TriangleShape, n: int, cap: int | None):
 
 def _part(t: Tiling, lo: int, hi: int) -> Tiling:
     """The tiling of rows lo:hi of ``t``, on views of its columns."""
-    return Tiling.from_columns(t.shape, t.generation, {
+    return Tiling(t.shape, t.generation, {
         name: getattr(t, name)[lo:hi] for name, _ in COLUMNS})
 
 
-def _joined(parts: list) -> Tiling:
-    """The tiling of the rows of ``parts`` in turn."""
-    import numpy as np
-    return parts[0] if len(parts) == 1 else Tiling.from_columns(
-        parts[0].shape, parts[0].generation,
-        {name: np.concatenate([getattr(p, name) for p in parts]) for name, _ in COLUMNS})
-
-
 def _batches(shape: TriangleShape, schedule, rows: int | None = None):
-    """T_n in batches of ``rows`` (default 2 * JSON_CHUNK_TILES) rows, the
-    last one shorter, for the ``schedule`` of :func:`_schedule`.  Each range
-    of at most ``rows`` rows of a generation is deflated with the census's
-    winners and cut into equal ranges again, depth first.  A tile's
-    daughters take its place, so the ranges of T_n come out in row order;
-    a daughter's id is its generation's first id plus 5 times its parent's
-    rank among the tiles that subdivide there, counted over the earlier
-    ranges."""
+    """T_n, for the ``schedule`` of :func:`_schedule`, as consecutive
+    ranges of at most ``rows`` (default 2 * JSON_CHUNK_TILES) rows.  Each
+    range of a generation is deflated with the census's winners and cut
+    into equal ranges of at most ``rows`` rows again, depth first.  A
+    tile's daughters take its place, so the ranges of T_n come out in row
+    order; a daughter's id is its generation's first id plus 5 times its
+    parent's rank among the tiles that subdivide there, counted over the
+    earlier ranges."""
     rows = rows or 2 * JSON_CHUNK_TILES
     n = len(schedule)
     split = [0] * n
     todo = [root_tiling(shape)]
-    held, size = [], 0      # ranges of T_n not yet yielded, and their rows
     while todo:
         t = todo.pop()
         gen = t.generation
         if gen == n:
-            held.append(t)
-            size += len(t)
-            if size >= rows:
-                cut = len(t) - (size - rows)
-                yield _joined(held[:-1] + [_part(t, 0, cut)])
-                held, size = [_part(t, cut, len(t))], size - rows
+            yield t
             continue
         winners, first_id = schedule[gen]
         before = len(t)
@@ -446,16 +430,13 @@ def _batches(shape: TriangleShape, schedule, rows: int | None = None):
         cuts = -(-len(t) // rows)
         todo += [_part(t, len(t) * k // cuts, len(t) * (k + 1) // cuts)
                  for k in reversed(range(cuts))]
-    if size:
-        yield _joined(held)
 
 
 def Tn_batches(shape: TriangleShape, n: int, cap: int | None = None):
-    """T_n as consecutive tilings of 2 * JSON_CHUNK_TILES tiles each, the
-    last one shorter, whose rows in order are T_n's.  The tile cap and
-    the near-tie checks run before this returns.  The batches are built
-    as they are taken, holding at most one deflated range of each
-    generation."""
+    """T_n as consecutive tilings of at most 2 * JSON_CHUNK_TILES tiles
+    each, whose rows in order are T_n's.  The tile cap and the near-tie
+    checks run before this returns.  The batches are built as they are
+    taken, holding at most one deflated range of each generation."""
     return _batches(shape, _schedule(shape, n, cap)[0])
 
 
@@ -470,7 +451,7 @@ def build_Tn(shape: TriangleShape, n: int, cap: int | None = None) -> Tiling:
         for name, col in out.items():
             col[at:at + len(batch)] = getattr(batch, name)
         at += len(batch)
-    return Tiling.from_columns(shape, n, out)
+    return Tiling(shape, n, out)
 
 
 # -- exact exponent census ---------------------------------------------------
@@ -713,57 +694,63 @@ def grow_supertile(shape: TriangleShape, choices: list[tuple[int, int]],
     """Nest supertiles along a list of ``(n_i, tile_index)`` choices.
 
     Level 1 is ``T_{n_1}`` with the first chosen tile marking where the
-    initial triangle sits.  Each later level ``i`` deflates ``T_{n_i}``
-    until the chosen tile's descendants form a copy of the previous
-    level's ``T_prev``; the recorded embedding is the chosen tile's
-    similarity.
+    initial triangle sits.  Each later level ``i`` is the first ``T_m``,
+    m >= n_i, in which the descendants of the chosen tile of ``T_{n_i}``
+    form a copy of the previous level's ``T_prev``; the recorded embedding
+    is the chosen tile's similarity.
 
-    The stop rule is exact: the descendants' tile counts per exponent
-    pair, taken relative to the chosen tile's pair, equal
-    ``census_counts(shape, prev)``.  Size keys add over exponent pairs
-    and deflation splits the largest tiles first, so the descendants pass
-    through copies of T_0, T_1, ... in order, each for one or more
-    deflations.  A copy of T_m with m < prev still holds the class that
-    T_m subdivides, which T_prev lacks, so the first match is the copy of
-    T_prev.  The search ends: each deflation strictly raises the least
-    size key present, keys below any bound are finitely many, and the
-    copy advances once that least key reaches its own.  A descendant
-    count above T_prev's tile count is therefore an internal error.
+    The order m comes from the size-class census.  Size keys add over
+    exponent pairs and deflation splits the largest tiles first, so the
+    descendants pass through copies of T_0, T_1, ... in order.  The copy
+    of T_k becomes one of T_{k+1} at the generation whose winners hold the
+    class of the chosen tile's pair plus T_k's least pair, so m is one
+    past the generation of the prev-th such split (n_i when prev is 0).
+    The walk ends: each generation strictly raises the least size key
+    present, and keys below any bound are finitely many.  A class that
+    leaves the census before it splits is an internal error.
     """
-    import numpy as np
     chain = SupertileChain([], [])
     if not choices:
         chain.orders.append(0)
         chain.levels.append((build_Tn(shape, 0), Similarity()))
         return chain
-    prev_order = None
+    prev = 0
     for n_i, pos in choices:
         pos = as_count(pos, "tile index")
         current = build_Tn(shape, n_i, cap=cap)
         if not (0 <= pos < len(current)):
             raise ArgumentError(f"tile index {pos} out of range for T_{n_i}")
-        anchor = current.tiles[pos]
-        order = n_i
-        if prev_order is not None:
-            target = Counter(census_counts(shape, prev_order)[0])
-            ai, aj = anchor.placement.size_exp
-            leaves = current.ids == anchor.id
-            while True:
-                counts = Counter(zip((current.i[leaves] - ai).tolist(),
-                                     (current.j[leaves] - aj).tolist()))
-                if counts == target:
-                    break
-                if counts.total() > target.total():
-                    raise InternalError("supertile descendants passed T_"
-                                        f"{prev_order} without matching it")
-                ids = current.ids[leaves]
-                current = deflate(current, cap=cap)
-                order += 1
-                leaves = np.isin(current.ids, ids) | np.isin(current.parent, ids)
+        hand, phi, ox, oy, i, j = (getattr(current, name)[pos].item()
+                                   for name in ("handedness", "phi", "ox", "oy", "i", "j"))
+        order = _supertile_order(shape, (i, j), n_i, prev, cap) if prev else n_i
+        if order != n_i:
+            current = build_Tn(shape, order, cap=cap)
         chain.orders.append(order)
-        chain.levels.append((current, anchor.similarity()))
-        prev_order = order
+        chain.levels.append((current, Similarity(hand, phi, shape.scale(i, j), (ox, oy))))
+        prev = order
     return chain
+
+
+def _supertile_order(shape: TriangleShape, pair: tuple[int, int], n: int,
+                     prev: int, cap: int | None) -> int:
+    """The generation of the first copy of T_prev, prev >= 1, among the
+    descendants of a tile of exponent ``pair`` in T_n (see
+    :func:`grow_supertile`)."""
+    canon = _size_class(shape, True)
+    splits = iter([canon((pair[0] + i, pair[1] + j))
+                   for _, _, ((i, j), *_) in _census(shape, prev - 1, classes=True)])
+    target = next(splits)
+    # no bound but the cap: a generation adds at least 4 tiles
+    for gen, counts, winners, _ in _sized_census(shape, sys.maxsize, cap):
+        if gen < n:
+            continue
+        if target in winners:
+            target = next(splits, None)
+            if target is None:
+                return gen + 1
+        elif target not in counts:     # the least key present passed it
+            raise InternalError(f"supertile descendants passed T_{prev} "
+                                "without matching it")
 
 
 # -- serialization ------------------------------------------------------------
@@ -842,9 +829,9 @@ def tiling_json_chunks(tiling):
     sort_keys=True, indent=1) + "\\n"`` in pieces of at most
     JSON_CHUNK_TILES tiles, without building the per-tile dicts.
     ``tiling`` is a :class:`Tiling`, taken in batches of two pieces, or
-    consecutive batches of one, as :func:`Tn_batches` gives them; the
-    first batch is taken before any text.  The floats of a batch are
-    formatted once per distinct value."""
+    consecutive tilings such as :func:`Tn_batches` gives; the first batch
+    is taken before any text.  The floats of a batch are formatted once
+    per distinct value."""
     import numpy as np
     if isinstance(tiling, Tiling):
         step = 2 * JSON_CHUNK_TILES

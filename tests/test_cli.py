@@ -408,7 +408,7 @@ def test_headings_the_writer_emits_keep_their_bins(tmp_path, capsys):
     cols = {name: getattr(t, name).copy() for name in
             ("handedness", "phi", "ox", "oy", "i", "j", "ids", "parent")}
     cols["phi"][3] = math.nextafter(2.0 * math.pi, 0.0)
-    text = "".join(tiling_json_chunks(Tiling.from_columns(t.shape, 1, cols)))
+    text = "".join(tiling_json_chunks(Tiling(t.shape, 1, cols)))
     assert '"phi": 6.28318530718\n' in text
     path = tmp_path / "top.json"
     path.write_text(text)

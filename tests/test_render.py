@@ -11,7 +11,7 @@ from tilelab.errors import ArgumentError
 from tilelab.geometry import cos_sin, shape_from_pq, shape_from_theta, vertices
 from tilelab.render import _Run, fault_runs, render_svg, svg_chunks
 from tilelab.reader import read_tiling
-from tilelab.substitution import Tiling, build_Tn, tiling_json_chunks
+from tilelab.substitution import COLUMNS, Tiling, build_Tn, tiling_json_chunks
 
 POLY = re.compile(r'<polygon points="([^"]+)"')
 
@@ -54,7 +54,7 @@ def test_color_modes(til12):
 
 
 def test_empty_tiling_renders_shell(til12):
-    svg = render_svg(Tiling(til12, [], 0))
+    svg = render_svg(Tiling(til12, 0, {name: [] for name, _ in COLUMNS}))
     assert svg.startswith("<svg")
     assert "<polygon" not in svg
 
@@ -220,7 +220,7 @@ def _bits(*columns) -> list[bytes]:
 
 def _minus_zero_corners():
     # origin -0.0 and heading pi: the small-angle corner is (-0.0, -0.0)
-    t = Tiling.from_columns(shape_from_pq(1, 2), 0, {
+    t = Tiling(shape_from_pq(1, 2), 0, {
         "handedness": [1, -1, -1], "phi": [math.pi, math.pi, 0.0],
         "ox": [-0.0, -0.0, 0.5], "oy": [-0.0, 0.25, -0.0], "i": [0, 1, 0],
         "j": [0, 0, 1], "ids": [0, 1, 2], "parent": [-1, 0, 0]})
@@ -296,7 +296,7 @@ def test_exponent_pairs_match_one_unique(monkeypatch, chunk):
         i = rng.integers(0, high, n, endpoint=True)
         j = rng.integers(0, high, n, endpoint=True)
         j[rng.integers(0, n)] = top
-        t = Tiling.from_columns(shape_from_pq(1, 2), 0, {
+        t = Tiling(shape_from_pq(1, 2), 0, {
             "handedness": np.ones(n), "phi": np.zeros(n), "ox": np.zeros(n),
             "oy": np.zeros(n), "i": i, "j": j, "ids": np.arange(n),
             "parent": np.full(n, -1)})
@@ -304,7 +304,8 @@ def test_exponent_pairs_match_one_unique(monkeypatch, chunk):
         want = _ref_exponent_pairs(t)
         assert pairs == want[0] and counts == want[2]
         assert index.dtype == want[1].dtype and index.tolist() == want[1].tolist()
-    assert Tiling(shape_from_pq(1, 2), [], 0).exponent_pairs()[::2] == ([], [])
+    empty = Tiling(shape_from_pq(1, 2), 0, {name: [] for name, _ in COLUMNS})
+    assert empty.exponent_pairs()[::2] == ([], [])
 
 
 @pytest.mark.parametrize("color,faults", [("size", True), ("phi", False),
@@ -321,8 +322,8 @@ def test_svg_chunks_join_to_the_document(monkeypatch, til12_T6, color, faults):
 def _moved(t, ox, oy):
     columns = {name: getattr(t, name) for name in
                ("handedness", "phi", "ox", "oy", "i", "j", "ids", "parent")}
-    return Tiling.from_columns(t.shape, t.generation,
-                               {**columns, "ox": ox.copy(), "oy": oy.copy()})
+    return Tiling(t.shape, t.generation,
+                  {**columns, "ox": ox.copy(), "oy": oy.copy()})
 
 
 def test_vertices_out_of_range_raise_argument_error(til12):

@@ -421,3 +421,24 @@ def test_equidistribution_keeps_the_fraction_of_a_large_ratio(ratio):
                 for k in range(1, n + 1)) / n
     assert exact == 0.5
     assert equidistribution_frequency(ratio, 0.25, 0.75, n_samples=n) == exact
+
+
+def test_the_oracle_does_not_depend_on_the_first_calls_precision():
+    # the window once kept its bounds rounded at the precision of the
+    # shape's first call: after a first call at 20 bits this gave 240
+    import mpmath
+
+    def call(shape):
+        return count_oracle(shape, shape.size_key(3, 2) - 1e-9, (4, 2))
+
+    at_20 = []
+    for first_at_20 in (False, True):
+        shape = shape_from_theta(1.0)
+        assert getattr(shape, "_oracle", None) is None
+        if first_at_20:
+            with mpmath.workprec(20):
+                at_20.append(call(shape))
+        assert call(shape) == 80
+        with mpmath.workprec(20):
+            at_20.append(call(shape))
+    assert at_20[0] == at_20[1] == at_20[2]

@@ -57,7 +57,7 @@ def test_validate_cover_samples_at_least_the_centroid(til12, samples):
     hit = next(k for k, r in enumerate(rows[1:], 1) if r[4:6] == rows[0][4:6])
     rows[hit] = rows[0][:6] + rows[hit][6:]
     columns = {name: col for (name, _), col in zip(COLUMNS, zip(*rows))}
-    overlapping = Tiling.from_columns(til12, 3, columns)
+    overlapping = Tiling(til12, 3, columns)
     if samples:
         with pytest.raises(InternalError, match="overlaps"):
             overlapping.validate_cover(samples_per_tile=samples)
@@ -111,7 +111,7 @@ def test_deflate_only_touches_minimal_tiles(til12):
 
 def test_deflate_refuses_an_empty_tiling(til12):
     with pytest.raises(ArgumentError, match="empty tiling"):
-        deflate(Tiling(til12, [], 0))
+        deflate(Tiling(til12, 0, {name: [] for name, _ in COLUMNS}))
 
 
 def test_tile_cap(pinwheel):

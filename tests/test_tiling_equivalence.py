@@ -3,6 +3,7 @@ which are kept here as references."""
 
 import json
 import math
+import random
 import struct
 import tracemalloc
 
@@ -18,9 +19,11 @@ from tilelab.render import _Run, fault_runs, svg_chunks
 from tilelab.stats import (_size_histogram_from_counts, orientation_histogram,
                            size_histogram)
 from tilelab import render, stats, substitution
-from tilelab.errors import InternalError
-from tilelab.substitution import (JSON_CHUNK_TILES, build_Tn, deflate, root_tiling,
-                                  Tiling, TraceSegment, census_steps,
+from collections import Counter
+
+from tilelab.errors import InternalError, ResourceError
+from tilelab.substitution import (COLUMNS, JSON_CHUNK_TILES, build_Tn, deflate, root_tiling,
+                                  Tiling, TraceSegment, census_counts, census_steps,
                                   grow_supertile, round12, subdivide,
                                   tiling_from_json, tiling_json_chunks,
                                   tiling_to_json, trace_edge)
@@ -314,6 +317,32 @@ def ref_supertile_orders(shape, choices, max_extra=200):
     return orders
 
 
+def ref_census_chain(shape, choices, cap=None):
+    """grow_supertile's orders, levels and anchor similarities by deflating
+    each later level's whole tiling until the anchor's descendants count,
+    per exponent pair relative to the anchor's, as T_prev does."""
+    orders, levels = [], []
+    for n_i, pos in choices:
+        current = build_Tn(shape, n_i, cap)
+        anchor = current.tiles[pos]
+        if orders:
+            target = Counter(census_counts(shape, orders[-1])[0])
+            ai, aj = anchor.placement.size_exp
+            leaves = current.ids == anchor.id
+            while True:
+                counts = Counter(zip((current.i[leaves] - ai).tolist(),
+                                     (current.j[leaves] - aj).tolist()))
+                if counts == target:
+                    break
+                assert counts.total() < target.total()
+                ids = current.ids[leaves]
+                current = deflate(current, cap=cap)
+                leaves = np.isin(current.ids, ids) | np.isin(current.parent, ids)
+        orders.append(current.generation)
+        levels.append((current, anchor.similarity()))
+    return orders, levels
+
+
 # -- helpers ------------------------------------------------------------------
 
 
@@ -479,9 +508,9 @@ def test_tile_view_builds_tiles_on_demand():
 @pytest.mark.parametrize("zeros", [(0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), ()])
 def test_json_writer_keeps_signed_zeros(monkeypatch, zeros):
     shape = shape_from_pq(1, 2)
-    tiles = [Tile(shape, Placement(1, z, (z, -z), (0, k)), k, None if k == 0 else 0)
-             for k, z in enumerate(zeros)]
-    tiling = Tiling(shape, tiles, 0)
+    rows = [(1, z, z, -z, 0, k, k, -1 if k == 0 else 0) for k, z in enumerate(zeros)]
+    tiling = Tiling(shape, 0, {name: [r[c] for r in rows]
+                               for c, (name, _) in enumerate(COLUMNS)})
     want = json.dumps(round12(tiling_to_json(tiling)), sort_keys=True,
                       indent=1) + "\n"
     monkeypatch.setattr(substitution, "JSON_CHUNK_TILES", 1)
@@ -515,11 +544,64 @@ def test_grow_supertile_stops_where_the_greedy_matcher_does(supertile_orders):
             ref_supertile_orders(shape, choices)
 
 
+def _random_chains(seed, count):
+    rng = random.Random(seed)
+    shapes = [shape_from_pq(p, q) for p, q in
+              ((1, 2), (2, 1), (1, 3), (3, 5), (2, 3), (5, 2), (1, 4))]
+    shapes += [shape_from_theta(t) for t in (0.7, 1.0, 1.1)]
+    for _ in range(count):
+        shape = rng.choice(shapes)
+        choices = []
+        for _ in range(rng.randint(2, 3)):
+            n = rng.randint(0, 5)
+            choices.append((n, rng.randrange(sum(census_counts(shape, n)[0].values()))))
+        yield shape, choices
+
+
+def _chain_bytes(grow, shape, choices):
+    """The orders and, as bytes, the levels of a chain, or the message of
+    its tile-cap refusal."""
+    try:
+        orders, levels = grow(shape, choices, cap=200_000)
+    except ResourceError as refusal:
+        return str(refusal)
+    return orders, [(t.generation, [getattr(t, name).tobytes() for name, _ in COLUMNS],
+                     sim) for t, sim in levels]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grow_supertile_follows_the_census_as_deflating_does(seed, supertile_orders):
+    chains = list(_random_chains(seed, 12))
+    if seed == 0:
+        chains += [(shape, choices) for shape, choices, _ in supertile_orders]
+    outcomes = [_chain_bytes(grow_supertile, shape, choices) for shape, choices in chains]
+    assert outcomes == [_chain_bytes(ref_census_chain, shape, choices)
+                        for shape, choices in chains]
+    assert sum(isinstance(got, tuple) for got in outcomes) >= 9
+
+
+@pytest.mark.parametrize("over", [9, 10], ids=["before the order", "at the order"])
+def test_a_chain_past_the_tile_cap_refuses_as_deflating_does(over):
+    # 1/2 [(3, 0), (3, 5), (4, 2)] reaches order 11; the cap lets T_(over - 1)
+    # through, so the third level's walk (over = 9) or its T_11 (over = 10)
+    # is the first thing over it
+    shape, choices = shape_from_pq(1, 2), [(3, 0), (3, 5), (4, 2)]
+    cap = len(build_Tn(shape, over - 1))
+    with pytest.raises(ResourceError) as refusal:
+        ref_census_chain(shape, choices, cap)
+    assert str(refusal.value) == \
+        f"deflation would produce {len(build_Tn(shape, over))} tiles, cap is {cap}"
+    with pytest.raises(ResourceError) as refusal_now:
+        grow_supertile(shape, choices, cap)
+    assert str(refusal_now.value) == str(refusal.value)
+
+
 def test_the_library_reads_tilings_only_as_columns(monkeypatch):
-    def refuse(self):
-        raise AssertionError("a library function iterated Tiling.tiles")
+    def refuse(self, *index):
+        raise AssertionError("a library function read Tiling.tiles")
 
     monkeypatch.setattr(substitution._TileView, "__iter__", refuse)
+    monkeypatch.setattr(substitution._TileView, "__getitem__", refuse)
     shape = shape_from_pq(1, 2)
     tiling = deflate(build_Tn(shape, 5))
     for edge in ("hypotenuse", "long", "short"):
@@ -530,8 +612,10 @@ def test_the_library_reads_tilings_only_as_columns(monkeypatch):
     orientation_histogram(tiling)
     "".join(svg_chunks(tiling, faults=True))
     "".join(tiling_json_chunks(tiling))
-    with pytest.raises(AssertionError, match="iterated"):
+    with pytest.raises(AssertionError, match="read Tiling.tiles"):
         list(tiling.tiles)
+    with pytest.raises(AssertionError, match="read Tiling.tiles"):
+        tiling.tiles[0]
 
 
 def _awkward_floats():
