@@ -21,6 +21,8 @@ from .geometry import TriangleShape
 DEDUPE_TOL = 1e-9
 LEADING_REL_TOL = 1e-9
 RESIDUAL_TOL = 1e-6     # orientation_spectrum_check's eigenvalue residual
+ABERTH_TOL = 2.0 ** -50     # a settled root's last step, relative
+ABERTH_MAX_SWEEPS = 100
 
 
 def _check_pq(p: int, q: int) -> None:
@@ -100,13 +102,90 @@ def _poly_deriv(coeffs):
     return [c * (n - k) for k, c in enumerate(coeffs[:-1])]
 
 
+def _polygon_seeds(coeffs) -> tuple[list[float], list[complex]]:
+    """Starting points from the Newton polygon (Bini, *Numer. Algorithms*
+    13, 1996): an upper hull edge from exponent e1 to e2 stands for the
+    e2 - e1 roots of c1 x^e1 + c2 x^e2 = 0, on the circle of radius
+    |c1 / c2|^(1 / (e2 - e1)) at angles (arg(-c1 / c2) + 2 pi j) / (e2 - e1).
+    With real coefficients those angles are symmetric about the real
+    axis: the seeds at angle 0 and pi come back as floats, and of each
+    conjugate pair only the one above the axis."""
+    m = len(coeffs) - 1
+    hull = []      # (exponent, log |c|, c), exponents ascending
+    for i in range(m, -1, -1):
+        if not coeffs[i]:
+            continue
+        pt = (m - i, math.log(abs(coeffs[i])), coeffs[i])
+        while len(hull) >= 2 and ((hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])
+                                  <= (pt[1] - hull[-2][1]) * (hull[-1][0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    real, upper = [], []
+    for (e1, l1, c1), (e2, l2, c2) in zip(hull, hull[1:]):
+        n = e2 - e1
+        radius = math.exp((l1 - l2) / n)
+        # angle t pi / n for t of one parity: even if -c1/c2 > 0, else odd
+        for t in range(0 if c1 * c2 < 0 else 1, n + 1, 2):
+            if t == 0:
+                real.append(radius)
+            elif t == n:
+                real.append(-radius)
+            else:
+                upper.append(cmath.rect(radius, math.pi * t / n))
+    return real, upper
+
+
+def _aberth_roots(coeffs) -> list[complex]:
+    """Every root of a sparse real polynomial by Aberth's simultaneous
+    iteration (Aberth, *Math. Comp.* 27, 1973), from the Newton-polygon
+    seeds of :func:`_polygon_seeds`.
+
+    Each sweep moves every unsettled root x by N / (1 - N S), where N =
+    f(x) / f'(x) comes from the nonzero terms alone (powers, O(1) for the
+    trinomials of :func:`char_poly`) and S is the sum of 1 / (x - y) over
+    the other roots y, the conjugates of the upper roots included.  A
+    real seed moves by a real step, so it stays real; the upper roots
+    stand for their conjugate pairs.  A root is settled once its step is
+    within ABERTH_TOL of its modulus.
+    """
+    m = len(coeffs) - 1
+    terms = [(c, m - i) for i, c in enumerate(coeffs) if c]
+    real, upper = _polygon_seeds(coeffs)
+    n_real, n = len(real), len(real) + len(upper)
+    roots = real + upper + [z.conjugate() for z in upper]   # roots[n:] mirror
+    settled = [False] * n
+    for _ in range(ABERTH_MAX_SWEEPS):
+        for i in range(n):
+            if settled[i]:
+                continue
+            x = roots[i]
+            f = g = 0
+            for c, e in terms:
+                term = c * x ** e
+                f += term
+                g += e * term
+            newton = x * f / g      # f / f', as x f' = g
+            s = 0j      # summed in order: sum() compensates on newer Pythons
+            for y in roots[:i] + roots[i + 1:]:
+                s += 1 / (x - y)
+            if i < n_real:
+                s = s.real
+            step = newton / (1 - newton * s)
+            roots[i] = x - step
+            if i >= n_real:
+                roots[i + n - n_real] = roots[i].conjugate()
+            settled[i] = abs(step) <= ABERTH_TOL * abs(x)
+        if all(settled):
+            return [complex(x) for x in roots]
+    raise NumericError(f"Aberth iteration did not settle in "
+                       f"{ABERTH_MAX_SWEEPS} sweeps")
+
+
 def _polished_roots(coeffs) -> list[complex]:
-    import numpy as np
-    roots = np.roots(np.asarray(coeffs, dtype=float))
+    roots = _aberth_roots(coeffs)
     deriv = _poly_deriv(coeffs)
     out = []
     for lam in roots:
-        lam = complex(lam)
         d = _poly_eval(deriv, lam)
         if d != 0:
             lam = lam - _poly_eval(coeffs, lam) / d

@@ -15,6 +15,7 @@ import io
 import math
 import numbers
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .classify import orientation_census
@@ -49,17 +50,15 @@ class OrientationHistogram(NamedTuple):
     phi_bins: dict[tuple[int, int], tuple[float, ...]]
 
     def pooled(self) -> tuple[float, ...]:
-        import numpy as np
-        acc = np.zeros(self.bins)
+        acc = [0.0] * self.bins
         for cell, weight in self.cells.items():
-            acc += weight * np.asarray(self.phi_bins[cell])
-        return tuple(acc.tolist())
+            acc = [a + weight * x for a, x in zip(acc, self.phi_bins[cell])]
+        return tuple(acc)
 
     def max_deviation(self) -> float:
         """Largest pooled-bin departure from the uniform heading law."""
-        import numpy as np
-        pooled = np.asarray(self.pooled())
-        return float(np.abs(pooled - 1.0 / self.bins).max())
+        uniform = 1.0 / self.bins
+        return max(abs(x - uniform) for x in self.pooled())
 
 
 def _check_bins(bins) -> None:
@@ -77,11 +76,12 @@ def _check_tolerance(tolerance) -> None:
                             f"got {tolerance!r}")
 
 
-def _phi_bin(phi: np.ndarray, bins: int) -> np.ndarray:
-    import numpy as np
+def _phi_position(phi, bins: int):
+    """Where a heading (a float or a float array) falls in ``bins`` equal
+    arcs of [0, 2pi), in arcs; its bin is the truncation, modulo bins."""
     # headings like pi/2 sit exactly on bin edges; the nudge makes the
     # geometric and census paths agree there despite float noise
-    return ((phi / (2.0 * math.pi) + 1e-9) * bins).astype(np.int64) % bins
+    return (phi / (2.0 * math.pi) + 1e-9) * bins
 
 
 # The most bits a total count may have before the weights are scaled down.
@@ -116,7 +116,6 @@ def _weights(shape: TriangleShape, counts: dict, weighting: str) -> list[float]:
 
 def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
                                 weighting: str, bins: int) -> Histogram:
-    import numpy as np
     weights = _weights(shape, counts, weighting)
     if shape.rationality is not None:
         ranks = size_class_ranks(shape, counts)
@@ -129,14 +128,38 @@ def _size_histogram_from_counts(shape: TriangleShape, counts: dict,
         width = shape.mu / bins
         slots = [min(int((key - lo) / width), bins - 1) for key in keys]
         labels = range(bins)
-    masses = np.zeros(len(labels))
+    masses = [0.0] * len(labels)
     for b, w in zip(slots, weights):
         masses[b] += w
-    total = masses.sum()
+    total = _pairwise_total(masses)
     if total <= 0:
         raise ArgumentError("empty distribution")
     return Histogram(weighting=weighting, labels=tuple(labels),
-                     masses=tuple((masses / total).tolist()))
+                     masses=tuple([m / total for m in masses]))
+
+
+def _pairwise_total(values: list[float]) -> float:
+    """The sum of ``values`` in numpy's pairwise order, so that histogram
+    masses keep the bits they had as ``ndarray.sum()``: eight running
+    sums combined as a tree for up to 128 values, halves (at a multiple
+    of 8) above that, and one running sum below 8."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_total(values[:half]) + _pairwise_total(values[half:])
+    r = values[:8]
+    end = n - n % 8
+    for lo in range(8, end, 8):
+        r = [a + b for a, b in zip(r, values[lo:lo + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in values[end:]:
+        total += v
+    return total
 
 
 def size_histogram(t: Tiling, weighting: str = "count",
@@ -195,7 +218,8 @@ def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
         cell = 2 * index[part] + (t.handedness[part] > 0)
         shown, first = np.unique(cell, return_index=True)
         order.update(dict.fromkeys(shown[np.argsort(first)].tolist()))
-        counts += np.bincount(cell * bins + _phi_bin(t.phi[part], bins),
+        heading = _phi_position(t.phi[part], bins).astype(np.int64) % bins
+        counts += np.bincount(cell * bins + heading,
                               minlength=len(counts))
     rows = counts.reshape(-1, bins)
     return _orientation_histogram(
@@ -210,11 +234,10 @@ def census_orientation_histogram(shape: TriangleShape, n: int,
                                  ) -> OrientationHistogram:
     """Heading distribution from the exact orientation census, one item
     per census key."""
-    import numpy as np
     _check_bins(bins)
     census = orientation_census(shape, n, theta_pi)
     return _orientation_histogram(
-        shape, (((i, j, sign, int(_phi_bin(np.float64(census.angle(key)), bins))), cnt)
+        shape, (((i, j, sign, int(_phi_position(census.angle(key), bins)) % bins), cnt)
                 for (i, j, sign, key), cnt in census.counts.items()),
         bins)
 
@@ -277,11 +300,11 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
 def _exact_upper(window: _OracleWindow, s) -> bool:
     """Whether the size offset s lies in the upper part of the window,
     compared in the size key's own arithmetic at the caller's precision."""
-    eps = window.eps
-    if s < -eps or s >= window.mu - eps:
+    _, low, lower, high = window.exact_bounds()
+    if s < low or s >= high:
         raise DomainError(f"size offset {float(s)} outside the window "
                           f"[0, {float(window.mu)})")
-    return not s < window.step - eps
+    return not s < lower
 
 
 class _OracleWindow:
@@ -290,13 +313,15 @@ class _OracleWindow:
     rational lattice, extended precision otherwise (boundary hits are
     exact lattice coincidences, snapped by eps rather than left to
     rounding).  The window is [-eps, mu - eps) and its lower part ends at
-    step - eps, each formed at the precision of the call that reads it.
+    step - eps, each formed at the precision of the call that reads it and
+    kept until a call reads them at another precision.
 
     Irrational shapes also keep the cut types :func:`count_oracle` may
     read as doubles, and the double bounds of the last such cut.
     """
 
-    __slots__ = ("eps", "step", "mu", "a_below_b", "float_cuts", "mpf", "cut")
+    __slots__ = ("eps", "step", "mu", "a_below_b", "float_cuts", "mpf", "cut",
+                 "bounds")
 
     def __init__(self, shape: TriangleShape):
         alpha = shape.size_key(1, 0)
@@ -306,6 +331,7 @@ class _OracleWindow:
         self.a_below_b = alpha < beta
         self.float_cuts = ()
         self.eps = 0
+        self.bounds = (None, 0, self.step, self.mu)
         if shape.rationality is None:
             import mpmath   # irrational keys are mpmath reals already
 
@@ -313,6 +339,18 @@ class _OracleWindow:
             self.float_cuts = (int, float, mpmath.mpf)
             self.mpf = mpmath.mpf
             self.cut = (None,)
+            self.bounds = (None,)
+
+    def exact_bounds(self) -> tuple:
+        """The working precision (None on the rational lattice) and -eps,
+        step - eps and mu - eps formed at it."""
+        bounds = self.bounds    # read once: another thread may replace it
+        if self.float_cuts:
+            prec = self.mpf.context.prec
+            if bounds[0] != prec:
+                eps = self.eps
+                bounds = self.bounds = (prec, -eps, self.step - eps, self.mu - eps)
+        return bounds
 
     def float_bounds(self, t_cut) -> tuple:
         """``t_cut``, its double, and the open intervals of s_f that lie
@@ -322,7 +360,7 @@ class _OracleWindow:
         except OverflowError:
             tf = math.nan   # no interval holds a nan: the exact path decides
         margin = 2.0 ** -47 * (abs(tf) + float(self.mu))
-        low, lower, high = (float(v - self.eps) for v in (0, self.step, self.mu))
+        low, lower, high = map(float, self.exact_bounds()[1:])
         return (t_cut, tf, low + margin, lower - margin,
                 lower + margin, high - margin)
 
@@ -436,13 +474,11 @@ class ComparisonReport(_ReportFields):
 
     @property
     def value(self) -> float:
-        import numpy as np
         if self.metric == "l1":
             return self.l1
         if self.metric == "cdf_sup":
-            ca = np.cumsum(self.analytic)
-            ce = np.cumsum(self.empirical)
-            return float(np.abs(ca - ce).max())
+            return max(abs(a - e) for a, e in zip(accumulate(self.analytic),
+                                                  accumulate(self.empirical)))
         raise ArgumentError(f"unknown metric {self.metric!r}")
 
     @property

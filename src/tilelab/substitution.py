@@ -98,7 +98,8 @@ class Tiling:
         self.shape = shape
         self.generation = generation
         for name, dtype in COLUMNS:
-            col = np.asarray(columns[name], dtype=dtype)
+            # a view: freezing it leaves the caller's own array writable
+            col = np.asarray(columns[name], dtype=dtype).view()
             col.flags.writeable = False
             setattr(self, name, col)
         self._pairs = None

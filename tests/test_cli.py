@@ -463,6 +463,8 @@ _EXACT_COMMANDS = [
     ["boundary", "--system", "til2", "--n", "11"],
     ["boundary", "--system", "til13", "--n", "18"],
     ["spectral", "--theta", "1.0"],
+    ["spectral", "--pq", "1/2"],
+    ["spectral", "--pq", "3/5"],
     ["classify", "--pq", "1/3", "--theta-pi", "1/4"],
     ["classify", "--theta", "0.8", "--theta-pi", "irrational"],
 ]
@@ -475,6 +477,27 @@ def test_exact_commands_never_load_numpy(argv):
             "sys.exit('numpy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_census_library_calls_never_load_numpy():
+    code = """if True:
+        import math, sys
+        from tilelab.geometry import shape_from_pq, shape_from_theta
+        from tilelab.spectral import eigen
+        from tilelab.stats import orientation_comparison, size_comparison
+        size_comparison(shape_from_theta(1.0), 200)
+        size_comparison(shape_from_pq(1, 2), 200, "count")
+        orientation_comparison(shape_from_pq(1, 2), 20)
+        for p in range(1, 21):
+            for q in range(1, 21):
+                if math.gcd(p, q) == 1:
+                    eigen(shape_from_pq(p, q))
+        sys.exit("numpy" in sys.modules)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True)
     assert result.returncode == 0, result.stderr
 

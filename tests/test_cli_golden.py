@@ -1,10 +1,12 @@
-"""Byte identity of the tiling and boundary CLI outputs.
+"""Byte identity of the tiling, boundary and spectral CLI outputs.
 
 The tiling digests were recorded from the per-tile implementation before
 the tiling core moved to numpy columns; any change to the bytes of
 ``generate``, ``stats`` or ``render`` shows up here.  The boundary CSVs
 were recorded from the materialized-word implementation, before the
-til2 and til13 rows came from balanced-pair certificates.
+til2 and til13 rows came from balanced-pair certificates.  The spectral
+digests were recorded from numpy's companion-matrix roots, before the
+pure-Python root solver.
 """
 
 import hashlib
@@ -45,6 +47,57 @@ DERIVED = {
         "0ecf3afc8f8121dbd3d5b967dd1670cfb4cb807e50fd05265a26d63a0420d646",
 }
 
+SPECTRAL = {
+    "--pq 1/1":
+        "3f74b585d21a28d51eace42c8656f951eb464689b59d1c75133a1aed93f06288",
+    "--pq 1/2":
+        "2f7c12e7279bd425f3bcef81ca29864cb323828fb02ba95c79dc519884084eca",
+    "--pq 1/3":
+        "1a9dd00e130383f6109de36ce4a641566635942fb50ce29dd4c2ab393de89bfd",
+    "--pq 1/4":
+        "02ae70de7f08d615e8555ace86ea685cee9c11a66e49b4eb14ef0ff027c2bb9b",
+    "--pq 1/5":
+        "7ea60197a6194bfb29307ae81b9473240c166357d8262439fe1b67a8281ffbc5",
+    "--pq 1/6":
+        "493cc8e2d2d888a539ff8b63a5d5fb3f5c8f345beaecfdfee1d36f68e53a9247",
+    "--pq 2/1":
+        "81d85d8533952271d2bca3ea2dde2e17671831e239ead5acad5e95bf6d6e82cc",
+    "--pq 2/3":
+        "5121148ffa3ce52a9fe64c5ca74a1f58920e568fda091bb5e417e8da78698450",
+    "--pq 2/5":
+        "5ab593d190b9d7c0417cb2444e08f591729794719b16213d35f7ca24ea41ac82",
+    "--pq 3/1":
+        "2360fd795fb6fd265bda457275ea51cd9ae398fbfa0b0af9761150389314fa14",
+    "--pq 3/2":
+        "8502bd4a4fe647da41818d53d214a1d1d49a260aa6ae672c7dcdc7eae6a7aef9",
+    "--pq 3/4":
+        "0f66bc27dec3f4d5500c6d54f485712652407a9ae73edaa2ef3634982abe7622",
+    "--pq 3/5":
+        "50dfcea018ea5695c8b81f155b6b5cb15eae03469db45c7bf2d9f8cc8622bb90",
+    "--pq 4/1":
+        "11a38365170483403778505169ef919ef15f076c8467793d5c47b702a2325836",
+    "--pq 4/3":
+        "2170c01a69099fc9c95a6cc50c67ac7d4e5b7e209b6cbcf041a3467e27809bfc",
+    "--pq 4/5":
+        "997829c02718373a095d5d458b9a63bdb0c5359a44e6ce0226fd0d8a88424e7d",
+    "--pq 5/1":
+        "bce735482cad2fe077ce7e090da1e469b20e3d2c207ff094bb38306904ea6340",
+    "--pq 5/2":
+        "a0150a41b3b464f7360c210332f4bca30d7939c38e51307560c5ccbff94617cd",
+    "--pq 5/3":
+        "ffc7efca08965a01e081f5c18eece67f04f5ee9c68d0ebd5479e66bd53404eb3",
+    "--pq 5/4":
+        "0bd8c4e8d13f98095641dea93d9ab6a4a02ae35de86398e1106f717a5fdb4367",
+    "--pq 5/6":
+        "1aed01950af884b1cd0e0ada92cad4c590f74efc9c7d0150a9bfa90ce31d93cf",
+    "--pq 6/1":
+        "d6de0432cb1943e6db9cd936880bcff40510b17f13731decb4e5ac701cb967b1",
+    "--pq 6/5":
+        "601e9596f6c47956654d0e1d5d37e696c1ce9e40f50770a4a96f676ae4c89da4",
+    "--theta 1.0":
+        "a0daf3dd5adf2d76e22b702b67708e9cbd21d16d71045c06291bf2b843c4cc31",
+}
+
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -72,6 +125,13 @@ def test_derived_bytes(generated, tmp_path, name, command):
     assert main([sub, "--in", str(generated[name]), *flags, "--out", str(out)]) == 0
     assert _digest(out) == DERIVED[(name, command)]
 
+
+
+@pytest.mark.parametrize("argv", sorted(SPECTRAL))
+def test_spectral_bytes(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main(["spectral", *argv.split(), "--out", str(out)]) == 0
+    assert _digest(out) == SPECTRAL[argv]
 
 BOUNDARY_TIL2_11 = """n,max_abs_f,offsets
 """ + "".join(f"{n},1,2\n" for n in range(1, 12))

@@ -98,6 +98,46 @@ def test_root_count_against_rouche_is_checked(monkeypatch):
         eigen(shape_from_pq(1, 2))
 
 
+def _lapack_polished_roots(coeffs):
+    """The reference: numpy's companion-matrix roots, given the same one
+    Newton step as the solver's."""
+    deriv = spectral._poly_deriv(coeffs)
+    out = []
+    for lam in np.roots(np.asarray(coeffs, dtype=float)):
+        lam = complex(lam)
+        d = spectral._poly_eval(deriv, lam)
+        if d != 0:
+            lam = lam - spectral._poly_eval(coeffs, lam) / d
+        out.append(lam)
+    return sorted(out, key=lambda z: (z.real, z.imag))
+
+
+def test_roots_match_the_lapack_reference_to_12_digits():
+    for p, q in _coprime_pairs(20):
+        coeffs = char_poly(p, q)
+        got = spectral._polished_roots(coeffs)
+        want = _lapack_polished_roots(coeffs)
+        assert len(got) == len(want) == max(p, q)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-12 * abs(b), (p, q, a, b)
+
+
+def test_real_roots_are_real_and_the_others_exact_conjugate_pairs():
+    for p, q in _coprime_pairs(64):
+        eigs = eigen(shape_from_pq(p, q)).eigenvalues     # its checks pass
+        real = [z for z in eigs if z.imag == 0.0]
+        assert all(math.copysign(1.0, z.imag) == 1.0 for z in real), (p, q)
+        upper = {z for z in eigs if z.imag > 0.0}
+        lower = {z.conjugate() for z in eigs if z.imag < 0.0}
+        assert upper == lower and len(real) + 2 * len(upper) == max(p, q), (p, q)
+
+
+def test_an_unsettled_aberth_iteration_is_refused(monkeypatch):
+    monkeypatch.setattr(spectral, "ABERTH_MAX_SWEEPS", 1)
+    with pytest.raises(NumericError, match="Aberth"):
+        eigen(shape_from_pq(3, 5))
+
+
 def test_frequency_vectors_are_distributions():
     for p, q in [(1, 2), (2, 1), (4, 7), (9, 10)]:
         rep = eigen(shape_from_pq(p, q))

@@ -442,3 +442,31 @@ def test_the_oracle_does_not_depend_on_the_first_calls_precision():
         with mpmath.workprec(20):
             at_20.append(call(shape))
     assert at_20[0] == at_20[1] == at_20[2]
+
+
+# -- the float paths that replaced numpy's, against numpy ----------------------
+
+
+def test_pairwise_total_sums_in_numpys_order():
+    import random
+
+    import numpy as np
+    rng = random.Random(29)
+    for trial in range(3000):
+        scale = 10.0 ** rng.randint(-30, 30) if trial % 2 else 1.0
+        values = [rng.random() * scale for _ in range(rng.randint(1, 300))]
+        assert stats._pairwise_total(values) == float(np.asarray(values).sum())
+
+
+def test_census_statistics_match_their_numpy_forms(til12, irr1):
+    import numpy as np
+    hist = census_orientation_histogram(til12, 12, bins=7)
+    acc = np.zeros(hist.bins)
+    for cell, weight in hist.cells.items():
+        acc += weight * np.asarray(hist.phi_bins[cell])
+    assert hist.pooled() == tuple(acc.tolist())
+    assert hist.max_deviation() == float(np.abs(acc - 1.0 / hist.bins).max())
+    report = size_comparison(irr1, 60, "count", bins=200)
+    assert report.metric == "cdf_sup"
+    cdf_gap = np.abs(np.cumsum(report.analytic) - np.cumsum(report.empirical))
+    assert report.value == float(cdf_gap.max())

@@ -505,6 +505,15 @@ def test_tile_view_builds_tiles_on_demand():
         tiling.phi[0] = 1.0      # the columns are read-only
 
 
+def test_a_tiling_leaves_the_callers_columns_writable():
+    t = build_Tn(shape_from_pq(1, 2), 2)
+    cols = {name: getattr(t, name).copy() for name, _ in COLUMNS}
+    tiling = Tiling(t.shape, 2, cols)
+    cols["phi"][0] = 1.0
+    with pytest.raises(ValueError):
+        tiling.phi[0] = 2.0
+
+
 @pytest.mark.parametrize("zeros", [(0.0, -0.0, -0.0), (-0.0, 0.0, 0.0), ()])
 def test_json_writer_keeps_signed_zeros(monkeypatch, zeros):
     shape = shape_from_pq(1, 2)
