@@ -209,6 +209,29 @@ class TriangleShape(_ShapeFields):
             self._frames = frames
         return frames
 
+    def daughter_columns(self) -> dict:
+        """The fields of :meth:`daughter_frames` as read-only arrays, one
+        entry per daughter in the same order: ``handedness``, ``phi`` at
+        this shape's theta, origin ``x`` and ``y``, and exponent steps
+        ``di`` and ``dj``."""
+        columns = getattr(self, "_frame_columns", None)
+        if columns is None:
+            import numpy as np
+            frames = self.daughter_frames()
+            columns = {
+                "handedness": [f.handedness for f in frames],
+                "phi": [f.phi(self.theta) for f in frames],
+                "x": [f.origin[0] for f in frames],
+                "y": [f.origin[1] for f in frames],
+                "di": [f.exp_delta[0] for f in frames],
+                "dj": [f.exp_delta[1] for f in frames],
+            }
+            for name, values in columns.items():
+                columns[name] = np.array(values)
+                columns[name].flags.writeable = False
+            self._frame_columns = columns
+        return columns
+
     def to_json(self) -> dict:
         data = self._asdict()
         if self.rationality is not None:

@@ -10,6 +10,7 @@ import array
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
 
 from .errors import ArgumentError, ResourceError
@@ -92,15 +93,17 @@ def _tile_columns(rows: list) -> dict:
     """The columns of a list of parsed tile objects, each value checked."""
     import numpy as np
     try:
-        values = {key: [row[key] for row in rows] for key in _TILE_KEYS}
+        values = dict(zip(_TILE_KEYS, zip(*map(operator.itemgetter(*_TILE_KEYS), rows))))
     except (KeyError, TypeError):
         raise ArgumentError("every tile must be an object with the keys "
                             + ", ".join(_TILE_KEYS)) from None
     hand = _int_column(values["handedness"], "handedness", np.int8, -1, 1)
     if not hand.all():
         raise ArgumentError("tile 'handedness' values must be 1 or -1")
-    roots = np.array([p is None for p in values["parent"]], dtype=bool)
-    parent = _int_column([0 if p is None else p for p in values["parent"]],
+    parents = values["parent"]
+    # only the root has no parent: most slices hold no None
+    roots = [k for k, p in enumerate(parents) if p is None] if None in parents else []
+    parent = _int_column([0 if p is None else p for p in parents] if roots else parents,
                          "parent", np.int64)
     parent[roots] = -1
     origin = _float_column(values["origin"], "origin", (len(rows), 2))

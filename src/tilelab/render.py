@@ -22,6 +22,12 @@ from .substitution import JSON_CHUNK_TILES, Tiling, fill_rows, float_texts, form
 CANVAS = 1000.0
 MARGIN = 20.0
 
+# The fault pass works on batches of whole directions and of whole lines of
+# up to this many JSON_CHUNK_TILES sides: in process on 2 vCPUs, one chunk
+# a batch took 0.58 s on p/q = 1/2 T_13 against 0.47 s for four, the
+# difference being numpy calls per batch.
+FAULT_BATCH_CHUNKS = 4
+
 # fixed fills for size classes, cycled past twelve
 PALETTE = (
     "#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f", "#edc948",
@@ -64,107 +70,207 @@ class _Run(NamedTuple):
     parent_count: int
 
 
-def _sorted_groups(*keys) -> tuple[np.ndarray, np.ndarray]:
-    """The stable lexsort order of ``keys`` (last key primary) and a mask
-    over that order marking where each run of equal key tuples begins."""
+def _order(head: np.ndarray, values: np.ndarray, *tail) -> np.ndarray:
+    """The order of the rows by integer ``head``, then float ``values``
+    (-0.0 equal to 0.0), then the integer keys ``tail``, then row: one
+    sort of the values, ties in no set order, and one of the codes of the
+    keys in that order.  It holds one array of the rows at a time besides
+    the order of the values."""
     import numpy as np
-    order = np.lexsort(keys)
-    fresh = np.zeros(len(order), dtype=bool)
-    fresh[:1] = True
-    for col in keys:
-        col = col[order]
-        fresh[1:] |= col[1:] != col[:-1]
-    return order, fresh
+    perm = np.argsort(values)
+    fresh = np.zeros(len(perm), dtype=bool)
+    ordered = values[perm]
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    del ordered
+    code = _code(head[perm], np.cumsum(fresh), *(key[perm] for key in tail), perm)
+    del fresh
+    order = np.argsort(code)
+    del code
+    return perm[order]
 
 
-def _line_angles(dy: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Direction mod pi of every edge, 0 just below pi.  Uses math.atan2,
-    not np.arctan2 (the two differ in the last bit on some hosts), once
-    per distinct (dy, dx) bit pattern."""
+def _code(*keys) -> np.ndarray:
+    """One int64 per row that orders the rows as the tuples of integer
+    ``keys``, the first key primary: each key less its least value, or its
+    dense ranks where that would pass int64, and so are the codes of the
+    keys before it."""
     import numpy as np
-    order, fresh = _sorted_groups(dx.view(np.int64), dy.view(np.int64))
+    code, size = np.zeros(len(keys[0]), dtype=np.int64), 1
+    for key in keys:
+        least, span = int(key.min()), int(key.max()) - int(key.min()) + 1
+        if size * span >= 1 << 63:
+            distinct, key = np.unique(key, return_inverse=True)
+            least, span = 0, len(distinct)
+        if size * span >= 1 << 63:
+            distinct, code = np.unique(code, return_inverse=True)
+            size = len(distinct)
+        code *= span
+        code += key - least if least else key
+        size *= span
+    return code
+
+
+def _line_angles(dy: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direction mod pi of every edge, 0 just below pi, as angles and each
+    edge's index into them.  Uses math.atan2, not np.arctan2 (the two differ
+    in the last bit on some hosts), once per stretch of equal (dx, dy) bit
+    patterns in the order of a 64-bit mix of the bits: a pattern whose mix
+    another one shares may take more than one stretch."""
+    import numpy as np
+    bx, by = dx.view(np.int64), dy.view(np.int64)
+    mix = bx * np.int64(-7046029254386353131)
+    order = np.argsort(mix ^ (mix >> 29) ^ by)
+    bx, by = bx[order], by[order]
+    fresh = np.ones(len(order), dtype=bool)
+    fresh[1:] = (bx[1:] != bx[:-1]) | (by[1:] != by[:-1])
     first = order[fresh]
     ang = np.array([math.atan2(y, x) % math.pi for y, x in
                     zip(dy[first].tolist(), dx[first].tolist())], dtype=np.float64)
     ang[ang > math.pi - 1e-12] = 0.0
-    out = np.empty_like(ang, shape=len(order))
-    out[order] = ang[np.cumsum(fresh) - 1]
-    return out
+    index = np.empty(len(order), dtype=np.min_scalar_type(len(order)))
+    index[order] = np.cumsum(fresh) - 1
+    return ang, index
 
 
-def _distinct_per_run(run: np.ndarray, runs: int, *keys) -> np.ndarray:
-    """How many distinct tuples of ``keys`` each of the ``runs`` runs holds."""
+def _side_directions(t: Tiling) -> tuple[np.ndarray, np.ndarray]:
+    """The direction mod pi of every side as an index into the sorted
+    distinct directions of the tiling, and those directions: side 3t + s
+    runs from vertex s of tile t to vertex (s + 1) % 3.  Angles are taken
+    JSON_CHUNK_TILES tiles at a time; only the indices are held for the
+    whole tiling."""
     import numpy as np
-    order, fresh = _sorted_groups(*keys, run)
-    return np.bincount(run[order][fresh], minlength=runs)
+    chunks = range(0, len(t), JSON_CHUNK_TILES)
+    index = np.empty(3 * len(t), dtype=np.min_scalar_type(3 * JSON_CHUNK_TILES))
+    angles = []
+    for lo in chunks:
+        xs, ys = zip(*t.vertex_columns(slice(lo, lo + JSON_CHUNK_TILES)))
+        dx = np.column_stack(xs[1:] + xs[:1]) - np.column_stack(xs)
+        dy = np.column_stack(ys[1:] + ys[:1]) - np.column_stack(ys)
+        ang, index[3 * lo:3 * lo + dx.size] = _line_angles(dy.ravel(), dx.ravel())
+        angles.append(ang)
+    vals, rank = np.unique(np.concatenate(angles), return_inverse=True)
+    ids = index.astype(np.promote_types(index.dtype, np.min_scalar_type(len(vals))),
+                       copy=False)
+    at = 0
+    for lo, ang in zip(chunks, angles):
+        part = slice(3 * lo, 3 * lo + 3 * JSON_CHUNK_TILES)
+        ids[part] = rank[at:at + len(ang)][index[part]]
+        at += len(ang)
+    return ids, vals
+
+
+def _sides_by_id(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sides in order of their id (< ``size``), each id's in side order,
+    and how many sides each id has: a counting sort, JSON_CHUNK_TILES tiles'
+    sides at a time, into the smallest unsigned type that holds a side."""
+    import numpy as np
+    step = 3 * JSON_CHUNK_TILES
+    counts = sum(np.bincount(ids[lo:lo + step], minlength=size)
+                 for lo in range(0, len(ids), step))
+    at = np.cumsum(counts) - counts
+    order = np.empty(len(ids), dtype=np.min_scalar_type(len(ids)))
+    for lo in range(0, len(ids), step):
+        part = ids[lo:lo + step]
+        by = np.argsort(part, kind="stable")
+        key = part[by]
+        # each side's place among the sides of its id in this piece
+        place = np.arange(len(key))
+        fresh = np.ones(len(key), dtype=bool)
+        fresh[1:] = key[1:] != key[:-1]
+        place -= np.maximum.accumulate(np.where(fresh, place, 0))
+        order[at[key] + place] = by + lo
+        np.add.at(at, key, 1)
+    return order, counts
 
 
 def _batches(starts: np.ndarray, size: int):
     """(start, stop) of consecutive batches of whole groups, the groups of
     ``size`` items beginning at ``starts`` (0 first): at most
-    JSON_CHUNK_TILES items a batch, or one group that has more."""
+    FAULT_BATCH_CHUNKS * JSON_CHUNK_TILES items a batch, or one group that
+    has more."""
     import numpy as np
     bounds = np.append(starts, size)
     start = 0
     while start < size:
-        at = np.searchsorted(bounds, start + JSON_CHUNK_TILES, side="right") - 1
+        at = np.searchsorted(bounds, start + FAULT_BATCH_CHUNKS * JSON_CHUNK_TILES,
+                             side="right") - 1
         stop = int(bounds[at] if bounds[at] > start else bounds[at + 1])
         yield start, stop
         start = stop
 
 
-def _line_runs(t, sides, off, lo, hi, line, ang, tol) -> tuple[np.ndarray, ...]:
-    """The fault runs of whole lines, as :func:`_fault_columns` gives them:
-    ``sides`` sorted by line, ``off``, ``lo`` and ``hi`` their offsets and
-    ends along their own direction, ``ang`` the angle of every side."""
+def _distinct_per_run(first: np.ndarray, *keys) -> np.ndarray:
+    """How many distinct tuples of integer ``keys`` each run holds, the
+    runs being the stretches of rows that begin at ``first`` and the first
+    key growing from run to run."""
     import numpy as np
-    line = line - line[0]
+    code = np.sort(_code(*keys))
+    # sorted, each run's codes keep the run's rows
+    fresh = np.ones(len(code), dtype=bool)
+    fresh[1:] = code[1:] != code[:-1]
+    return np.add.reduceat(fresh, first, dtype=np.int64)
+
+
+def _line_runs(t, sides, d, off, lo, hi, new_line, unit, tol) -> tuple[np.ndarray, ...]:
+    """The fault runs of whole lines, as :func:`_fault_columns` gives them:
+    ``sides`` sorted by line, ``new_line`` true at the first side of each
+    line, ``d`` their direction ids, ``off``, ``lo`` and ``hi`` their
+    offsets and ends along their own direction, ``unit`` the cosine and
+    sine of every direction id."""
+    import numpy as np
+    n = len(hi)
     # each line is described by the direction and offset of its first edge
-    ref = np.flatnonzero(np.diff(line, prepend=-1))
-    # each edge as an interval along its own direction, sorted along the line
-    along = np.lexsort((hi, lo, line))
-    line, lo, hi, parent = line[along], lo[along], hi[along], t.parent[sides[along] // 3]
-    # distinct edges are told apart by (round(lo/tol), round(hi/tol));
-    # np.rint rounds half to even as round does, "+ 0.0" folds -0.0 into 0
-    lo_key = np.rint(lo / tol) + 0.0
-    hi_key = np.rint(hi / tol) + 0.0
+    ref = np.flatnonzero(new_line)
+    line = np.cumsum(new_line) - 1
+    # each edge as an interval along its own direction, sorted along the
+    # line, then by its place in ``sides``
+    uhi, hi_rank = np.unique(hi, return_inverse=True)
+    along = _order(line, lo, hi_rank)
+    line, lo, hi, hi_rank = line[along], lo[along], hi[along], hi_rank[along]
+    parent = t.parent[sides[along] // 3]
 
     # merge touching intervals of a line into maximal stretches: a run
     # starts at a new line or where an edge begins past reach + tol, the
     # reach being the largest hi so far on the line (a new run's first hi
-    # exceeds every earlier one, so this is also the largest hi of the run).
-    # The running max goes over integer ranks of hi, offset by line.
-    n = len(hi)
-    rank = np.empty(n, dtype=np.int64)
-    by_hi = np.argsort(hi, kind="stable")
-    rank[by_hi] = np.arange(n)
-    reach = hi[by_hi][np.maximum.accumulate(line * n + rank) - line * n]
+    # exceeds every earlier one, so this is also the largest hi of the run)
+    reach = uhi[np.maximum.accumulate(line * len(uhi) + hi_rank) - line * len(uhi)]
     starts = np.ones(n, dtype=bool)
     starts[1:] = (line[1:] != line[:-1]) | (lo[1:] > reach[:-1] + tol)
     first = np.flatnonzero(starts)
-    last = np.append(first[1:], n) - 1
-    run = np.cumsum(starts) - 1
-    edges = _distinct_per_run(run, len(first), lo_key, hi_key)
-    parents = _distinct_per_run(run, len(first), parent)
+    # a run ends at its largest hi, the last of equal ones (-0.0 or 0.0)
+    top = hi[np.maximum.reduceat(hi_rank * n + np.arange(n), first) % n]
+
+    # distinct edges are told apart by (round(lo/tol), round(hi/tol));
+    # np.rint rounds half to even as round does, "+ 0.0" folds -0.0 into 0.
+    # Both keys grow with lo and hi, so within a run the lo keys never
+    # fall: each (run, lo key) is a stretch of rows
+    lo_key = np.rint(lo / tol) + 0.0
+    stretch = starts.copy()
+    stretch[1:] |= lo_key[1:] != lo_key[:-1]
+    hi_key = np.rint(uhi / tol) + 0.0
+    hi_key_rank = np.cumsum(np.append(False, hi_key[1:] != hi_key[:-1]))
+    edges = _distinct_per_run(first, np.cumsum(stretch), hi_key_rank[hi_rank])
+    parents = _distinct_per_run(first, np.cumsum(starts), parent)
     keep = (edges >= 2) & (parents >= 2)
     k = ref[line[first[keep]]]
-    (u, v), d = cos_sin(ang[sides[k]]), off[k]
-    bottom, top = lo[first[keep]], reach[last[keep]]
-    return (np.column_stack((-v * d + u * bottom, u * d + v * bottom,
-                             -v * d + u * top, u * d + v * top)),
+    u, v = unit[0][d[k]], unit[1][d[k]]
+    dist, bottom, top = off[k], lo[first[keep]], top[keep]
+    return (np.column_stack((-v * dist + u * bottom, u * dist + v * bottom,
+                             -v * dist + u * top, u * dist + v * top)),
             edges[keep], parents[keep])
 
 
-def _direction_runs(t, sides, heads, ang, tol) -> list[tuple[np.ndarray, ...]]:
-    """The fault runs of whole directions, a batch of lines at a time:
-    ``heads`` is the least angle of every direction."""
+def _direction_runs(t, sides, d, direction, unit, tol) -> tuple[np.ndarray, ...]:
+    """The fault runs of whole directions, found a batch of lines at a time:
+    ``sides`` sorted by direction id ``d``, ``direction`` the direction
+    that each id's angle falls in, ``unit`` the cosine and sine of every id."""
     import numpy as np
-    a = ang[sides]
+    n = len(sides)
     # each side's offset and its ends along its own direction
-    off, lo, hi = np.empty((3, len(sides)))
-    for b in range(0, len(sides), JSON_CHUNK_TILES):
+    off, lo, hi = np.empty(n), np.empty(n), np.empty(n)
+    for b in range(0, n, JSON_CHUNK_TILES):
         part = slice(b, b + JSON_CHUNK_TILES)
-        ux, uy = cos_sin(a[part])
+        ux, uy = unit[0][d[part]], unit[1][d[part]]
         # side 3t + s runs from vertex s of tile t to vertex (s + 1) % 3
         near = sides[part] % 3
         (sx, sy), (ex, ey) = t.vertex_columns(sides[part] // 3, (near, (near + 1) % 3))
@@ -173,17 +279,21 @@ def _direction_runs(t, sides, heads, ang, tol) -> list[tuple[np.ndarray, ...]]:
         t1 = ex * ux + ey * uy
         lo[part] = np.where(t0 > t1, t1, t0)
         hi[part] = np.where(t0 > t1, t0, t1)
-    # sort each direction by offset, then angle, then side; split lines at
-    # offset gaps > tol
-    direction = np.searchsorted(heads, a, side="right")
-    order = np.lexsort((a, off, direction))
-    del a
-    sides, off, lo, hi, direction = (v[order] for v in (sides, off, lo, hi, direction))
-    starts = np.flatnonzero(np.diff(direction, prepend=-1)
-                            | (np.diff(off, prepend=-math.inf) > tol))
-    return [_line_runs(t, sides[b:e], off[b:e], lo[b:e], hi[b:e],
-                       np.searchsorted(starts, np.arange(b, e), side="right"),
-                       ang, tol) for b, e in _batches(starts, len(sides))]
+    # sort each direction by offset, then angle and side (the order of
+    # ``sides``); split lines at offset gaps > tol.  The arrays are put in
+    # that order one at a time, to hold one copy more at most.
+    direction = direction[d]
+    order = _order(direction, off)
+    sides, d, direction = sides[order], d[order], direction[order]
+    off = off[order]
+    lo = lo[order]
+    hi = hi[order]
+    del order
+    new_line = np.ones(n, dtype=bool)
+    new_line[1:] = (direction[1:] != direction[:-1]) | (off[1:] - off[:-1] > tol)
+    return tuple(map(np.concatenate, zip(*(
+        _line_runs(t, sides[b:e], d[b:e], off[b:e], lo[b:e], hi[b:e], new_line[b:e], unit, tol)
+        for b, e in _batches(np.flatnonzero(new_line), n)))))
 
 
 def _fault_columns(t: Tiling, box) -> tuple[np.ndarray, ...]:
@@ -197,23 +307,30 @@ def _fault_columns(t: Tiling, box) -> tuple[np.ndarray, ...]:
     if not (tol > 0.0 and 4.0 * max(map(abs, box)) <= tol * sys.float_info.max):
         raise ArgumentError("tile coordinates are too large for the fault "
                             f"tolerance {tol!r}")
-    # only the angle of every side is held for the whole tiling
-    ang = np.empty(3 * len(t))
-    for lo in range(0, len(t), JSON_CHUNK_TILES):
-        xs, ys = zip(*t.vertex_columns(slice(lo, lo + JSON_CHUNK_TILES)))
-        dx = np.column_stack(xs[1:] + xs[:1]) - np.column_stack(xs)
-        dy = np.column_stack(ys[1:] + ys[:1]) - np.column_stack(ys)
-        ang[3 * lo:3 * lo + dx.size] = _line_angles(dy.ravel(), dx.ravel())
-    # the distinct angles and their side counts; directions split them at
-    # gaps > 1e-9, and a batch of whole directions is a range of angles
-    vals, counts = np.unique(ang, return_counts=True)
-    groups = np.flatnonzero(np.diff(vals, prepend=-math.inf) > 1e-9)
-    ranks = np.cumsum(counts) - counts
-    runs = []
-    for start, stop in _batches(ranks[groups], len(ang)):
-        lo, hi = vals[np.searchsorted(ranks, (start, stop)) - (0, 1)]
-        runs += _direction_runs(t, np.flatnonzero((ang >= lo) & (ang <= hi)),
-                                vals[groups], ang, tol)
+    # only the sides in order of their direction id are held for the whole
+    # tiling.  Directions split the ids at angle gaps > 1e-9, and a batch of
+    # whole directions is a range of ids and of that order.
+    ids, vals = _side_directions(t)
+    by_id, counts = _sides_by_id(ids, len(vals))
+    del ids
+    gap = np.diff(vals, prepend=-math.inf) > 1e-9
+    heads = np.flatnonzero(gap)
+    direction = np.cumsum(gap).astype(np.min_scalar_type(len(heads)))
+    unit = cos_sin(vals)
+    first = np.cumsum(counts) - counts
+    batches = list(_batches(first[heads], len(by_id)))
+    runs = [None] * len(batches)
+    # the largest batches first, while the runs collected are fewest.  Each
+    # batch's runs are copied once its working set is freed, into the room
+    # it leaves: kept where they were made, they held that room, and the
+    # heap grew batch by batch (61 against 60 MiB on p/q = 1/2 T_13).
+    for k in sorted(range(len(batches)), key=lambda k: batches[k][0] - batches[k][1]):
+        start, stop = batches[k]
+        a, b = np.searchsorted(first, (start, stop))
+        d = np.repeat(np.arange(a, b, dtype=np.min_scalar_type(len(vals))), counts[a:b])
+        runs[k] = tuple(col.copy() for col in
+                        _direction_runs(t, by_id[start:stop], d, direction, unit, tol))
+    del by_id
     return tuple(map(np.concatenate, zip(*runs)))
 
 

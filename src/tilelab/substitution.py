@@ -72,7 +72,8 @@ def subdivide(tile: Tile, first_id: int | None = None) -> list[Tile]:
     p = tile.placement
     one = _one_tile(tile.shape, p.handedness, p.phi, *p.origin, *p.size_exp, tile.id,
                     -1 if tile.parent is None else tile.parent)
-    kids = _daughters(one, np.array([0]), first_id)
+    kids = _daughters(one, np.array([0]), first_id,
+                      np.array([tile.shape.scale(*p.size_exp)]))
     return [_make_tile(tile.shape, *row) for row in Tiling(tile.shape, 0, kids).rows()]
 
 
@@ -295,36 +296,31 @@ def _any_point_strictly_inside(points, triangles) -> bool:
     return bool(inside.any())
 
 
-def _daughters(tiling: Tiling, rows: np.ndarray, first_id: int) -> dict:
-    """Columns of the daughters of the tiles at ``rows``: five rows per
-    parent, in parent order, each parent's five in the order of
-    ``shape.daughter_frames()``, with ids counting up from ``first_id``."""
+def _daughters(tiling: Tiling, rows: np.ndarray, first_id: int, scale: np.ndarray) -> dict:
+    """Columns of the daughters of the tiles at ``rows``, whose scales are
+    ``scale``: five rows per parent, in parent order, each parent's five
+    in the order of ``shape.daughter_frames()``, with ids counting up from
+    ``first_id``.  The columns are not yet of the dtypes of COLUMNS."""
     import numpy as np
-    shape = tiling.shape
-    frames = shape.daughter_frames()
+    frame = tiling.shape.daughter_columns()
     # one row per parent, one column per frame
-    per_frame = lambda values: np.array(list(values))
     hand = tiling.handedness[rows][:, None]
     phi = tiling.phi[rows]
     cos_phi, sin_phi = (v[:, None] for v in cos_sin(phi))
-    x, y = apply_columns((per_frame(f.origin[0] for f in frames),
-                          per_frame(f.origin[1] for f in frames)),
-                         hand, cos_phi, sin_phi, tiling.scales()[rows][:, None],
-                         tiling.ox[rows][:, None], tiling.oy[rows][:, None])
+    x, y = apply_columns((frame["x"], frame["y"]), hand, cos_phi, sin_phi,
+                         scale[:, None], tiling.ox[rows][:, None],
+                         tiling.oy[rows][:, None])
     kids = {
-        "handedness": hand * per_frame(f.handedness for f in frames),
-        "phi": wrap_angles(phi[:, None]
-                           + hand * per_frame(f.phi(shape.theta) for f in frames)),
+        "handedness": hand * frame["handedness"],
+        "phi": wrap_angles(phi[:, None] + hand * frame["phi"]),
         "ox": x,
         "oy": y,
-        "i": tiling.i[rows][:, None] + per_frame(f.exp_delta[0] for f in frames),
-        "j": tiling.j[rows][:, None] + per_frame(f.exp_delta[1] for f in frames),
-        "ids": first_id + len(frames) * np.arange(len(rows), dtype=np.int64)[:, None]
-        + np.arange(len(frames)),
-        "parent": np.repeat(tiling.ids[rows], len(frames)),
+        "i": tiling.i[rows][:, None] + frame["di"],
+        "j": tiling.j[rows][:, None] + frame["dj"],
+        "ids": np.arange(first_id, first_id + 5 * len(rows), dtype=np.int64),
+        "parent": np.repeat(tiling.ids[rows], 5),
     }
-    return {name: np.asarray(kids[name], dtype=dtype).ravel()
-            for name, dtype in COLUMNS}
+    return {name: col.ravel() for name, col in kids.items()}
 
 
 def deflate(tiling: Tiling, cap: int | None = None, winners=None,
@@ -341,32 +337,40 @@ def deflate(tiling: Tiling, cap: int | None = None, winners=None,
         cap = DEFAULT_TILE_CAP
     if not len(tiling):
         raise ArgumentError("cannot deflate an empty tiling")
-    pairs, index, _ = tiling.exponent_pairs()
-    canon = _size_class(tiling.shape, True)
-    classes = [canon(p) for p in pairs]
+    shape = tiling.shape
+    canon = _size_class(shape, True)
     if winners is None:
-        winners = _SizeFrontier(tiling.shape, dict.fromkeys(classes)).next_winners()
+        pairs, _, _ = tiling.exponent_pairs()
+        winners = _SizeFrontier(shape, dict.fromkeys(map(canon, pairs))).next_winners()
     if first_id is None:
         first_id = int(tiling.ids.max()) + 1
-    winners = set(winners)
-    split = np.array([c in winners for c in classes], dtype=bool)[index]
+    # each row's size class, as canon names it, against the winners
+    i, j = tiling.i.astype(np.int64), tiling.j.astype(np.int64)
+    ci, cj = canon((i, j))
+    split = np.zeros(len(tiling), dtype=bool)
+    for wi, wj in winners:
+        split |= (ci == wi) & (cj == wj)
     rows = np.flatnonzero(split)
     predicted = len(tiling) + 4 * len(rows)
     if predicted > cap:
         raise ResourceError(
             f"deflation would produce {predicted} tiles, cap is {cap}")
-    width = np.where(split, 5, 1)
-    start = np.cumsum(width) - width
-    keep = np.flatnonzero(~split)
-    kids = _daughters(tiling, rows, first_id)
-    kid_at = (start[rows][:, None] + np.arange(5)).ravel()
+    # the scale of each split row's own exponent pair, a pair of the winners
+    pairs, inverse = np.unique(i[rows] * (1 << 32) + j[rows], return_inverse=True)
+    row_of = np.empty(len(pairs), dtype=np.intp)
+    row_of[inverse] = rows
+    scale = np.array([shape.scale(a, b) for a, b in
+                      zip(i[row_of].tolist(), j[row_of].tolist())], dtype=np.float64)[inverse]
+    # every row in its place, a split one five times over, where its
+    # daughters go: each split row before it moved it on by four
+    width = 1 + 4 * split
+    kid_at = ((rows + 4 * np.arange(len(rows)))[:, None] + np.arange(5)).ravel()
+    kids = _daughters(tiling, rows, first_id, scale)
     out = {}
-    for name, dtype in COLUMNS:
-        col = np.empty(predicted, dtype=dtype)
-        col[start[keep]] = getattr(tiling, name)[keep]
-        col[kid_at] = kids[name]
-        out[name] = col
-    return Tiling(tiling.shape, tiling.generation + 1, out)
+    for name, _ in COLUMNS:
+        out[name] = getattr(tiling, name).repeat(width)
+        out[name][kid_at] = kids[name]
+    return Tiling(shape, tiling.generation + 1, out)
 
 
 def root_tiling(shape: TriangleShape) -> Tiling:
