@@ -24,8 +24,8 @@ MARGIN = 20.0
 
 # The fault pass works on batches of whole directions and of whole lines of
 # up to this many JSON_CHUNK_TILES sides: in process on 2 vCPUs, one chunk
-# a batch took 0.58 s on p/q = 1/2 T_13 against 0.47 s for four, the
-# difference being numpy calls per batch.
+# a batch took 0.51 s on p/q = 1/2 T_13 against 0.47 s for four (medians
+# of five alternating runs), the difference being numpy calls per batch.
 FAULT_BATCH_CHUNKS = 4
 
 # fixed fills for size classes, cycled past twelve
