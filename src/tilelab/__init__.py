@@ -10,9 +10,9 @@ fault lines, and renders the results as SVG.
 
 Each module is its own API (``from tilelab.classify import classify``);
 importing the package alone loads none of them.  No module loads numpy
-or mpmath when imported: each function that needs one imports it, so
-the exact integer commands (``classify``, ``spectral --theta``,
-``boundary --system til2|til13``) never pay for the array library.
+when imported, so the exact integer commands (``classify``, ``spectral
+--theta``, ``boundary --system til2|til13``) never pay for the array
+library; irrational size keys are stdlib Decimals, and none loads mpmath.
 Fault-line words are plain ``str``s, one character a letter.
 """
 

@@ -24,8 +24,10 @@ reference ray before rotating.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -34,9 +36,9 @@ from .errors import ArgumentError, DomainError, GeometryError, NumericError
 
 TWO_PI = 2.0 * math.pi
 
-# Working precision (decimal digits) for exact-intent size comparisons of
-# irrational shapes.  80-bit floats would give ~19 digits; 40 is generous.
-MP_DPS = 40
+# Every operation on an irrational size key rounds here, never in the thread's context.
+KEY_DIGITS = 50
+KEY_CONTEXT = decimal.Context(prec=KEY_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
 
 
 def wrap_angle(phi: float) -> float:
@@ -84,29 +86,49 @@ def apply_columns(point: tuple[float, float], handedness: np.ndarray,
 
 
 @lru_cache(maxsize=64)
-def _mp_alpha_beta(theta: float) -> tuple[mpmath.mpf, mpmath.mpf]:
-    import mpmath   # only irrational shapes need it: keep it off the import path
-
-    with mpmath.workdps(MP_DPS):
-        t = mpmath.mpf(theta)
-        alpha = -mpmath.log(mpmath.sin(t))
-        beta = mpmath.log(2 / mpmath.cos(t))
-    return alpha, beta
+def _alpha_beta(theta: float) -> tuple[Decimal, Decimal]:
+    """alpha = -ln sin(theta) and beta = ln(2 / cos(theta)) from the Taylor
+    series of cos t and sin(t) / t in x = t**2, t = Decimal(theta) the double
+    exactly, at P = 2 * KEY_DIGITS digits (unit round-off u = 10**(1 - P) /
+    2), each rounded once into KEY_CONTEXT.  Proof of the bound: x < 2.47, so the ratio of the terms of t**(n + 2)
+    and t**n, x / ((n + 1)(n + 2)), is below 2.47/6 for the sine and, past
+    its first term, 2.47/12 for the cosine: both series alternate with
+    falling terms, and stopping at a term below 10**-P (never the first, 1)
+    truncates by less than it.  The k-th term carries 2k + 1 roundings, off
+    by 3k u of its size at most, and sum_k k x**k / (2k)! < 1.9; the N <= 40
+    additions add u each, as partial sums lie in [-1, 1].  So each sum is
+    within (N + 6) u + 10**-P < 10**(3 - P); with sin(t) / t > 2/pi, sin t
+    is within 2 * 10**(3 - P) relatively and cos t within 10**(3 - P).  ln
+    is correctly rounded, so alpha is within 5 * 10**(3 - P) + u * alpha and
+    beta within 2 * 10**(3 - P) / cos(theta) + u * beta.  A double theta
+    below pi/2 has cos(theta) > 6.1e-17, alpha > 1.8e-33 and beta > ln 2, so
+    both are correct to 1e-60 relatively before the final rounding.
+    """
+    work = decimal.Context(prec=2 * KEY_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+    t = Decimal(theta)
+    x, stop = work.multiply(t, t), Decimal(f"1e-{work.prec}")
+    sums = []
+    for n in (0, 1):        # cos t, then sin(t) / t
+        total, term = Decimal(0), Decimal(1)
+        while term.copy_abs() >= stop:
+            total = work.add(total, term)
+            term = work.minus(work.divide(work.multiply(term, x), (n + 1) * (n + 2)))
+            n += 2
+        sums.append(total)
+    return (KEY_CONTEXT.minus(work.ln(work.multiply(t, sums[1]))),
+            KEY_CONTEXT.plus(work.ln(work.divide(2, sums[0]))))
 
 
 @lru_cache(maxsize=1 << 14)
-def _mp_size_key(theta: float, i: int, j: int) -> mpmath.mpf:
-    import mpmath
-
-    alpha, beta = _mp_alpha_beta(theta)
-    with mpmath.workdps(MP_DPS):
-        return i * alpha + j * beta
+def _decimal_size_key(theta: float, i: int, j: int) -> Decimal:
+    alpha, beta = _alpha_beta(theta)
+    return KEY_CONTEXT.fma(i, alpha, KEY_CONTEXT.multiply(j, beta))
 
 
 @lru_cache(maxsize=1 << 14)
 def _float_size_key(theta: float, i: int, j: int) -> float:
     """The irrational size key rounded to a double."""
-    return float(_mp_size_key(theta, i, j))
+    return float(_decimal_size_key(theta, i, j))
 
 
 class DaughterFrame(NamedTuple):
@@ -162,12 +184,12 @@ class TriangleShape(_ShapeFields):
         """Exactly comparable key ordering tiles by size (small key = big tile).
 
         Rational shapes compare on the integer lattice i*p + j*q; irrational
-        shapes fall back to extended-precision reals, each computed once
-        (a census asks for the same few hundred keys again and again).
+        shapes on Decimals of KEY_DIGITS digits, each computed once (a
+        census asks for the same few hundred keys again and again).
         """
         if self.rationality is not None:
             return i * self.rationality.numerator + j * self.rationality.denominator
-        return _mp_size_key(self.theta, i, j)
+        return _decimal_size_key(self.theta, i, j)
 
     @property
     def lattice_unit(self) -> float:

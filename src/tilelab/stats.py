@@ -14,13 +14,15 @@ from __future__ import annotations
 import io
 import math
 import numbers
+import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple
 
 from .classify import orientation_census
 from .errors import ArgumentError, DomainError, as_count
-from .geometry import TriangleShape, _float_size_key
+from .geometry import KEY_CONTEXT, KEY_DIGITS, TriangleShape, _float_size_key
 from .spectral import eigen
 from .substitution import JSON_CHUNK_TILES, Tiling, _census_at, size_class_ranks
 
@@ -254,20 +256,20 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
     qualify; in the upper part only the larger step does, which pins the
     path's final step.
 
-    On an irrational shape, with a cut that is an int, a float or an mpf,
-    doubles place s = key - t_cut first: s_f = float(key) - float(t_cut)
+    On an irrational shape the exact comparison is of s = key - t_cut
+    rounded in KEY_CONTEXT (t_cut by :func:`_decimal_cut`), which no
+    caller's context or mpmath precision changes.  With an int, float or
+    Decimal cut, doubles place s first: s_f = float(key) - float(t_cut)
     settles the part when it lies more than ``margin`` inside it, and
     :func:`_exact_upper` decides otherwise, as it does every other call
     (exact lattice coincidences, s = 0 at the cut's own class and s =
-    min(alpha, beta) one step past it, always land there).  The double of
-    an mpf or int is within 2**-52 of it relative (one rounding, in any of
-    mpmath's rounding modes), and so is the mpf difference at a working
-    precision of 53 bits or more; the double subtraction adds 2**-53.  So
-    s_f less the double of a bound is within 5 * 2**-53 * (|key| +
-    |t_cut| + mu) of s less the mpf bound, as the exact comparison sees
-    them.  Inside the window |key| <= |t_cut| + mu, so that is below
-    2**-49 * (|t_cut| + mu); the margin, 2**-47 * (|t_cut| + mu), is four
-    times that.
+    min(alpha, beta) one step past it, always land there).  Each double
+    is within 2**-53 of its number relative, as is the double subtraction,
+    and the rounded s within 10**-49.  So s_f less the double of a bound
+    is within 5 * 2**-53 * (|key| + |t_cut| + mu) of s less the bound, as
+    the exact comparison sees them.  Inside the window |key| <= |t_cut| +
+    mu, so that is below 2**-49 * (|t_cut| + mu); the margin, 2**-47 *
+    (|t_cut| + mu), is four times that.
     """
     i, j = ij
     if i < 0 or j < 0:
@@ -277,7 +279,7 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
         window = _OracleWindow(shape)
         shape._oracle = window
     upper = None
-    if type(t_cut) in window.float_cuts and window.mpf.context.prec >= 53:
+    if type(t_cut) in window.float_cuts:
         cut = window.cut    # read once: another thread may replace it
         if cut[0] is not t_cut:
             cut = window.cut = window.float_bounds(t_cut)
@@ -288,7 +290,9 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
         elif upper0 < s < upper1:
             upper = True
     if upper is None:
-        upper = _exact_upper(window, shape.size_key(i, j) - t_cut)
+        key = shape.size_key(i, j)
+        upper = _exact_upper(window, key - t_cut if shape.rationality is not None
+                             else KEY_CONTEXT.subtract(key, _decimal_cut(t_cut)))
     if not upper:
         return math.comb(i + j, i) * 4 ** j
     if window.a_below_b:
@@ -297,70 +301,72 @@ def count_oracle(shape: TriangleShape, t_cut, ij: tuple[int, int]) -> int:
     return (math.comb(i + j - 1, j) * 4 ** j) if i >= 1 else 0
 
 
+def _decimal_cut(t_cut) -> Decimal:
+    """An oracle cut as a finite Decimal: floats (numpy's too) exactly,
+    ints and Fractions divided in KEY_CONTEXT (so ints below 10**50, far
+    past any key, exactly), an mpf through mpmath, which its caller has
+    loaded."""
+    mpmath = sys.modules.get("mpmath")
+    if isinstance(t_cut, Decimal):
+        cut = t_cut
+    elif isinstance(t_cut, numbers.Rational):
+        cut = KEY_CONTEXT.divide(int(t_cut.numerator), int(t_cut.denominator))
+    elif mpmath is not None and isinstance(t_cut, mpmath.mpf):
+        cut = Decimal(mpmath.nstr(t_cut, 2 * KEY_DIGITS))
+    elif isinstance(t_cut, numbers.Real):
+        cut = Decimal(float(t_cut))
+    else:
+        raise TypeError(f"cut must be a real number, got {type(t_cut).__name__}")
+    if not cut.is_finite():
+        raise DomainError(f"cut must be finite, got {t_cut}")
+    return cut
+
+
 def _exact_upper(window: _OracleWindow, s) -> bool:
     """Whether the size offset s lies in the upper part of the window,
-    compared in the size key's own arithmetic at the caller's precision."""
-    _, low, lower, high = window.exact_bounds()
-    if s < low or s >= high:
+    compared in the size key's own arithmetic."""
+    low, lower, high = window.bounds
+    if not low <= s < high:
         raise DomainError(f"size offset {float(s)} outside the window "
                           f"[0, {float(window.mu)})")
     return not s < lower
 
 
 class _OracleWindow:
-    """mu, the smaller step min(alpha, beta), whether alpha < beta, and
-    the snap eps in the size key's own arithmetic: integers on the
-    rational lattice, extended precision otherwise (boundary hits are
-    exact lattice coincidences, snapped by eps rather than left to
-    rounding).  The window is [-eps, mu - eps) and its lower part ends at
-    step - eps, each formed at the precision of the call that reads it and
-    kept until a call reads them at another precision.
+    """mu, whether alpha < beta, and the window [-eps, mu - eps), whose
+    lower part ends at min(alpha, beta) - eps, in the size key's own
+    arithmetic: integers on the rational lattice (eps = 0), KEY_CONTEXT
+    Decimals otherwise (boundary hits are exact lattice coincidences,
+    snapped by eps rather than left to rounding).
 
     Irrational shapes also keep the cut types :func:`count_oracle` may
     read as doubles, and the double bounds of the last such cut.
     """
 
-    __slots__ = ("eps", "step", "mu", "a_below_b", "float_cuts", "mpf", "cut",
-                 "bounds")
+    __slots__ = ("mu", "a_below_b", "bounds", "float_cuts", "cut")
 
     def __init__(self, shape: TriangleShape):
         alpha = shape.size_key(1, 0)
         beta = shape.size_key(0, 1)
         self.mu = max(alpha, beta)
-        self.step = min(alpha, beta)
         self.a_below_b = alpha < beta
+        self.bounds = (0, min(alpha, beta), self.mu)
         self.float_cuts = ()
-        self.eps = 0
-        self.bounds = (None, 0, self.step, self.mu)
         if shape.rationality is None:
-            import mpmath   # irrational keys are mpmath reals already
-
-            self.eps = mpmath.mpf("1e-30")
-            self.float_cuts = (int, float, mpmath.mpf)
-            self.mpf = mpmath.mpf
+            eps = Decimal("1e-30")
+            self.bounds = tuple(KEY_CONTEXT.subtract(b, eps) for b in self.bounds)
+            self.float_cuts = (int, float, Decimal)
             self.cut = (None,)
-            self.bounds = (None,)
-
-    def exact_bounds(self) -> tuple:
-        """The working precision (None on the rational lattice) and -eps,
-        step - eps and mu - eps formed at it."""
-        bounds = self.bounds    # read once: another thread may replace it
-        if self.float_cuts:
-            prec = self.mpf.context.prec
-            if bounds[0] != prec:
-                eps = self.eps
-                bounds = self.bounds = (prec, -eps, self.step - eps, self.mu - eps)
-        return bounds
 
     def float_bounds(self, t_cut) -> tuple:
         """``t_cut``, its double, and the open intervals of s_f that lie
         more than the margin inside the lower and the upper part."""
         try:
             tf = float(t_cut)
-        except OverflowError:
+        except (OverflowError, ValueError):   # past the float range, or a Decimal sNaN
             tf = math.nan   # no interval holds a nan: the exact path decides
         margin = 2.0 ** -47 * (abs(tf) + float(self.mu))
-        low, lower, high = map(float, self.exact_bounds()[1:])
+        low, lower, high = map(float, self.bounds)
         return (t_cut, tf, low + margin, lower - margin,
                 lower + margin, high - margin)
 
@@ -416,7 +422,7 @@ def empirical_size_fraction(shape: TriangleShape, n: int, interval,
     cut = min(keys)
     unit = 1.0 if shape.rationality is None else shape.lattice_unit
     inside = sum(w for key, w in zip(keys, weights)
-                 if s0 <= float(key - cut) * unit < s1)
+                 if s0 <= float(KEY_CONTEXT.subtract(key, cut)) * unit < s1)
     return inside / sum(weights)
 
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 from .errors import ArgumentError, InternalError, ResourceError, as_count
 from .geometry import (
+    KEY_CONTEXT,
     Placement,
     Similarity,
     Tile,
@@ -210,7 +211,7 @@ class Tiling:
             raise InternalError(f"areas sum to {total}, root has {root_area}")
         keys = self.size_keys()
         if keys:
-            spread = float(keys[-1] - keys[0])
+            spread = float(KEY_CONTEXT.subtract(keys[-1], keys[0]))
             if self.shape.rationality is not None:
                 spread *= self.shape.lattice_unit
             if spread >= self.shape.mu - 1e-12:
@@ -250,7 +251,7 @@ def _assert_separated(sorted_keys) -> None:
     # Equal keys are fine (one size class reached by several exponent
     # pairs); what must not happen is two classes separated by rounding.
     for prev, cur in zip(sorted_keys, sorted_keys[1:]):
-        if cur != prev and float(cur - prev) < NEAR_TIE:
+        if cur != prev and float(KEY_CONTEXT.subtract(cur, prev)) < NEAR_TIE:
             raise InternalError(
                 f"distinct exponent classes nearly tie in size: {prev} vs {cur}")
 

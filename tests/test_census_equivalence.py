@@ -1,11 +1,13 @@
 """The keyed-once census, the per-shape oracle window and the Brent port
 against the code they replaced, which is kept here as references."""
 
+import decimal
 import math
 import os
 import subprocess
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,10 +21,12 @@ import tilelab
 from tilelab import stats, substitution
 from tilelab.classify import _canon_angle, orientation_census
 from tilelab.errors import DomainError, InternalError
-from tilelab.geometry import MP_DPS, _mp_alpha_beta, shape_from_pq, shape_from_theta
+from tilelab import geometry
+from tilelab.geometry import KEY_CONTEXT, KEY_DIGITS, _alpha_beta, shape_from_pq, shape_from_theta
 from tilelab.spectral import _brentq, irrational_bounds
 from tilelab.stats import census_size_histogram, count_oracle
-from tilelab.substitution import census_counts, census_steps
+from tilelab.substitution import (COLUMNS, Tn_batches, census_counts, census_steps,
+                                  size_class_ranks)
 
 COPRIME = [(p, q) for p in range(1, 9) for q in range(1, 9) if math.gcd(p, q) == 1]
 
@@ -38,9 +42,36 @@ def ref_size_key(shape, i, j):
     """The size key computed afresh on every call."""
     if shape.rationality is not None:
         return i * shape.rationality.numerator + j * shape.rationality.denominator
-    alpha, beta = _mp_alpha_beta(shape.theta)
-    with mpmath.workdps(MP_DPS):
-        return i * alpha + j * beta
+    alpha, beta = _alpha_beta(shape.theta)
+    return KEY_CONTEXT.fma(i, alpha, KEY_CONTEXT.multiply(j, beta))
+
+
+def ref_mp_key(theta, i, j):
+    """i * alpha + j * beta from mpmath at 80 digits."""
+    with mpmath.workdps(80):
+        t = mpmath.mpf(theta)
+        return -i * mpmath.log(mpmath.sin(t)) + j * mpmath.log(2 / mpmath.cos(t))
+
+
+def ref_exact(x):
+    """A size key or an oracle cut as an exact Fraction (a str is no
+    number, and a cut that is not finite is outside every window)."""
+    if isinstance(x, str):
+        raise TypeError("a str is not a cut")
+    if isinstance(x, mpmath.mpf):
+        if not mpmath.isfinite(x):
+            raise DomainError("not finite")
+        sign, man, exp, _ = x._mpf_
+        return (-1) ** sign * man * Fraction(2) ** exp
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if isinstance(x, Decimal):
+        if not x.is_finite():
+            raise DomainError("not finite")
+        return Fraction(x)
+    if not math.isfinite(x):
+        raise DomainError("not finite")
+    return Fraction(float(x))
 
 
 def ref_min_key_pairs(shape, pairs):
@@ -71,16 +102,27 @@ def ref_census_steps(shape, n):
         counts = nxt
 
 
+def ref_rounded(x):
+    """A Fraction rounded once to KEY_DIGITS significant digits, half to even."""
+    return Fraction(decimal.Context(prec=KEY_DIGITS).divide(x.numerator, x.denominator))
+
+
 def ref_count_oracle(shape, t_cut, ij):
+    """The window test on the keys and the cut as exact rationals.  On an
+    irrational shape the offset s = key - t_cut and the window bounds are
+    each rounded once to KEY_DIGITS digits, as the oracle's contract says."""
     i, j = ij
-    alpha = ref_size_key(shape, 1, 0)
-    beta = ref_size_key(shape, 0, 1)
-    mu = max(alpha, beta)
-    eps = 0 if shape.rationality is not None else mpmath.mpf("1e-30")
-    s = ref_size_key(shape, i, j) - t_cut
-    if s < -eps or s >= mu - eps:
+    alpha = ref_exact(ref_size_key(shape, 1, 0))
+    beta = ref_exact(ref_size_key(shape, 0, 1))
+    step, mu = sorted((alpha, beta))
+    s = ref_exact(ref_size_key(shape, i, j)) - ref_exact(t_cut)
+    low, lower, high = 0, step, mu
+    if shape.rationality is None:
+        eps = Fraction(1, 10 ** 30)
+        s, low, lower, high = map(ref_rounded, (s, -eps, step - eps, mu - eps))
+    if not low <= s < high:
         raise DomainError("outside the window")
-    if s < min(alpha, beta) - eps:
+    if s < lower:
         return math.comb(i + j, i) * 4 ** j
     if alpha < beta:
         return (math.comb(i + j - 1, i) * 4 ** j) if j >= 1 else 0
@@ -228,8 +270,14 @@ def test_orientation_census_keeps_one_pair_per_size_class(p, q):
 @given(shape=shapes, i=st.integers(0, 300), j=st.integers(0, 300))
 def test_size_key_is_the_fresh_key(shape, i, j):
     key = shape.size_key(i, j)
-    assert key == ref_size_key(shape, i, j)
+    with decimal.localcontext(decimal.Context(prec=3, traps=[decimal.Inexact])):
+        assert key == ref_size_key(shape, i, j)
     assert shape.size_key(i, j) is key or shape.rationality is not None
+    if shape.rationality is None:
+        assert isinstance(key, Decimal)
+        want = ref_mp_key(shape.theta, i, j)
+        with mpmath.workdps(80):
+            assert abs(mpmath.mpf(str(key)) - want) <= mpmath.mpf("1e-45") * max(want, 1)
 
 
 # -- the lattice-path oracle --------------------------------------------------
@@ -254,6 +302,7 @@ def test_count_oracle_matches_the_reference(shape, n):
             [(i, j + 2) for i, j in counts] + [(max(i - 1, 0), j) for i, j in counts]
         for ij in probes:
             assert_oracle_is_the_reference(shape, cut, ij)
+            assert_oracle_is_the_reference(shape, float(cut), ij)
         for ij, cnt in counts.items():
             assert count_oracle(shape, cut, ij) == cnt
 
@@ -270,10 +319,10 @@ def test_count_oracle_at_exact_lattice_coincidences(shape, i, j):
     cuts = [key, float(key), math.nextafter(float(key), math.inf),
             math.nextafter(float(key), -math.inf), round(float(key)),
             math.floor(float(key)), math.ceil(float(key))]
-    with mpmath.workdps(MP_DPS):
-        cuts += [key + mpmath.mpf(d) for d in
-                 ("1e-30", "-1e-30", "1e-25", "-1e-25", "1e-14", "-1e-14",
-                  "1e-9", "-1e-9")]
+    offsets = ("1e-30", "-1e-30", "1e-25", "-1e-25", "1e-14", "-1e-14", "1e-9", "-1e-9")
+    cuts += [KEY_CONTEXT.add(key, Decimal(d)) for d in offsets]
+    with mpmath.workdps(60):
+        cuts += [mpmath.mpf(str(key)) + mpmath.mpf(d) for d in offsets]
     for cut in cuts:
         for ij in [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1),
                    (max(i - 1, 0), j), (i, max(j - 1, 0)), (i + 2, j)]:
@@ -283,11 +332,12 @@ def test_count_oracle_at_exact_lattice_coincidences(shape, i, j):
 def test_count_oracle_for_cuts_of_every_type(irr1):
     # s is 0.01 and alpha + 0.01, far inside each part, wherever doubles
     # may be read at all
-    key = irr1.size_key(3, 2) - mpmath.mpf("0.01")
-    for cut in [key, float(key), 3, Fraction(float(key)), True, np.float64(key),
-                np.float32(key), str(float(key)), 2 ** 1100, -2 ** 1100,
-                math.nan, math.inf, -math.inf, mpmath.mpf("inf"),
-                mpmath.mpf("nan")]:
+    key = KEY_CONTEXT.subtract(irr1.size_key(3, 2), Decimal("0.01"))
+    for cut in [key, float(key), 3, Fraction(float(key)), Fraction(key), True,
+                np.float64(key), np.float32(key), np.int64(3), mpmath.mpf(str(key)),
+                str(float(key)), str(key), 2 ** 1100, -2 ** 1100, math.nan, math.inf,
+                -math.inf, mpmath.mpf("inf"), mpmath.mpf("nan"), Decimal("inf"),
+                Decimal("-inf"), Decimal("nan"), Decimal("snan")]:
         for ij in [(3, 2), (4, 2)]:
             try:
                 want = ref_count_oracle(irr1, cut, ij)
@@ -298,15 +348,26 @@ def test_count_oracle_for_cuts_of_every_type(irr1):
             assert count_oracle(irr1, cut, ij) == want, cut
 
 
-def test_count_oracle_below_double_precision_is_the_mpf_comparison():
-    # at 20 bits the mpf offset alpha - 1e-9 rounds onto the bound alpha,
-    # where doubles would still tell them apart
+HOSTILE_CONTEXTS = {
+    "decimal-prec3-inexact":
+        lambda: decimal.localcontext(decimal.Context(prec=3, traps=[decimal.Inexact])),
+    "mpmath-workprec20": lambda: mpmath.workprec(20),
+}
+
+
+@pytest.mark.parametrize("context", HOSTILE_CONTEXTS.values(), ids=HOSTILE_CONTEXTS)
+def test_count_oracle_under_any_caller_precision_is_the_exact_comparison(context):
+    # at 20 bits an mpf offset alpha - 1e-9 would round onto the bound
+    # alpha, and at 3 digits a Decimal one onto the cut's own key
     shape = shape_from_theta(1.0)
     key = shape.size_key(3, 2)
-    cuts = [key + mpmath.mpf(d) for d in ("1e-9", "-1e-9", "1e-12", "-1e-12")]
-    with mpmath.workprec(20):
+    offsets = ("1e-9", "-1e-9", "1e-12", "-1e-12", "1e-30", "-1e-30")
+    cuts = [KEY_CONTEXT.add(key, Decimal(d)) for d in offsets]
+    cuts += [mpmath.mpf(str(key)) + mpmath.mpf(d) for d in offsets]
+    probes = [(3, 2), (4, 2), (3, 3), (5, 2), (2, 2)]
+    with context():
         for cut in cuts:
-            for ij in [(3, 2), (4, 2), (3, 3), (5, 2), (2, 2)]:
+            for ij in probes:
                 assert_oracle_is_the_reference(shape, cut, ij)
 
 
@@ -371,6 +432,57 @@ def test_rational_shapes_never_reach_mpmath(monkeypatch):
         with pytest.raises(DomainError):
             count_oracle(shape, 0.5, (0, 0))
 
+
+
+def test_irrational_census_paths_never_reach_mpmath(monkeypatch):
+    monkeypatch.setitem(sys.modules, "mpmath", None)     # import raises
+    shape = shape_from_theta(1.0)
+    for _, counts, min_pair in census_steps(shape, 200):
+        cut = shape.size_key(*min_pair)
+        for ij, cnt in counts.items():
+            assert count_oracle(shape, cut, ij) == cnt
+    stats.size_comparison(shape, 200)
+    assert sum(len(batch) for batch in Tn_batches(shape, 40)) == \
+        sum(census_counts(shape, 40)[0].values())
+
+
+def _theta_one_answers():
+    """census_counts, count_oracle, size_class_ranks and the Tn_batches
+    columns of theta = 1.0, on a fresh shape with its keys computed anew."""
+    for cached in (geometry._alpha_beta, geometry._decimal_size_key,
+                   geometry._float_size_key):
+        cached.cache_clear()
+    shape = shape_from_theta(1.0)
+    counts, min_pair = census_counts(shape, 150)
+    cut = shape.size_key(*min_pair)
+    near = KEY_CONTEXT.subtract(shape.size_key(3, 2), Decimal("1e-9"))
+    oracle = [count_oracle(shape, cut, ij) for ij in counts]
+    oracle += [count_oracle(shape, c, ij) for c in (near, float(near))
+               for ij in [(3, 2), (4, 2)]]
+    columns = [[getattr(batch, name).tobytes() for name, _ in COLUMNS]
+               for batch in Tn_batches(shape, 40)]
+    return counts, min_pair, oracle, size_class_ranks(shape, counts), columns
+
+
+def test_no_caller_context_changes_an_answer():
+    want = _theta_one_answers()
+    for context in HOSTILE_CONTEXTS.values():
+        with context():
+            assert _theta_one_answers() == want
+    got = []
+
+    def run():
+        with HOSTILE_CONTEXTS["decimal-prec3-inexact"]():
+            got.append(_theta_one_answers())
+
+    with mpmath.workprec(20):       # process-wide; a decimal context is per thread
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 2 and all(answers == want for answers in got)
 
 # -- the size histogram past the float range ---------------------------------
 

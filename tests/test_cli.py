@@ -458,6 +458,24 @@ def test_rational_commands_never_load_mpmath(tmp_path):
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+
+def test_irrational_commands_never_load_mpmath(tmp_path):
+    # irrational size keys are stdlib Decimals
+    out = str(tmp_path / "h.json")
+    commands = [["generate", "--theta", "1.0", "--n", "40", "--out", out],
+                ["stats", "--in", out, "--out", out + ".txt"],
+                ["render", "--in", out, "--faults", "--out", out + ".svg"],
+                ["spectral", "--theta", "1.0"],
+                ["classify", "--theta", "1.0"],
+                ["classify", "--theta", "0.8", "--theta-pi", "irrational"]]
+    code = ("import sys; from tilelab.cli import main; "
+            f"failed = [argv for argv in {commands!r} if main(argv) != 0]; "
+            "sys.exit(f'failed: {failed}' if failed else 'mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
 _EXACT_COMMANDS = [
     [],
     ["boundary", "--system", "til2", "--n", "11"],

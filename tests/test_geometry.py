@@ -1,11 +1,12 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from tilelab.errors import ArgumentError, DomainError
-from tilelab.geometry import (Similarity, compose, shape_from_pq,
+from tilelab.geometry import (KEY_CONTEXT, KEY_DIGITS, Similarity, compose, shape_from_pq,
                               shape_from_theta, tile_area, vertices,
                               wrap_angle)
 from tilelab.substitution import root_tiling
@@ -96,13 +97,40 @@ def test_size_key_rational_is_an_exact_integer(til12, til2):
     assert til12.size_key(2, 0) == til12.size_key(0, 1)
 
 
+def _mp_key(theta, i, j):
+    """i * alpha + j * beta from mpmath at 80 digits."""
+    with mpmath.workdps(80):
+        t = mpmath.mpf(theta)
+        return -i * mpmath.log(mpmath.sin(t)) + j * mpmath.log(2 / mpmath.cos(t))
+
+
+def _significant_digits(key, want):
+    with mpmath.workdps(80):
+        err = abs(mpmath.mpf(str(key)) - want)
+        return math.inf if err == 0 else float(-mpmath.log10(err / want))
+
+
 def test_size_key_irrational_is_extended_precision(irr1):
     k = irr1.size_key(3, 2)
-    assert isinstance(k, mpmath.mpf)
-    with mpmath.workdps(40):
-        want = 3 * irr1.size_key(1, 0) + 2 * irr1.size_key(0, 1)
-        assert mpmath.almosteq(k, want, rel_eps=mpmath.mpf("1e-35"))
+    assert isinstance(k, Decimal) and len(k.as_tuple().digits) == KEY_DIGITS
+    assert k == KEY_CONTEXT.fma(3, irr1.size_key(1, 0),
+                                KEY_CONTEXT.multiply(2, irr1.size_key(0, 1)))
+    assert _significant_digits(k, _mp_key(irr1.theta, 3, 2)) >= 45
     assert float(k) == pytest.approx(irr1.size_value(3, 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.1, 0.46364760900, 1.0, 1.5,
+                                   math.pi / 2 - 1e-9, math.nextafter(math.pi / 2, 0)])
+def test_irrational_keys_match_mpmath_to_45_digits(theta):
+    # alpha, beta, and i * alpha + j * beta up to i, j = 2,000; the last
+    # theta is the largest a shape takes, where alpha is 3.7e-32
+    shape = shape_from_theta(theta)
+    exps = (0, 1, 2, 3, 17, 250, 1999, 2000)
+    for i in exps:
+        for j in exps:
+            if i or j:
+                got = _significant_digits(shape.size_key(i, j), _mp_key(theta, i, j))
+                assert got >= 45, (i, j, got)
 
 
 def test_scale_matches_size_value(til12):

@@ -425,23 +425,30 @@ def test_equidistribution_keeps_the_fraction_of_a_large_ratio(ratio):
 
 def test_the_oracle_does_not_depend_on_the_first_calls_precision():
     # the window once kept its bounds rounded at the precision of the
-    # shape's first call: after a first call at 20 bits this gave 240
+    # shape's first call: after a first call at 20 bits this gave 240; no
+    # caller's mpmath precision or decimal context changes it now
+    import decimal
+
     import mpmath
 
-    def call(shape):
-        return count_oracle(shape, shape.size_key(3, 2) - 1e-9, (4, 2))
+    from tilelab.geometry import KEY_CONTEXT
 
-    at_20 = []
-    for first_at_20 in (False, True):
+    def call(shape):
+        cut = KEY_CONTEXT.subtract(shape.size_key(3, 2), decimal.Decimal("1e-9"))
+        return [count_oracle(shape, c, (4, 2)) for c in (cut, float(cut))]
+
+    contexts = (lambda: mpmath.workprec(20), lambda: decimal.localcontext(
+        decimal.Context(prec=3, traps=[decimal.Inexact])))
+    for first in (None, *contexts):
         shape = shape_from_theta(1.0)
         assert getattr(shape, "_oracle", None) is None
-        if first_at_20:
-            with mpmath.workprec(20):
-                at_20.append(call(shape))
-        assert call(shape) == 80
-        with mpmath.workprec(20):
-            at_20.append(call(shape))
-    assert at_20[0] == at_20[1] == at_20[2]
+        if first is not None:
+            with first():
+                assert call(shape) == [80, 80]
+        assert call(shape) == [80, 80]
+        for context in contexts:
+            with context():
+                assert call(shape) == [80, 80]
 
 
 # -- the float paths that replaced numpy's, against numpy ----------------------
