@@ -89,18 +89,18 @@ def apply_columns(point: tuple[float, float], handedness: np.ndarray,
 def _alpha_beta(theta: float) -> tuple[Decimal, Decimal]:
     """alpha = -ln sin(theta) and beta = ln(2 / cos(theta)) from the Taylor
     series of cos t and sin(t) / t in x = t**2, t = Decimal(theta) the double
-    exactly, at P = 2 * KEY_DIGITS digits (unit round-off u = 10**(1 - P) /
-    2), each rounded once into KEY_CONTEXT.  Proof of the bound: x < 2.47, so the ratio of the terms of t**(n + 2)
-    and t**n, x / ((n + 1)(n + 2)), is below 2.47/6 for the sine and, past
-    its first term, 2.47/12 for the cosine: both series alternate with
-    falling terms, and stopping at a term below 10**-P (never the first, 1)
-    truncates by less than it.  The k-th term carries 2k + 1 roundings, off
-    by 3k u of its size at most, and sum_k k x**k / (2k)! < 1.9; the N <= 40
-    additions add u each, as partial sums lie in [-1, 1].  So each sum is
-    within (N + 6) u + 10**-P < 10**(3 - P); with sin(t) / t > 2/pi, sin t
-    is within 2 * 10**(3 - P) relatively and cos t within 10**(3 - P).  ln
-    is correctly rounded, so alpha is within 5 * 10**(3 - P) + u * alpha and
-    beta within 2 * 10**(3 - P) / cos(theta) + u * beta.  A double theta
+    exactly, at P = 2 * KEY_DIGITS digits (unit round-off u = 10**(1 - P) / 2),
+    each rounded once into KEY_CONTEXT.  Proof of the bound: x < 2.47, so the
+    ratio of the terms of t**(n + 2) and t**n, x / ((n + 1)(n + 2)), is below
+    2.47/6 for the sine and, past its first term, 2.47/12 for the cosine: both
+    series alternate with falling terms, and stopping at a term below 10**-P
+    (never the first, 1) truncates by less than it.  The k-th term carries 2k
+    roundings and x's k times, so is off by 3k u of it at most, and sum_k k x**k
+    / (2k)! < 1.9; the N <= 40 additions add u each (partial sums lie in [-1,
+    1]).  So each sum is within (N + 6) u + 10**-P < 10**(3 - P); as sin(t) / t
+    > 2/pi, sin t is within 2 * 10**(3 - P) relatively, cos t absolutely within
+    10**(3 - P).  ln is correctly rounded: alpha is within 5 * 10**(3 - P) + u *
+    alpha, beta within 2 * 10**(3 - P) / cos(theta) + u * beta.  A double theta
     below pi/2 has cos(theta) > 6.1e-17, alpha > 1.8e-33 and beta > ln 2, so
     both are correct to 1e-60 relatively before the final rounding.
     """
