@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ArgumentError, ResourceError
 from .geometry import TWO_PI, TriangleShape, shape_from_pq, shape_from_theta
-from .substitution import COLUMNS, DEFAULT_TILE_CAP, TILING_FORMAT, Tiling
+from .substitution import COLUMNS, DEFAULT_TILE_CAP, TILING_FORMAT, TYPECODES, Tiling
 
 # Characters per slice of tiling JSON text: the reader holds one slice and
 # its tile objects at a time (more only while one tile or header value
@@ -27,6 +27,8 @@ JSON_READ_CHARS = 1 << 16
 PHI_MAX = float(f"{TWO_PI:.12g}")
 
 _TILE_KEYS = ("handedness", "i", "id", "j", "origin", "parent", "phi")
+
+_INT64 = 1 << 63
 
 
 def _is_number(value) -> bool:
@@ -56,68 +58,85 @@ def _shape_from_json(sh) -> TriangleShape:
     return shape_from_theta(sh["theta"], sh["c"], rationality=rationality)
 
 
-def _int_column(values: list, key: str, dtype, low: int = 0,
-                high: int | None = None) -> np.ndarray:
-    import numpy as np
+def _int_column(values: list, key: str, code: str, low: int = 0,
+                high: int | None = None) -> array.array:
     if high is None:
-        high = np.iinfo(dtype).max
-    col = None
-    if set(map(type, values)) == {int}:     # no floats, bools or None
-        try:
-            col = np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    if col is None or col.min() < low or col.max() > high:
+        high = (1 << 8 * array.array(code).itemsize - 1) - 1
+    # no floats, bools or None
+    if set(map(type, values)) != {int} or min(values) < low or max(values) > high:
         raise ArgumentError(f"tile {key!r} values must be integers in "
                             f"[{low}, {high}]")
-    return col.astype(dtype)
+    return array.array(code, values)
 
 
-def _float_column(values: list, key: str, shape: tuple) -> np.ndarray:
-    import numpy as np
-    try:
-        col = np.array(values)
-    except ValueError:      # ragged nested lists
-        col = None
-    # numpy reads true as 1.0 beside a float: bools are refused by type, so
-    # that no value is taken or refused for the tiles read with it
-    flat = itertools.chain.from_iterable(values) if len(shape) > 1 else values
-    if col is None or col.shape != shape or col.dtype.kind not in "if" \
-            or bool in set(map(type, flat)) or not np.isfinite(col).all():
+def _kind(value) -> str:
+    """The kind ``np.array`` infers for a number ("i" for an int in int64,
+    "u" in uint64 only), "O" for anything else."""
+    if isinstance(value, float):
+        return "f"
+    if isinstance(value, int):
+        return "i" if -_INT64 <= value < _INT64 else "u" if 0 <= value < 2 * _INT64 else "O"
+    kind = getattr(getattr(value, "dtype", None), "kind", "O")
+    return kind if getattr(value, "ndim", None) == 0 else "O"
+
+
+def _is_pair(value) -> bool:
+    # a numpy array of objects would make the whole column objects
+    if isinstance(value, (list, tuple)):
+        return len(value) == 2
+    kind = getattr(getattr(value, "dtype", None), "kind", "O")
+    return getattr(value, "shape", None) == (2,) and kind != "O"
+
+
+def _float_column(values: list, key: str, pairs: bool = False) -> array.array:
+    """The floats of a column of numbers, or of x, y ``pairs``, refused as
+    ``np.array(values)`` is by shape, kind (promoted to "i" or "f": one of
+    those, and no others than "b" and "u") and finiteness.  numpy reads
+    true as 1.0 beside a float: bools are refused by type, so that no value
+    is taken or refused for the tiles read with it."""
+    flat = values
+    if pairs:
+        flat = list(itertools.chain.from_iterable(values)) \
+            if set(map(type, values)) == {list} and set(map(len, values)) == {2} \
+            or all(map(_is_pair, values)) else [None]
+    types = set(map(type, flat))
+    kinds = {"f"} if types == {float} else {"O"} if bool in types else set(map(_kind, flat))
+    if not (kinds <= set("biuf") and kinds & set("if")) \
+            or not all(map(math.isfinite, flat)):
         raise ArgumentError(f"tile {key!r} values must be finite numbers, "
-                            f"{'x, y pairs' if len(shape) > 1 else 'one each'}")
-    return col.astype(np.float64)
+                            f"{'x, y pairs' if pairs else 'one each'}")
+    return array.array("d", flat)
 
 
 def _tile_columns(rows: list) -> dict:
     """The columns of a list of parsed tile objects, each value checked."""
-    import numpy as np
     try:
         values = dict(zip(_TILE_KEYS, zip(*map(operator.itemgetter(*_TILE_KEYS), rows))))
     except (KeyError, TypeError):
         raise ArgumentError("every tile must be an object with the keys "
                             + ", ".join(_TILE_KEYS)) from None
-    hand = _int_column(values["handedness"], "handedness", np.int8, -1, 1)
-    if not hand.all():
+    hand = _int_column(values["handedness"], "handedness", "b", -1, 1)
+    if 0 in hand:
         raise ArgumentError("tile 'handedness' values must be 1 or -1")
     parents = values["parent"]
     # only the root has no parent: most slices hold no None
     roots = [k for k, p in enumerate(parents) if p is None] if None in parents else []
     parent = _int_column([0 if p is None else p for p in parents] if roots else parents,
-                         "parent", np.int64)
-    parent[roots] = -1
-    origin = _float_column(values["origin"], "origin", (len(rows), 2))
-    phi = _float_column(values["phi"], "phi", (len(rows),))
-    if not ((phi >= 0.0) & (phi <= PHI_MAX)).all():
+                         "parent", "q")
+    for k in roots:
+        parent[k] = -1
+    origin = _float_column(values["origin"], "origin", pairs=True)
+    phi = _float_column(values["phi"], "phi")
+    if not 0.0 <= min(phi) <= max(phi) <= PHI_MAX:
         raise ArgumentError(f"tile 'phi' values must be headings in [0, {PHI_MAX}]")
     return {
         "handedness": hand,
         "phi": phi,
-        "ox": origin[:, 0],
-        "oy": origin[:, 1],
-        "i": _int_column(values["i"], "i", np.int32),
-        "j": _int_column(values["j"], "j", np.int32),
-        "ids": _int_column(values["id"], "id", np.int64),
+        "ox": origin[0::2],
+        "oy": origin[1::2],
+        "i": _int_column(values["i"], "i", "i"),
+        "j": _int_column(values["j"], "j", "i"),
+        "ids": _int_column(values["id"], "id", "q"),
         "parent": parent,
     }
 
@@ -131,11 +150,9 @@ class _TileColumns:
     any more columns."""
 
     def __init__(self, cap: int | None = None):
-        import numpy as np
         self.cap = cap
         self.count = 0
-        self.buffers = {name: array.array(np.dtype(dtype).char)
-                        for name, dtype in COLUMNS}
+        self.buffers = {name: array.array(TYPECODES[dtype]) for name, dtype in COLUMNS}
         self.error: ArgumentError | None = None
 
     def add(self, rows: list) -> None:
@@ -146,7 +163,7 @@ class _TileColumns:
         if rows and self.error is None:
             try:
                 for name, col in _tile_columns(rows).items():
-                    self.buffers[name].frombytes(col.tobytes())
+                    self.buffers[name].extend(col)
             except ArgumentError as exc:
                 self.error, self.buffers = exc, None
 

@@ -300,7 +300,7 @@ def _fault_columns(t: Tiling, box) -> tuple[np.ndarray, ...]:
     """The runs of :func:`fault_runs` as columns: (m, 4) start and end x, y,
     edge counts and parent counts; ``box`` is :func:`_bounding_box` of ``t``."""
     import numpy as np
-    pairs, _, _ = t.exponent_pairs()
+    pairs, _ = t.exponent_pairs()
     tol = 1e-7 * (t.shape.c * max(t.shape.scale(i, j) for i, j in pairs))
     # every offset and interval end below is at most twice the largest
     # coordinate (4 leaves room for rounding): keep them finite over tol

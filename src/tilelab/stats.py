@@ -24,7 +24,7 @@ from .classify import orientation_census
 from .errors import ArgumentError, DomainError, as_count
 from .geometry import KEY_CONTEXT, KEY_DIGITS, TriangleShape, _float_size_key
 from .spectral import eigen
-from .substitution import JSON_CHUNK_TILES, Tiling, _census_at, size_class_ranks
+from .substitution import Tiling, _census_at, size_class_ranks
 
 DEFAULT_SIZE_BINS = 64
 DEFAULT_ORIENTATION_BINS = 64
@@ -76,14 +76,6 @@ def _check_tolerance(tolerance) -> None:
     if not valid:
         raise ArgumentError("tolerance must be a finite number >= 0, "
                             f"got {tolerance!r}")
-
-
-def _phi_position(phi, bins: int):
-    """Where a heading (a float or a float array) falls in ``bins`` equal
-    arcs of [0, 2pi), in arcs; its bin is the truncation, modulo bins."""
-    # headings like pi/2 sit exactly on bin edges; the nudge makes the
-    # geometric and census paths agree there despite float noise
-    return (phi / (2.0 * math.pi) + 1e-9) * bins
 
 
 # The most bits a total count may have before the weights are scaled down.
@@ -188,14 +180,18 @@ def census_size_histogram(shape: TriangleShape, n: int,
 
 def _orientation_histogram(shape: TriangleShape, items, bins: int
                            ) -> OrientationHistogram:
-    """The histogram of ``((i, j, hand, heading_bin), count)`` items: each
-    count adds exactly into the integer row of its (size rank, hand) cell,
-    every share is one correctly rounded division, and cells keep their
-    first-appearance order (pooled() sums in it)."""
+    """The histogram of ``((i, j, hand, heading), count)`` items: each
+    count adds exactly into the integer row of its (size rank, hand) cell
+    at the heading's arc of ``bins`` equal arcs of [0, 2pi), every share is
+    one correctly rounded division, and cells keep their first-appearance
+    order (pooled() sums in it)."""
     items = list(items)
     ranks = size_class_ranks(shape, {(i, j) for (i, j, _, _), _ in items})
     rows: dict = {}
-    for (i, j, hand, b), cnt in items:
+    for (i, j, hand, phi), cnt in items:
+        # headings like pi/2 sit exactly on arc ends; the nudge makes the
+        # geometric and census paths agree there despite float noise
+        b = int((phi / (2.0 * math.pi) + 1e-9) * bins) % bins
         rows.setdefault((ranks[(i, j)], hand), [0] * bins)[b] += cnt
     total = sum(cnt for _, cnt in items)
     cells, phi_bins = {}, {}
@@ -208,26 +204,10 @@ def _orientation_histogram(shape: TriangleShape, items, bins: int
 
 def orientation_histogram(t: Tiling, bins: int = DEFAULT_ORIENTATION_BINS
                           ) -> OrientationHistogram:
-    """Heading distribution of a built tiling, split by size and hand, binned
-    a chunk of JSON_CHUNK_TILES tiles at a time per cell 2 * pair + (hand > 0)."""
-    import numpy as np
+    """Heading distribution of a built tiling, split by size and hand, one
+    item per class of its census."""
     _check_bins(bins)
-    pairs, index, _ = t.exponent_pairs()
-    counts = np.zeros(2 * len(pairs) * bins, dtype=np.int64)
-    order = {}      # cells in order of first appearance
-    for lo in range(0, len(t), JSON_CHUNK_TILES):
-        part = slice(lo, lo + JSON_CHUNK_TILES)
-        cell = 2 * index[part] + (t.handedness[part] > 0)
-        shown, first = np.unique(cell, return_index=True)
-        order.update(dict.fromkeys(shown[np.argsort(first)].tolist()))
-        heading = _phi_position(t.phi[part], bins).astype(np.int64) % bins
-        counts += np.bincount(cell * bins + heading,
-                              minlength=len(counts))
-    rows = counts.reshape(-1, bins)
-    return _orientation_histogram(
-        t.shape, (((*pairs[c >> 1], 1 if c & 1 else -1, b), cnt)
-                  for c in order for b, cnt in enumerate(rows[c].tolist()) if cnt),
-        bins)
+    return _orientation_histogram(t.shape, t.class_census().items(), bins)
 
 
 def census_orientation_histogram(shape: TriangleShape, n: int,
@@ -239,9 +219,8 @@ def census_orientation_histogram(shape: TriangleShape, n: int,
     _check_bins(bins)
     census = orientation_census(shape, n, theta_pi)
     return _orientation_histogram(
-        shape, (((i, j, sign, int(_phi_position(census.angle(key), bins)) % bins), cnt)
-                for (i, j, sign, key), cnt in census.counts.items()),
-        bins)
+        shape, (((i, j, sign, census.angle(key)), cnt)
+                for (i, j, sign, key), cnt in census.counts.items()), bins)
 
 
 # -- exact lattice-path counts ------------------------------------------------

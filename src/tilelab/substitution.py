@@ -7,12 +7,14 @@ of exponent classes evolves alongside (or instead of) the geometric
 tilings; the two agree tile-for-tile and the census scales to millions of
 tiles at negligible cost.
 
-A :class:`Tiling` keeps its tiles as numpy columns, one row per tile, and
-deflation, serialization and the statistics work on whole columns.
+A :class:`Tiling` keeps its tiles as columns, one row per tile: deflation,
+serialization and rendering do their vector work on numpy views of them,
+and the statistics read a census of its tile classes.
 """
 
 from __future__ import annotations
 
+import array
 import bisect
 import functools
 import itertools
@@ -53,11 +55,12 @@ NEAR_TIE = 1e-9
 
 # The columns of a Tiling: handedness (+1/-1), heading, small-angle
 # vertex, exponent pair, tile id and parent id (-1 for the root).  The
-# dtypes are named, not numpy types: commands that build no array never
-# load numpy.
+# dtypes are named, not numpy types, with the array module's typecode of
+# each (the reader's buffers): commands that build no array never load numpy.
 COLUMNS = (("handedness", "int8"), ("phi", "float64"), ("ox", "float64"),
            ("oy", "float64"), ("i", "int32"), ("j", "int32"),
            ("ids", "int64"), ("parent", "int64"))
+TYPECODES = {"int8": "b", "float64": "d", "int32": "i", "int64": "q"}
 
 
 def _make_tile(shape, hand, phi, ox, oy, i, j, tile_id, parent) -> Tile:
@@ -90,24 +93,41 @@ class Tiling:
     The tiles are stored as read-only numpy columns named in
     :data:`COLUMNS`, one row per tile: ``handedness`` (int8), ``phi``,
     ``ox``, ``oy`` (float64), ``i``, ``j`` (int32), ``ids`` and
-    ``parent`` (int64, -1 for the root).  The library reads only these
-    columns; :attr:`tiles` is a sequence view for callers, which builds
-    a :class:`Tile` object for each tile it hands out.
+    ``parent`` (int64, -1 for the root); an ``array.array`` of the
+    :data:`TYPECODES` code, as the reader gives them, is viewed without a
+    copy when first read, so ``len``, :meth:`rows` and :meth:`class_census`
+    load no numpy.  The library reads only these columns; :attr:`tiles` is
+    a sequence view for callers, which builds a :class:`Tile` object for
+    each tile it hands out.
     """
 
     def __init__(self, shape: TriangleShape, generation: int, columns: dict):
-        import numpy as np
         self.shape = shape
         self.generation = generation
+        self._columns = {}      # typed buffers, or numpy's
         for name, dtype in COLUMNS:
-            # a view: freezing it leaves the caller's own array writable
-            col = np.asarray(columns[name], dtype=dtype).view()
-            col.flags.writeable = False
-            setattr(self, name, col)
-        self._pairs = None
+            col = columns[name]
+            if not (isinstance(col, array.array) and col.typecode == TYPECODES[dtype]):
+                import numpy as np
+                # a view: freezing it leaves the caller's own array writable
+                col = np.asarray(col, dtype=dtype).view()
+                col.flags.writeable = False
+                setattr(self, name, col)
+            self._columns[name] = col
+        self._pairs = self._classes = None
+
+    def __getattr__(self, name: str):
+        # a column kept as a typed buffer, read for the first time
+        if name not in self.__dict__.get("_columns", ()):
+            raise AttributeError(f"'Tiling' object has no attribute {name!r}")
+        import numpy as np
+        view = np.frombuffer(self._columns[name], dtype=dict(COLUMNS)[name])
+        view.flags.writeable = False
+        setattr(self, name, view)
+        return view
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._columns["ids"])
 
     @property
     def tiles(self) -> "_TileView":
@@ -115,14 +135,14 @@ class Tiling:
 
     def rows(self):
         """The tiles as tuples of Python values in :data:`COLUMNS` order."""
-        return zip(*(getattr(self, name).tolist() for name, _ in COLUMNS))
+        return zip(*(self._columns[name].tolist() for name, _ in COLUMNS))
 
     # -- size classes -----------------------------------------------------
 
-    def exponent_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray, list[int]]:
-        """The distinct exponent pairs in order of first appearance, each
-        tile's index into that list, and the tile count of each pair, a
-        chunk of JSON_CHUNK_TILES tiles at a time."""
+    def exponent_pairs(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The distinct exponent pairs in order of first appearance and each
+        tile's index into that list, a chunk of JSON_CHUNK_TILES tiles at a
+        time (:meth:`exponent_counts` counts the tiles of each)."""
         import numpy as np
         if self._pairs is None:
             chunks = [slice(lo, lo + JSON_CHUNK_TILES)
@@ -142,41 +162,51 @@ class Tiling:
             for part in chunks:
                 index[part] = remap[np.searchsorted(distinct, code(part))]
             first = firsts[at[order]]
-            pairs = list(zip(self.i[first].tolist(), self.j[first].tolist()))
-            counts = np.bincount(index, minlength=len(pairs))
-            self._pairs = (pairs, index, counts.tolist())
+            self._pairs = (list(zip(self.i[first].tolist(), self.j[first].tolist())), index)
         return self._pairs
 
     def size_keys(self) -> list:
         """Distinct size keys present, sorted big-tile-first."""
-        pairs, _, _ = self.exponent_pairs()
+        pairs, _ = self.exponent_pairs()
         keys = sorted({self.shape.size_key(i, j) for (i, j) in pairs})
         _assert_separated(keys)
         return keys
 
     def class_rank(self) -> dict[tuple[int, int], int]:
         """Map exponent pair -> 1-based size class (1 = largest present)."""
-        pairs, _, _ = self.exponent_pairs()
+        pairs, _ = self.exponent_pairs()
         return size_class_ranks(self.shape, pairs)
 
     def size_ranks(self, rows=slice(None)) -> np.ndarray:
         """The size class of every tile, or of the tiles at ``rows`` (1 =
         largest present)."""
         import numpy as np
-        pairs, index, _ = self.exponent_pairs()
+        pairs, index = self.exponent_pairs()
         rank_of = self.class_rank()
         return np.array([rank_of[p] for p in pairs], dtype=np.int64)[index[rows]]
 
+    def class_census(self) -> Counter:
+        """Tiles per ``(i, j, handedness, phi)`` in order of first appearance
+        (0.0 and -0.0 are one heading), a chunk of JSON_CHUNK_TILES at a time."""
+        if self._classes is None:
+            cols = [self._columns[name] for name in ("i", "j", "handedness", "phi")]
+            self._classes = Counter()
+            for lo in range(0, len(self), JSON_CHUNK_TILES):
+                self._classes.update(zip(*(c[lo:lo + JSON_CHUNK_TILES].tolist() for c in cols)))
+        return self._classes
+
     def exponent_counts(self) -> dict[tuple[int, int], int]:
         """Tiles per exponent pair, in order of first appearance."""
-        pairs, _, counts = self.exponent_pairs()
-        return dict(zip(pairs, counts))
+        counts = {}
+        for (i, j, _, _), cnt in self.class_census().items():
+            counts[i, j] = counts.get((i, j), 0) + cnt
+        return counts
 
     def scales(self, rows=slice(None)) -> np.ndarray:
         """The linear scale of every tile (or of the tiles at ``rows``)
         relative to the root."""
         import numpy as np
-        pairs, index, _ = self.exponent_pairs()
+        pairs, index = self.exponent_pairs()
         return np.array([self.shape.scale(i, j) for i, j in pairs],
                         dtype=np.float64)[index[rows]]
 
@@ -341,7 +371,7 @@ def deflate(tiling: Tiling, cap: int | None = None, winners=None,
     shape = tiling.shape
     canon = _size_class(shape, True)
     if winners is None:
-        pairs, _, _ = tiling.exponent_pairs()
+        pairs, _ = tiling.exponent_pairs()
         winners = _SizeFrontier(shape, dict.fromkeys(map(canon, pairs))).next_winners()
     if first_id is None:
         first_id = int(tiling.ids.max()) + 1

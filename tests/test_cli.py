@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tilelab import boundary
 from tilelab.cli import main
-from tilelab.geometry import shape_from_pq
+from tilelab.geometry import shape_from_pq, shape_from_theta
 from tilelab.substitution import Tiling, build_Tn, tiling_json_chunks
 
 
@@ -518,6 +518,36 @@ def test_census_library_calls_never_load_numpy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture(scope="module")
+def stats_commands(tmp_path_factory):
+    """``stats --in`` of a rational and an irrational tiling file, as JSON,
+    CSV and with count weights."""
+    folder = tmp_path_factory.mktemp("stats")
+    commands = []
+    for name, shape, n in (("1-2", shape_from_pq(1, 2), 8),
+                           ("theta", shape_from_theta(1.0), 30)):
+        path = folder / f"{name}.json"
+        path.write_text("".join(tiling_json_chunks(build_Tn(shape, n))))
+        commands += [["stats", "--in", str(path), *options]
+                     for options in ([], ["--csv"], ["--weighting", "count"])]
+    return commands
+
+
+def test_stats_of_a_tiling_file_never_loads_numpy(stats_commands, capsys, monkeypatch):
+    code = ("import sys; from tilelab.cli import main; "
+            f"failed = [argv for argv in {stats_commands!r} if main(argv) != 0]; "
+            "sys.exit(f'failed: {failed}' if failed else 'numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # in this process, with numpy loaded but not importable: the same text
+    want = [_run(capsys, argv) for argv in stats_commands]
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    assert [_run(capsys, argv) for argv in stats_commands] == want
+    assert all(rc == 0 and out and not err for rc, out, err in want)
 
 
 def test_import_loads_every_traced_layer():

@@ -108,7 +108,7 @@ def ref_direction_runs(t, sides, heads, ang, tol, chunk):
 def ref_fault_columns(t, box, chunk=JSON_CHUNK_TILES):
     """The fault pass that held a float64 angle per side, the full-size
     np.unique of them and a full-size mask per batch of directions."""
-    pairs, _, _ = t.exponent_pairs()
+    pairs, _ = t.exponent_pairs()
     tol = 1e-7 * (t.shape.c * max(t.shape.scale(i, j) for i, j in pairs))
     if not (tol > 0.0 and 4.0 * max(map(abs, box)) <= tol * sys.float_info.max):
         raise ArgumentError("tile coordinates are too large for the fault "

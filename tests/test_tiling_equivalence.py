@@ -18,7 +18,7 @@ from tilelab.geometry import (Placement, Tile, shape_from_pq, shape_from_theta,
 from tilelab.render import _Run, fault_runs, svg_chunks
 from tilelab.stats import (_size_histogram_from_counts, orientation_histogram,
                            size_histogram)
-from tilelab import render, stats, substitution
+from tilelab import render, substitution
 from collections import Counter
 
 from tilelab.errors import InternalError, ResourceError
@@ -452,7 +452,6 @@ def test_histograms_match_the_per_tile_loops(case):
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
 def test_orientation_histogram_batch_size_changes_nothing(monkeypatch, chunk):
-    monkeypatch.setattr(stats, "JSON_CHUNK_TILES", chunk)
     monkeypatch.setattr(substitution, "JSON_CHUNK_TILES", chunk)
     for shape, n, bins in ((shape_from_pq(1, 2), 8, 64), (shape_from_pq(1, 3), 6, 37),
                            (shape_from_theta(1.0), 20, 64)):
@@ -475,6 +474,17 @@ def test_orientation_histogram_holds_a_chunk_not_the_tiling():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("shape,n", [(shape_from_pq(1, 2), 12),
+                                     (shape_from_theta(1.0), 40)])
+def test_exponent_pairs_are_in_the_order_of_the_class_census(shape, n):
+    # render and deflate index the pairs of exponent_pairs, the histograms
+    # read the census: both name the pairs in one order
+    tiling = build_Tn(shape, n)
+    pairs, index = tiling.exponent_pairs()
+    assert list(tiling.exponent_counts().items()) == \
+        list(zip(pairs, np.bincount(index).tolist()))
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,11 +2,15 @@
 ``tiling_from_json``, its tile cap, and what it holds in memory."""
 
 import io
+import itertools
 import json
+import math
+import operator
 import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +20,7 @@ from tilelab.cli import main
 from tilelab.errors import ArgumentError, ResourceError
 from tilelab.geometry import shape_from_pq, shape_from_theta
 from tilelab.reader import read_tiling
-from tilelab.substitution import (COLUMNS, build_Tn, tiling_from_json,
+from tilelab.substitution import (COLUMNS, TYPECODES, build_Tn, tiling_from_json,
                                   tiling_json_chunks)
 
 
@@ -182,6 +186,176 @@ def test_a_bool_is_no_coordinate(field, value):
         tiling_from_json(json.loads(text))
     with pytest.raises(ArgumentError, match=f"tile '{field}' values must be finite"):
         read_tiling(io.StringIO(text))
+
+
+def test_a_read_tiling_views_its_buffers_when_first_read():
+    tiling = read_tiling(io.StringIO(_RATIONAL))
+    assert len(tiling) == len(json.loads(_RATIONAL)["tiles"])
+    assert not {name for name, _ in COLUMNS} & set(vars(tiling))
+    phi = tiling.phi
+    assert tiling.phi is phi and not phi.flags.writeable
+    assert np.shares_memory(phi, np.frombuffer(tiling._columns["phi"]))
+    with pytest.raises(AttributeError, match="no attribute 'psi'"):
+        tiling.psi
+
+
+# -- the column checks against the numpy ones they replace -------------------
+
+
+def _ref_int_column(values, key, dtype, low=0, high=None):
+    if high is None:
+        high = np.iinfo(dtype).max
+    col = None
+    if set(map(type, values)) == {int}:
+        try:
+            col = np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    if col is None or col.min() < low or col.max() > high:
+        raise ArgumentError(f"tile {key!r} values must be integers in "
+                            f"[{low}, {high}]")
+    return col.astype(dtype)
+
+
+def _ref_float_column(values, key, shape):
+    try:
+        col = np.array(values)
+    except ValueError:
+        col = None
+    flat = itertools.chain.from_iterable(values) if len(shape) > 1 else values
+    if col is None or col.shape != shape or col.dtype.kind not in "if" \
+            or bool in set(map(type, flat)) or not np.isfinite(col).all():
+        raise ArgumentError(f"tile {key!r} values must be finite numbers, "
+                            f"{'x, y pairs' if len(shape) > 1 else 'one each'}")
+    return col.astype(np.float64)
+
+
+def _ref_tile_columns(rows):
+    """The reader's checks as numpy made them: a slice's values through
+    ``np.array``, then dtype, shape, range and finiteness."""
+    keys = reader._TILE_KEYS
+    try:
+        values = dict(zip(keys, zip(*map(operator.itemgetter(*keys), rows))))
+    except (KeyError, TypeError):
+        raise ArgumentError("every tile must be an object with the keys "
+                            + ", ".join(keys)) from None
+    hand = _ref_int_column(values["handedness"], "handedness", np.int8, -1, 1)
+    if not hand.all():
+        raise ArgumentError("tile 'handedness' values must be 1 or -1")
+    parents = values["parent"]
+    roots = [k for k, p in enumerate(parents) if p is None] if None in parents else []
+    parent = _ref_int_column([0 if p is None else p for p in parents] if roots else parents,
+                             "parent", np.int64)
+    parent[roots] = -1
+    origin = _ref_float_column(values["origin"], "origin", (len(rows), 2))
+    phi = _ref_float_column(values["phi"], "phi", (len(rows),))
+    if not ((phi >= 0.0) & (phi <= reader.PHI_MAX)).all():
+        raise ArgumentError(f"tile 'phi' values must be headings in [0, {reader.PHI_MAX}]")
+    return {"handedness": hand, "phi": phi, "ox": origin[:, 0], "oy": origin[:, 1],
+            "i": _ref_int_column(values["i"], "i", np.int32),
+            "j": _ref_int_column(values["j"], "j", np.int32),
+            "ids": _ref_int_column(values["id"], "id", np.int64), "parent": parent}
+
+
+_BIG = [s * 2 ** e + d for s in (1, -1) for e in (31, 63, 64) for d in (-1, 0, 1)]
+_NUMBERS = st.one_of(
+    st.sampled_from(_BIG + [0, 1, -1, 7, 0.5, -0.0, math.nan, math.inf, -math.inf,
+                            1e308, -1e308, 5e-324, 6.283185307180]),
+    st.integers(-2 ** 70, 2 ** 70), st.floats(), st.floats(0.0, 7.0))
+_NUMPY_SCALARS = st.builds(
+    lambda make, value: make(value),
+    st.sampled_from([np.float16, np.float32, np.float64, np.int8, np.int64,
+                     np.uint8, np.uint64, np.bool_, np.array]),
+    st.integers(0, 100) | st.floats(0.0, 7.0))
+_SCALARS = st.one_of(_NUMBERS, _NUMPY_SCALARS, st.booleans(), st.none(),
+                     st.text(max_size=2))
+# headings and coordinates that are mostly taken
+_FLOATS = st.one_of(st.floats(0.0, 7.0), _NUMPY_SCALARS, _SCALARS)
+_ORIGINS = st.one_of(
+    st.lists(_FLOATS, min_size=2, max_size=2), st.tuples(_FLOATS, _FLOATS),
+    st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.sampled_from("xy"), _SCALARS, max_size=2), _SCALARS,
+    st.builds(lambda x, y, dtype: np.array([x, y], dtype=dtype),
+              st.floats(0.0, 7.0), st.floats(0.0, 7.0),
+              st.sampled_from(["float64", "float32", "int64", "uint64", "bool", "object"])))
+
+
+@st.composite
+def _slices(draw):
+    """A few tiles of a valid tiling with keys changed, dropped or added,
+    in one tile or all of them, and now and then a tile that is no object."""
+    base = json.loads(_RATIONAL)["tiles"]
+    rows = [dict(tile) for tile in draw(st.lists(st.sampled_from(base), min_size=1,
+                                                 max_size=4))]
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(reader._TILE_KEYS + ("extra",) + ("origin", "phi") * 3))
+        drop = draw(st.integers(0, 9)) == 0
+        value = draw({"origin": _ORIGINS, "phi": _FLOATS}.get(key, _SCALARS))
+        for row in rows if draw(st.booleans()) else [draw(st.sampled_from(rows))]:
+            if drop:
+                row.pop(key, None)
+            else:
+                row[key] = value
+    if draw(st.integers(0, 19)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(_SCALARS)
+    return rows
+
+
+def _origins(*pairs):
+    """Three tiles of the rational tiling with these origins."""
+    rows = [dict(tile) for tile in json.loads(_RATIONAL)["tiles"][:3]]
+    for row, pair in zip(rows, pairs):
+        row["origin"] = pair
+    return rows
+
+
+@settings(max_examples=1500, deadline=None)
+@given(_slices())
+# numpy's inference: an int past int64 that fits uint64 is a float beside
+# a signed int or a float, and unsigned alone; one past uint64 is an object
+@example(_origins([2 ** 63, 1], [0.5, 0.5], [0.5, 0.5]))
+@example(_origins([0.5, 2 ** 63], [0.5, 0.5], [0.5, 0.5]))
+@example(_origins([0.5, 2 ** 70], [0.5, 0.5], [0.5, 0.5]))
+@example(_origins([2 ** 63, 2 ** 63], [2 ** 64 - 1, 2 ** 63], [2 ** 63, 2 ** 63]))
+@example(_origins([np.uint64(1), np.uint8(2)], [np.uint64(3), 2 ** 63], [np.uint8(1), 2 ** 64 - 1]))
+@example(_origins([np.bool_(True), 0.5], (1, 2), np.array([1.5, 2.5], dtype="float32")))
+@example(_origins([-0.0, 1e308], [2 ** 63, -1], [-2 ** 63, 2 ** 63 - 1]))
+def test_column_checks_match_numpys(rows):
+    # each slice is taken with the same bits or refused with the same error
+    try:
+        want = _ref_tile_columns(rows)
+    except Exception as exc:
+        want = (type(exc), str(exc))
+    header = {k: v for k, v in json.loads(_RATIONAL).items() if k != "tiles"}
+    for columns in (lambda: reader._tile_columns(rows),
+                    lambda: tiling_from_json({**header, "tiles": rows})._columns):
+        try:
+            got = columns()
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert not isinstance(got, tuple), got
+        for name, dtype in COLUMNS:
+            col = got[name]
+            assert (col.typecode, len(col)) == (TYPECODES[dtype], len(want[name])), name
+            assert col.tobytes() == want[name].tobytes(), name
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(_FLOATS, min_size=1, max_size=4), st.lists(_ORIGINS, min_size=1, max_size=4))
+def test_float_columns_match_numpys(headings, origins):
+    for values, shape in ((headings, (len(headings),)), (origins, (len(origins), 2))):
+        try:
+            want = _ref_float_column(tuple(values), "x", shape).tobytes()
+        except ArgumentError as exc:
+            want = str(exc)
+        try:
+            got = reader._float_column(tuple(values), "x", len(shape) > 1).tobytes()
+        except ArgumentError as exc:
+            got = str(exc)
+        assert got == want, values
 
 
 @pytest.mark.parametrize("text", [
